@@ -10,11 +10,14 @@ inference service:
 
 POST /v1/score with {"model", "prompt", "completion"} answers
 {"token_logprobs": [...], "total_logprob": ...}. Symbols outside the
-fitted vocabulary yield status 400.
+fitted vocabulary yield status 400. Connections stay open (HTTP/1.1
+keep-alive), every response carries a Content-Length, and nothing is
+logged per request.
 """
 
 import argparse
 import json
+import socket
 import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -22,39 +25,49 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from varr.corpus import load_corpus
-from varr.errors import OutOfVocabularyError, ScorerError
+from varr.errors import ScorerError
 from varr.scorer import PromptAssembly, fit_tabular_scorer
 
 
 def make_handler(scorer):
     class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            if self.path != "/v1/score":
-                self.send_error(404)
-                return
-            length = int(self.headers.get("Content-Length", 0))
-            try:
-                body = json.loads(self.rfile.read(length))
-                assembly = PromptAssembly(body["prompt"], ())
-                result = scorer.score_answer(assembly, body["completion"])
-            except (json.JSONDecodeError, KeyError) as exc:
-                self.send_error(400, explain=f"bad request: {exc}")
-                return
-            except (OutOfVocabularyError, ScorerError) as exc:
-                self.send_error(400, explain=str(exc))
-                return
-            payload = json.dumps({
-                "token_logprobs": list(result.per_token),
-                "total_logprob": result.total,
-            }).encode("utf-8")
-            self.send_response(200)
+        protocol_version = "HTTP/1.1"
+
+        def setup(self):
+            super().setup()
+            self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+        def _reply(self, status, body):
+            payload = json.dumps(body).encode("utf-8")
+            self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
             self.wfile.write(payload)
 
+        def do_POST(self):
+            length = int(self.headers.get("Content-Length", 0))
+            raw = self.rfile.read(length)
+            if self.path != "/v1/score":
+                self._reply(404, {"error": f"no such endpoint: {self.path}"})
+                return
+            try:
+                body = json.loads(raw)
+                assembly = PromptAssembly(body["prompt"], ())
+                result = scorer.score_answer(assembly, body["completion"])
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                self._reply(400, {"error": f"bad request: {exc}"})
+                return
+            except ScorerError as exc:
+                self._reply(400, {"error": str(exc)})
+                return
+            self._reply(200, {
+                "token_logprobs": list(result.per_token),
+                "total_logprob": result.total,
+            })
+
         def log_message(self, fmt, *args):
-            print(f"[scorer] {fmt % args}", file=sys.stderr)
+            pass
 
     return Handler
 

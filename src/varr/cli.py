@@ -179,14 +179,17 @@ def cmd_pilot(args) -> int:
     cfg = config_mod.load_run_config(args.config, overrides)
     corpus = load_corpus(args.input, cfg.unit, cfg.segmentation_rules())
     handle = cfg.build_scorer(corpus)
-    results = pilot_mod.pilot_nll_curve(
-        corpus, handle,
-        sizes=tuple(cfg.pilot_sizes),
-        strategies=tuple(cfg.pilot_strategies),
-        samples_per_record=cfg.samples_per_record,
-        seed=cfg.seed,
-        template_id=cfg.template_id,
-    )
+    try:
+        results = pilot_mod.pilot_nll_curve(
+            corpus, handle,
+            sizes=tuple(cfg.pilot_sizes),
+            strategies=tuple(cfg.pilot_strategies),
+            samples_per_record=cfg.samples_per_record,
+            seed=cfg.seed,
+            template_id=cfg.template_id,
+        )
+    finally:
+        handle.close()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "pilot.tsv").write_text(pilot_mod.pilot_tsv(results), encoding="utf-8")
@@ -249,6 +252,8 @@ def cmd_reduce(args) -> int:
         exc.trace.save(out_dir / "trace.partial.json")
         print(f"scorer failure, partial trace saved: {exc.cause}", file=sys.stderr)
         return EXIT_SCORER
+    finally:
+        handle.close()
 
     trace.config["run"] = cfg.effective_dict()
     trace.config["paths"] = {"input": str(args.input), "out_dir": str(out_dir)}
@@ -306,7 +311,10 @@ def cmd_score(args) -> int:
         retained_rationale=tuple(units),
         template_id=cfg.template_id,
     )
-    result = handle.score_answer(assembly, args.answer)
+    try:
+        result = handle.score_answer(assembly, args.answer)
+    finally:
+        handle.close()
     print(f"total log-likelihood: {result.total!r}")
     print(f"per-token: {[round(v, 6) for v in result.per_token]}")
     print(f"NLL: {-result.total!r}")

@@ -24,6 +24,8 @@ carry their provenance.
 from __future__ import annotations
 
 import json
+import types
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -140,6 +142,24 @@ _SECTION_FIELDS = {
 _TUPLE_FIELDS = {"abbreviation_exceptions", "pilot_sizes", "pilot_strategies"}
 
 
+def _matches(value, hint) -> bool:
+    """Whether a JSON value fits a RunConfig field annotation."""
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(hint, type):
+        return isinstance(value, hint)
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_matches(value, arg) for arg in args)
+    # tuple[X, ...]: a JSON list of X
+    return isinstance(value, list) and all(_matches(v, args[0]) for v in value)
+
+
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
 def load_run_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
     """Defaults <- config file sections <- explicit flag overrides."""
     config = RunConfig()
@@ -157,6 +177,13 @@ def load_run_config(path: str | Path | None, overrides: dict | None = None) -> R
                 attr = _SECTION_FIELDS.get((section, key))
                 if attr is None:
                     raise ConfigurationError(f"unknown config entry {section}.{key}")
+                hint = _FIELD_TYPES[attr]
+                if not _matches(value, hint):
+                    expected = hint.__name__ if isinstance(hint, type) else hint
+                    raise ConfigurationError(
+                        f"config entry {section}.{key} must be {expected}, "
+                        f"got {json.dumps(value)}"
+                    )
                 setattr(config, attr, tuple(value) if attr in _TUPLE_FIELDS else value)
     for attr, value in (overrides or {}).items():
         if value is None:

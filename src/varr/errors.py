@@ -51,15 +51,6 @@ class ProtocolError(ScorerError):
     """Remote scorer answered, but not with the documented wire format."""
 
 
-class BatchScoreError(ScorerError):
-    """One request of a batch failed; carries the failing index."""
-
-    def __init__(self, index: int, cause: Exception):
-        super().__init__(f"batch request {index} failed: {cause}")
-        self.index = index
-        self.cause = cause
-
-
 class EmptyNegativePoolError(VarrError):
     """No usable wrong answers remain after filtering the gold answer."""
 

@@ -18,18 +18,26 @@ Candidate orders: front (ascending), back (descending), random (seeded
 permutation), enforced_front(n) (front order, first n unconditional
 during the first enforce_epochs epochs), no_rule (seeded permutation,
 all unconditional; criteria bypassed entirely).
+
+Within an epoch the scorer does not change and each record is scanned
+once, reading only its own units and the answers of its batch, so the
+scans of one batch are independent. A handle with ``in_flight > 1``
+(the remote backend) has them run on that many worker threads; their
+events are merged in batch order, so the trace is the serial one.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import random
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .corpus import CHOICE_TASKS, Corpus, RationaleRecord
-from .errors import ScorerError, VarrError
+from .errors import ConfigurationError, ScorerError, VarrError
 from .metrics import DECISION_KEPT, DECISION_REMOVED, ReductionTrace, TraceEvent
 from .scorer import ScorerHandle, corpus_view
 from .seeding import child_rng
@@ -38,6 +46,7 @@ from .verbosity import MODE_VARR_PLUS, MODES, evaluate_candidate
 log = logging.getLogger(__name__)
 
 CANDIDATE_ORDERS = ("front", "random", "back", "enforced_front", "no_rule")
+SHUFFLED_ORDERS = ("random", "no_rule")
 UNITS = ("sentence", "token")
 
 
@@ -195,10 +204,18 @@ def run_reduction(
     Returns the complete trace of every evaluation and removal. The
     corpus records' units carry removed_at marks afterwards; feed the
     pair to write_reduced for the reduced artifact with provenance.
+
+    On a scorer failure the partial trace holds what the serial driver
+    would have recorded: the events of the batch's records before the
+    failing one, then the failing scan's own. Its scorer_call_count
+    counts every call issued, including those of scans that ran
+    concurrently with the failing one.
     """
     records = corpus.records
     if not records:
         raise ValueError("corpus is empty")
+    if strategy.mode == MODE_VARR_PLUS and k_negatives < 1:
+        raise ConfigurationError("k_negatives must be >= 1 in varr_plus mode")
     steps_per_epoch = math.ceil(len(records) / clock_config.batch_size)
     total_steps = clock_config.epochs * steps_per_epoch
     seed = strategy.seed
@@ -219,6 +236,11 @@ def run_reduction(
     }
     trace = ReductionTrace(config=config_snapshot, seed=seed)
     calls_before = handle.calls
+    # One pool for the whole run, so worker sessions outlive batches.
+    pool = (
+        ThreadPoolExecutor(handle.in_flight, thread_name_prefix="varr-scan")
+        if handle.in_flight > 1 else None
+    )
 
     try:
         for epoch in range(1, clock_config.epochs + 1):
@@ -233,11 +255,12 @@ def run_reduction(
                     continue
                 lo = (step - 1) * clock_config.batch_size
                 batch = [records[i] for i in order[lo : lo + clock_config.batch_size]]
-                for record in batch:
-                    _reduce_record(
-                        record, batch, handle, clock, strategy,
-                        k_negatives, template_id, trace,
-                    )
+                scan = functools.partial(
+                    _reduce_record, batch=batch, handle=handle, clock=clock,
+                    strategy=strategy, k_negatives=k_negatives,
+                    template_id=template_id,
+                )
+                _scan_batch(pool, scan, batch, trace)
             handle.refresh(corpus_view(corpus, template_id))
             log.info(
                 "epoch %d/%d done: %d removals so far",
@@ -246,9 +269,38 @@ def run_reduction(
     except ScorerError as exc:
         trace.scorer_call_count = handle.calls - calls_before
         raise ReductionAborted(exc, trace) from exc
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     trace.scorer_call_count = handle.calls - calls_before
     return trace
+
+
+def _scan_batch(
+    pool: ThreadPoolExecutor | None,
+    scan: Callable[..., None],
+    batch: Sequence[RationaleRecord],
+    trace: ReductionTrace,
+) -> None:
+    """Scan each record of the batch and merge the events in batch order.
+
+    Without a pool each scan runs when the merge reaches it; with one,
+    all are submitted first and awaited in order. Either way the first
+    failure in batch order is raised, after its scan's events are merged.
+    """
+    logs: list[list[TraceEvent]] = [[] for _ in batch]
+    if pool is None:
+        jobs = [functools.partial(scan, record, events=events)
+                for record, events in zip(batch, logs)]
+    else:
+        jobs = [pool.submit(scan, record, events=events).result
+                for record, events in zip(batch, logs)]
+    for job, events in zip(jobs, logs):
+        try:
+            job()
+        finally:
+            trace.events.extend(events)
 
 
 def _reduce_record(
@@ -259,7 +311,7 @@ def _reduce_record(
     strategy: StrategyConfig,
     k_negatives: int,
     template_id: str,
-    trace: ReductionTrace,
+    events: list[TraceEvent],
 ) -> None:
     n_t = len(record.retained_indices())
     budget = removal_budget(clock.t, clock.total_steps, n_t)
@@ -269,14 +321,17 @@ def _reduce_record(
         strategy.candidate_order == "enforced_front"
         and clock.epoch <= strategy.enforce_epochs
     )
-    order_rng = child_rng(strategy.seed, "candidate-order", record.id, clock.t)
+    order_rng = (
+        child_rng(strategy.seed, "candidate-order", record.id, clock.t)
+        if strategy.candidate_order in SHUFFLED_ORDERS else None
+    )
     for candidate in candidate_sequence(record, strategy, order_rng, enforced_active):
         if len(buffer) >= budget:
             break
         if candidate.unconditional:
             record.mark_removed(candidate.index, clock.epoch, clock.step_in_epoch)
             buffer.append(candidate.index)
-            trace.events.append(TraceEvent(
+            events.append(TraceEvent(
                 record_id=record.id,
                 epoch=clock.epoch,
                 step=clock.step_in_epoch,
@@ -300,8 +355,10 @@ def _reduce_record(
             )
             removed = False
         else:
-            neg_rng = child_rng(
-                strategy.seed, "negatives", record.id, clock.t, candidate.index
+            # seeded only if the negatives are actually subsampled
+            neg_rng = functools.partial(
+                child_rng, strategy.seed, "negatives", record.id, clock.t,
+                candidate.index,
             )
             report = evaluate_candidate(
                 handle, record, candidate.index, record.retained_indices(),
@@ -312,7 +369,7 @@ def _reduce_record(
         if removed:
             record.mark_removed(candidate.index, clock.epoch, clock.step_in_epoch)
             buffer.append(candidate.index)
-        trace.events.append(TraceEvent(
+        events.append(TraceEvent(
             record_id=record.id,
             epoch=clock.epoch,
             step=clock.step_in_epoch,

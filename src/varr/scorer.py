@@ -11,10 +11,18 @@ Two backends sit behind one handle interface:
   response {"token_logprobs": [float, ...], "total_logprob": float}
   429 and 5xx responses and transport faults retry with exponential
   backoff; other statuses fail immediately. All values are natural-log.
+  The driver scans up to ``in_flight`` records at once, so the client
+  sends up to that many concurrent requests, one keep-alive connection
+  per worker; the server must accept that much concurrency and score
+  deterministically per model version. Proxy, CA bundle and netrc
+  settings are read from the environment once, when the scorer is built.
 
 Everything stays in log space; probabilities are never materialized.
 Scores are deterministic for a fixed model_version, which increases on
-every refit/refresh, so the cache never serves stale values.
+every refit/refresh, so the cache never serves stale values. Both
+backends answer repeated (model version, prompt, answer) requests from
+the cache, so a remote server may see fewer requests than the logical
+call count.
 """
 
 from __future__ import annotations
@@ -24,7 +32,6 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,7 +40,6 @@ import requests
 
 from .corpus import Corpus, RationaleRecord
 from .errors import (
-    BatchScoreError,
     ConfigurationError,
     OutOfVocabularyError,
     ProtocolError,
@@ -250,15 +256,23 @@ class TabularModel:
 
 
 class ScorerHandle:
-    """Abstract likelihood oracle. Subclasses define one backend each."""
+    """Abstract likelihood oracle. Subclasses define one backend each.
+
+    ``score_answer`` counts the logical call, validates, renders the
+    prompt and consults the cache; a backend implements only
+    ``_evaluate`` on a cache miss. ``in_flight`` is how many record scans
+    the driver may run at once against this handle.
+    """
 
     backend = "abstract"
     exposes_tokenizer = False
+    in_flight = 1
 
-    def __init__(self):
+    def __init__(self, cache_enabled: bool = True):
         self.model_version = 1
         self.calls = 0
         self._calls_lock = threading.Lock()
+        self.cache = ScoreCache() if cache_enabled else None
 
     def _count_call(self) -> None:
         with self._calls_lock:
@@ -268,11 +282,34 @@ class ScorerHandle:
         raise UnsupportedSchemeError(f"{self.backend} backend exposes no tokenizer")
 
     def score_answer(self, assembly: PromptAssembly, answer: str) -> LogLikelihood:
+        self._count_call()
+        if not answer.strip():
+            raise ScorerError("answer must be non-empty")
+        prompt = assembly.render()
+        if self.cache is None:
+            return self._evaluate(prompt, answer)
+        key = make_cache_key(self.model_version, prompt, answer)
+        cached = self.cache.lookup(key)
+        if cached is not None:
+            return cached
+        result = self._evaluate(prompt, answer)
+        self.cache.store(key, result)
+        return result
+
+    def _evaluate(self, prompt: str, answer: str) -> LogLikelihood:
         raise NotImplementedError
+
+    def _next_version(self) -> None:
+        self.model_version += 1
+        if self.cache is not None:
+            self.cache.purge_versions_below(self.model_version)
 
     def refresh(self, corpus_view=None) -> None:
         """Epoch-boundary hook; must bump model_version."""
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release connections; the handle must not be used afterwards."""
 
 
 class TabularScorer(ScorerHandle):
@@ -280,36 +317,22 @@ class TabularScorer(ScorerHandle):
     exposes_tokenizer = True
 
     def __init__(self, model: TabularModel, cache_enabled: bool = True):
-        super().__init__()
+        super().__init__(cache_enabled)
         self.model = model
-        self.cache = ScoreCache() if cache_enabled else None
 
     def tokenize(self, text: str) -> list[str]:
         return text.split()
 
-    def score_answer(self, assembly: PromptAssembly, answer: str) -> LogLikelihood:
-        self._count_call()
-        if not answer.strip():
-            raise ScorerError("answer must be non-empty")
-        prompt = assembly.render()
-        key = make_cache_key(self.model_version, prompt, answer)
-        if self.cache is not None:
-            cached = self.cache.lookup(key)
-            if cached is not None:
-                return cached
+    def _evaluate(self, prompt: str, answer: str) -> LogLikelihood:
         context = self.tokenize(prompt)
         if not context:
             raise ScorerError("assembled context is empty; cannot condition")
-        answer_tokens = self.tokenize(answer)
         per_token = []
         prev = context[-1]
-        for token in answer_tokens:
+        for token in self.tokenize(answer):
             per_token.append(self.model.log_conditional(prev, token))
             prev = token
-        result = LogLikelihood.from_per_token(per_token)
-        if self.cache is not None:
-            self.cache.store(key, result)
-        return result
+        return LogLikelihood.from_per_token(per_token)
 
     def refresh(self, corpus_view=None) -> None:
         if corpus_view is None:
@@ -332,10 +355,20 @@ def refit_tabular(scorer: TabularScorer, corpus_view: Sequence) -> TabularModel:
         answer_tokens = answer.split() if isinstance(answer, str) else list(answer)
         streams.append(context_tokens + answer_tokens)
     scorer.model.fit_streams(streams)
-    scorer.model_version += 1
-    if scorer.cache is not None:
-        scorer.cache.purge_versions_below(scorer.model_version)
+    scorer._next_version()
     return scorer.model
+
+
+def _environment_settings(url: str) -> dict:
+    """Proxies, CA bundle, client certificate and netrc auth for url.
+
+    ``requests`` reads these from the environment on every request when a
+    session trusts it; the remote scorer reads them once, here.
+    """
+    with requests.Session() as session:
+        settings = session.merge_environment_settings(url, {}, None, None, None)
+    settings["auth"] = requests.utils.get_netrc_auth(url)
+    return settings
 
 
 class RemoteScorer(ScorerHandle):
@@ -351,7 +384,6 @@ class RemoteScorer(ScorerHandle):
         backoff_seconds: float = 0.1,
         in_flight: int = 4,
         refresh_callback=None,
-        session: requests.Session | None = None,
     ):
         super().__init__()
         base_url = base_url or os.environ.get(ENV_SCORER_URL)
@@ -364,31 +396,51 @@ class RemoteScorer(ScorerHandle):
         if max_attempts < 1:
             raise ConfigurationError("max_attempts must be >= 1")
         self.base_url = base_url.rstrip("/")
+        self.url = self.base_url + "/v1/score"
         self.model = model
         self.timeout_seconds = timeout_ms / 1000.0
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
         self.in_flight = max(1, in_flight)
         self._refresh_callback = refresh_callback
-        self._session = session or requests.Session()
+        self._settings = _environment_settings(self.url)
+        self._local = threading.local()
+        self._sessions: dict[threading.Thread, requests.Session] = {}
+        self._sessions_lock = threading.Lock()
 
-    def score_answer(self, assembly: PromptAssembly, answer: str) -> LogLikelihood:
-        self._count_call()
-        if not answer.strip():
-            raise ScorerError("answer must be non-empty")
-        payload = {
-            "model": self.model,
-            "prompt": assembly.render(),
-            "completion": answer,
-        }
-        url = self.base_url + "/v1/score"
+    def _session(self) -> requests.Session:
+        """The calling thread's keep-alive session.
+
+        A thread's first request takes over the session of a thread that
+        has ended, if any, so repeated runs reuse their connections.
+        """
+        session = getattr(self._local, "session", None)
+        if session is None:
+            with self._sessions_lock:
+                ended = next((t for t in self._sessions if not t.is_alive()), None)
+                if ended is not None:
+                    session = self._sessions.pop(ended)
+                else:
+                    session = requests.Session()
+                    session.trust_env = False
+                    session.proxies = dict(self._settings["proxies"])
+                    session.verify = self._settings["verify"]
+                    session.cert = self._settings["cert"]
+                    session.auth = self._settings["auth"]
+                self._sessions[threading.current_thread()] = session
+            self._local.session = session
+        return session
+
+    def _evaluate(self, prompt: str, answer: str) -> LogLikelihood:
+        payload = {"model": self.model, "prompt": prompt, "completion": answer}
+        session = self._session()
         attempts = 0
         failure = "no attempt made"
         while attempts < self.max_attempts:
             attempts += 1
             try:
-                response = self._session.post(
-                    url, json=payload, timeout=self.timeout_seconds
+                response = session.post(
+                    self.url, json=payload, timeout=self.timeout_seconds
                 )
             except requests.RequestException as exc:
                 failure = f"transport failure: {exc}"
@@ -419,33 +471,13 @@ class RemoteScorer(ScorerHandle):
     def refresh(self, corpus_view=None) -> None:
         if self._refresh_callback is not None:
             self._refresh_callback(corpus_view)
-        self.model_version += 1
+        self._next_version()
 
-
-def batch_score(
-    handle: ScorerHandle,
-    requests_list: Sequence[tuple[PromptAssembly, str]],
-) -> list[LogLikelihood]:
-    """Score a list of (assembly, answer) pairs, order preserved.
-
-    The remote backend runs requests concurrently up to its in-flight
-    bound; any single failure fails the whole batch, naming the index.
-    """
-    if not requests_list:
-        raise ValueError("batch must be non-empty")
-    workers = handle.in_flight if isinstance(handle, RemoteScorer) else 1
-
-    def one(indexed):
-        i, (assembly, answer) = indexed
-        try:
-            return handle.score_answer(assembly, answer)
-        except Exception as exc:
-            raise BatchScoreError(i, exc) from exc
-
-    if workers <= 1 or len(requests_list) == 1:
-        return [one(item) for item in enumerate(requests_list)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, enumerate(requests_list)))
+    def close(self) -> None:
+        with self._sessions_lock:
+            sessions, self._sessions = self._sessions, {}
+        for session in sessions.values():
+            session.close()
 
 
 # --- corpus-backed construction -------------------------------------------

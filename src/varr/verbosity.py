@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .corpus import RationaleRecord
 from .errors import EmptyNegativePoolError
@@ -29,6 +29,9 @@ from .scorer import ScorerHandle, assemble_prompt
 MODE_VARR = "varr"
 MODE_VARR_PLUS = "varr_plus"
 MODES = (MODE_VARR, MODE_VARR_PLUS)
+
+# A generator, or a zero-argument factory called only when a draw is made.
+RngSource = random.Random | Callable[[], random.Random] | None
 
 
 @dataclass(frozen=True)
@@ -98,14 +101,17 @@ def verbosity_wrong(
     current_retained: Iterable[int],
     negatives: Sequence[str],
     k: int,
-    rng: random.Random | None = None,
+    rng: RngSource = None,
     template_id: str = "plain-v1",
 ) -> tuple[float, int]:
     """Mean log-ratio over up to k sampled wrong answers.
 
     Sampling is without replacement; when k covers the whole filtered
-    pool no randomness is consumed. Returns (mean, k_used).
+    pool no randomness is consumed (and an rng factory is not called).
+    Returns (mean, k_used).
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     retained = sorted(set(current_retained))
     if i not in retained:
         raise ValueError(f"candidate {i} not in retained set of record {record.id}")
@@ -119,6 +125,8 @@ def verbosity_wrong(
     else:
         if rng is None:
             raise ValueError("subsampling negatives requires an rng")
+        if not isinstance(rng, random.Random):
+            rng = rng()
         sampled = rng.sample(pool, k)
     reduced = [j for j in retained if j != i]
     full_assembly = assemble_prompt(record, retained, template_id)
@@ -139,7 +147,7 @@ def evaluate_candidate(
     mode: str = MODE_VARR_PLUS,
     negatives: Sequence[str] = (),
     k: int = 4,
-    rng: random.Random | None = None,
+    rng: RngSource = None,
     template_id: str = "plain-v1",
 ) -> VerbosityReport:
     """Run the configured criteria for one candidate and report.

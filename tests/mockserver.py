@@ -1,60 +1,94 @@
 """Scriptable in-process HTTP server speaking the scorer wire protocol.
 
 POST /v1/score with {"model", "prompt", "completion"} returns
-{"token_logprobs": [...], "total_logprob": ...} computed as a fixed
--0.5 per whitespace token of the completion, unless a scripted behavior
-(status sequence, malformed payload) says otherwise. Requests are
-recorded for assertions.
+{"token_logprobs": [...], "total_logprob": ...} computed by the optional
+``score(prompt, completion)`` callable, or else as a fixed -0.5 per
+whitespace token of the completion, unless a scripted behavior (status
+sequence, malformed payload, a ``fail_prompt(prompt)`` predicate that
+holds) says otherwise. Requests are recorded for assertions, with the
+client address of the connection they came on. Connections stay open
+(HTTP/1.1 keep-alive) and every response carries a Content-Length.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable
 
 
 class MockScorerServer:
     """Context manager around a ThreadingHTTPServer on an OS-picked port."""
 
-    def __init__(self, status_script: list[int] | None = None, malformed: bool = False):
+    def __init__(
+        self,
+        status_script: list[int] | None = None,
+        malformed: bool = False,
+        score: Callable[[str, str], list[float]] | None = None,
+        fail_prompt: Callable[[str], bool] | None = None,
+        fail_status: int = 400,
+    ):
         # status_script: HTTP statuses for successive requests; after the
         # script is exhausted, requests succeed with 200.
+        # fail_prompt: every request whose prompt it holds for gets
+        # fail_status, so which request fails does not depend on timing.
         self.status_script = list(status_script or [])
         self.malformed = malformed
+        self.score = score
+        self.fail_prompt = fail_prompt
+        self.fail_status = fail_status
         self.requests: list[dict] = []
         self._lock = threading.Lock()
         server = self
 
         class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                length = int(self.headers.get("Content-Length", 0))
-                body = json.loads(self.rfile.read(length)) if length else {}
-                with server._lock:
-                    server.requests.append({"path": self.path, "body": body})
-                    status = (
-                        server.status_script.pop(0) if server.status_script else 200
-                    )
-                if self.path != "/v1/score":
-                    status = 404
-                if status != 200:
-                    self.send_response(status)
-                    self.end_headers()
-                    return
-                if server.malformed:
-                    payload = b'{"oops": true}'
-                else:
-                    tokens = body.get("completion", "").split()
-                    per_token = [-0.5 for _ in tokens]
-                    payload = json.dumps({
-                        "token_logprobs": per_token,
-                        "total_logprob": sum(per_token),
-                    }).encode("utf-8")
-                self.send_response(200)
+            protocol_version = "HTTP/1.1"
+
+            def setup(self):
+                super().setup()
+                # headers and body go out in separate writes; without this,
+                # Nagle's algorithm holds the body back on a kept-alive socket
+                self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+            def _reply(self, status: int, payload: bytes = b"") -> None:
+                self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
                 self.wfile.write(payload)
+
+            def do_POST(self):
+                length = int(self.headers.get("Content-Length", 0))
+                body = json.loads(self.rfile.read(length)) if length else {}
+                with server._lock:
+                    server.requests.append({
+                        "path": self.path, "body": body, "client": self.client_address,
+                    })
+                    status = (
+                        server.status_script.pop(0) if server.status_script else 200
+                    )
+                prompt = body.get("prompt", "")
+                if self.path != "/v1/score":
+                    status = 404
+                elif server.fail_prompt is not None and server.fail_prompt(prompt):
+                    status = server.fail_status
+                if status != 200:
+                    self._reply(status)
+                    return
+                if server.malformed:
+                    self._reply(200, b'{"oops": true}')
+                    return
+                completion = body.get("completion", "")
+                if server.score is not None:
+                    per_token = server.score(prompt, completion)
+                else:
+                    per_token = [-0.5 for _ in completion.split()]
+                self._reply(200, json.dumps({
+                    "token_logprobs": per_token,
+                    "total_logprob": sum(per_token),
+                }).encode("utf-8"))
 
             def log_message(self, *args):
                 pass
@@ -66,6 +100,11 @@ class MockScorerServer:
     def url(self) -> str:
         host, port = self._httpd.server_address[:2]
         return f"http://{host}:{port}"
+
+    def connections(self) -> set:
+        """Client addresses that sent at least one request."""
+        with self._lock:
+            return {r["client"] for r in self.requests}
 
     def __enter__(self) -> "MockScorerServer":
         self._thread.start()

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from varr import schedule
 from varr.cli import main
 from varr.corpus import load_corpus
 
@@ -271,6 +274,66 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
                    str(tmp_path / "x"), "--config", str(config))
     assert code == 1
     assert "epochz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("schedule", "epochs", "3"),
+    ("schedule", "warmup_ratio", True),
+    ("scorer", "url", 8900),
+    ("pilot", "sizes", [1, "2"]),
+])
+def test_config_file_wrong_type_rejected(tmp_path, capsys, section, key, value):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({section: {key: value}}))
+    code = run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir",
+                   str(tmp_path / "x"), "--config", str(config))
+    assert code == 1
+    assert f"{section}.{key} must be" in capsys.readouterr().err
+
+
+def test_config_file_typed_values_accepted(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "schedule": {"warmup_ratio": 0},          # an integer is a valid float
+        "scorer": {"url": None, "timeout_ms": 500},
+        "pilot": {"sizes": [1, 2]},
+    }))
+    code = run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir",
+                   str(tmp_path / "ok"), "--config", str(config), "--epochs", "1")
+    assert code == 0
+
+
+def test_reduce_varr_plus_needs_negatives(tmp_path, capsys):
+    code = run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir",
+                   str(tmp_path / "x"), "--mode", "varr-plus", "--k-negatives", "0")
+    assert code == 1
+    assert "k_negatives" in capsys.readouterr().err
+    # plain varr draws no negatives, so k is not used
+    code = run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir",
+                   str(tmp_path / "y"), "--mode", "varr", "--k-negatives", "0",
+                   "--epochs", "1")
+    assert code == 0
+
+
+def test_reduce_worker_exception_reaches_caller(tmp_path, monkeypatch):
+    class Boom(Exception):
+        pass
+
+    raised = Boom("raised inside a worker scan")
+
+    def evaluate(handle, record, *args, **kwargs):
+        if record.id == "ff-02":
+            raise raised
+        return real(handle, record, *args, **kwargs)
+
+    real = schedule.evaluate_candidate
+    monkeypatch.setattr(schedule, "evaluate_candidate", evaluate)
+    with MockScorerServer() as server:
+        with pytest.raises(Boom) as exc:
+            run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir",
+                    str(tmp_path / "x"), "--scorer", "remote",
+                    "--scorer-url", server.url, "--epochs", "1", "--warmup", "0")
+    assert exc.value is raised
 
 
 # Golden fingerprint for the pinned invocation below, produced by the

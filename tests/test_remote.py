@@ -1,14 +1,21 @@
+from dataclasses import asdict
+
 import pytest
 
+from varr.corpus import load_corpus
 from varr.errors import ConfigurationError, ProtocolError, TransportError
+from varr.schedule import ClockConfig, ReductionAborted, StrategyConfig, run_reduction
 from varr.scorer import (
     ENV_SCORER_TIMEOUT_MS,
     ENV_SCORER_URL,
     PromptAssembly,
     RemoteScorer,
-    batch_score,
+    TabularScorer,
+    fit_tabular_scorer,
 )
+from varr.seeding import child_rng
 
+from .conftest import FIXTURE_CORPUS
 from .mockserver import MockScorerServer
 
 ASSEMBLY = PromptAssembly("the question", ("one unit", "two units"))
@@ -89,6 +96,23 @@ def test_missing_url_is_configuration_error(monkeypatch):
         RemoteScorer()
 
 
+def test_environment_settings_read_once(monkeypatch):
+    for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY",
+                 "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    with MockScorerServer() as server:
+        direct = remote(server.url)
+        # a proxy that refuses connections, set after the scorer was built
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+        assert direct.score_answer(ASSEMBLY, "a").total == -0.5
+        proxied = remote(server.url, max_attempts=1)
+        with pytest.raises(TransportError):
+            proxied.score_answer(ASSEMBLY, "a")
+        direct.close()
+        proxied.close()
+    assert len(server.requests) == 1
+
+
 def test_refresh_bumps_version_and_calls_back():
     seen = []
     with MockScorerServer() as server:
@@ -100,14 +124,117 @@ def test_refresh_bumps_version_and_calls_back():
     assert seen == ["view", None]
 
 
-def test_batch_score_concurrent_order_preserved():
+def test_repeated_request_served_from_cache_until_refresh():
     with MockScorerServer() as server:
+        scorer = remote(server.url)
+        first = scorer.score_answer(ASSEMBLY, "a b")
+        assert scorer.score_answer(ASSEMBLY, "a b") is first
+        assert len(server.requests) == 1
+        scorer.refresh(None)
+        assert scorer.score_answer(ASSEMBLY, "a b").total == first.total
+        assert len(server.requests) == 2
+        assert len(scorer.cache) == 1  # the older version was purged
+    assert scorer.calls == 3
+
+
+# --- run_reduction against a server that scores with a fixed model ----------
+
+class FixedTabularScorer(TabularScorer):
+    """Tabular scorer whose refresh keeps the model, like a fixed server."""
+
+    def refresh(self, corpus_view=None) -> None:
+        self._next_version()
+
+
+def fixed_model():
+    return fit_tabular_scorer(load_corpus(FIXTURE_CORPUS)).model
+
+
+def model_score(model):
+    scorer = TabularScorer(model, cache_enabled=False)
+
+    def score(prompt, completion):
+        return list(scorer.score_answer(PromptAssembly(prompt, ()), completion).per_token)
+    return score
+
+
+CLOCK = ClockConfig(epochs=3, batch_size=8, warmup_ratio=0.0)
+STRATEGY = StrategyConfig("random", mode="varr_plus", seed=5)
+
+
+def reduce_remote(server, in_flight, clock=CLOCK, strategy=STRATEGY):
+    corpus = load_corpus(FIXTURE_CORPUS)
+    scorer = remote(server.url, in_flight=in_flight)
+    try:
+        trace = run_reduction(corpus, scorer, clock, strategy, k_negatives=2)
+    finally:
+        scorer.close()
+    return trace, corpus
+
+
+def outcome(trace, corpus):
+    return ([asdict(e) for e in trace.events], trace.scorer_call_count,
+            {r.id: r.retained_indices() for r in corpus.records})
+
+
+def test_concurrent_reduction_matches_serial_and_tabular():
+    model = fixed_model()
+    with MockScorerServer(score=model_score(model)) as server:
+        concurrent = outcome(*reduce_remote(server, in_flight=4))
+        serial = outcome(*reduce_remote(server, in_flight=1))
+    corpus = load_corpus(FIXTURE_CORPUS)
+    trace = run_reduction(corpus, FixedTabularScorer(model), CLOCK, STRATEGY,
+                          k_negatives=2)
+    assert concurrent[0]
+    assert concurrent == serial == outcome(trace, corpus)
+
+
+def test_cache_spares_requests_and_workers_keep_connections():
+    with MockScorerServer(score=model_score(fixed_model())) as server:
         scorer = remote(server.url, in_flight=4)
-        requests = [(ASSEMBLY, "a" if i % 2 else "a b") for i in range(8)]
-        got = batch_score(scorer, requests)
-    totals = [g.total for g in got]
-    assert totals == [-0.5 if i % 2 else -1.0 for i in range(8)]
-    assert scorer.calls == 8
+        try:
+            # the second run's workers take over the first run's sessions
+            calls = sum(
+                run_reduction(load_corpus(FIXTURE_CORPUS), scorer, CLOCK, STRATEGY,
+                              k_negatives=2).scorer_call_count
+                for _ in range(2)
+            )
+        finally:
+            scorer.close()
+        requests, connections = len(server.requests), server.connections()
+    assert 0 < requests < calls
+    assert 1 <= len(connections) <= 4
+
+
+def test_partial_trace_on_mid_batch_failure_is_serial():
+    # the failing record sits second in a batch whose budget allows two
+    # candidates, so both an earlier record and the failing one have events
+    clock = ClockConfig(epochs=1, batch_size=8, warmup_ratio=0.0)
+    strategy = StrategyConfig("front", mode="varr", seed=0)
+    corpus = load_corpus(FIXTURE_CORPUS)
+    order = list(range(len(corpus.records)))
+    child_rng(strategy.seed, "batch-order", 1).shuffle(order)
+    target = corpus.records[order[9]]
+    second, third = (u.text for u in target.rationale[1:3])
+
+    def fails(prompt):
+        # the reduced prompt of the second candidate: unit 1 gone, unit 2 kept
+        return (prompt.startswith(target.question + " ")
+                and second not in prompt and third in prompt)
+
+    partial = {}
+    for in_flight in (1, 4):
+        with MockScorerServer(score=model_score(fixed_model()),
+                              fail_prompt=fails) as server:
+            with pytest.raises(ReductionAborted) as exc:
+                reduce_remote(server, in_flight, clock, strategy)
+        assert isinstance(exc.value.cause, ProtocolError)
+        partial[in_flight] = [asdict(e) for e in exc.value.trace.events]
+    events = partial[1]
+    assert events[-1]["record_id"] == target.id
+    assert any(e["record_id"] != target.id and e["t"] == events[-1]["t"]
+               for e in events)
+    assert partial[4] == events
 
 
 def test_tokenizer_not_exposed():

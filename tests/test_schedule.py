@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -309,6 +310,52 @@ def test_reduction_aborts_with_partial_trace():
                       StrategyConfig("front", mode="varr", seed=1))
     assert exc.value.trace is not None
     assert exc.value.trace.events == []
+
+
+# --- scans on a worker pool -------------------------------------------------
+
+def test_scan_pool_matches_inline_under_thread_stress():
+    def run(in_flight):
+        corpus = fresh_corpus()
+        handle = fit_tabular_scorer(corpus)
+        handle.in_flight = in_flight
+        trace = run_reduction(corpus, handle, ClockConfig(4, 8, 0.1),
+                              StrategyConfig("random", mode="varr_plus", seed=21),
+                              k_negatives=2)
+        retained = {r.id: r.retained_indices() for r in corpus.records}
+        return [asdict(e) for e in trace.events], trace.scorer_call_count, retained
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = run(8)
+    finally:
+        sys.setswitchinterval(interval)
+    events, calls, _ = pooled
+    # a lost update of the shared call counter would break this law
+    assert calls == sum(0 if e["unconditional"] else 2 + 2 * e["k_used"]
+                        for e in events)
+    assert pooled == run(1)
+
+
+def test_pooled_scan_failure_keeps_serial_partial_trace():
+    def aborted(in_flight):
+        corpus = fresh_corpus()
+        handle = fit_tabular_scorer(corpus)
+        handle.in_flight = in_flight
+        order = list(range(len(corpus.records)))
+        child_rng(1, "batch-order", 1).shuffle(order)
+        failing = corpus.records[order[1]]
+        failing.answer = "unseen " + failing.answer  # out of vocabulary
+        with pytest.raises(ReductionAborted) as exc:
+            run_reduction(corpus, handle, ClockConfig(1, 8, 0.0),
+                          StrategyConfig("front", mode="varr", seed=1))
+        return failing.id, [asdict(e) for e in exc.value.trace.events]
+
+    failing_id, serial = aborted(1)
+    assert serial
+    assert all(e["record_id"] != failing_id for e in serial)
+    assert aborted(4) == (failing_id, serial)
 
 
 # --- conformance with the straight-line reference ---------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from varr.corpus import load_corpus
 from varr.errors import (
-    BatchScoreError,
     ConfigurationError,
     OutOfVocabularyError,
     ScorerError,
@@ -17,7 +16,6 @@ from varr.scorer import (
     TabularModel,
     TabularScorer,
     assemble_prompt,
-    batch_score,
     build_vocabulary,
     cache_lookup,
     corpus_view,
@@ -196,35 +194,6 @@ def test_scorer_cache_hits_do_not_change_results():
     assert v1.total == v2.total
     assert scorer.calls == 2  # logical calls counted even on cache hits
     assert scorer.cache.hits == 1
-
-
-def test_batch_score_matches_sequential(fixture_corpus):
-    scorer = fit_tabular_scorer(fixture_corpus)
-    requests = []
-    for record in fixture_corpus.records[:8]:
-        assembly = assemble_prompt(record, record.retained_indices())
-        requests.append((assembly, record.answer))
-    batch = batch_score(scorer, requests)
-    single = [scorer.score_answer(a, ans) for a, ans in requests]
-    assert [b.total for b in batch] == [s.total for s in single]
-
-
-def test_batch_score_duplicate_requests_identical():
-    scorer = uniform_tabular_scorer(["a", "b"])
-    assembly = PromptAssembly("a", ())
-    got = batch_score(scorer, [(assembly, "b"), (assembly, "b")])
-    assert got[0].total == got[1].total
-
-
-def test_batch_score_failure_carries_index():
-    scorer = uniform_tabular_scorer(["a", "b"])
-    ok = (PromptAssembly("a", ()), "b")
-    bad = (PromptAssembly("a", ()), "zz")
-    with pytest.raises(BatchScoreError) as exc:
-        batch_score(scorer, [ok, bad, ok])
-    assert exc.value.index == 1
-    with pytest.raises(ValueError):
-        batch_score(scorer, [])
 
 
 def test_build_vocabulary_covers_all_fields():

@@ -151,6 +151,23 @@ def test_verbosity_wrong_subsampling_requires_rng():
         verbosity_wrong(scorer, record, 0, [0], ["a", "b", "d"], 2, rng=None)
 
 
+def test_verbosity_wrong_rng_factory_called_only_to_subsample():
+    scorer = uniform_tabular_scorer(VOCAB4)
+    record = make_record(units=("a",), question="b", answer="c")
+    made = []
+
+    def factory():
+        made.append(1)
+        return random.Random(3)
+
+    verbosity_wrong(scorer, record, 0, [0], ["a", "b"], 2, rng=factory)
+    assert made == []
+    _, k_used = verbosity_wrong(scorer, record, 0, [0], ["a", "b", "d"], 2, rng=factory)
+    assert (made, k_used) == ([1], 2)
+    with pytest.raises(ValueError):
+        verbosity_wrong(scorer, record, 0, [0], ["a", "b"], 0, rng=factory)
+
+
 def test_randomized_oracle_equivalence_nll_and_verbosities():
     rng = random.Random(515)
     for _ in range(120):
