@@ -20,7 +20,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from varr.corpus import load_corpus
-from varr.metrics import token_stats, trace_fingerprint
+from varr.metrics import reduction_token_stats, trace_fingerprint
 from varr.schedule import ClockConfig, StrategyConfig, run_reduction
 from varr.scorer import fit_tabular_scorer
 
@@ -39,7 +39,7 @@ def run_cell(corpus_path, clock, strategy, k, alpha):
     corpus = load_corpus(corpus_path)
     handle = fit_tabular_scorer(corpus, smoothing_alpha=alpha)
     trace = run_reduction(corpus, handle, clock, strategy, k_negatives=k)
-    stats = token_stats(load_corpus(corpus_path), corpus)
+    stats = reduction_token_stats(corpus)
     return {
         "removals": len(trace.removal_events()),
         "decisions": len(trace.events),

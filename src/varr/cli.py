@@ -24,8 +24,7 @@ from .corpus import (
     validate_corpus,
     write_corpus,
     write_reduced,
-    RationaleRecord,
-    RationaleUnit,
+    write_text_atomic,
 )
 from .errors import (
     ConfigurationError,
@@ -157,9 +156,7 @@ def cmd_ingest(args) -> int:
         "segmentation_rule_id": corpus.meta.segmentation_rule_id,
     }
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(summary, indent=2, ensure_ascii=False), encoding="utf-8"
-        )
+        write_text_atomic(args.report, json.dumps(summary, indent=2, ensure_ascii=False))
     print(f"loaded {len(corpus)} records from {args.input}")
     for rid, violation in violations:
         print(f"violation [{rid}]: {violation}")
@@ -192,12 +189,10 @@ def cmd_pilot(args) -> int:
         handle.close()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "pilot.tsv").write_text(pilot_mod.pilot_tsv(results), encoding="utf-8")
+    write_text_atomic(out_dir / "pilot.tsv", pilot_mod.pilot_tsv(results))
     summary = pilot_mod.pilot_summary(results)
     summary["config"] = cfg.effective_dict()
-    (out_dir / "pilot.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    write_text_atomic(out_dir / "pilot.json", json.dumps(summary, indent=2, sort_keys=True))
     print(f"pilot curves over {len(results)} strategies -> {out_dir}")
     print(f"baseline mean NLL: {results[0].baseline_nll:.6f}")
     if args.check_ordering and not pilot_mod.ordering_holds(results):
@@ -257,24 +252,22 @@ def cmd_reduce(args) -> int:
 
     trace.config["run"] = cfg.effective_dict()
     trace.config["paths"] = {"input": str(args.input), "out_dir": str(out_dir)}
-    problems = metrics.validate_trace(trace)
-    if problems:
-        for problem in problems:
+    # The events are encoded once, for the fingerprint and for trace.json,
+    # and the report is complete before any output is written.
+    events_json = metrics.encode_events(trace.events)
+    report = metrics.build_report(trace, corpus, events_json=events_json)
+    if report["law_violations"]:
+        for problem in report["law_violations"]:
             print(f"invariant violation: {problem}", file=sys.stderr)
         return EXIT_INVARIANT
 
-    trace.save(out_dir / "trace.json")
+    trace.save(out_dir / "trace.json", events_json)
     write_reduced(corpus, trace, out_dir / "reduced.jsonl")
-    before = load_corpus(args.input, cfg.unit, cfg.segmentation_rules())
-    report = metrics.build_report(trace, before, corpus)
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    write_text_atomic(out_dir / "report.json", json.dumps(report, indent=2, sort_keys=True))
     text = metrics.render_report_text(report)
-    (out_dir / "report.txt").write_text(text + "\n", encoding="utf-8")
-    (out_dir / "removal_ratio.tsv").write_text(
-        metrics.removal_ratio_tsv(trace), encoding="utf-8"
-    )
+    write_text_atomic(out_dir / "report.txt", text + "\n")
+    write_text_atomic(out_dir / "removal_ratio.tsv",
+                      metrics.removal_ratio_tsv(report["removal_ratio_curve"]))
     print(text)
     return EXIT_OK
 
@@ -300,14 +293,8 @@ def cmd_score(args) -> int:
             )
     else:
         handle = cfg.build_scorer()
-    record = RationaleRecord(
-        id="adhoc",
-        question=args.question,
-        rationale=[RationaleUnit(i, t) for i, t in enumerate(units)],
-        answer=args.answer,
-    )
     assembly = PromptAssembly(
-        question=record.question,
+        question=args.question,
         retained_rationale=tuple(units),
         template_id=cfg.template_id,
     )

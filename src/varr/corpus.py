@@ -16,9 +16,11 @@ retained units plus a ``removed`` provenance block:
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
 from .errors import InternalInvariantError, ParseError, ValidationError
 from .segmenter import SegmentationRules, segment_sentences, segment_tokens
@@ -212,10 +214,33 @@ def validate_corpus(corpus: Corpus) -> list[ValidationReport]:
     return [validate_record(r) for r in corpus.records]
 
 
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """Open a UTF-8 text file that replaces ``path`` only once fully written.
+
+    Writes go to a temporary file in the same directory, which
+    ``os.replace`` moves over ``path`` when the block ends without an
+    exception; on an exception it is deleted and ``path`` is untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    with atomic_writer(path) as fh:
+        fh.write(text)
+
+
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus in the input format, rationale as a pre-split list."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         for record in corpus.records:
             obj = {
                 "id": record.id,
@@ -250,8 +275,7 @@ def write_reduced(corpus: Corpus, trace: "ReductionTrace", path: str | Path) -> 
         raise InternalInvariantError(
             "trace removal events disagree with corpus removed_at marks"
         )
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         for record in corpus.records:
             obj = {
                 "id": record.id,

@@ -5,19 +5,24 @@ candidate decision, plus the config snapshot, seed, and scorer-call
 count. Everything downstream (removal-ratio curves, token statistics,
 replay checks, the determinism fingerprint) is derived from it.
 
-The fingerprint hashes the canonical JSON of the trace with filesystem
-paths stripped from the config, so two runs of the same configuration
-into different output directories fingerprint identically.
+The trace is written as canonical JSON: keys sorted, compact separators,
+non-ASCII characters escaped. The fingerprint is the sha256 of the same
+encoding with filesystem paths stripped from the config, so two runs of
+the same configuration into different output directories fingerprint
+identically. Both documents are spliced around one encoding of the
+events list, done by json's C encoder (``indent`` and ``json.dump`` to
+a file would fall back to the pure-Python one).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Corpus
+from .corpus import Corpus, atomic_writer
 from .errors import InternalInvariantError
 
 REPORT_SCHEMA_VERSION = "1"
@@ -59,7 +64,7 @@ class ReductionTrace:
             "config": self.config,
             "seed": self.seed,
             "scorer_call_count": self.scorer_call_count,
-            "events": [asdict(e) for e in self.events],
+            "events": [dict(vars(e)) for e in self.events],
         }
 
     @classmethod
@@ -71,24 +76,47 @@ class ReductionTrace:
             events=[TraceEvent(**e) for e in obj["events"]],
         )
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), ensure_ascii=False, indent=1), encoding="utf-8"
-        )
+    def canonical_json(self, events_json: str | None = None, with_paths: bool = True) -> str:
+        """``json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))``.
+
+        Built by splicing: the sorted top-level keys are config, events,
+        scorer_call_count, seed. Pass the output of ``encode_events`` to
+        reuse one encoding of the events for several documents.
+        """
+        config = self.config
+        if not with_paths:
+            config = {k: v for k, v in config.items() if k != "paths"}
+        if events_json is None:
+            events_json = encode_events(self.events)
+        return "".join((
+            '{"config":', _canonical(config),
+            ',"events":', events_json,
+            ',"scorer_call_count":', _canonical(self.scorer_call_count),
+            ',"seed":', _canonical(self.seed), "}",
+        ))
+
+    def save(self, path: str | Path, events_json: str | None = None) -> None:
+        with atomic_writer(path) as fh:
+            fh.write(self.canonical_json(events_json))
 
     @classmethod
     def load(cls, path: str | Path) -> "ReductionTrace":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def trace_fingerprint(trace: ReductionTrace) -> str:
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def encode_events(events: list[TraceEvent]) -> str:
+    """The canonical JSON of the events list, without copying the events."""
+    return _canonical([vars(e) for e in events])
+
+
+def trace_fingerprint(trace: ReductionTrace, events_json: str | None = None) -> str:
     """sha256 over the canonical trace JSON, ignoring config paths."""
-    payload = trace.to_dict()
-    config = dict(payload["config"])
-    config.pop("paths", None)
-    payload["config"] = config
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    canonical = trace.canonical_json(events_json, with_paths=False)
+    return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
 
 @dataclass
@@ -107,21 +135,17 @@ def removal_ratio_curve(trace: ReductionTrace, per_step: bool = False) -> list[R
     contribute zero, so reconstruction from events is exact. Epochs with
     no events (all warm-up) get ratio 0 by convention.
     """
+    groups: dict = defaultdict(list)
+    for e in trace.events:
+        groups[(e.epoch, e.step) if per_step else e.epoch].append(e)
     epochs = int(trace.config.get("schedule", {}).get("epochs", 0))
-    if not per_step:
-        keys = list(range(1, epochs + 1)) if epochs else sorted(
-            {e.epoch for e in trace.events}
-        )
+    if epochs and not per_step:
+        keys = range(1, epochs + 1)
     else:
-        keys = sorted({(e.epoch, e.step) for e in trace.events})
+        keys = sorted(groups)
     points = []
     for key in keys:
-        if per_step:
-            events = [e for e in trace.events if (e.epoch, e.step) == key]
-            epoch_label = key[0]
-        else:
-            events = [e for e in trace.events if e.epoch == key]
-            epoch_label = key
+        events = groups.get(key, ())
         removed = sum(1 for e in events if e.decision == DECISION_REMOVED)
         budgets: dict[tuple[str, int], int] = {}
         for e in events:
@@ -130,6 +154,7 @@ def removal_ratio_curve(trace: ReductionTrace, per_step: bool = False) -> list[R
         ratio = removed / max_potential if max_potential > 0 else 0.0
         if not 0.0 <= ratio <= 1.0:
             raise InternalInvariantError(f"removal ratio {ratio} out of [0, 1]")
+        epoch_label = key[0] if per_step else key
         points.append(RemovalRatioPoint(epoch_label, removed, max_potential, ratio))
     return points
 
@@ -139,16 +164,9 @@ def _record_token_count(record) -> int:
     return tokens + len(record.answer.split())
 
 
-def token_stats(corpus_before: Corpus, corpus_after: Corpus) -> dict:
-    """Average whitespace tokens (retained rationale + answer) per record."""
-    before_ids = {r.id for r in corpus_before.records}
-    after_ids = {r.id for r in corpus_after.records}
-    if before_ids != after_ids:
-        diff = sorted(before_ids.symmetric_difference(after_ids))
-        raise ValueError(f"corpora do not share record ids; differ on {diff}")
-    n = len(corpus_before.records)
-    before_avg = sum(_record_token_count(r) for r in corpus_before.records) / n
-    after_avg = sum(_record_token_count(r) for r in corpus_after.records) / n
+def _token_summary(before_total: int, after_total: int, n: int) -> dict:
+    before_avg = before_total / n if n else 0.0
+    after_avg = after_total / n if n else 0.0
     if before_avg > 0:
         reduction_percent = 100.0 * (before_avg - after_avg) / before_avg
     else:
@@ -158,6 +176,31 @@ def token_stats(corpus_before: Corpus, corpus_after: Corpus) -> dict:
         "avg_rationale_tokens_after": after_avg,
         "reduction_percent": reduction_percent,
     }
+
+
+def token_stats(corpus_before: Corpus, corpus_after: Corpus) -> dict:
+    """Average whitespace tokens (retained rationale + answer) per record."""
+    before_ids = {r.id for r in corpus_before.records}
+    after_ids = {r.id for r in corpus_after.records}
+    if before_ids != after_ids:
+        diff = sorted(before_ids.symmetric_difference(after_ids))
+        raise ValueError(f"corpora do not share record ids; differ on {diff}")
+    return _token_summary(
+        sum(_record_token_count(r) for r in corpus_before.records),
+        sum(_record_token_count(r) for r in corpus_after.records),
+        len(corpus_before.records),
+    )
+
+
+def reduction_token_stats(corpus: Corpus) -> dict:
+    """token_stats of the corpus as loaded against the corpus as reduced.
+
+    A reduction only marks units removed (removed_at), so the corpus as
+    loaded is its retained plus its removed units: no second parse.
+    """
+    after = sum(_record_token_count(r) for r in corpus.records)
+    removed = sum(len(u.text.split()) for r in corpus.records for u in r.removed_units())
+    return _token_summary(after + removed, after, len(corpus.records))
 
 
 def replay_trace(corpus: Corpus, trace: ReductionTrace) -> Corpus:
@@ -212,10 +255,16 @@ def validate_trace(trace: ReductionTrace) -> list[str]:
 
 def build_report(
     trace: ReductionTrace,
-    corpus_before: Corpus | None = None,
-    corpus_after: Corpus | None = None,
+    corpus: Corpus | None = None,
+    *,
+    events_json: str | None = None,
 ) -> dict:
-    """Machine-readable run summary; token stats only when corpora given."""
+    """Machine-readable run summary.
+
+    Token stats are included when the reduced corpus (carrying its
+    removed_at marks) is given. ``events_json`` is ``encode_events`` of
+    the trace's events, when the caller has it already.
+    """
     removals = len(trace.removal_events())
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -225,12 +274,12 @@ def build_report(
         "event_count": len(trace.events),
         "removal_count": removals,
         "no_reductions_performed": removals == 0,
-        "determinism_fingerprint": trace_fingerprint(trace),
-        "removal_ratio_curve": [asdict(p) for p in removal_ratio_curve(trace)],
+        "determinism_fingerprint": trace_fingerprint(trace, events_json),
+        "removal_ratio_curve": [vars(p) for p in removal_ratio_curve(trace)],
         "law_violations": validate_trace(trace),
     }
-    if corpus_before is not None and corpus_after is not None:
-        report["token_stats"] = token_stats(corpus_before, corpus_after)
+    if corpus is not None:
+        report["token_stats"] = reduction_token_stats(corpus)
     return report
 
 
@@ -264,8 +313,9 @@ def render_report_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def removal_ratio_tsv(trace: ReductionTrace) -> str:
+def removal_ratio_tsv(curve: list[dict]) -> str:
+    """The report's ``removal_ratio_curve`` as a tab-separated table."""
     rows = ["epoch\tremoved\tmax_potential\tratio"]
-    for p in removal_ratio_curve(trace):
-        rows.append(f"{p.epoch}\t{p.removed_count}\t{p.max_potential}\t{p.ratio!r}")
+    for p in curve:
+        rows.append(f"{p['epoch']}\t{p['removed_count']}\t{p['max_potential']}\t{p['ratio']!r}")
     return "\n".join(rows) + "\n"

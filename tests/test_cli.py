@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from varr import schedule
+from varr import cli, metrics, schedule
 from varr.cli import main
 from varr.corpus import load_corpus
 
@@ -334,6 +334,76 @@ def test_reduce_worker_exception_reaches_caller(tmp_path, monkeypatch):
                     str(tmp_path / "x"), "--scorer", "remote",
                     "--scorer-url", server.url, "--epochs", "1", "--warmup", "0")
     assert exc.value is raised
+
+
+REDUCE_OUTPUTS = ["reduced.jsonl", "removal_ratio.tsv", "report.json", "report.txt",
+                  "trace.json"]
+
+
+def reduce_fixture(out, *extra):
+    return run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir", str(out),
+                   "--mode", "varr", "--epochs", "2", "--batch-size", "4", "--seed", "3",
+                   *extra)
+
+
+def test_reduce_loads_corpus_once_and_trace_parses_to_run_trace(tmp_path, monkeypatch):
+    loads, traces = [], []
+
+    def counting_load(*args, **kwargs):
+        loads.append(args)
+        return real_load(*args, **kwargs)
+
+    def capturing_run(*args, **kwargs):
+        traces.append(real_run(*args, **kwargs))
+        return traces[-1]
+
+    real_load, real_run = cli.load_corpus, cli.run_reduction
+    monkeypatch.setattr(cli, "load_corpus", counting_load)
+    monkeypatch.setattr(cli, "run_reduction", capturing_run)
+    assert reduce_fixture(tmp_path / "run") == 0
+    assert len(loads) == 1
+    raw = (tmp_path / "run" / "trace.json").read_text(encoding="utf-8")
+    # JSON has no tuples: tuples in config.run read back as lists.
+    assert json.loads(raw) == json.loads(json.dumps(traces[0].to_dict()))
+    assert raw == json.dumps(traces[0].to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def test_reduce_leaves_no_temp_files(tmp_path):
+    assert reduce_fixture(tmp_path / "run") == 0
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == REDUCE_OUTPUTS
+
+
+def test_reduce_serialization_failure_keeps_previous_trace(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    assert reduce_fixture(out) == 0
+    before = {name: (out / name).read_bytes() for name in REDUCE_OUTPUTS}
+
+    def failing_encoding(trace, events_json=None, with_paths=True):
+        if with_paths:  # the fingerprint's encoding succeeds, trace.json's fails
+            raise ValueError("cannot serialize")
+        return real(trace, events_json, with_paths)
+
+    real = metrics.ReductionTrace.canonical_json
+    monkeypatch.setattr(metrics.ReductionTrace, "canonical_json", failing_encoding)
+    assert reduce_fixture(out, "--seed", "4") == 1
+    assert "cannot serialize" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in REDUCE_OUTPUTS} == before
+    assert sorted(p.name for p in out.iterdir()) == REDUCE_OUTPUTS
+
+
+def test_reduce_law_violation_exits_3_before_writing(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def violated(trace):
+        calls.append(trace)
+        return ["planted violation"]
+
+    monkeypatch.setattr(metrics, "validate_trace", violated)
+    out = tmp_path / "run"
+    assert reduce_fixture(out) == 3
+    assert "planted violation" in capsys.readouterr().err
+    assert len(calls) == 1
+    assert list(out.iterdir()) == []
 
 
 # Golden fingerprint for the pinned invocation below, produced by the

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varr.corpus import (
+    atomic_writer,
     load_corpus,
     validate_corpus,
     validate_record,
@@ -231,3 +232,18 @@ def test_write_corpus_roundtrip(tmp_path, fixture_corpus):
         assert before.wrong_answers == after.wrong_answers
         assert before.task_kind == after.task_kind
     assert all(r.ok for r in validate_corpus(reloaded))
+
+
+def test_atomic_writer_keeps_target_when_block_raises(tmp_path):
+    path = tmp_path / "trace.json"
+    path.write_bytes(b"previous contents")
+    with pytest.raises(RuntimeError):
+        with atomic_writer(path) as fh:
+            fh.write("half of the new")
+            raise RuntimeError("interrupted")
+    assert path.read_bytes() == b"previous contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
+    with atomic_writer(path) as fh:
+        fh.write("n\u00e9w")
+    assert path.read_text(encoding="utf-8") == "n\u00e9w"
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]

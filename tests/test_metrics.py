@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from varr.corpus import Corpus, load_corpus
@@ -7,7 +10,10 @@ from varr.metrics import (
     ReductionTrace,
     TraceEvent,
     build_report,
+    encode_events,
+    reduction_token_stats,
     removal_ratio_curve,
+    removal_ratio_tsv,
     render_report_text,
     replay_trace,
     token_stats,
@@ -175,12 +181,12 @@ def test_report_full_run(fixture_corpus):
     handle = fit_tabular_scorer(fixture_corpus)
     trace = run_reduction(fixture_corpus, handle, ClockConfig(3, 4, 0.1),
                           StrategyConfig("front", mode="varr", seed=8))
-    before = load_corpus(FIXTURE_CORPUS)
-    report = build_report(trace, before, fixture_corpus)
+    report = build_report(trace, fixture_corpus)
     assert report["removal_count"] > 0
     assert report["no_reductions_performed"] is False
     assert report["law_violations"] == []
     assert report["token_stats"]["reduction_percent"] > 0
+    assert report["token_stats"] == token_stats(load_corpus(FIXTURE_CORPUS), fixture_corpus)
     assert report["determinism_fingerprint"] == trace_fingerprint(trace)
     text = render_report_text(report)
     assert "reduction" in text
@@ -196,4 +202,99 @@ def test_ratio_per_step_flag(fixture_corpus):
     assert len(per_step) >= len(per_epoch)
     assert sum(p.removed_count for p in per_step) == sum(
         p.removed_count for p in per_epoch
+    )
+
+
+def naive_ratio_curve(trace, per_step):
+    """The per-key rescan removal_ratio_curve replaced: one filter per key."""
+    if per_step:
+        keys = sorted({(e.epoch, e.step) for e in trace.events})
+    else:
+        keys = range(1, trace.config["schedule"]["epochs"] + 1)
+    points = []
+    for key in keys:
+        events = [e for e in trace.events if ((e.epoch, e.step) if per_step else e.epoch) == key]
+        removed = sum(e.decision == DECISION_REMOVED for e in events)
+        budget = sum({(e.record_id, e.t): e.budget for e in events}.values())
+        points.append((key[0] if per_step else key, removed, budget,
+                       removed / budget if budget else 0.0))
+    return points
+
+
+@pytest.mark.parametrize("per_step", [False, True])
+def test_ratio_curve_matches_per_key_rescan(fixture_corpus, per_step):
+    handle = fit_tabular_scorer(fixture_corpus)
+    trace = run_reduction(fixture_corpus, handle, ClockConfig(3, 4, 0.0),
+                          StrategyConfig("back", mode="varr", seed=5))
+    got = [(p.epoch, p.removed_count, p.max_potential, p.ratio)
+           for p in removal_ratio_curve(trace, per_step=per_step)]
+    assert got == naive_ratio_curve(trace, per_step)
+    assert len(got) > (3 if per_step else 0)
+
+
+def canonical_trace():
+    events = [
+        event("b", t=3, index=1, decision=DECISION_KEPT, verbosity_gt=-0.25,
+              score_full=-1.0, score_reduced=-1.25, unconditional=False),
+        event("\u00e9t\u00e9-\u4e2d", t=4, index=0, verbosity_gt=0.5, k_used=2,
+              verbosity_wrong=-0.1, score_full=-2.0, score_reduced=-1.5),
+    ]
+    trace = trace_with(events)
+    trace.scorer_call_count = 7
+    trace.config["run"] = {"mode": "varr", "alpha": 1.0, "template_id": "plain-v1"}
+    trace.config["paths"] = {"input": "/data/c\u00f6rpus.jsonl", "out_dir": "out"}
+    return trace
+
+
+def test_canonical_json_is_sorted_compact_dumps_of_to_dict():
+    trace = canonical_trace()
+    plain = json.dumps(trace.to_dict(), sort_keys=True, separators=(",", ":"))
+    assert trace.canonical_json() == plain
+    assert trace.canonical_json(encode_events(trace.events)) == plain
+    assert plain.isascii()
+
+
+def test_fingerprint_is_sha256_of_canonical_bytes_without_paths():
+    trace = canonical_trace()
+    payload = trace.to_dict()
+    payload["config"] = {k: v for k, v in payload["config"].items() if k != "paths"}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(canonical).hexdigest() == trace_fingerprint(trace)
+    assert trace_fingerprint(trace, encode_events(trace.events)) == trace_fingerprint(trace)
+    assert "paths" in trace.config  # the fingerprint leaves the trace alone
+
+
+def test_non_ascii_trace_roundtrips_with_same_fingerprint(tmp_path):
+    trace = canonical_trace()
+    path = tmp_path / "trace.json"
+    trace.save(path)
+    raw = path.read_bytes()
+    assert raw.isascii()
+    assert json.loads(raw) == trace.to_dict()
+    loaded = ReductionTrace.load(path)
+    assert loaded.events[1].record_id == "\u00e9t\u00e9-\u4e2d"
+    assert trace_fingerprint(loaded) == trace_fingerprint(trace)
+    assert raw.decode() == trace.canonical_json()
+
+
+def test_to_dict_rows_are_copies():
+    trace = canonical_trace()
+    trace.to_dict()["events"][0]["decision"] = "tampered"
+    assert trace.events[0].decision == DECISION_KEPT
+
+
+def test_marks_token_stats_equal_reload_comparison(fixture_corpus):
+    handle = fit_tabular_scorer(fixture_corpus)
+    run_reduction(fixture_corpus, handle, ClockConfig(3, 4, 0.1),
+                  StrategyConfig("front", mode="varr", seed=7))
+    stats = reduction_token_stats(fixture_corpus)
+    assert stats == token_stats(load_corpus(FIXTURE_CORPUS), fixture_corpus)
+    assert stats["reduction_percent"] > 0
+
+
+def test_ratio_tsv_renders_report_curve():
+    events = [event("a", t=3, index=0, budget=2, buffer_size=1)]
+    report = build_report(trace_with(events, epochs=2))
+    assert removal_ratio_tsv(report["removal_ratio_curve"]) == (
+        "epoch\tremoved\tmax_potential\tratio\n1\t1\t2\t0.5\n2\t0\t0\t0.0\n"
     )
