@@ -36,7 +36,7 @@ from .errors import (
     VarrError,
 )
 from .schedule import ReductionAborted, run_reduction
-from .scorer import PromptAssembly, TabularModel, TabularScorer, fit_tabular_scorer
+from .scorer import PromptAssembly, fit_tabular_scorer, uniform_tabular_scorer
 
 log = logging.getLogger("varr")
 
@@ -281,7 +281,7 @@ def cmd_score(args) -> int:
         units = [line.strip() for line in raw.splitlines() if line.strip()]
     if cfg.scorer_backend == "tabular":
         if args.vocab:
-            handle = TabularScorer(TabularModel(args.vocab.split(), cfg.smoothing_alpha))
+            handle = uniform_tabular_scorer(args.vocab.split(), cfg.smoothing_alpha)
         elif args.fit_corpus:
             handle = fit_tabular_scorer(
                 load_corpus(args.fit_corpus, cfg.unit, cfg.segmentation_rules()),

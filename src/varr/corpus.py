@@ -122,7 +122,7 @@ def _split_rationale(raw, granularity: str, rules: SegmentationRules) -> list[st
         return sentences
     tokens: list[str] = []
     for sentence in sentences:
-        tokens.extend(segment_tokens(sentence, "whitespace"))
+        tokens.extend(segment_tokens(sentence))
     return tokens
 
 

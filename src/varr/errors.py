@@ -23,10 +23,6 @@ class ConfigurationError(VarrError):
     """Unusable configuration: unknown template, bad flag combination."""
 
 
-class UnsupportedSchemeError(ConfigurationError):
-    """Tokenization scheme requested from a scorer that cannot provide it."""
-
-
 class ScorerError(VarrError):
     """Base class for failures inside a likelihood scorer."""
 

@@ -16,6 +16,7 @@ a file would fall back to the pure-Python one).
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from collections import defaultdict
@@ -61,7 +62,7 @@ class ReductionTrace:
 
     def to_dict(self) -> dict:
         return {
-            "config": self.config,
+            "config": copy.deepcopy(self.config),
             "seed": self.seed,
             "scorer_call_count": self.scorer_call_count,
             "events": [dict(vars(e)) for e in self.events],

@@ -19,15 +19,16 @@ Two backends sit behind one handle interface:
 
 Everything stays in log space; probabilities are never materialized.
 Scores are deterministic for a fixed model_version, which increases on
-every refit/refresh, so the cache never serves stale values. Both
-backends answer repeated (model version, prompt, answer) requests from
-the cache, so a remote server may see fewer requests than the logical
-call count.
+every refit/refresh and clears the cache, so it never serves stale
+values. Both backends memoize on (model version, context, answer), where
+the context is what the backend conditions on: the prompt's last
+whitespace token for the tabular backend, the whole prompt for the
+remote one. A remote server may therefore see fewer requests than the
+logical call count.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import threading
@@ -45,7 +46,6 @@ from .errors import (
     ProtocolError,
     ScorerError,
     TransportError,
-    UnsupportedSchemeError,
 )
 
 ENV_SCORER_URL = "VARR_SCORER_URL"
@@ -141,20 +141,12 @@ def assemble_prompt(
 
 # --- score cache -----------------------------------------------------------
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def make_cache_key(model_version: int, prompt: str, answer: str) -> tuple[int, str, str]:
-    return (model_version, _digest(prompt), _digest(answer))
-
-
 class ScoreCache:
-    """Concurrent map from (model_version, prompt digest, answer digest).
+    """Concurrent map from (model_version, context, answer) to a score.
 
     Values are deterministic per version, so last-writer-wins races on
-    identical keys are benign. Entries from older versions are purged on
-    refresh and can never hit anyway (the version is part of the key).
+    identical keys are benign. The handle clears it when the version
+    bumps.
     """
 
     def __init__(self):
@@ -176,16 +168,12 @@ class ScoreCache:
         with self._lock:
             self._entries[key] = value
 
-    def purge_versions_below(self, version: int) -> None:
+    def clear(self) -> None:
         with self._lock:
-            self._entries = {k: v for k, v in self._entries.items() if k[0] >= version}
+            self._entries = {}
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-def cache_lookup(cache: ScoreCache, key: tuple[int, str, str]) -> LogLikelihood | None:
-    return cache.lookup(key)
 
 
 # --- tabular backend -------------------------------------------------------
@@ -259,50 +247,48 @@ class ScorerHandle:
     """Abstract likelihood oracle. Subclasses define one backend each.
 
     ``score_answer`` counts the logical call, validates, renders the
-    prompt and consults the cache; a backend implements only
-    ``_evaluate`` on a cache miss. ``in_flight`` is how many record scans
-    the driver may run at once against this handle.
+    prompt, reduces it to the backend's context and consults the cache; a
+    backend implements only ``_evaluate`` on a cache miss. ``in_flight``
+    is how many record scans the driver may run at once against this
+    handle.
     """
 
     backend = "abstract"
-    exposes_tokenizer = False
     in_flight = 1
 
-    def __init__(self, cache_enabled: bool = True):
+    def __init__(self):
         self.model_version = 1
         self.calls = 0
         self._calls_lock = threading.Lock()
-        self.cache = ScoreCache() if cache_enabled else None
+        self.cache = ScoreCache()
 
     def _count_call(self) -> None:
         with self._calls_lock:
             self.calls += 1
 
-    def tokenize(self, text: str) -> list[str]:
-        raise UnsupportedSchemeError(f"{self.backend} backend exposes no tokenizer")
-
     def score_answer(self, assembly: PromptAssembly, answer: str) -> LogLikelihood:
         self._count_call()
         if not answer.strip():
             raise ScorerError("answer must be non-empty")
-        prompt = assembly.render()
-        if self.cache is None:
-            return self._evaluate(prompt, answer)
-        key = make_cache_key(self.model_version, prompt, answer)
+        context = self._context(assembly.render())
+        key = (self.model_version, context, answer)
         cached = self.cache.lookup(key)
         if cached is not None:
             return cached
-        result = self._evaluate(prompt, answer)
+        result = self._evaluate(context, answer)
         self.cache.store(key, result)
         return result
 
-    def _evaluate(self, prompt: str, answer: str) -> LogLikelihood:
+    def _context(self, prompt: str) -> str:
+        """The part of the rendered prompt the backend conditions on."""
+        return prompt
+
+    def _evaluate(self, context: str, answer: str) -> LogLikelihood:
         raise NotImplementedError
 
     def _next_version(self) -> None:
         self.model_version += 1
-        if self.cache is not None:
-            self.cache.purge_versions_below(self.model_version)
+        self.cache.clear()
 
     def refresh(self, corpus_view=None) -> None:
         """Epoch-boundary hook; must bump model_version."""
@@ -314,49 +300,37 @@ class ScorerHandle:
 
 class TabularScorer(ScorerHandle):
     backend = "tabular"
-    exposes_tokenizer = True
 
-    def __init__(self, model: TabularModel, cache_enabled: bool = True):
-        super().__init__(cache_enabled)
+    def __init__(self, model: TabularModel):
+        super().__init__()
         self.model = model
 
-    def tokenize(self, text: str) -> list[str]:
-        return text.split()
-
-    def _evaluate(self, prompt: str, answer: str) -> LogLikelihood:
-        context = self.tokenize(prompt)
-        if not context:
+    def _context(self, prompt: str) -> str:
+        # an order-1 model sees only the token before the answer
+        tokens = prompt.rsplit(None, 1)
+        if not tokens:
             raise ScorerError("assembled context is empty; cannot condition")
+        return tokens[-1]
+
+    def _evaluate(self, context: str, answer: str) -> LogLikelihood:
         per_token = []
-        prev = context[-1]
-        for token in self.tokenize(answer):
+        prev = context
+        for token in answer.split():
             per_token.append(self.model.log_conditional(prev, token))
             prev = token
         return LogLikelihood.from_per_token(per_token)
 
     def refresh(self, corpus_view=None) -> None:
-        if corpus_view is None:
+        """Full reinitialization: recount bigrams over the view's streams.
+
+        The view is a sequence of (context tokens, answer tokens) pairs, as
+        ``corpus_view`` builds it. Bumps model_version, which clears the
+        cache.
+        """
+        if not corpus_view:
             raise ScorerError("tabular refresh needs a corpus view to refit on")
-        refit_tabular(self, corpus_view)
-
-
-def refit_tabular(scorer: TabularScorer, corpus_view: Sequence) -> TabularModel:
-    """Full reinitialization: recount bigrams over the view's streams.
-
-    The view is a sequence of (context, answer) pairs, each side either a
-    string or pre-split tokens. Bumps model_version and invalidates cache
-    entries from older versions.
-    """
-    if not corpus_view:
-        raise ValueError("corpus_view must be non-empty")
-    streams = []
-    for context, answer in corpus_view:
-        context_tokens = context.split() if isinstance(context, str) else list(context)
-        answer_tokens = answer.split() if isinstance(answer, str) else list(answer)
-        streams.append(context_tokens + answer_tokens)
-    scorer.model.fit_streams(streams)
-    scorer._next_version()
-    return scorer.model
+        self.model.fit_streams(context + answer for context, answer in corpus_view)
+        self._next_version()
 
 
 def _environment_settings(url: str) -> dict:
@@ -373,7 +347,6 @@ def _environment_settings(url: str) -> dict:
 
 class RemoteScorer(ScorerHandle):
     backend = "remote"
-    exposes_tokenizer = False
 
     def __init__(
         self,
@@ -431,8 +404,8 @@ class RemoteScorer(ScorerHandle):
             self._local.session = session
         return session
 
-    def _evaluate(self, prompt: str, answer: str) -> LogLikelihood:
-        payload = {"model": self.model, "prompt": prompt, "completion": answer}
+    def _evaluate(self, context: str, answer: str) -> LogLikelihood:
+        payload = {"model": self.model, "prompt": context, "completion": answer}
         session = self._session()
         attempts = 0
         failure = "no attempt made"
@@ -510,11 +483,10 @@ def fit_tabular_scorer(
     corpus: Corpus,
     smoothing_alpha: float = 1.0,
     template_id: str = "plain-v1",
-    cache_enabled: bool = True,
 ) -> TabularScorer:
     """Build a tabular scorer fitted on the corpus as currently retained."""
     model = TabularModel(build_vocabulary(corpus), smoothing_alpha)
-    scorer = TabularScorer(model, cache_enabled=cache_enabled)
+    scorer = TabularScorer(model)
     model.fit_streams(
         [context + answer for context, answer in corpus_view(corpus, template_id)]
     )
@@ -524,7 +496,6 @@ def fit_tabular_scorer(
 def uniform_tabular_scorer(
     vocabulary: Sequence[str],
     smoothing_alpha: float = 1.0,
-    cache_enabled: bool = True,
 ) -> TabularScorer:
     """Untrained model: every conditional is exactly -ln(V)."""
-    return TabularScorer(TabularModel(vocabulary, smoothing_alpha), cache_enabled)
+    return TabularScorer(TabularModel(vocabulary, smoothing_alpha))

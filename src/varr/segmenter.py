@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedSchemeError
-
 DEFAULT_RULE_ID = "default-v1"
 
 # Words that end with a terminal mark without ending a sentence.
@@ -28,8 +26,6 @@ DEFAULT_ABBREVIATIONS = [
     "Fig.", "Eq.", "Sec.", "approx.", "etc.", "vs.",
     "e.g.", "i.e.", "cf.",
 ]
-
-TOKEN_SCHEMES = ("whitespace", "scorer_vocabulary")
 
 
 @dataclass(frozen=True)
@@ -99,21 +95,8 @@ def _word_ending_at(text: str, index: int) -> str:
     return text[begin + 1 : index + 1]
 
 
-def segment_tokens(text: str, scheme: str = "whitespace", scorer=None) -> list[str]:
-    """Split a sentence into token units.
-
-    ``whitespace`` splits on runs of whitespace. ``scorer_vocabulary``
-    defers to the active scorer's own tokenizer and fails if the scorer
-    exposes none (e.g. the remote backend).
-    """
+def segment_tokens(text: str) -> list[str]:
+    """Split a sentence into token units on runs of whitespace."""
     if not text.strip():
         raise ValueError("cannot tokenize empty text")
-    if scheme == "whitespace":
-        return text.split()
-    if scheme == "scorer_vocabulary":
-        if scorer is None or not getattr(scorer, "exposes_tokenizer", False):
-            raise UnsupportedSchemeError(
-                "scorer_vocabulary scheme requires a scorer with a tokenizer"
-            )
-        return scorer.tokenize(text)
-    raise UnsupportedSchemeError(f"unknown token scheme: {scheme!r}")
+    return text.split()

@@ -14,6 +14,8 @@ answers over the gold one). Ties at exactly zero pass both inequalities.
 
 R is always the record's *current* retained set: earlier removals in the
 same pass already changed the context each later candidate is judged in.
+``evaluate_candidate`` builds the prompts for R and R' once, and both
+terms score against them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 from .corpus import RationaleRecord
 from .errors import EmptyNegativePoolError
-from .scorer import ScorerHandle, assemble_prompt
+from .scorer import PromptAssembly, ScorerHandle, assemble_prompt
 
 MODE_VARR = "varr"
 MODE_VARR_PLUS = "varr_plus"
@@ -70,73 +72,63 @@ def nll(
     return -handle.score_answer(assembly, record.answer).total
 
 
-def verbosity_gt(
-    handle: ScorerHandle,
+def candidate_assemblies(
     record: RationaleRecord,
     i: int,
     current_retained: Iterable[int],
     template_id: str = "plain-v1",
-) -> float:
+) -> tuple[PromptAssembly, PromptAssembly]:
+    """The prompts for R and for R' = R minus candidate i."""
     retained = sorted(set(current_retained))
     if i not in retained:
         raise ValueError(f"candidate {i} not in retained set of record {record.id}")
     reduced = [j for j in retained if j != i]
-    score_full = handle.score_answer(
-        assemble_prompt(record, retained, template_id), record.answer
-    ).total
-    score_reduced = handle.score_answer(
-        assemble_prompt(record, reduced, template_id), record.answer
-    ).total
-    return score_reduced - score_full
+    return (
+        assemble_prompt(record, retained, template_id),
+        assemble_prompt(record, reduced, template_id),
+    )
 
 
-def filter_negatives(negatives: Sequence[str], gold_answer: str) -> list[str]:
-    return [n for n in negatives if n != gold_answer]
-
-
-def verbosity_wrong(
-    handle: ScorerHandle,
+def sample_negatives(
     record: RationaleRecord,
-    i: int,
-    current_retained: Iterable[int],
     negatives: Sequence[str],
     k: int,
     rng: RngSource = None,
-    template_id: str = "plain-v1",
-) -> tuple[float, int]:
-    """Mean log-ratio over up to k sampled wrong answers.
+) -> list[str]:
+    """Up to k wrong answers, the gold answer filtered out.
 
     Sampling is without replacement; when k covers the whole filtered
     pool no randomness is consumed (and an rng factory is not called).
-    Returns (mean, k_used).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    retained = sorted(set(current_retained))
-    if i not in retained:
-        raise ValueError(f"candidate {i} not in retained set of record {record.id}")
-    pool = filter_negatives(negatives, record.answer)
+    pool = [n for n in negatives if n != record.answer]
     if not pool:
         raise EmptyNegativePoolError(
             f"record {record.id}: no negatives distinct from the gold answer"
         )
     if k >= len(pool):
-        sampled = list(pool)
-    else:
-        if rng is None:
-            raise ValueError("subsampling negatives requires an rng")
-        if not isinstance(rng, random.Random):
-            rng = rng()
-        sampled = rng.sample(pool, k)
-    reduced = [j for j in retained if j != i]
-    full_assembly = assemble_prompt(record, retained, template_id)
-    reduced_assembly = assemble_prompt(record, reduced, template_id)
+        return pool
+    if rng is None:
+        raise ValueError("subsampling negatives requires an rng")
+    if not isinstance(rng, random.Random):
+        rng = rng()
+    return rng.sample(pool, k)
+
+
+def verbosity_wrong(
+    handle: ScorerHandle,
+    full: PromptAssembly,
+    reduced: PromptAssembly,
+    wrong_answers: Sequence[str],
+) -> float:
+    """Mean log-ratio of the reduced over the full prompt per wrong answer."""
     total = 0.0
-    for wrong in sampled:
-        s_full = handle.score_answer(full_assembly, wrong).total
-        s_reduced = handle.score_answer(reduced_assembly, wrong).total
+    for wrong in wrong_answers:
+        s_full = handle.score_answer(full, wrong).total
+        s_reduced = handle.score_answer(reduced, wrong).total
         total += s_reduced - s_full
-    return total / len(sampled), len(sampled)
+    return total / len(wrong_answers)
 
 
 def evaluate_candidate(
@@ -154,20 +146,14 @@ def evaluate_candidate(
 
     In strict mode the wrong-answer contrast is computed only when the
     gold criterion already passed; a candidate failing verbosity_gt >= 0
-    is rejected without spending scorer calls on negatives.
+    is rejected without sampling negatives or spending scorer calls on
+    them.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    retained = sorted(set(current_retained))
-    if i not in retained:
-        raise ValueError(f"candidate {i} not in retained set of record {record.id}")
-    reduced = [j for j in retained if j != i]
-    score_full = handle.score_answer(
-        assemble_prompt(record, retained, template_id), record.answer
-    ).total
-    score_reduced = handle.score_answer(
-        assemble_prompt(record, reduced, template_id), record.answer
-    ).total
+    full, reduced = candidate_assemblies(record, i, current_retained, template_id)
+    score_full = handle.score_answer(full, record.answer).total
+    score_reduced = handle.score_answer(reduced, record.answer).total
     v_gt = score_reduced - score_full
     passes = v_gt >= 0.0
 
@@ -175,10 +161,10 @@ def evaluate_candidate(
     k_used = 0
     passes_plus: bool | None = None
     if mode == MODE_VARR_PLUS and passes:
-        v_wrong, k_used = verbosity_wrong(
-            handle, record, i, retained, negatives, k, rng, template_id
-        )
-        passes_plus = passes and (v_wrong - v_gt <= 0.0)
+        sampled = sample_negatives(record, negatives, k, rng)
+        v_wrong = verbosity_wrong(handle, full, reduced, sampled)
+        k_used = len(sampled)
+        passes_plus = v_wrong - v_gt <= 0.0
 
     return VerbosityReport(
         record_id=record.id,

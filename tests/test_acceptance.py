@@ -31,7 +31,14 @@ from varr.scorer import (
     fit_tabular_scorer,
     uniform_tabular_scorer,
 )
-from varr.verbosity import evaluate_candidate, nll, verbosity_gt, verbosity_wrong
+from varr.verbosity import (
+    MODE_VARR,
+    candidate_assemblies,
+    evaluate_candidate,
+    nll,
+    sample_negatives,
+    verbosity_wrong,
+)
 
 from .conftest import FIXTURE_CORPUS, PILOT_CORPUS, random_model, random_record
 from .mockserver import MockScorerServer
@@ -75,20 +82,21 @@ def test_criterion_01_oracle_equivalence():
             want_nll = oracle_nll(counts, vocab, record, retained, alpha)
             assert got_nll == pytest.approx(want_nll, abs=1e-9)
 
-            got_gt = verbosity_gt(scorer, record, i, retained)
+            got_gt = evaluate_candidate(scorer, record, i, retained, MODE_VARR).verbosity_gt
             want_gt = oracle_verbosity_gt(counts, vocab, record, i, retained, alpha)
             assert got_gt == pytest.approx(want_gt, abs=1e-9)
 
+            # checked whether or not the candidate passes the gold criterion
             negatives = [v for v in vocab if v != record.answer][:3]
             negatives.append(f"{vocab[0]} {vocab[-1]}")
             negatives = [n for n in negatives if n != record.answer]
-            got_w, k_used = verbosity_wrong(
-                scorer, record, i, retained, negatives, len(negatives)
-            )
+            sampled = sample_negatives(record, negatives, len(negatives))
+            full, reduced = candidate_assemblies(record, i, retained)
+            got_w = verbosity_wrong(scorer, full, reduced, sampled)
             want_w = oracle_verbosity_wrong(
                 counts, vocab, record, i, retained, negatives, alpha
             )
-            assert k_used == len(negatives)
+            assert sampled == negatives
             assert got_w == pytest.approx(want_w, abs=1e-9)
             cases += 1
     passed(1, f"nll/verbosity match brute-force oracle on {cases} random models", budget)
@@ -103,10 +111,9 @@ def test_criterion_02_zero_laws():
             retained = record.retained_indices()
             negatives = [r.answer for r in corpus.records if r.answer != record.answer]
             for i in retained:
-                v_gt = verbosity_gt(handle, record, i, retained)
-                v_w, _ = verbosity_wrong(
-                    handle, record, i, retained, negatives, len(negatives)
-                )
+                v_gt = evaluate_candidate(handle, record, i, retained, MODE_VARR).verbosity_gt
+                full, reduced = candidate_assemblies(record, i, retained)
+                v_w = verbosity_wrong(handle, full, reduced, negatives)
                 assert abs(v_gt) <= 1e-12
                 assert abs(v_w) <= 1e-12
                 checked += 1

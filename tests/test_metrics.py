@@ -283,6 +283,17 @@ def test_to_dict_rows_are_copies():
     assert trace.events[0].decision == DECISION_KEPT
 
 
+def test_to_dict_config_is_a_copy():
+    trace = canonical_trace()
+    before = trace.canonical_json()
+    config = trace.to_dict()["config"]
+    del config["paths"]
+    config["run"]["mode"] = "tampered"
+    assert trace.config["paths"] == {"input": "/data/c\u00f6rpus.jsonl", "out_dir": "out"}
+    assert trace.config["run"]["mode"] == "varr"
+    assert trace.canonical_json() == before
+
+
 def test_marks_token_stats_equal_reload_comparison(fixture_corpus):
     handle = fit_tabular_scorer(fixture_corpus)
     run_reduction(fixture_corpus, handle, ClockConfig(3, 4, 0.1),

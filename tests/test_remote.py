@@ -137,6 +137,20 @@ def test_repeated_request_served_from_cache_until_refresh():
     assert scorer.calls == 3
 
 
+def test_memo_key_is_the_whole_prompt():
+    # the tabular memo keys on the last prompt token; the remote one must not
+    same_tail = PromptAssembly("another question", ("units",))
+    with MockScorerServer() as server:
+        scorer = remote(server.url)
+        scorer.score_answer(ASSEMBLY, "a")
+        scorer.score_answer(same_tail, "a")
+        scorer.score_answer(ASSEMBLY, "a")
+    assert [r["body"]["prompt"] for r in server.requests] == [
+        "the question one unit two units", "another question units",
+    ]
+    assert (scorer.cache.hits, scorer.cache.misses) == (1, 2)
+
+
 # --- run_reduction against a server that scores with a fixed model ----------
 
 class FixedTabularScorer(TabularScorer):
@@ -151,7 +165,7 @@ def fixed_model():
 
 
 def model_score(model):
-    scorer = TabularScorer(model, cache_enabled=False)
+    scorer = TabularScorer(model)
 
     def score(prompt, completion):
         return list(scorer.score_answer(PromptAssembly(prompt, ()), completion).per_token)
@@ -235,13 +249,3 @@ def test_partial_trace_on_mid_batch_failure_is_serial():
     assert any(e["record_id"] != target.id and e["t"] == events[-1]["t"]
                for e in events)
     assert partial[4] == events
-
-
-def test_tokenizer_not_exposed():
-    from varr.errors import UnsupportedSchemeError
-
-    with MockScorerServer() as server:
-        scorer = remote(server.url)
-        assert scorer.exposes_tokenizer is False
-        with pytest.raises(UnsupportedSchemeError):
-            scorer.tokenize("a b")

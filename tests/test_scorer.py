@@ -12,16 +12,12 @@ from varr.errors import (
 from varr.scorer import (
     LogLikelihood,
     PromptAssembly,
-    ScoreCache,
     TabularModel,
     TabularScorer,
     assemble_prompt,
     build_vocabulary,
-    cache_lookup,
     corpus_view,
     fit_tabular_scorer,
-    make_cache_key,
-    refit_tabular,
     uniform_tabular_scorer,
 )
 
@@ -115,12 +111,12 @@ def test_template_controls_separators_only(fixture_corpus):
 def test_refit_rebuilds_from_scratch():
     model = TabularModel(["a", "b"])
     scorer = TabularScorer(model)
-    refit_tabular(scorer, [("a", "b")])
+    scorer.refresh([(["a"], ["b"])])
     assert model.counts[0, 1] == 1
     assert model.counts.sum() == 1
     assert scorer.model_version == 2
     # refit on an identical view: identical counts, new version
-    refit_tabular(scorer, [("a", "b")])
+    scorer.refresh([(["a"], ["b"])])
     assert model.counts[0, 1] == 1
     assert model.counts.sum() == 1
     assert scorer.model_version == 3
@@ -129,7 +125,9 @@ def test_refit_rebuilds_from_scratch():
 def test_refit_oov_names_symbol():
     scorer = TabularScorer(TabularModel(["a", "b"]))
     with pytest.raises(OutOfVocabularyError, match="'zz'"):
-        refit_tabular(scorer, [("a zz", "b")])
+        scorer.refresh([(["a", "zz"], ["b"])])
+    with pytest.raises(ScorerError):
+        scorer.refresh([])
 
 
 def test_refit_matches_hand_counted_bigrams(fixture_corpus):
@@ -138,7 +136,7 @@ def test_refit_matches_hand_counted_bigrams(fixture_corpus):
     record = fixture_corpus.records[0]
     record.mark_removed(1, 1, 1)
     view = corpus_view(fixture_corpus)
-    refit_tabular(scorer, view)
+    scorer.refresh(view)
     expected = {}
     for context, answer in view:
         stream = context + answer
@@ -160,30 +158,64 @@ def test_smoothed_conditionals_sum_to_one():
 
 
 def test_cache_store_lookup_and_invalidation():
-    cache = ScoreCache()
-    key = make_cache_key(1, "p", "a")
-    assert cache_lookup(cache, key) is None
-    value = LogLikelihood.from_per_token([-0.5, -0.25])
-    cache.store(key, value)
-    hit = cache_lookup(cache, key)
-    assert hit is value  # bit-identical, same object
-    stale = make_cache_key(2, "p", "a")
-    assert cache_lookup(cache, stale) is None
+    scorer = TabularScorer(TabularModel.from_counts(["a", "b"], [[1, 2], [3, 4]]))
+    assembly = PromptAssembly("b", ("a",))
+    first = scorer.score_answer(assembly, "b a")
+    assert scorer.score_answer(assembly, "b a") is first  # bit-identical, same object
+    assert (scorer.cache.hits, scorer.cache.misses, len(scorer.cache)) == (1, 1, 1)
+    scorer.refresh([(["b"], ["a"])])  # new counts, new version: the entry is gone
+    assert len(scorer.cache) == 0
+    refit = scorer.score_answer(assembly, "b a")
+    assert refit.total != first.total
+    assert refit.total == pytest.approx(math.log(2 / 4) + math.log(2 / 3), abs=1e-12)
+    assert scorer.cache.misses == 2
+
+
+def test_memo_key_is_last_prompt_token():
+    rng = random.Random(17)
+    vocab = ["a", "b", "c", "d", "e"]
+    counts = [[rng.randint(0, 9) for _ in vocab] for _ in vocab]
+    scorer = TabularScorer(TabularModel.from_counts(vocab, counts, 0.5))
+    # every token differs but the last one, which is all an order-1 model sees
+    one = PromptAssembly("b", ("c", "a"))
+    other = PromptAssembly("e d", ("c b e a",), template_id="newline-v1")
+    first = scorer.score_answer(one, "b a d")
+    second = scorer.score_answer(other, "b a d")
+    assert second is first
+    assert (scorer.cache.hits, scorer.cache.misses) == (1, 1)
+    fresh = TabularScorer(scorer.model).score_answer(other, "b a d")
+    assert (second.total, second.per_token) == (fresh.total, fresh.per_token)
+    assert second.total == pytest.approx(
+        oracle_score(counts, vocab, "e d", ["c b e a"], "b a d", 0.5), abs=1e-9
+    )
+
+
+def test_empty_context_fails_before_the_cache():
+    scorer = uniform_tabular_scorer(["a", "b"])
+    for _ in range(2):
+        with pytest.raises(ScorerError, match="context is empty"):
+            scorer.score_answer(PromptAssembly("  ", ()), "a")
+    assert (scorer.cache.hits, scorer.cache.misses, scorer.calls) == (0, 0, 2)
 
 
 def test_cache_no_cross_key_collisions():
+    # many prompts through one memo of each scorer: every score, hit or
+    # miss, equals the brute-force oracle
     rng = random.Random(9)
-    cache = ScoreCache()
-    keys = {}
-    for n in range(1000):
-        prompt = f"p{rng.randint(0, 10**9)}-{n}"
-        answer = f"a{rng.randint(0, 10**9)}"
-        key = make_cache_key(1, prompt, answer)
-        value = LogLikelihood.from_per_token([-float(n + 1) / 7])
-        cache.store(key, value)
-        keys[(prompt, answer)] = (key, value)
-    for key, value in keys.values():
-        assert cache.lookup(key) is value
+    for _ in range(20):
+        scorer, counts, vocab, alpha = random_model(rng)
+        for _ in range(50):
+            record = random_record(rng, vocab, max_answer_len=2)
+            retained = [u.index for u in record.rationale if rng.random() < 0.7]
+            got = scorer.score_answer(assemble_prompt(record, retained), record.answer)
+            want = oracle_score(
+                counts, vocab, record.question,
+                [u.text for u in record.rationale if u.index in retained],
+                record.answer, alpha,
+            )
+            assert got.total == pytest.approx(want, abs=1e-9)
+        assert scorer.cache.hits > 0
+        assert scorer.cache.hits + scorer.cache.misses == scorer.calls
 
 
 def test_scorer_cache_hits_do_not_change_results():

@@ -2,8 +2,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varr.errors import UnsupportedSchemeError
-from varr.scorer import TabularModel, TabularScorer
 from varr.segmenter import (
     SegmentationRules,
     normalize_whitespace,
@@ -99,24 +97,5 @@ def test_tokens_whitespace():
     assert segment_tokens("a b c") == ["a", "b", "c"]
     assert segment_tokens("a") == ["a"]
     assert " ".join(segment_tokens("a  b\tc")) == "a b c"
-
-
-def test_tokens_scorer_vocabulary():
-    scorer = TabularScorer(TabularModel(["3", "1", "4"]))
-    assert segment_tokens("3 1 4", "scorer_vocabulary", scorer) == ["3", "1", "4"]
-
-
-def test_tokens_scorer_vocabulary_requires_tokenizer():
-    with pytest.raises(UnsupportedSchemeError):
-        segment_tokens("a b", "scorer_vocabulary", scorer=None)
-
-    class NoTok:
-        exposes_tokenizer = False
-
-    with pytest.raises(UnsupportedSchemeError):
-        segment_tokens("a b", "scorer_vocabulary", scorer=NoTok())
-
-
-def test_unknown_scheme():
-    with pytest.raises(UnsupportedSchemeError):
-        segment_tokens("a b", "bpe")
+    with pytest.raises(ValueError):
+        segment_tokens(" \t ")

@@ -9,9 +9,10 @@ from varr.seeding import child_rng
 from varr.verbosity import (
     MODE_VARR,
     MODE_VARR_PLUS,
+    candidate_assemblies,
     evaluate_candidate,
     nll,
-    verbosity_gt,
+    sample_negatives,
     verbosity_wrong,
 )
 
@@ -19,6 +20,17 @@ from .conftest import make_record, random_model, random_record
 from .oracles import oracle_nll, oracle_verbosity_gt, oracle_verbosity_wrong
 
 VOCAB4 = ["a", "b", "c", "d"]
+
+
+def verbosity_gt(scorer, record, i, retained):
+    return evaluate_candidate(scorer, record, i, retained, mode=MODE_VARR).verbosity_gt
+
+
+def sampled_verbosity_wrong(scorer, record, i, retained, negatives, k, rng=None):
+    """(mean, k_used) over the negatives sample_negatives draws."""
+    full, reduced = candidate_assemblies(record, i, retained)
+    sampled = sample_negatives(record, negatives, k, rng)
+    return verbosity_wrong(scorer, full, reduced, sampled), len(sampled)
 
 
 def contrast_model():
@@ -94,7 +106,7 @@ def test_verbosity_gt_candidate_must_be_retained():
 def test_verbosity_wrong_uniform_is_zero():
     scorer = uniform_tabular_scorer(VOCAB4)
     record = make_record(units=("a", "b"), question="c", answer="d")
-    mean, k_used = verbosity_wrong(scorer, record, 0, [0, 1], ["a", "b"], 2)
+    mean, k_used = sampled_verbosity_wrong(scorer, record, 0, [0, 1], ["a", "b"], 2)
     assert mean == 0.0
     assert k_used == 2
 
@@ -103,7 +115,8 @@ def test_verbosity_wrong_per_term_cancellation():
     scorer, _ = contrast_model()
     record = make_record(units=("v", "u"), question="q", answer="a")
     # middle removal: predecessor unchanged, every negative's ratio is 1
-    mean, _ = verbosity_wrong(scorer, record, 0, [0, 1], ["b"], 1)
+    full, reduced = candidate_assemblies(record, 0, [0, 1])
+    mean = verbosity_wrong(scorer, full, reduced, ["b"])
     assert mean == 0.0
 
 
@@ -111,16 +124,17 @@ def test_verbosity_wrong_filters_gold_and_errors_when_empty():
     scorer = uniform_tabular_scorer(VOCAB4)
     record = make_record(units=("a",), question="b", answer="c")
     with pytest.raises(EmptyNegativePoolError):
-        verbosity_wrong(scorer, record, 0, [0], ["c", "c"], 2)
-    mean, k_used = verbosity_wrong(scorer, record, 0, [0], ["c", "d"], 5)
-    assert k_used == 1  # only "d" survives the filter
+        sample_negatives(record, ["c", "c"], 2)
+    assert sample_negatives(record, ["c", "d"], 5) == ["d"]  # only "d" survives
+    mean, k_used = sampled_verbosity_wrong(scorer, record, 0, [0], ["c", "d"], 5)
+    assert (mean, k_used) == (0.0, 1)
 
 
 def test_verbosity_wrong_fixed_negatives_match_oracle():
     scorer, vocab = contrast_model()
     counts = scorer.model.counts.tolist()
     record = make_record(units=("v", "u"), question="q", answer="a")
-    mean, k_used = verbosity_wrong(scorer, record, 1, [0, 1], ["b", "q"], 2)
+    mean, k_used = sampled_verbosity_wrong(scorer, record, 1, [0, 1], ["b", "q"], 2)
     want = oracle_verbosity_wrong(counts, vocab, record, 1, [0, 1], ["b", "q"], 1.0)
     assert k_used == 2
     assert mean == pytest.approx(want, abs=1e-12)
@@ -134,7 +148,7 @@ def test_verbosity_wrong_seeded_sampling_is_reproducible():
     negatives = [n for n in negatives if n != record.answer]
     retained = [u.index for u in record.rationale]
     runs = [
-        verbosity_wrong(
+        sampled_verbosity_wrong(
             scorer, record, retained[0], retained, negatives, 2,
             rng=child_rng(42, "negatives", record.id, 1, retained[0]),
         )
@@ -145,14 +159,12 @@ def test_verbosity_wrong_seeded_sampling_is_reproducible():
 
 
 def test_verbosity_wrong_subsampling_requires_rng():
-    scorer = uniform_tabular_scorer(VOCAB4)
     record = make_record(units=("a",), question="b", answer="c")
     with pytest.raises(ValueError):
-        verbosity_wrong(scorer, record, 0, [0], ["a", "b", "d"], 2, rng=None)
+        sample_negatives(record, ["a", "b", "d"], 2, rng=None)
 
 
 def test_verbosity_wrong_rng_factory_called_only_to_subsample():
-    scorer = uniform_tabular_scorer(VOCAB4)
     record = make_record(units=("a",), question="b", answer="c")
     made = []
 
@@ -160,12 +172,12 @@ def test_verbosity_wrong_rng_factory_called_only_to_subsample():
         made.append(1)
         return random.Random(3)
 
-    verbosity_wrong(scorer, record, 0, [0], ["a", "b"], 2, rng=factory)
+    sample_negatives(record, ["a", "b"], 2, rng=factory)
     assert made == []
-    _, k_used = verbosity_wrong(scorer, record, 0, [0], ["a", "b", "d"], 2, rng=factory)
-    assert (made, k_used) == ([1], 2)
+    sampled = sample_negatives(record, ["a", "b", "d"], 2, rng=factory)
+    assert (made, len(sampled)) == ([1], 2)
     with pytest.raises(ValueError):
-        verbosity_wrong(scorer, record, 0, [0], ["a", "b"], 0, rng=factory)
+        sample_negatives(record, ["a", "b"], 0, rng=factory)
 
 
 def test_randomized_oracle_equivalence_nll_and_verbosities():
@@ -184,7 +196,7 @@ def test_randomized_oracle_equivalence_nll_and_verbosities():
             oracle_verbosity_gt(counts, vocab, record, i, retained, alpha), abs=1e-9
         )
         negatives = list({f"{vocab[0]} {vocab[1]}", vocab[-1], vocab[0]} - {record.answer})
-        got_w, k_used = verbosity_wrong(
+        got_w, k_used = sampled_verbosity_wrong(
             scorer, record, i, retained, negatives, len(negatives)
         )
         assert k_used == len(negatives)
@@ -276,7 +288,6 @@ class StubScorer:
     """Fixed totals per (rationale length, answer), for criterion algebra."""
 
     backend = "stub"
-    exposes_tokenizer = False
     calls = 0
 
     def __init__(self, table):
@@ -302,3 +313,19 @@ def test_evaluate_literal_half_versus_point_six():
     assert report.verbosity_wrong == pytest.approx(0.6, abs=1e-12)
     assert report.passes_varr is True
     assert report.passes_varr_plus is False
+
+
+def test_evaluate_scores_gold_then_each_wrong_full_before_reduced():
+    scorer = uniform_tabular_scorer(VOCAB4)
+    seen = []
+    score = scorer.score_answer
+
+    def recording(assembly, answer):
+        seen.append((len(assembly.retained_rationale), answer))
+        return score(assembly, answer)
+
+    scorer.score_answer = recording
+    record = make_record(units=("a", "b"), question="c", answer="d")
+    evaluate_candidate(scorer, record, 0, [0, 1], MODE_VARR_PLUS,
+                       negatives=["a", "d", "b"], k=2)
+    assert seen == [(2, "d"), (1, "d"), (2, "a"), (1, "a"), (2, "b"), (1, "b")]
