@@ -20,7 +20,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator, TextIO
 
 from .errors import InternalInvariantError, ParseError, ValidationError
 from .segmenter import SegmentationRules, segment_sentences, segment_tokens
@@ -59,10 +59,6 @@ class RationaleRecord:
 
     def removed_units(self) -> list[RationaleUnit]:
         return [u for u in self.rationale if u.removed_at is not None]
-
-    def unit_texts(self, indices: Iterable[int]) -> list[str]:
-        wanted = set(indices)
-        return [u.text for u in self.rationale if u.index in wanted]
 
     def mark_removed(self, index: int, epoch: int, step: int) -> None:
         unit = self.rationale[index]

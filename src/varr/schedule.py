@@ -23,7 +23,13 @@ Within an epoch the scorer does not change and each record is scanned
 once, reading only its own units and the answers of its batch, so the
 scans of one batch are independent. A handle with ``in_flight > 1``
 (the remote backend) has them run on that many worker threads; their
-events are merged in batch order, so the trace is the serial one.
+events and scorer call counts are merged in batch order, so the trace is
+the serial one.
+
+A scan holds its own state: the record's retained indices and full
+prompt, read and validated once. Each candidate's reduced prompt is the
+full one with that unit sliced out, and a removal drops the unit from
+both. Only varr_plus builds a negative pool, once per scan.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import functools
 import logging
 import math
 import random
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
@@ -39,9 +46,9 @@ from typing import Callable, Sequence
 from .corpus import CHOICE_TASKS, Corpus, RationaleRecord
 from .errors import ConfigurationError, ScorerError, VarrError
 from .metrics import DECISION_KEPT, DECISION_REMOVED, ReductionTrace, TraceEvent
-from .scorer import ScorerHandle, corpus_view
+from .scorer import ScorerHandle, assemble_prompt, corpus_view
 from .seeding import child_rng
-from .verbosity import MODE_VARR_PLUS, MODES, evaluate_candidate
+from .verbosity import MODE_VARR, MODE_VARR_PLUS, MODES, evaluate_candidate
 
 log = logging.getLogger(__name__)
 
@@ -207,9 +214,9 @@ def run_reduction(
 
     On a scorer failure the partial trace holds what the serial driver
     would have recorded: the events of the batch's records before the
-    failing one, then the failing scan's own. Its scorer_call_count
-    counts every call issued, including those of scans that ran
-    concurrently with the failing one.
+    failing one, then the failing scan's own, and the scorer calls of
+    those scans only, not of scans that ran concurrently with the
+    failing one.
     """
     records = corpus.records
     if not records:
@@ -235,7 +242,6 @@ def run_reduction(
         "scorer": {"backend": handle.backend},
     }
     trace = ReductionTrace(config=config_snapshot, seed=seed)
-    calls_before = handle.calls
     # One pool for the whole run, so worker sessions outlive batches.
     pool = (
         ThreadPoolExecutor(handle.in_flight, thread_name_prefix="varr-scan")
@@ -260,20 +266,17 @@ def run_reduction(
                     strategy=strategy, k_negatives=k_negatives,
                     template_id=template_id,
                 )
-                _scan_batch(pool, scan, batch, trace)
+                _scan_batch(pool, scan, batch, trace, handle)
             handle.refresh(corpus_view(corpus, template_id))
             log.info(
                 "epoch %d/%d done: %d removals so far",
                 epoch, clock_config.epochs, len(trace.removal_events()),
             )
     except ScorerError as exc:
-        trace.scorer_call_count = handle.calls - calls_before
         raise ReductionAborted(exc, trace) from exc
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-
-    trace.scorer_call_count = handle.calls - calls_before
     return trace
 
 
@@ -282,25 +285,36 @@ def _scan_batch(
     scan: Callable[..., None],
     batch: Sequence[RationaleRecord],
     trace: ReductionTrace,
+    handle: ScorerHandle,
 ) -> None:
-    """Scan each record of the batch and merge the events in batch order.
+    """Scan each record of the batch and merge the results in batch order.
 
     Without a pool each scan runs when the merge reaches it; with one,
     all are submitted first and awaited in order. Either way the first
-    failure in batch order is raised, after its scan's events are merged.
+    failure in batch order is raised, after its scan's events and its
+    scorer calls, counted on the thread that ran it, are merged.
     """
     logs: list[list[TraceEvent]] = [[] for _ in batch]
+    calls = [0] * len(batch)
+
+    def counted(slot: int) -> None:
+        start = handle.thread_calls()
+        try:
+            scan(batch[slot], events=logs[slot])
+        finally:
+            calls[slot] = handle.thread_calls() - start
+
+    slots = range(len(batch))
     if pool is None:
-        jobs = [functools.partial(scan, record, events=events)
-                for record, events in zip(batch, logs)]
+        jobs = [functools.partial(counted, slot) for slot in slots]
     else:
-        jobs = [pool.submit(scan, record, events=events).result
-                for record, events in zip(batch, logs)]
-    for job, events in zip(jobs, logs):
+        jobs = [pool.submit(counted, slot).result for slot in slots]
+    for slot, job in zip(slots, jobs):
         try:
             job()
         finally:
-            trace.events.extend(events)
+            trace.events.extend(logs[slot])
+            trace.scorer_call_count += calls[slot]
 
 
 def _reduce_record(
@@ -313,9 +327,18 @@ def _reduce_record(
     template_id: str,
     events: list[TraceEvent],
 ) -> None:
-    n_t = len(record.retained_indices())
-    budget = removal_budget(clock.t, clock.total_steps, n_t)
+    retained = record.retained_indices()
+    full = assemble_prompt(record, retained, template_id)
+    budget = removal_budget(clock.t, clock.total_steps, len(retained))
     buffer: list[int] = []
+
+    # In varr_plus, a record with no usable negative (alone in its batch)
+    # cannot confirm the contrast: judged on the gold criterion, kept.
+    mode, negatives, k = MODE_VARR, (), k_negatives
+    if strategy.mode == MODE_VARR_PLUS:
+        negatives, k = negative_pool(record, batch, k_negatives)
+        if any(p != record.answer for p in negatives):
+            mode = MODE_VARR_PLUS
 
     enforced_active = (
         strategy.candidate_order == "enforced_front"
@@ -328,47 +351,35 @@ def _reduce_record(
     for candidate in candidate_sequence(record, strategy, order_rng, enforced_active):
         if len(buffer) >= budget:
             break
+        position = bisect_left(retained, candidate.index)
+        reduced = full.without(position)
+        scores = {}
         if candidate.unconditional:
-            record.mark_removed(candidate.index, clock.epoch, clock.step_in_epoch)
-            buffer.append(candidate.index)
-            events.append(TraceEvent(
-                record_id=record.id,
-                epoch=clock.epoch,
-                step=clock.step_in_epoch,
-                t=clock.t,
-                candidate_index=candidate.index,
-                decision=DECISION_REMOVED,
-                budget=budget,
-                buffer_size=len(buffer),
-                unconditional=True,
-            ))
-            continue
-        pool, k = negative_pool(record, batch, k_negatives)
-        contrast_possible = any(p != record.answer for p in pool)
-        if strategy.mode == MODE_VARR_PLUS and not contrast_possible:
-            # a lone record in its batch has no usable negatives; the
-            # contrast criterion cannot be confirmed, so keep the unit
-            # (gold criterion still evaluated and recorded)
-            report = evaluate_candidate(
-                handle, record, candidate.index, record.retained_indices(),
-                mode="varr", template_id=template_id,
-            )
-            removed = False
+            removed = True
         else:
             # seeded only if the negatives are actually subsampled
             neg_rng = functools.partial(
                 child_rng, strategy.seed, "negatives", record.id, clock.t,
                 candidate.index,
-            )
+            ) if mode == MODE_VARR_PLUS else None
             report = evaluate_candidate(
-                handle, record, candidate.index, record.retained_indices(),
-                mode=strategy.mode, negatives=pool, k=k, rng=neg_rng,
-                template_id=template_id,
+                handle, record, candidate.index, retained,
+                mode=mode, negatives=negatives, k=k, rng=neg_rng,
+                template_id=template_id, assemblies=(full, reduced),
             )
             removed = report.removal_approved(strategy.mode)
+            scores = dict(
+                verbosity_gt=report.verbosity_gt,
+                verbosity_wrong=report.verbosity_wrong,
+                k_used=report.k_used,
+                score_full=report.score_full,
+                score_reduced=report.score_reduced,
+            )
         if removed:
             record.mark_removed(candidate.index, clock.epoch, clock.step_in_epoch)
             buffer.append(candidate.index)
+            del retained[position]
+            full = reduced
         events.append(TraceEvent(
             record_id=record.id,
             epoch=clock.epoch,
@@ -378,9 +389,6 @@ def _reduce_record(
             decision=DECISION_REMOVED if removed else DECISION_KEPT,
             budget=budget,
             buffer_size=len(buffer),
-            verbosity_gt=report.verbosity_gt,
-            verbosity_wrong=report.verbosity_wrong,
-            k_used=report.k_used,
-            score_full=report.score_full,
-            score_reduced=report.score_reduced,
+            unconditional=candidate.unconditional,
+            **scores,
         ))

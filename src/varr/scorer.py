@@ -22,9 +22,11 @@ Scores are deterministic for a fixed model_version, which increases on
 every refit/refresh and clears the cache, so it never serves stale
 values. Both backends memoize on (model version, context, answer), where
 the context is what the backend conditions on: the prompt's last
-whitespace token for the tabular backend, the whole prompt for the
-remote one. A remote server may therefore see fewer requests than the
-logical call count.
+whitespace token for the tabular backend, the whole rendered prompt for
+the remote one. Template separators are whitespace, so the tabular
+backend reads that token straight off the assembly's last non-blank
+unit (or its question) and never renders a prompt. A remote server may
+therefore see fewer requests than the logical call count.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ import math
 import os
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
-import numpy as np
 import requests
 
 from .corpus import Corpus, RationaleRecord
@@ -83,11 +86,17 @@ class LogLikelihood:
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """Joining rule for question + retained units. Separators only."""
+    """Joining rule for question + retained units: whitespace separators
+    only, so a rendered prompt's tokens are those of its parts."""
 
     template_id: str
     question_separator: str = " "
     unit_separator: str = " "
+
+    def __post_init__(self):
+        for separator in (self.question_separator, self.unit_separator):
+            if not separator.isspace():
+                raise ValueError(f"separator {separator!r} is not whitespace")
 
 
 TEMPLATES: dict[str, PromptTemplate] = {
@@ -119,6 +128,13 @@ class PromptAssembly:
             + template.unit_separator.join(self.retained_rationale)
         )
 
+    def without(self, position: int) -> "PromptAssembly":
+        """This prompt with the retained unit at ``position`` left out."""
+        units = self.retained_rationale
+        return PromptAssembly(
+            self.question, units[:position] + units[position + 1:], self.template_id
+        )
+
 
 def assemble_prompt(
     record: RationaleRecord,
@@ -127,16 +143,12 @@ def assemble_prompt(
 ) -> PromptAssembly:
     """Question first, then the retained units in their original order."""
     get_template(template_id)
-    retained = sorted(set(retained))
-    known = {u.index for u in record.rationale}
-    unknown = [i for i in retained if i not in known]
-    if unknown:
+    wanted = set(retained)
+    texts = tuple(u.text for u in record.rationale if u.index in wanted)
+    if len(texts) != len(wanted):
+        unknown = sorted(wanted - {u.index for u in record.rationale})
         raise ValueError(f"retained indices {unknown} not in record {record.id}")
-    return PromptAssembly(
-        question=record.question,
-        retained_rationale=tuple(record.unit_texts(retained)),
-        template_id=template_id,
-    )
+    return PromptAssembly(record.question, texts, template_id)
 
 
 # --- score cache -----------------------------------------------------------
@@ -182,6 +194,8 @@ class TabularModel:
     """Additively smoothed bigram counts over a declared vocabulary.
 
     p(w | v) = (count(v, w) + alpha) / (sum_w count(v, w) + alpha * V)
+
+    Counts are sparse, keyed on (v, w) vocabulary index pairs.
     """
 
     def __init__(self, vocabulary: Sequence[str], smoothing_alpha: float = 1.0):
@@ -194,29 +208,45 @@ class TabularModel:
         self.vocabulary = tuple(vocabulary)
         self.smoothing_alpha = float(smoothing_alpha)
         self._index = {symbol: i for i, symbol in enumerate(self.vocabulary)}
-        self.counts = np.zeros((len(vocabulary), len(vocabulary)), dtype=np.int64)
-        self._row_sums = np.zeros(len(vocabulary), dtype=np.int64)
+        self._set_counts(Counter())
 
     @classmethod
     def from_counts(
         cls,
         vocabulary: Sequence[str],
-        counts,
+        counts: Sequence[Sequence[int]],
         smoothing_alpha: float = 1.0,
     ) -> "TabularModel":
+        """A model with the given dense V x V count matrix (nested lists)."""
         model = cls(vocabulary, smoothing_alpha)
-        matrix = np.asarray(counts, dtype=np.int64)
-        if matrix.shape != model.counts.shape:
-            raise ValueError(f"counts must be {model.counts.shape}, got {matrix.shape}")
-        if (matrix < 0).any():
+        size = model.vocab_size
+        rows = [[int(c) for c in row] for row in counts]
+        if len(rows) != size or any(len(row) != size for row in rows):
+            raise ValueError(f"counts must be {size}x{size} nested sequences")
+        if any(c < 0 for row in rows for c in row):
             raise ValueError("counts must be nonnegative")
-        model.counts = matrix
-        model._row_sums = matrix.sum(axis=1)
+        model._set_counts(Counter(
+            {(v, w): c for v, row in enumerate(rows) for w, c in enumerate(row) if c}
+        ))
         return model
+
+    def _set_counts(self, counts: Counter) -> None:
+        row_sums = [0] * self.vocab_size
+        for (v, _), c in counts.items():
+            row_sums[v] += c
+        self._counts, self._row_sums = counts, row_sums
 
     @property
     def vocab_size(self) -> int:
         return len(self.vocabulary)
+
+    def count(self, v: int, w: int) -> int:
+        """Bigram count of vocabulary indices (v, w)."""
+        return self._counts[v, w]
+
+    def total(self) -> int:
+        """Number of bigrams counted."""
+        return sum(self._row_sums)
 
     def symbol_index(self, symbol: str) -> int:
         try:
@@ -228,29 +258,28 @@ class TabularModel:
         v = self.symbol_index(prev)
         w = self.symbol_index(nxt)
         alpha = self.smoothing_alpha
-        numer = int(self.counts[v, w]) + alpha
-        denom = int(self._row_sums[v]) + alpha * self.vocab_size
+        numer = self._counts[v, w] + alpha
+        denom = self._row_sums[v] + alpha * self.vocab_size
         return math.log(numer / denom)
 
     def fit_streams(self, streams: Iterable[Sequence[str]]) -> None:
         """Rebuild counts from scratch over the given token streams."""
-        counts = np.zeros_like(self.counts)
+        counts: Counter = Counter()
         for stream in streams:
-            indices = [self.symbol_index(tok) for tok in stream]
-            for v, w in zip(indices, indices[1:]):
-                counts[v, w] += 1
-        self.counts = counts
-        self._row_sums = counts.sum(axis=1)
+            ix = [self.symbol_index(tok) for tok in stream]
+            counts.update(zip(ix, ix[1:]))
+        self._set_counts(counts)
 
 
 class ScorerHandle:
     """Abstract likelihood oracle. Subclasses define one backend each.
 
-    ``score_answer`` counts the logical call, validates, renders the
-    prompt, reduces it to the backend's context and consults the cache; a
-    backend implements only ``_evaluate`` on a cache miss. ``in_flight``
-    is how many record scans the driver may run at once against this
-    handle.
+    ``score_answer`` counts the logical call, validates, reduces the
+    prompt to the backend's context and consults the cache; a backend
+    implements only ``_evaluate`` on a cache miss. ``in_flight`` is how
+    many record scans the driver may run at once against this handle.
+    Calls are counted per thread, so the driver can attribute them to the
+    scan that issued them.
     """
 
     backend = "abstract"
@@ -258,19 +287,18 @@ class ScorerHandle:
 
     def __init__(self):
         self.model_version = 1
-        self.calls = 0
-        self._calls_lock = threading.Lock()
+        self._calls = threading.local()
         self.cache = ScoreCache()
 
-    def _count_call(self) -> None:
-        with self._calls_lock:
-            self.calls += 1
+    def thread_calls(self) -> int:
+        """Logical calls issued so far by the calling thread."""
+        return getattr(self._calls, "count", 0)
 
     def score_answer(self, assembly: PromptAssembly, answer: str) -> LogLikelihood:
-        self._count_call()
+        self._calls.count = self.thread_calls() + 1
         if not answer.strip():
             raise ScorerError("answer must be non-empty")
-        context = self._context(assembly.render())
+        context = self._context(assembly)
         key = (self.model_version, context, answer)
         cached = self.cache.lookup(key)
         if cached is not None:
@@ -279,9 +307,9 @@ class ScorerHandle:
         self.cache.store(key, result)
         return result
 
-    def _context(self, prompt: str) -> str:
-        """The part of the rendered prompt the backend conditions on."""
-        return prompt
+    def _context(self, assembly: PromptAssembly) -> str:
+        """What the backend conditions on: here, the rendered prompt."""
+        return assembly.render()
 
     def _evaluate(self, context: str, answer: str) -> LogLikelihood:
         raise NotImplementedError
@@ -305,12 +333,17 @@ class TabularScorer(ScorerHandle):
         super().__init__()
         self.model = model
 
-    def _context(self, prompt: str) -> str:
-        # an order-1 model sees only the token before the answer
-        tokens = prompt.rsplit(None, 1)
-        if not tokens:
-            raise ScorerError("assembled context is empty; cannot condition")
-        return tokens[-1]
+    def _context(self, assembly: PromptAssembly) -> str:
+        # An order-1 model sees only the token before the answer, the last
+        # whitespace token of the rendered prompt; with whitespace
+        # separators that is the last token of the last non-blank part.
+        get_template(assembly.template_id)
+        parts = chain(reversed(assembly.retained_rationale), (assembly.question,))
+        for text in parts:
+            tokens = text.rsplit(None, 1)
+            if tokens:
+                return tokens[-1]
+        raise ScorerError("assembled context is empty; cannot condition")
 
     def _evaluate(self, context: str, answer: str) -> LogLikelihood:
         per_token = []
@@ -471,11 +504,19 @@ def build_vocabulary(corpus: Corpus, extra_tokens: Iterable[str] = ()) -> tuple[
 
 
 def corpus_view(corpus: Corpus, template_id: str = "plain-v1") -> list[tuple[list[str], list[str]]]:
-    """(context tokens, answer tokens) per record, using retained units."""
+    """(context tokens, answer tokens) per record, using retained units.
+
+    The context tokens are the question's, then each retained unit's:
+    those of the rendered prompt, whose separators are whitespace.
+    """
+    get_template(template_id)
     view = []
     for record in corpus.records:
-        assembly = assemble_prompt(record, record.retained_indices(), template_id)
-        view.append((assembly.render().split(), record.answer.split()))
+        context = record.question.split()
+        for unit in record.rationale:
+            if unit.removed_at is None:
+                context.extend(unit.text.split())
+        view.append((context, record.answer.split()))
     return view
 
 

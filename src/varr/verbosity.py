@@ -14,8 +14,9 @@ answers over the gold one). Ties at exactly zero pass both inequalities.
 
 R is always the record's *current* retained set: earlier removals in the
 same pass already changed the context each later candidate is judged in.
-``evaluate_candidate`` builds the prompts for R and R' once, and both
-terms score against them.
+Both terms score against one pair of prompts for R and R': the one the
+reduction driver slices from its scan's state, or else the one
+``candidate_assemblies`` builds and validates from an index list.
 """
 
 from __future__ import annotations
@@ -82,11 +83,8 @@ def candidate_assemblies(
     retained = sorted(set(current_retained))
     if i not in retained:
         raise ValueError(f"candidate {i} not in retained set of record {record.id}")
-    reduced = [j for j in retained if j != i]
-    return (
-        assemble_prompt(record, retained, template_id),
-        assemble_prompt(record, reduced, template_id),
-    )
+    full = assemble_prompt(record, retained, template_id)
+    return full, full.without(retained.index(i))
 
 
 def sample_negatives(
@@ -141,17 +139,22 @@ def evaluate_candidate(
     k: int = 4,
     rng: RngSource = None,
     template_id: str = "plain-v1",
+    *,
+    assemblies: tuple[PromptAssembly, PromptAssembly] | None = None,
 ) -> VerbosityReport:
     """Run the configured criteria for one candidate and report.
 
     In strict mode the wrong-answer contrast is computed only when the
     gold criterion already passed; a candidate failing verbosity_gt >= 0
     is rejected without sampling negatives or spending scorer calls on
-    them.
+    them. ``assemblies`` is the (full, reduced) prompt pair if the caller
+    has built it; otherwise ``candidate_assemblies`` builds it.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    full, reduced = candidate_assemblies(record, i, current_retained, template_id)
+    full, reduced = assemblies or candidate_assemblies(
+        record, i, current_retained, template_id
+    )
     score_full = handle.score_answer(full, record.answer).total
     score_reduced = handle.score_answer(reduced, record.answer).total
     v_gt = score_reduced - score_full

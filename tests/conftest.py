@@ -43,6 +43,12 @@ def random_model(rng: random.Random, max_vocab=8, max_count=9, alphas=(0.5, 1.0,
     return TabularScorer(model), counts, vocab, alpha
 
 
+def dense_counts(model: TabularModel) -> list[list[int]]:
+    """The model's bigram counts as a V x V list of lists, for oracles."""
+    size = range(model.vocab_size)
+    return [[model.count(v, w) for w in size] for v in size]
+
+
 def random_record(rng: random.Random, vocab, max_units=4, max_answer_len=6) -> RationaleRecord:
     def phrase(lo, hi):
         return " ".join(rng.choice(vocab) for _ in range(rng.randint(lo, hi)))

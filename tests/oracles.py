@@ -2,7 +2,7 @@
 
 The scoring oracle multiplies smoothed bigram probabilities straight
 off a plain list-of-lists count matrix and takes one log at the end,
-whereas the engine sums per-token logs over a numpy-backed model. The
+whereas the engine sums per-token logs over a sparse-count model. The
 verbosity oracles difference two such scores. Agreement within 1e-9
 validates both the arithmetic and the prompt-assembly conventions.
 """

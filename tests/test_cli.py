@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,9 @@ from varr.corpus import load_corpus
 
 from .conftest import FIXTURE_CORPUS, PILOT_CORPUS
 from .mockserver import MockScorerServer
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv):
@@ -421,3 +428,13 @@ def test_reduce_matches_committed_golden_fingerprint(tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["determinism_fingerprint"] == GOLDEN_FINGERPRINT
+
+
+def test_cli_import_does_not_load_numpy():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, varr.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -134,7 +134,7 @@ def test_repeated_request_served_from_cache_until_refresh():
         assert scorer.score_answer(ASSEMBLY, "a b").total == first.total
         assert len(server.requests) == 2
         assert len(scorer.cache) == 1  # the older version was purged
-    assert scorer.calls == 3
+    assert scorer.thread_calls() == 3
 
 
 def test_memo_key_is_the_whole_prompt():

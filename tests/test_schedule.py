@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from varr import schedule
 from varr.corpus import load_corpus
+from varr.errors import OutOfVocabularyError
 from varr.schedule import (
     ClockConfig,
     ReductionAborted,
@@ -21,6 +23,7 @@ from varr.schedule import (
 )
 from varr.scorer import build_vocabulary, fit_tabular_scorer, uniform_tabular_scorer
 from varr.seeding import child_rng
+from varr.verbosity import candidate_assemblies
 
 from .conftest import FIXTURE_CORPUS, make_record
 from .reference_driver import run_reference
@@ -277,11 +280,11 @@ def test_scorer_call_accounting():
 def test_no_rule_makes_no_scorer_calls():
     corpus = fresh_corpus()
     handle = fit_tabular_scorer(corpus)
-    calls_before = handle.calls
+    calls_before = handle.thread_calls()
     trace = run_reduction(corpus, handle, ClockConfig(2, 4, 0.0),
                           StrategyConfig("no_rule", seed=2))
     assert trace.scorer_call_count == 0
-    assert handle.calls == calls_before
+    assert handle.thread_calls() == calls_before
     assert all(e.unconditional for e in trace.events)
     assert all(e.decision == "removed" for e in trace.events)
 
@@ -332,7 +335,7 @@ def test_scan_pool_matches_inline_under_thread_stress():
     finally:
         sys.setswitchinterval(interval)
     events, calls, _ = pooled
-    # a lost update of the shared call counter would break this law
+    # a call lost or counted against another scan would break this law
     assert calls == sum(0 if e["unconditional"] else 2 + 2 * e["k_used"]
                         for e in events)
     assert pooled == run(1)
@@ -345,17 +348,76 @@ def test_pooled_scan_failure_keeps_serial_partial_trace():
         handle.in_flight = in_flight
         order = list(range(len(corpus.records)))
         child_rng(1, "batch-order", 1).shuffle(order)
-        failing = corpus.records[order[1]]
+        failing = corpus.records[order[2]]
         failing.answer = "unseen " + failing.answer  # out of vocabulary
+        # one batch of one step: every record's budget is its unit count,
+        # so the failing scan fails at its first call, mid-batch
         with pytest.raises(ReductionAborted) as exc:
-            run_reduction(corpus, handle, ClockConfig(1, 8, 0.0),
+            run_reduction(corpus, handle, ClockConfig(1, len(order), 0.0),
                           StrategyConfig("front", mode="varr", seed=1))
-        return failing.id, [asdict(e) for e in exc.value.trace.events]
+        assert isinstance(exc.value.cause, OutOfVocabularyError)
+        trace = exc.value.trace
+        return failing.id, [asdict(e) for e in trace.events], trace.scorer_call_count
 
-    failing_id, serial = aborted(1)
+    failing_id, serial, calls = aborted(1)
     assert serial
     assert all(e["record_id"] != failing_id for e in serial)
-    assert aborted(4) == (failing_id, serial)
+    # the failing scan's one call, counted before it raised, and no other
+    assert calls == 1 + sum(2 + 2 * e["k_used"] for e in serial)
+    assert aborted(4) == (failing_id, serial, calls)
+
+
+@pytest.mark.parametrize("template_id", ["plain-v1", "newline-v1"])
+def test_scan_prompts_equal_candidate_assemblies(monkeypatch, template_id):
+    corpus = fresh_corpus()
+    handle = fit_tabular_scorer(corpus)
+    seen = []
+    score = handle.score_answer
+
+    def recording(assembly, answer):
+        seen.append(assembly)
+        return score(assembly, answer)
+
+    handle.score_answer = recording
+    evaluate = schedule.evaluate_candidate
+    checked = []
+
+    def checking(handle, record, i, current_retained, **kwargs):
+        seen.clear()
+        retained = record.retained_indices()
+        assert list(current_retained) == retained
+        report = evaluate(handle, record, i, current_retained, **kwargs)
+        expected = candidate_assemblies(record, i, retained, template_id)
+        assert seen and [expected[n % 2] for n in range(len(seen))] == seen
+        checked.append(len(seen))
+        return report
+
+    monkeypatch.setattr(schedule, "evaluate_candidate", checking)
+    run_reduction(corpus, handle, ClockConfig(3, 4, 0.1),
+                  StrategyConfig("random", mode="varr_plus", seed=5),
+                  k_negatives=2, template_id=template_id)
+    assert checked and max(checked) > 2  # wrong answers were scored too
+
+
+@pytest.mark.parametrize("mode", ["varr", "varr_plus"])
+def test_negative_pool_built_once_per_scan_in_varr_plus_only(monkeypatch, mode):
+    counts = {"scans": 0, "pools": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(schedule, "candidate_sequence",
+                        counting("scans", schedule.candidate_sequence))
+    monkeypatch.setattr(schedule, "negative_pool",
+                        counting("pools", schedule.negative_pool))
+    corpus = fresh_corpus()
+    run_reduction(corpus, fit_tabular_scorer(corpus), ClockConfig(3, 4, 0.1),
+                  StrategyConfig("random", mode=mode, seed=5), k_negatives=2)
+    assert counts["scans"] > 0
+    assert counts["pools"] == (counts["scans"] if mode == "varr_plus" else 0)
 
 
 # --- conformance with the straight-line reference ---------------------------

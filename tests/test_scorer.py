@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from varr.corpus import load_corpus
 from varr.errors import (
@@ -11,7 +13,9 @@ from varr.errors import (
 )
 from varr.scorer import (
     LogLikelihood,
+    TEMPLATES,
     PromptAssembly,
+    PromptTemplate,
     TabularModel,
     TabularScorer,
     assemble_prompt,
@@ -21,7 +25,7 @@ from varr.scorer import (
     uniform_tabular_scorer,
 )
 
-from .conftest import make_record, random_model, random_record
+from .conftest import dense_counts, make_record, random_model, random_record
 from .oracles import oracle_score
 
 
@@ -108,17 +112,81 @@ def test_template_controls_separators_only(fixture_corpus):
     assert "\n" in newline and "\n" not in plain
 
 
+def test_templates_need_whitespace_separators():
+    with pytest.raises(ValueError, match="not whitespace"):
+        PromptTemplate("glued", "", " ")
+    with pytest.raises(ValueError, match="not whitespace"):
+        PromptTemplate("dashed", " ", " - ")
+
+
+def rendered_context(assembly):
+    """The tabular context the long way: render, then take the last token."""
+    tokens = assembly.render().rsplit(None, 1)
+    if not tokens:
+        raise ScorerError("assembled context is empty")
+    return tokens[-1]
+
+
+# blanks, ASCII and non-ASCII whitespace (\x1c and \x85 split in str.split)
+PIECES = ["a", "bc", "\u00e9", "", " ", "\n", "\t", "\x1c", "\x85", "\u3000"]
+TEXTS = st.one_of(
+    st.lists(st.sampled_from(PIECES), max_size=6).map("".join),
+    st.text(max_size=6),
+)
+
+
+@given(question=TEXTS, units=st.lists(TEXTS, max_size=5).map(tuple),
+       template_id=st.sampled_from(sorted(TEMPLATES)))
+@example(question="q", units=("", " ", "\x1c"), template_id="plain-v1")
+@example(question="q x", units=("a ", "b\u3000", "\x85"), template_id="newline-v1")
+@example(question=" \u3000", units=("", "\t"), template_id="plain-v1")
+@example(question="", units=(), template_id="newline-v1")
+def test_tabular_context_is_last_rendered_token(question, units, template_id):
+    assembly = PromptAssembly(question, units, template_id)
+    scorer = uniform_tabular_scorer(["a"])
+    try:
+        want = rendered_context(assembly)
+    except ScorerError:
+        with pytest.raises(ScorerError, match="context is empty"):
+            scorer._context(assembly)
+    else:
+        assert scorer._context(assembly) == want
+
+
+def test_tabular_context_checks_the_template():
+    scorer = uniform_tabular_scorer(["a"])
+    with pytest.raises(ConfigurationError):
+        scorer.score_answer(PromptAssembly("", (), template_id="nope"), "a")
+
+
+@pytest.mark.parametrize("template_id", sorted(TEMPLATES))
+def test_corpus_view_equals_split_of_rendered_prompt(fixture_corpus, pilot_corpus,
+                                                     template_id):
+    for corpus in (fixture_corpus, pilot_corpus):
+        for n, record in enumerate(corpus.records):
+            if n % 2 and record.rationale:
+                record.mark_removed(n % len(record.rationale), 1, 1)
+        want = [
+            (assemble_prompt(r, r.retained_indices(), template_id).render().split(),
+             r.answer.split())
+            for r in corpus.records
+        ]
+        assert corpus_view(corpus, template_id) == want
+    with pytest.raises(ConfigurationError):
+        corpus_view(fixture_corpus, "nope")
+
+
 def test_refit_rebuilds_from_scratch():
     model = TabularModel(["a", "b"])
     scorer = TabularScorer(model)
     scorer.refresh([(["a"], ["b"])])
-    assert model.counts[0, 1] == 1
-    assert model.counts.sum() == 1
+    assert model.count(0, 1) == 1
+    assert model.total() == 1
     assert scorer.model_version == 2
     # refit on an identical view: identical counts, new version
     scorer.refresh([(["a"], ["b"])])
-    assert model.counts[0, 1] == 1
-    assert model.counts.sum() == 1
+    assert model.count(0, 1) == 1
+    assert model.total() == 1
     assert scorer.model_version == 3
 
 
@@ -144,8 +212,8 @@ def test_refit_matches_hand_counted_bigrams(fixture_corpus):
             expected[(u, v)] = expected.get((u, v), 0) + 1
     model = scorer.model
     for (u, v), count in expected.items():
-        assert model.counts[model.symbol_index(u), model.symbol_index(v)] == count
-    assert int(model.counts.sum()) == sum(expected.values())
+        assert model.count(model.symbol_index(u), model.symbol_index(v)) == count
+    assert model.total() == sum(expected.values())
 
 
 def test_smoothed_conditionals_sum_to_one():
@@ -195,7 +263,7 @@ def test_empty_context_fails_before_the_cache():
     for _ in range(2):
         with pytest.raises(ScorerError, match="context is empty"):
             scorer.score_answer(PromptAssembly("  ", ()), "a")
-    assert (scorer.cache.hits, scorer.cache.misses, scorer.calls) == (0, 0, 2)
+    assert (scorer.cache.hits, scorer.cache.misses, scorer.thread_calls()) == (0, 0, 2)
 
 
 def test_cache_no_cross_key_collisions():
@@ -215,7 +283,7 @@ def test_cache_no_cross_key_collisions():
             )
             assert got.total == pytest.approx(want, abs=1e-9)
         assert scorer.cache.hits > 0
-        assert scorer.cache.hits + scorer.cache.misses == scorer.calls
+        assert scorer.cache.hits + scorer.cache.misses == scorer.thread_calls()
 
 
 def test_scorer_cache_hits_do_not_change_results():
@@ -224,7 +292,7 @@ def test_scorer_cache_hits_do_not_change_results():
     v1 = scorer.score_answer(assembly, "c")
     v2 = scorer.score_answer(assembly, "c")
     assert v1.total == v2.total
-    assert scorer.calls == 2  # logical calls counted even on cache hits
+    assert scorer.thread_calls() == 2  # logical calls counted even on cache hits
     assert scorer.cache.hits == 1
 
 
@@ -243,6 +311,8 @@ def test_build_vocabulary_covers_all_fields():
 def test_from_counts_validation():
     with pytest.raises(ValueError):
         TabularModel.from_counts(["a", "b"], [[1, 2]])
+    with pytest.raises(ValueError):
+        TabularModel.from_counts(["a", "b"], [[1, 2], [3]])
     with pytest.raises(ValueError):
         TabularModel.from_counts(["a", "b"], [[1, -2], [0, 0]])
     with pytest.raises(ValueError):
@@ -264,7 +334,7 @@ def test_fit_tabular_scorer_fixture_prompt_matches_oracle():
     corpus = load_corpus("tests/data/fixture_corpus.jsonl")
     scorer = fit_tabular_scorer(corpus)
     vocab = list(scorer.model.vocabulary)
-    counts = scorer.model.counts.tolist()
+    counts = dense_counts(scorer.model)
     record = corpus.records[0]
     assembly = assemble_prompt(record, record.retained_indices())
     got = scorer.score_answer(assembly, record.answer).total

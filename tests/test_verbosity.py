@@ -16,7 +16,7 @@ from varr.verbosity import (
     verbosity_wrong,
 )
 
-from .conftest import make_record, random_model, random_record
+from .conftest import dense_counts, make_record, random_model, random_record
 from .oracles import oracle_nll, oracle_verbosity_gt, oracle_verbosity_wrong
 
 VOCAB4 = ["a", "b", "c", "d"]
@@ -132,7 +132,7 @@ def test_verbosity_wrong_filters_gold_and_errors_when_empty():
 
 def test_verbosity_wrong_fixed_negatives_match_oracle():
     scorer, vocab = contrast_model()
-    counts = scorer.model.counts.tolist()
+    counts = dense_counts(scorer.model)
     record = make_record(units=("v", "u"), question="q", answer="a")
     mean, k_used = sampled_verbosity_wrong(scorer, record, 1, [0, 1], ["b", "q"], 2)
     want = oracle_verbosity_wrong(counts, vocab, record, 1, [0, 1], ["b", "q"], 1.0)
@@ -247,7 +247,7 @@ def test_evaluate_plus_difference_sign_decides():
     # answer b, negative a: removing unit 1 lifts a (x7/2... see counts)
     # gt(b) = log(2/9)-log(2/7) < 0 -> short-circuit
     record = make_record(units=("v", "u"), question="q", answer="b")
-    calls_before = scorer.calls
+    calls_before = scorer.thread_calls()
     report = evaluate_candidate(
         scorer, record, 1, [0, 1], MODE_VARR_PLUS, negatives=["a"], k=1,
     )
@@ -255,7 +255,7 @@ def test_evaluate_plus_difference_sign_decides():
     assert report.verbosity_wrong is None
     assert report.passes_varr_plus is None
     assert not report.removal_approved(MODE_VARR_PLUS)
-    assert scorer.calls - calls_before == 2  # no negative was ever scored
+    assert scorer.thread_calls() - calls_before == 2  # no negative was ever scored
 
 
 def test_subset_law_random_models():
