@@ -12,6 +12,7 @@ failure, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -55,32 +56,61 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+_DEFAULTS = config_mod.RunConfig()
+
+
+def _add_setting(parser: argparse.ArgumentParser, flag: str, dest: str,
+                 text: str = "", **kwargs) -> None:
+    """A flag that overrides the RunConfig field ``dest`` when given."""
+    default = getattr(_DEFAULTS, dest)
+    if default is not None:
+        if isinstance(default, tuple):
+            default = ",".join(map(str, default))
+        text = f"{text} (default {default})".lstrip()
+    if "choices" not in kwargs:  # name the value after the flag, not the field
+        kwargs["metavar"] = flag[2:].upper().replace("-", "_")
+    parser.add_argument(flag, dest=dest, default=None, help=text, **kwargs)
+
+
+def _strategy(raw: str) -> tuple[str, int | None]:
+    """--strategy spelling -> (candidate_order, enforced_n or None).
+
+    Accepts front, random, back, no-rule, enforced-front:N.
+    """
+    name = raw.replace("-", "_")
+    if name.startswith("enforced_front"):
+        parts = name.split(":")
+        if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            raise argparse.ArgumentTypeError(
+                "enforced-front takes a positive count, e.g. enforced-front:2"
+            )
+        return "enforced_front", int(parts[1])
+    if name in ("front", "random", "back", "no_rule"):
+        return name, None
+    raise argparse.ArgumentTypeError(f"unknown strategy {raw!r}")
+
+
+def _int_list(raw: str) -> list[int]:
+    try:
+        return [int(s) for s in raw.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {raw!r}") from None
+
+
 def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scorer", choices=["tabular", "remote"], default=None,
-                        help="likelihood backend (default: tabular)")
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="additive smoothing for the tabular backend")
-    parser.add_argument("--template", default=None, help="prompt template id")
-    parser.add_argument("--scorer-url", default=None,
-                        help="remote base URL (or env VARR_SCORER_URL)")
-    parser.add_argument("--scorer-model", default=None,
-                        help="model name sent to the remote endpoint")
-    parser.add_argument("--timeout-ms", type=int, default=None,
-                        help="remote timeout (or env VARR_SCORER_TIMEOUT_MS)")
-    parser.add_argument("--max-attempts", type=int, default=None,
-                        help="remote attempts incl. retries (default 3)")
-
-
-def _scorer_overrides(args) -> dict:
-    return {
-        "scorer_backend": args.scorer,
-        "smoothing_alpha": args.alpha,
-        "template_id": args.template,
-        "scorer_url": args.scorer_url,
-        "scorer_model": args.scorer_model,
-        "timeout_ms": args.timeout_ms,
-        "max_attempts": args.max_attempts,
-    }
+    _add_setting(parser, "--scorer", "scorer_backend", "likelihood backend",
+                 choices=["tabular", "remote"])
+    _add_setting(parser, "--alpha", "smoothing_alpha",
+                 "additive smoothing for the tabular backend", type=float)
+    _add_setting(parser, "--template", "template_id", "prompt template id")
+    _add_setting(parser, "--scorer-url", "scorer_url",
+                 "remote base URL (or env VARR_SCORER_URL)")
+    _add_setting(parser, "--scorer-model", "scorer_model",
+                 "model name sent to the remote endpoint")
+    _add_setting(parser, "--timeout-ms", "timeout_ms",
+                 "remote timeout (or env VARR_SCORER_TIMEOUT_MS)", type=int)
+    _add_setting(parser, "--max-attempts", "max_attempts",
+                 "remote attempts incl. retries", type=int)
 
 
 def build_parser() -> _Parser:
@@ -95,18 +125,19 @@ def build_parser() -> _Parser:
     p_ingest.add_argument("--output", required=True,
                           help="normalized corpus file (rationale pre-split)")
     p_ingest.add_argument("--report", default=None, help="validation report JSON path")
-    p_ingest.add_argument("--granularity", choices=["sentence", "token"], default=None)
+    _add_setting(p_ingest, "--granularity", "unit", choices=["sentence", "token"])
     p_ingest.add_argument("--config", default=None)
 
     p_pilot = sub.add_parser("pilot", help="NLL-vs-removal-size curves")
     p_pilot.add_argument("--input", required=True)
     p_pilot.add_argument("--out-dir", required=True)
-    p_pilot.add_argument("--sizes", default=None, help="comma list, e.g. 1,2,3,4")
-    p_pilot.add_argument("--strategies", default=None,
-                         help="comma list from front,random,back")
-    p_pilot.add_argument("--samples", type=int, default=None,
-                         help="removal-set draws per record per cell")
-    p_pilot.add_argument("--seed", type=int, default=None)
+    _add_setting(p_pilot, "--sizes", "pilot_sizes", "comma list", type=_int_list)
+    _add_setting(p_pilot, "--strategies", "pilot_strategies",
+                 "comma list from front,random,back",
+                 type=lambda raw: raw.split(","))
+    _add_setting(p_pilot, "--samples", "samples_per_record",
+                 "removal-set draws per record per cell", type=int)
+    _add_setting(p_pilot, "--seed", "seed", type=int)
     p_pilot.add_argument("--config", default=None)
     p_pilot.add_argument("--check-ordering", action="store_true",
                          help="fail unless back > random > front at every size")
@@ -116,16 +147,17 @@ def build_parser() -> _Parser:
     p_reduce.add_argument("--input", required=True)
     p_reduce.add_argument("--out-dir", required=True)
     p_reduce.add_argument("--config", default=None)
-    p_reduce.add_argument("--mode", default=None, help="varr or varr-plus")
-    p_reduce.add_argument("--strategy", default=None,
+    _add_setting(p_reduce, "--mode", "mode", "varr or varr-plus",
+                 choices=["varr", "varr_plus"], type=lambda raw: raw.replace("-", "_"))
+    p_reduce.add_argument("--strategy", default=None, type=_strategy,
                           help="front | random | back | enforced-front:N | no-rule")
-    p_reduce.add_argument("--unit", choices=["sentence", "token"], default=None)
-    p_reduce.add_argument("--warmup", type=float, default=None,
-                          help="warm-up ratio of total steps (default 0.1)")
-    p_reduce.add_argument("--epochs", type=int, default=None, help="default 5")
-    p_reduce.add_argument("--batch-size", type=int, default=None)
-    p_reduce.add_argument("--k-negatives", type=int, default=None)
-    p_reduce.add_argument("--seed", type=int, default=None)
+    _add_setting(p_reduce, "--unit", "unit", choices=["sentence", "token"])
+    _add_setting(p_reduce, "--warmup", "warmup_ratio",
+                 "warm-up ratio of total steps", type=float)
+    _add_setting(p_reduce, "--epochs", "epochs", type=int)
+    _add_setting(p_reduce, "--batch-size", "batch_size", type=int)
+    _add_setting(p_reduce, "--k-negatives", "k_negatives", type=int)
+    _add_setting(p_reduce, "--seed", "seed", type=int)
     _add_scorer_flags(p_reduce)
 
     p_score = sub.add_parser("score", help="one-shot likelihood of an answer")
@@ -143,7 +175,7 @@ def build_parser() -> _Parser:
 
 
 def cmd_ingest(args) -> int:
-    cfg = config_mod.load_run_config(args.config, {"unit": args.granularity})
+    cfg = config_mod.load_run_config(args.config, vars(args))
     corpus = load_corpus(args.input, cfg.unit, cfg.segmentation_rules())
     reports = validate_corpus(corpus)
     violations = [(r.record_id, v) for r in reports for v in r.violations]
@@ -166,14 +198,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_pilot(args) -> int:
-    overrides = _scorer_overrides(args)
-    overrides["seed"] = args.seed
-    overrides["samples_per_record"] = args.samples
-    if args.sizes:
-        overrides["pilot_sizes"] = [int(s) for s in args.sizes.split(",")]
-    if args.strategies:
-        overrides["pilot_strategies"] = args.strategies.split(",")
-    cfg = config_mod.load_run_config(args.config, overrides)
+    cfg = config_mod.load_run_config(args.config, vars(args))
     corpus = load_corpus(args.input, cfg.unit, cfg.segmentation_rules())
     handle = cfg.build_scorer(corpus)
     try:
@@ -191,7 +216,7 @@ def cmd_pilot(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_text_atomic(out_dir / "pilot.tsv", pilot_mod.pilot_tsv(results))
     summary = pilot_mod.pilot_summary(results)
-    summary["config"] = cfg.effective_dict()
+    summary["config"] = dataclasses.asdict(cfg)
     write_text_atomic(out_dir / "pilot.json", json.dumps(summary, indent=2, sort_keys=True))
     print(f"pilot curves over {len(results)} strategies -> {out_dir}")
     print(f"baseline mean NLL: {results[0].baseline_nll:.6f}")
@@ -201,29 +226,29 @@ def cmd_pilot(args) -> int:
     return EXIT_OK
 
 
+def _record_run(trace: metrics.ReductionTrace, cfg: config_mod.RunConfig,
+                input_path: str, out_dir: Path) -> None:
+    """Add the run's settings and paths to the trace config.
+
+    Only ``run``, the settings that decide removals, enters the
+    fingerprint; ``execution`` and ``paths`` do not.
+    """
+    trace.config.update(
+        trace_schema=metrics.TRACE_SCHEMA,
+        run=cfg.settings(config_mod.DECISION),
+        execution=cfg.settings(config_mod.EXECUTION),
+        paths={"input": str(input_path), "out_dir": str(out_dir)},
+    )
+
+
 def cmd_reduce(args) -> int:
-    overrides = _scorer_overrides(args)
-    overrides.update({
-        "warmup_ratio": args.warmup,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "k_negatives": args.k_negatives,
-        "seed": args.seed,
-        "unit": args.unit,
-    })
-    strategy_flag = args.strategy
-    if strategy_flag is not None:
-        order, enforced_n = config_mod.parse_strategy_flag(strategy_flag)
-        overrides["candidate_order"] = order
-        if enforced_n is not None:
-            overrides["enforced_n"] = enforced_n
-        if order == "no_rule" and args.mode is not None:
+    if args.strategy is not None:
+        args.candidate_order, args.enforced_n = args.strategy
+        if args.candidate_order == "no_rule" and args.mode is not None:
             raise ConfigurationError(
                 "--mode is meaningless with --strategy no-rule (criteria are bypassed)"
             )
-    if args.mode is not None:
-        overrides["mode"] = config_mod.parse_mode_flag(args.mode)
-    cfg = config_mod.load_run_config(args.config, overrides)
+    cfg = config_mod.load_run_config(args.config, vars(args))
 
     corpus = load_corpus(args.input, cfg.unit, cfg.segmentation_rules())
     bad = [r for r in validate_corpus(corpus) if not r.ok]
@@ -242,16 +267,14 @@ def cmd_reduce(args) -> int:
             k_negatives=cfg.k_negatives, template_id=cfg.template_id,
         )
     except ReductionAborted as exc:
-        exc.trace.config["run"] = cfg.effective_dict()
-        exc.trace.config["paths"] = {"input": str(args.input), "out_dir": str(out_dir)}
+        _record_run(exc.trace, cfg, args.input, out_dir)
         exc.trace.save(out_dir / "trace.partial.json")
         print(f"scorer failure, partial trace saved: {exc.cause}", file=sys.stderr)
         return EXIT_SCORER
     finally:
         handle.close()
 
-    trace.config["run"] = cfg.effective_dict()
-    trace.config["paths"] = {"input": str(args.input), "out_dir": str(out_dir)}
+    _record_run(trace, cfg, args.input, out_dir)
     # The events are encoded once, for the fingerprint and for trace.json,
     # and the report is complete before any output is written.
     events_json = metrics.encode_events(trace.events)
@@ -273,8 +296,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_score(args) -> int:
-    overrides = _scorer_overrides(args)
-    cfg = config_mod.load_run_config(args.config, overrides)
+    cfg = config_mod.load_run_config(args.config, vars(args))
     units: list[str] = []
     if args.rationale_file:
         raw = Path(args.rationale_file).read_text(encoding="utf-8")
@@ -324,7 +346,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigurationError, ParseError, ValidationError, ValueError) as exc:
+    except (ConfigurationError, ParseError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TransportError as exc:

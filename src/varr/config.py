@@ -1,24 +1,20 @@
 """Run configuration: one declarative JSON file plus flag overrides.
 
-The file has one section per subsystem; every field is optional and
-falls back to the defaults below. Flags override file values. The
-merged effective configuration is echoed into every output so results
-carry their provenance.
+``RunConfig`` is the only place a setting is declared. Each field names
+its config-file section and key, and its role:
 
-    {
-      "schedule":  {"epochs": 5, "batch_size": 8, "warmup_ratio": 0.1, "seed": 0},
-      "strategy":  {"candidate_order": "front", "mode": "varr_plus",
-                    "unit": "sentence", "enforced_n": 2, "enforce_epochs": 2},
-      "negatives": {"k": 4},
-      "scorer":    {"backend": "tabular", "smoothing_alpha": 1.0,
-                    "template_id": "plain-v1", "url": null, "model": "default",
-                    "timeout_ms": null, "max_attempts": 3, "in_flight": 4},
-      "segmenter": {"terminal_punctuation": ".?!",
-                    "abbreviation_exceptions": [...], "min_unit_chars": 2},
-      "pilot":     {"sizes": [1, 2, 3, 4],
-                    "strategies": ["front", "random", "back"],
-                    "samples_per_record": 8}
-    }
+* decision -- the settings that decide which units a reduction removes.
+  ``varr reduce`` records them as ``config.run`` in the trace, and they
+  enter the determinism fingerprint.
+* execution -- how the remote scorer is reached (URL, timeout, attempts,
+  concurrency). Recorded as ``config.execution``, outside the
+  fingerprint, like ``config.paths``.
+* pilot -- read by ``varr pilot`` only; ``reduce`` does not record them.
+
+The file holds one JSON object per section, each entry optional, e.g.
+``{"schedule": {"epochs": 3}, "scorer": {"in_flight": 1}}``; an entry
+absent from the file keeps its default. A CLI flag overrides the field
+whose name is its argparse ``dest``.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from __future__ import annotations
 import json
 import types
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .corpus import Corpus
@@ -35,39 +31,44 @@ from .schedule import ClockConfig, StrategyConfig
 from .scorer import RemoteScorer, ScorerHandle, fit_tabular_scorer
 from .segmenter import DEFAULT_ABBREVIATIONS, SegmentationRules
 
+DECISION = "decision"
+EXECUTION = "execution"
+PILOT = "pilot"
+
+
+def _setting(section: str, key: str, default, role: str = DECISION):
+    """A RunConfig field read from the config-file entry ``section.key``."""
+    return field(default=default, metadata={"section": section, "key": key, "role": role})
+
 
 @dataclass
 class RunConfig:
-    # schedule
-    epochs: int = 5
-    batch_size: int = 8
-    warmup_ratio: float = 0.1
-    seed: int = 0
-    # strategy
-    candidate_order: str = "front"
-    mode: str = "varr_plus"
-    unit: str = "sentence"
-    enforced_n: int = 2
-    enforce_epochs: int = 2
-    # negatives
-    k_negatives: int = 4
-    # scorer
-    scorer_backend: str = "tabular"
-    smoothing_alpha: float = 1.0
-    template_id: str = "plain-v1"
-    scorer_url: str | None = None
-    scorer_model: str = "default"
-    timeout_ms: int | None = None
-    max_attempts: int = 3
-    in_flight: int = 4
-    # segmenter
-    terminal_punctuation: str = ".?!"
-    abbreviation_exceptions: tuple[str, ...] = tuple(DEFAULT_ABBREVIATIONS)
-    min_unit_chars: int = 2
-    # pilot
-    pilot_sizes: tuple[int, ...] = (1, 2, 3, 4)
-    pilot_strategies: tuple[str, ...] = ("front", "random", "back")
-    samples_per_record: int = 8
+    epochs: int = _setting("schedule", "epochs", 5)
+    batch_size: int = _setting("schedule", "batch_size", 8)
+    warmup_ratio: float = _setting("schedule", "warmup_ratio", 0.1)
+    seed: int = _setting("schedule", "seed", 0)
+    candidate_order: str = _setting("strategy", "candidate_order", "front")
+    mode: str = _setting("strategy", "mode", "varr_plus")
+    unit: str = _setting("strategy", "unit", "sentence")
+    enforced_n: int = _setting("strategy", "enforced_n", 2)
+    enforce_epochs: int = _setting("strategy", "enforce_epochs", 2)
+    k_negatives: int = _setting("negatives", "k", 4)
+    scorer_backend: str = _setting("scorer", "backend", "tabular")
+    smoothing_alpha: float = _setting("scorer", "smoothing_alpha", 1.0)
+    template_id: str = _setting("scorer", "template_id", "plain-v1")
+    scorer_url: str | None = _setting("scorer", "url", None, EXECUTION)
+    scorer_model: str = _setting("scorer", "model", "default")
+    timeout_ms: int | None = _setting("scorer", "timeout_ms", None, EXECUTION)
+    max_attempts: int = _setting("scorer", "max_attempts", 3, EXECUTION)
+    in_flight: int = _setting("scorer", "in_flight", 4, EXECUTION)
+    terminal_punctuation: str = _setting("segmenter", "terminal_punctuation", ".?!")
+    abbreviation_exceptions: tuple[str, ...] = _setting(
+        "segmenter", "abbreviation_exceptions", tuple(DEFAULT_ABBREVIATIONS))
+    min_unit_chars: int = _setting("segmenter", "min_unit_chars", 2)
+    pilot_sizes: tuple[int, ...] = _setting("pilot", "sizes", (1, 2, 3, 4), PILOT)
+    pilot_strategies: tuple[str, ...] = _setting(
+        "pilot", "strategies", ("front", "random", "back"), PILOT)
+    samples_per_record: int = _setting("pilot", "samples_per_record", 8, PILOT)
 
     def clock_config(self) -> ClockConfig:
         return ClockConfig(self.epochs, self.batch_size, self.warmup_ratio)
@@ -107,39 +108,10 @@ class RunConfig:
             )
         raise ConfigurationError(f"unknown scorer backend {self.scorer_backend!r}")
 
-    def effective_dict(self) -> dict:
-        return asdict(self)
-
-
-# Maps config-file (section, key) -> RunConfig attribute.
-_SECTION_FIELDS = {
-    ("schedule", "epochs"): "epochs",
-    ("schedule", "batch_size"): "batch_size",
-    ("schedule", "warmup_ratio"): "warmup_ratio",
-    ("schedule", "seed"): "seed",
-    ("strategy", "candidate_order"): "candidate_order",
-    ("strategy", "mode"): "mode",
-    ("strategy", "unit"): "unit",
-    ("strategy", "enforced_n"): "enforced_n",
-    ("strategy", "enforce_epochs"): "enforce_epochs",
-    ("negatives", "k"): "k_negatives",
-    ("scorer", "backend"): "scorer_backend",
-    ("scorer", "smoothing_alpha"): "smoothing_alpha",
-    ("scorer", "template_id"): "template_id",
-    ("scorer", "url"): "scorer_url",
-    ("scorer", "model"): "scorer_model",
-    ("scorer", "timeout_ms"): "timeout_ms",
-    ("scorer", "max_attempts"): "max_attempts",
-    ("scorer", "in_flight"): "in_flight",
-    ("segmenter", "terminal_punctuation"): "terminal_punctuation",
-    ("segmenter", "abbreviation_exceptions"): "abbreviation_exceptions",
-    ("segmenter", "min_unit_chars"): "min_unit_chars",
-    ("pilot", "sizes"): "pilot_sizes",
-    ("pilot", "strategies"): "pilot_strategies",
-    ("pilot", "samples_per_record"): "samples_per_record",
-}
-
-_TUPLE_FIELDS = {"abbreviation_exceptions", "pilot_sizes", "pilot_strategies"}
+    def settings(self, role: str) -> dict:
+        """The fields of one role (DECISION, EXECUTION or PILOT) by name."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.metadata["role"] == role}
 
 
 def _matches(value, hint) -> bool:
@@ -158,10 +130,22 @@ def _matches(value, hint) -> bool:
 
 
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
+# config-file (section, key) -> RunConfig field name
+_ENTRIES = {(f.metadata["section"], f.metadata["key"]): f.name for f in fields(RunConfig)}
 
 
-def load_run_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
-    """Defaults <- config file sections <- explicit flag overrides."""
+def _value(name: str, value):
+    """A JSON list becomes a tuple for the tuple-typed fields."""
+    return tuple(value) if typing.get_origin(_FIELD_TYPES[name]) is tuple else value
+
+
+def load_run_config(path: str | Path | None, flags: dict | None = None) -> RunConfig:
+    """Defaults <- config file sections <- flags.
+
+    ``flags`` maps names to values, as ``vars()`` of parsed arguments does:
+    an entry named after a RunConfig field overrides it unless it is None,
+    and other entries are ignored.
+    """
     config = RunConfig()
     if path is not None:
         try:
@@ -174,7 +158,7 @@ def load_run_config(path: str | Path | None, overrides: dict | None = None) -> R
             if not isinstance(values, dict):
                 raise ConfigurationError(f"config section {section!r} must be an object")
             for key, value in values.items():
-                attr = _SECTION_FIELDS.get((section, key))
+                attr = _ENTRIES.get((section, key))
                 if attr is None:
                     raise ConfigurationError(f"unknown config entry {section}.{key}")
                 hint = _FIELD_TYPES[attr]
@@ -184,36 +168,10 @@ def load_run_config(path: str | Path | None, overrides: dict | None = None) -> R
                         f"config entry {section}.{key} must be {expected}, "
                         f"got {json.dumps(value)}"
                     )
-                setattr(config, attr, tuple(value) if attr in _TUPLE_FIELDS else value)
-    for attr, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if not hasattr(config, attr):
-            raise ConfigurationError(f"unknown config override {attr!r}")
-        setattr(config, attr, tuple(value) if attr in _TUPLE_FIELDS else value)
+                setattr(config, attr, _value(attr, value))
+    for name in _FIELD_TYPES:
+        value = (flags or {}).get(name)
+        if value is not None:
+            setattr(config, name, _value(name, value))
     return config
 
-
-def parse_strategy_flag(raw: str) -> tuple[str, int | None]:
-    """CLI spelling -> (candidate_order, enforced_n?).
-
-    Accepts front, random, back, no-rule, enforced-front:N.
-    """
-    name = raw.replace("-", "_")
-    if name.startswith("enforced_front"):
-        parts = name.split(":")
-        if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
-            raise ConfigurationError(
-                "enforced-front takes a positive count, e.g. enforced-front:2"
-            )
-        return "enforced_front", int(parts[1])
-    if name in ("front", "random", "back", "no_rule"):
-        return name, None
-    raise ConfigurationError(f"unknown strategy {raw!r}")
-
-
-def parse_mode_flag(raw: str) -> str:
-    name = raw.replace("-", "_")
-    if name not in ("varr", "varr_plus"):
-        raise ConfigurationError(f"unknown mode {raw!r}")
-    return name

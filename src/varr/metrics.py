@@ -7,8 +7,10 @@ replay checks, the determinism fingerprint) is derived from it.
 
 The trace is written as canonical JSON: keys sorted, compact separators,
 non-ASCII characters escaped. The fingerprint is the sha256 of the same
-encoding with filesystem paths stripped from the config, so two runs of
-the same configuration into different output directories fingerprint
+encoding without the config entries that cannot change a decision
+(``UNFINGERPRINTED``: filesystem paths and remote execution settings),
+so two runs of the same configuration into different output directories,
+or against the same scorer at another concurrency, fingerprint
 identically. Both documents are spliced around one encoding of the
 events list, done by json's C encoder (``indent`` and ``json.dump`` to
 a file would fall back to the pure-Python one).
@@ -27,6 +29,9 @@ from .corpus import Corpus, atomic_writer
 from .errors import InternalInvariantError
 
 REPORT_SCHEMA_VERSION = "1"
+# Version of the trace config layout: run, execution and paths sections.
+TRACE_SCHEMA = "2"
+UNFINGERPRINTED = ("execution", "paths")
 
 DECISION_REMOVED = "removed"
 DECISION_KEPT = "kept"
@@ -77,16 +82,18 @@ class ReductionTrace:
             events=[TraceEvent(**e) for e in obj["events"]],
         )
 
-    def canonical_json(self, events_json: str | None = None, with_paths: bool = True) -> str:
+    def canonical_json(self, events_json: str | None = None,
+                       for_fingerprint: bool = False) -> str:
         """``json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))``.
 
         Built by splicing: the sorted top-level keys are config, events,
         scorer_call_count, seed. Pass the output of ``encode_events`` to
-        reuse one encoding of the events for several documents.
+        reuse one encoding of the events for several documents. With
+        ``for_fingerprint`` the UNFINGERPRINTED config entries are left out.
         """
         config = self.config
-        if not with_paths:
-            config = {k: v for k, v in config.items() if k != "paths"}
+        if for_fingerprint:
+            config = {k: v for k, v in config.items() if k not in UNFINGERPRINTED}
         if events_json is None:
             events_json = encode_events(self.events)
         return "".join((
@@ -115,8 +122,8 @@ def encode_events(events: list[TraceEvent]) -> str:
 
 
 def trace_fingerprint(trace: ReductionTrace, events_json: str | None = None) -> str:
-    """sha256 over the canonical trace JSON, ignoring config paths."""
-    canonical = trace.canonical_json(events_json, with_paths=False)
+    """sha256 over the canonical trace JSON, without UNFINGERPRINTED config."""
+    canonical = trace.canonical_json(events_json, for_fingerprint=True)
     return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
 
@@ -128,8 +135,8 @@ class RemovalRatioPoint:
     ratio: float
 
 
-def removal_ratio_curve(trace: ReductionTrace, per_step: bool = False) -> list[RemovalRatioPoint]:
-    """Removals over summed budgets, one point per epoch (or per step).
+def removal_ratio_curve(trace: ReductionTrace) -> list[RemovalRatioPoint]:
+    """Removals over summed budgets, one point per epoch.
 
     The budget of a (record, step) pair counts once no matter how many
     candidates were evaluated; pairs with zero budget emit no events and
@@ -138,15 +145,12 @@ def removal_ratio_curve(trace: ReductionTrace, per_step: bool = False) -> list[R
     """
     groups: dict = defaultdict(list)
     for e in trace.events:
-        groups[(e.epoch, e.step) if per_step else e.epoch].append(e)
+        groups[e.epoch].append(e)
     epochs = int(trace.config.get("schedule", {}).get("epochs", 0))
-    if epochs and not per_step:
-        keys = range(1, epochs + 1)
-    else:
-        keys = sorted(groups)
+    keys = range(1, epochs + 1) if epochs else sorted(groups)
     points = []
-    for key in keys:
-        events = groups.get(key, ())
+    for epoch in keys:
+        events = groups.get(epoch, ())
         removed = sum(1 for e in events if e.decision == DECISION_REMOVED)
         budgets: dict[tuple[str, int], int] = {}
         for e in events:
@@ -155,8 +159,7 @@ def removal_ratio_curve(trace: ReductionTrace, per_step: bool = False) -> list[R
         ratio = removed / max_potential if max_potential > 0 else 0.0
         if not 0.0 <= ratio <= 1.0:
             raise InternalInvariantError(f"removal ratio {ratio} out of [0, 1]")
-        epoch_label = key[0] if per_step else key
-        points.append(RemovalRatioPoint(epoch_label, removed, max_potential, ratio))
+        points.append(RemovalRatioPoint(epoch, removed, max_potential, ratio))
     return points
 
 

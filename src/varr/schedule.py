@@ -24,7 +24,9 @@ once, reading only its own units and the answers of its batch, so the
 scans of one batch are independent. A handle with ``in_flight > 1``
 (the remote backend) has them run on that many worker threads; their
 events and scorer call counts are merged in batch order, so the trace is
-the serial one.
+the serial one. Once a scan fails, the scans of later batch slots stop
+before their next candidate, since a serial run would never have
+reached them.
 
 A scan holds its own state: the record's retained indices and full
 prompt, read and validated once. Each candidate's reduced prompt is the
@@ -290,17 +292,24 @@ def _scan_batch(
     """Scan each record of the batch and merge the results in batch order.
 
     Without a pool each scan runs when the merge reaches it; with one,
-    all are submitted first and awaited in order. Either way the first
-    failure in batch order is raised, after its scan's events and its
-    scorer calls, counted on the thread that ran it, are merged.
+    all are submitted first and awaited in order, and once a scan fails
+    the scans of later slots stop before their next candidate: the merge
+    never reaches them. Either way the first failure in batch order is
+    raised, after its scan's events and its scorer calls, counted on the
+    thread that ran it, are merged.
     """
     logs: list[list[TraceEvent]] = [[] for _ in batch]
     calls = [0] * len(batch)
+    failed: list[int] = []  # slots whose scan raised
 
     def counted(slot: int) -> None:
+        halted = (lambda: any(f < slot for f in failed)) if pool is not None else None
         start = handle.thread_calls()
         try:
-            scan(batch[slot], events=logs[slot])
+            scan(batch[slot], events=logs[slot], halted=halted)
+        except BaseException:
+            failed.append(slot)
+            raise
         finally:
             calls[slot] = handle.thread_calls() - start
 
@@ -326,7 +335,9 @@ def _reduce_record(
     k_negatives: int,
     template_id: str,
     events: list[TraceEvent],
+    halted: Callable[[], bool] | None = None,
 ) -> None:
+    """Scan one record, appending its events; stop early once ``halted()``."""
     retained = record.retained_indices()
     full = assemble_prompt(record, retained, template_id)
     budget = removal_budget(clock.t, clock.total_steps, len(retained))
@@ -349,7 +360,7 @@ def _reduce_record(
         if strategy.candidate_order in SHUFFLED_ORDERS else None
     )
     for candidate in candidate_sequence(record, strategy, order_rng, enforced_active):
-        if len(buffer) >= budget:
+        if len(buffer) >= budget or (halted is not None and halted()):
             break
         position = bisect_left(retained, candidate.index)
         reduced = full.without(position)

@@ -389,7 +389,6 @@ class RemoteScorer(ScorerHandle):
         max_attempts: int = 3,
         backoff_seconds: float = 0.1,
         in_flight: int = 4,
-        refresh_callback=None,
     ):
         super().__init__()
         base_url = base_url or os.environ.get(ENV_SCORER_URL)
@@ -408,7 +407,6 @@ class RemoteScorer(ScorerHandle):
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
         self.in_flight = max(1, in_flight)
-        self._refresh_callback = refresh_callback
         self._settings = _environment_settings(self.url)
         self._local = threading.local()
         self._sessions: dict[threading.Thread, requests.Session] = {}
@@ -475,8 +473,6 @@ class RemoteScorer(ScorerHandle):
             raise ProtocolError(f"inconsistent scorer response: {exc}") from exc
 
     def refresh(self, corpus_view=None) -> None:
-        if self._refresh_callback is not None:
-            self._refresh_callback(corpus_view)
         self._next_version()
 
     def close(self) -> None:

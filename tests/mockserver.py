@@ -2,21 +2,56 @@
 
 POST /v1/score with {"model", "prompt", "completion"} returns
 {"token_logprobs": [...], "total_logprob": ...} computed by the optional
-``score(prompt, completion)`` callable, or else as a fixed -0.5 per
-whitespace token of the completion, unless a scripted behavior (status
-sequence, malformed payload, a ``fail_prompt(prompt)`` predicate that
-holds) says otherwise. Requests are recorded for assertions, with the
-client address of the connection they came on. Connections stay open
-(HTTP/1.1 keep-alive) and every response carries a Content-Length.
+``score(prompt, completion)`` callable (status 400 where it returns
+None), or else as a fixed -0.5 per whitespace token of the completion,
+unless a scripted behavior (status sequence, malformed payload, a
+``fail_prompt(prompt)`` predicate that holds) says otherwise. Requests
+are recorded for assertions, with the client address of the connection
+they came on. Connections stay open (HTTP/1.1 keep-alive) and every
+response carries a Content-Length.
+
+Run as a module, it serves a corpus-fitted bigram model, so the remote
+backend can be exercised end to end without an inference service:
+
+    PYTHONPATH=src python -m tests.mockserver \
+        --corpus tests/data/fixture_corpus.jsonl --port 8900 &
+    VARR_SCORER_URL=http://127.0.0.1:8900 varr score \
+        --scorer remote --question "what is job a1" --answer "ans1 done"
+
+Completions or prompts with symbols outside the fitted vocabulary get
+status 400.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
+
+from varr.corpus import load_corpus
+from varr.errors import ScorerError
+from varr.scorer import PromptAssembly, TabularModel, TabularScorer, fit_tabular_scorer
+
+
+def model_score(model: TabularModel) -> Callable[[str, str], list[float] | None]:
+    """score(prompt, completion) of a tabular model; None outside its vocabulary."""
+    scorer = TabularScorer(model)
+
+    def score(prompt: str, completion: str) -> list[float] | None:
+        try:
+            result = scorer.score_answer(PromptAssembly(prompt, ()), completion)
+        except ScorerError:
+            return None
+        return list(result.per_token)
+    return score
+
+
+def corpus_score(path, smoothing_alpha: float = 1.0):
+    """model_score of the tabular model fitted on the corpus at path."""
+    return model_score(fit_tabular_scorer(load_corpus(path), smoothing_alpha).model)
 
 
 class MockScorerServer:
@@ -29,6 +64,7 @@ class MockScorerServer:
         score: Callable[[str, str], list[float]] | None = None,
         fail_prompt: Callable[[str], bool] | None = None,
         fail_status: int = 400,
+        port: int = 0,
     ):
         # status_script: HTTP statuses for successive requests; after the
         # script is exhausted, requests succeed with 200.
@@ -83,6 +119,9 @@ class MockScorerServer:
                 completion = body.get("completion", "")
                 if server.score is not None:
                     per_token = server.score(prompt, completion)
+                    if per_token is None:
+                        self._reply(400)
+                        return
                 else:
                     per_token = [-0.5 for _ in completion.split()]
                 self._reply(200, json.dumps({
@@ -93,7 +132,7 @@ class MockScorerServer:
             def log_message(self, *args):
                 pass
 
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._httpd = ThreadingHTTPServer(("127.0.0.1", port), Handler)
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
 
     @property
@@ -115,3 +154,20 @@ class MockScorerServer:
         self._httpd.server_close()
         self._thread.join(timeout=5)
         return False
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(
+        description="Serve a corpus-fitted bigram scorer over the remote wire protocol.")
+    parser.add_argument("--corpus", required=True, help="corpus to fit the model on")
+    parser.add_argument("--port", type=int, default=8900)
+    parser.add_argument("--alpha", type=float, default=1.0)
+    args = parser.parse_args()
+    with MockScorerServer(score=corpus_score(args.corpus, args.alpha),
+                          port=args.port) as server:
+        print(f"serving a tabular scorer (alpha={args.alpha}) on {server.url}/v1/score",
+              flush=True)
+        try:
+            threading.Event().wait()
+        except KeyboardInterrupt:
+            pass

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,10 +9,11 @@ import pytest
 
 from varr import cli, metrics, schedule
 from varr.cli import main
+from varr.config import DECISION, EXECUTION, PILOT, RunConfig, load_run_config
 from varr.corpus import load_corpus
 
 from .conftest import FIXTURE_CORPUS, PILOT_CORPUS
-from .mockserver import MockScorerServer
+from .mockserver import MockScorerServer, corpus_score
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -191,6 +193,25 @@ def test_reduce_remote_scorer_failure_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--input", "{missing}", "--out-dir", "{tmp}/out"],
+    ["pilot", "--input", "{missing}", "--out-dir", "{tmp}/out"],
+    ["ingest", "--input", "{missing}", "--output", "{tmp}/out.jsonl"],
+    ["score", "--question", "a", "--answer", "b", "--vocab", "a b",
+     "--rationale-file", "{missing}"],
+    ["reduce", "--input", str(FIXTURE_CORPUS), "--out-dir", "{tmp}/file"],
+], ids=["reduce-input", "pilot-input", "ingest-input", "score-rationale",
+        "reduce-out-dir-is-file"])
+def test_bad_path_is_one_line_error(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("not a directory")
+    argv = [a.format(missing=tmp_path / "missing.jsonl", tmp=tmp_path) for a in argv]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # --- score -------------------------------------------------------------------
 
 def test_score_uniform_vocab_four(capsys):
@@ -272,6 +293,99 @@ def test_config_file_with_flag_override(tmp_path):
     assert trace["config"]["schedule"]["batch_size"] == 6  # file wins
     assert trace["config"]["strategy"]["candidate_order"] == "back"
     assert trace["seed"] == 21
+
+
+# A valid value other than the default for every RunConfig field.
+OTHER_VALUES = {
+    "epochs": 2, "batch_size": 3, "warmup_ratio": 0.2, "seed": 1,
+    "candidate_order": "back", "mode": "varr", "unit": "token", "enforced_n": 3,
+    "enforce_epochs": 1, "k_negatives": 2, "scorer_backend": "remote",
+    "smoothing_alpha": 2.0, "template_id": "newline-v1",
+    "scorer_url": "http://127.0.0.1:9", "scorer_model": "other", "timeout_ms": 50,
+    "max_attempts": 5, "in_flight": 1, "terminal_punctuation": ".!",
+    "abbreviation_exceptions": ["Dr."], "min_unit_chars": 3,
+    "pilot_sizes": [2], "pilot_strategies": ["back"], "samples_per_record": 3,
+}
+
+
+def reduce_with_config(tmp_path, name, entries):
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(entries))
+    out = tmp_path / name
+    assert run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir", str(out),
+                   "--config", str(config)) == 0
+    return json.loads((out / "trace.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def default_trace(tmp_path_factory):
+    return reduce_with_config(tmp_path_factory.mktemp("default"), "default", {})
+
+
+def test_other_values_cover_every_field():
+    assert [f.name for f in dataclasses.fields(RunConfig)] == list(OTHER_VALUES)
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+def test_setting_config_entry_and_fingerprint_role(tmp_path, default_trace, field):
+    value = OTHER_VALUES[field.name]
+    entry = {field.metadata["section"]: {field.metadata["key"]: value}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(entry))
+    got = getattr(load_run_config(config), field.name)
+    assert got == (tuple(value) if isinstance(value, list) else value) != field.default
+
+    role = field.metadata["role"]
+    default_print = metrics.trace_fingerprint(metrics.ReductionTrace.from_dict(default_trace))
+    if field.name == "scorer_backend":
+        with MockScorerServer(score=corpus_score(FIXTURE_CORPUS)) as server:
+            entry["scorer"]["url"] = server.url
+            trace = reduce_with_config(tmp_path, "run", entry)
+    else:
+        trace = reduce_with_config(tmp_path, "run", entry)
+    fingerprint = metrics.trace_fingerprint(metrics.ReductionTrace.from_dict(trace))
+    assert set(trace["config"]["run"]) == {
+        f.name for f in dataclasses.fields(RunConfig) if f.metadata["role"] == DECISION}
+    if role == DECISION:
+        assert trace["config"]["run"][field.name] == value
+        assert fingerprint != default_print
+    else:
+        assert role in (EXECUTION, PILOT)
+        assert trace["events"] == default_trace["events"]
+        assert fingerprint == default_print
+        if role == EXECUTION:
+            assert trace["config"]["execution"][field.name] == value
+        else:
+            assert field.name not in json.dumps(trace["config"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--input", "i", "--out-dir", "o", "--mode", "varr", "--unit", "token",
+     "--warmup", "0.2", "--epochs", "2", "--batch-size", "3", "--k-negatives", "2",
+     "--seed", "1", "--scorer", "remote", "--alpha", "2.0", "--template", "newline-v1",
+     "--scorer-url", "http://127.0.0.1:9", "--scorer-model", "other",
+     "--timeout-ms", "50", "--max-attempts", "5"],
+    ["pilot", "--input", "i", "--out-dir", "o", "--sizes", "2", "--strategies", "back",
+     "--samples", "3", "--seed", "1"],
+    ["ingest", "--input", "i", "--output", "o", "--granularity", "token"],
+], ids=["reduce", "pilot", "ingest"])
+def test_setting_flags_set_their_fields(argv):
+    args = cli.build_parser().parse_args(argv)
+    given = {f.name for f in dataclasses.fields(RunConfig)} & {
+        name for name, value in vars(args).items() if value is not None}
+    assert len(given) == sum(a.startswith("--") for a in argv) - 2
+    cfg = load_run_config(None, vars(args))
+    for name in given:
+        value = OTHER_VALUES[name]
+        assert getattr(cfg, name) == (tuple(value) if isinstance(value, list) else value)
+
+
+def test_help_defaults_come_from_run_config(capsys):
+    assert run_cli("reduce", "--help") == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"(default {RunConfig.epochs})" in out
+    assert f"(default {RunConfig.max_attempts})" in out
+    assert f"(default {RunConfig.warmup_ratio})" in out
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
@@ -385,10 +499,10 @@ def test_reduce_serialization_failure_keeps_previous_trace(tmp_path, monkeypatch
     assert reduce_fixture(out) == 0
     before = {name: (out / name).read_bytes() for name in REDUCE_OUTPUTS}
 
-    def failing_encoding(trace, events_json=None, with_paths=True):
-        if with_paths:  # the fingerprint's encoding succeeds, trace.json's fails
+    def failing_encoding(trace, events_json=None, for_fingerprint=False):
+        if not for_fingerprint:  # the fingerprint's encoding succeeds, trace.json's fails
             raise ValueError("cannot serialize")
-        return real(trace, events_json, with_paths)
+        return real(trace, events_json, for_fingerprint)
 
     real = metrics.ReductionTrace.canonical_json
     monkeypatch.setattr(metrics.ReductionTrace, "canonical_json", failing_encoding)
@@ -417,7 +531,7 @@ def test_reduce_law_violation_exits_3_before_writing(tmp_path, monkeypatch, caps
 # reference-validated driver on the committed fixture corpus. Regenerate
 # deliberately (rerun and update) whenever config surface or fixtures
 # change; any unexplained difference is a behavior regression.
-GOLDEN_FINGERPRINT = "0e735d0d2a05883a9fa7e1ceb682c9f9cb10edffe66c59e25f33e57dc3daa166"
+GOLDEN_FINGERPRINT = "1aa74b254855ebd41007bc4840ac273595842c6773e0904aab35baddd8626586"
 
 
 def test_reduce_matches_committed_golden_fingerprint(tmp_path):

@@ -193,43 +193,25 @@ def test_report_full_run(fixture_corpus):
     assert str(report["removal_count"]) in text
 
 
-def test_ratio_per_step_flag(fixture_corpus):
-    handle = fit_tabular_scorer(fixture_corpus)
-    trace = run_reduction(fixture_corpus, handle, ClockConfig(2, 6, 0.0),
-                          StrategyConfig("front", mode="varr", seed=8))
-    per_epoch = removal_ratio_curve(trace)
-    per_step = removal_ratio_curve(trace, per_step=True)
-    assert len(per_step) >= len(per_epoch)
-    assert sum(p.removed_count for p in per_step) == sum(
-        p.removed_count for p in per_epoch
-    )
-
-
-def naive_ratio_curve(trace, per_step):
-    """The per-key rescan removal_ratio_curve replaced: one filter per key."""
-    if per_step:
-        keys = sorted({(e.epoch, e.step) for e in trace.events})
-    else:
-        keys = range(1, trace.config["schedule"]["epochs"] + 1)
+def naive_ratio_curve(trace):
+    """The per-epoch rescan removal_ratio_curve replaced: one filter per epoch."""
     points = []
-    for key in keys:
-        events = [e for e in trace.events if ((e.epoch, e.step) if per_step else e.epoch) == key]
+    for epoch in range(1, trace.config["schedule"]["epochs"] + 1):
+        events = [e for e in trace.events if e.epoch == epoch]
         removed = sum(e.decision == DECISION_REMOVED for e in events)
         budget = sum({(e.record_id, e.t): e.budget for e in events}.values())
-        points.append((key[0] if per_step else key, removed, budget,
-                       removed / budget if budget else 0.0))
+        points.append((epoch, removed, budget, removed / budget if budget else 0.0))
     return points
 
 
-@pytest.mark.parametrize("per_step", [False, True])
-def test_ratio_curve_matches_per_key_rescan(fixture_corpus, per_step):
+def test_ratio_curve_matches_per_key_rescan(fixture_corpus):
     handle = fit_tabular_scorer(fixture_corpus)
     trace = run_reduction(fixture_corpus, handle, ClockConfig(3, 4, 0.0),
                           StrategyConfig("back", mode="varr", seed=5))
     got = [(p.epoch, p.removed_count, p.max_potential, p.ratio)
-           for p in removal_ratio_curve(trace, per_step=per_step)]
-    assert got == naive_ratio_curve(trace, per_step)
-    assert len(got) > (3 if per_step else 0)
+           for p in removal_ratio_curve(trace)]
+    assert got == naive_ratio_curve(trace)
+    assert got
 
 
 def canonical_trace():

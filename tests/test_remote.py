@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -11,14 +15,17 @@ from varr.scorer import (
     PromptAssembly,
     RemoteScorer,
     TabularScorer,
+    assemble_prompt,
     fit_tabular_scorer,
 )
 from varr.seeding import child_rng
 
 from .conftest import FIXTURE_CORPUS
-from .mockserver import MockScorerServer
+from .mockserver import MockScorerServer, corpus_score, model_score
 
+ROOT = Path(__file__).resolve().parent.parent
 ASSEMBLY = PromptAssembly("the question", ("one unit", "two units"))
+ASSEMBLY_A1 = PromptAssembly("what is job a1", ("start with k1 now",))
 
 
 def remote(url, **kwargs):
@@ -114,14 +121,12 @@ def test_environment_settings_read_once(monkeypatch):
 
 
 def test_refresh_bumps_version_and_calls_back():
-    seen = []
     with MockScorerServer() as server:
-        scorer = remote(server.url, refresh_callback=seen.append)
+        scorer = remote(server.url)
         assert scorer.model_version == 1
         scorer.refresh("view")
         scorer.refresh(None)
     assert scorer.model_version == 3
-    assert seen == ["view", None]
 
 
 def test_repeated_request_served_from_cache_until_refresh():
@@ -162,14 +167,6 @@ class FixedTabularScorer(TabularScorer):
 
 def fixed_model():
     return fit_tabular_scorer(load_corpus(FIXTURE_CORPUS)).model
-
-
-def model_score(model):
-    scorer = TabularScorer(model)
-
-    def score(prompt, completion):
-        return list(scorer.score_answer(PromptAssembly(prompt, ()), completion).per_token)
-    return score
 
 
 CLOCK = ClockConfig(epochs=3, batch_size=8, warmup_ratio=0.0)
@@ -249,3 +246,34 @@ def test_partial_trace_on_mid_batch_failure_is_serial():
     assert any(e["record_id"] != target.id and e["t"] == events[-1]["t"]
                for e in events)
     assert partial[4] == events
+
+
+def test_corpus_score_is_the_fitted_tabular_scorer():
+    corpus = load_corpus(FIXTURE_CORPUS)
+    score = corpus_score(FIXTURE_CORPUS, 2.0)
+    handle = fit_tabular_scorer(corpus, smoothing_alpha=2.0)
+    for record in corpus.records:
+        prompt = assemble_prompt(record, record.retained_indices())
+        want = handle.score_answer(prompt, record.answer).per_token
+        assert score(prompt.render(), record.answer) == list(want)
+    assert score("what is job a1", "zebra") is None
+
+
+def test_mockserver_main_serves_the_corpus_model():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT)])}
+    server = subprocess.Popen(
+        [sys.executable, "-m", "tests.mockserver", "--corpus", str(FIXTURE_CORPUS),
+         "--port", "0"],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        url = server.stdout.readline().split()[-1].removesuffix("/v1/score")
+        scorer = remote(url)
+        got = scorer.score_answer(ASSEMBLY_A1, "ans1 done")
+        scorer.close()
+    finally:
+        server.terminate()
+        server.wait(timeout=10)
+        server.stdout.close()
+    local = fit_tabular_scorer(load_corpus(FIXTURE_CORPUS))
+    assert got == local.score_answer(ASSEMBLY_A1, "ans1 done")

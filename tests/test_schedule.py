@@ -1,5 +1,6 @@
 import random
 import sys
+import threading
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -341,7 +342,7 @@ def test_scan_pool_matches_inline_under_thread_stress():
     assert pooled == run(1)
 
 
-def test_pooled_scan_failure_keeps_serial_partial_trace():
+def test_pooled_scan_failure_keeps_serial_partial_trace(monkeypatch):
     def aborted(in_flight):
         corpus = fresh_corpus()
         handle = fit_tabular_scorer(corpus)
@@ -350,15 +351,44 @@ def test_pooled_scan_failure_keeps_serial_partial_trace():
         child_rng(1, "batch-order", 1).shuffle(order)
         failing = corpus.records[order[2]]
         failing.answer = "unseen " + failing.answer  # out of vocabulary
+        later = {corpus.records[i].id for i in order[3:]}
+        # run_reduction builds the abort once the failing scan has ended, so
+        # its failure is recorded. Scans of later slots wait for that after
+        # their first candidate; from then on no scan may call the scorer.
+        recorded = threading.Event()
+        late_calls = []
+
+        class Aborted(ReductionAborted):
+            def __init__(self, *args):
+                recorded.set()
+                super().__init__(*args)
+
+        def holding(handle, record, *args, **kwargs):
+            report = evaluate(handle, record, *args, **kwargs)
+            if record.id in later:
+                recorded.wait(timeout=10)
+            return report
+
+        def counting(assembly, answer):
+            if recorded.is_set():
+                late_calls.append(assembly.question)
+            return score(assembly, answer)
+
+        score = handle.score_answer
+        handle.score_answer = counting
+        monkeypatch.setattr(schedule, "ReductionAborted", Aborted)
+        monkeypatch.setattr(schedule, "evaluate_candidate", holding)
         # one batch of one step: every record's budget is its unit count,
         # so the failing scan fails at its first call, mid-batch
         with pytest.raises(ReductionAborted) as exc:
             run_reduction(corpus, handle, ClockConfig(1, len(order), 0.0),
                           StrategyConfig("front", mode="varr", seed=1))
         assert isinstance(exc.value.cause, OutOfVocabularyError)
+        assert late_calls == []
         trace = exc.value.trace
         return failing.id, [asdict(e) for e in trace.events], trace.scorer_call_count
 
+    evaluate = schedule.evaluate_candidate
     failing_id, serial, calls = aborted(1)
     assert serial
     assert all(e["record_id"] != failing_id for e in serial)
