@@ -8,21 +8,23 @@ Two sweeps, mirroring the configuration grids the engine exposes:
 
 `strategy` sweeps candidate orders (front/random/back/no_rule plus
 enforced_front) under both criteria modes; `warmup` sweeps the warm-up
-ratio over {0.0, 0.1, 0.2, 0.3, 0.4} with the default strategy. Every
+ratio over {0.0, 0.1, 0.2, 0.3, 0.4} with the default strategy. Each cell
+is the flags' base RunConfig with the swept settings replaced. Every
 cell reports removals, retained-token reduction, and the trace
 fingerprint, so two checkouts can compare runs exactly.
 """
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from varr.config import RunConfig
 from varr.corpus import load_corpus
 from varr.metrics import reduction_token_stats, trace_fingerprint
-from varr.schedule import ClockConfig, StrategyConfig, run_reduction
-from varr.scorer import fit_tabular_scorer
+from varr.schedule import run_reduction
 
 STRATEGY_GRID = [
     ("front", "varr"),
@@ -35,10 +37,10 @@ STRATEGY_GRID = [
 WARMUP_GRID = [0.0, 0.1, 0.2, 0.3, 0.4]
 
 
-def run_cell(corpus_path, clock, strategy, k, alpha):
-    corpus = load_corpus(corpus_path)
-    handle = fit_tabular_scorer(corpus, smoothing_alpha=alpha)
-    trace = run_reduction(corpus, handle, clock, strategy, k_negatives=k)
+def run_cell(corpus_path, settings):
+    corpus = load_corpus(corpus_path, settings.unit, settings.segmentation_rules())
+    handle = settings.build_scorer(corpus)
+    trace = run_reduction(corpus, handle, settings)
     stats = reduction_token_stats(corpus)
     return {
         "removals": len(trace.removal_events()),
@@ -70,24 +72,19 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    rows = []
+    base = RunConfig(
+        epochs=args.epochs, batch_size=args.batch_size, warmup_ratio=args.warmup,
+        k_negatives=args.k_negatives, smoothing_alpha=args.alpha, seed=args.seed,
+    )
     if args.sweep == "strategy":
-        for order, mode in STRATEGY_GRID:
-            strategy = StrategyConfig(
-                candidate_order=order, mode=mode, seed=args.seed,
-                enforced_n=2 if order == "enforced_front" else 0,
-            )
-            clock = ClockConfig(args.epochs, args.batch_size, args.warmup)
-            cell = run_cell(args.corpus, clock, strategy, args.k_negatives, args.alpha)
-            rows.append((f"{order}/{mode}", cell))
-        print_table(rows, "strategy/mode")
+        cells = [(f"{order}/{mode}", replace(base, candidate_order=order, mode=mode))
+                 for order, mode in STRATEGY_GRID]
+        label = "strategy/mode"
     else:
-        for ratio in WARMUP_GRID:
-            strategy = StrategyConfig(seed=args.seed)
-            clock = ClockConfig(args.epochs, args.batch_size, ratio)
-            cell = run_cell(args.corpus, clock, strategy, args.k_negatives, args.alpha)
-            rows.append((f"warmup={ratio}", cell))
-        print_table(rows, "warm-up ratio")
+        cells = [(f"warmup={ratio}", replace(base, warmup_ratio=ratio))
+                 for ratio in WARMUP_GRID]
+        label = "warm-up ratio"
+    print_table([(name, run_cell(args.corpus, cell)) for name, cell in cells], label)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 __version__ = "0.1.0"
 
 from .corpus import Corpus, RationaleRecord, RationaleUnit, load_corpus, write_reduced
-from .schedule import ClockConfig, StrategyConfig, run_reduction
+from .config import RunConfig
+from .schedule import run_reduction
 from .scorer import RemoteScorer, TabularModel, TabularScorer, fit_tabular_scorer
 from .verbosity import VerbosityReport, evaluate_candidate, nll
 
@@ -13,8 +14,7 @@ __all__ = [
     "RationaleUnit",
     "load_corpus",
     "write_reduced",
-    "ClockConfig",
-    "StrategyConfig",
+    "RunConfig",
     "run_reduction",
     "RemoteScorer",
     "TabularModel",

@@ -202,14 +202,7 @@ def cmd_pilot(args) -> int:
     corpus = load_corpus(args.input, cfg.unit, cfg.segmentation_rules())
     handle = cfg.build_scorer(corpus)
     try:
-        results = pilot_mod.pilot_nll_curve(
-            corpus, handle,
-            sizes=tuple(cfg.pilot_sizes),
-            strategies=tuple(cfg.pilot_strategies),
-            samples_per_record=cfg.samples_per_record,
-            seed=cfg.seed,
-            template_id=cfg.template_id,
-        )
+        results = pilot_mod.pilot_nll_curve(corpus, handle, cfg)
     finally:
         handle.close()
     out_dir = Path(args.out_dir)
@@ -228,15 +221,13 @@ def cmd_pilot(args) -> int:
 
 def _record_run(trace: metrics.ReductionTrace, cfg: config_mod.RunConfig,
                 input_path: str, out_dir: Path) -> None:
-    """Add the run's settings and paths to the trace config.
+    """Add the execution settings and paths to the trace config.
 
-    Only ``run``, the settings that decide removals, enters the
-    fingerprint; ``execution`` and ``paths`` do not.
+    Neither enters the fingerprint; ``run_reduction`` has recorded the
+    settings that decide removals.
     """
     trace.config.update(
-        trace_schema=metrics.TRACE_SCHEMA,
-        run=cfg.settings(config_mod.DECISION),
-        execution=cfg.settings(config_mod.EXECUTION),
+        execution=cfg.recorded(config_mod.EXECUTION),
         paths={"input": str(input_path), "out_dir": str(out_dir)},
     )
 
@@ -262,10 +253,7 @@ def cmd_reduce(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        trace = run_reduction(
-            corpus, handle, cfg.clock_config(), cfg.strategy_config(),
-            k_negatives=cfg.k_negatives, template_id=cfg.template_id,
-        )
+        trace = run_reduction(corpus, handle, cfg)
     except ReductionAborted as exc:
         _record_run(exc.trace, cfg, args.input, out_dir)
         exc.trace.save(out_dir / "trace.partial.json")

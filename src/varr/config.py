@@ -1,20 +1,26 @@
 """Run configuration: one declarative JSON file plus flag overrides.
 
-``RunConfig`` is the only place a setting is declared. Each field names
-its config-file section and key, and its role:
+``RunConfig`` is the only settings object: the CLI builds one, and the
+driver (``schedule.run_reduction``) and ``pilot.pilot_nll_curve`` read
+their settings off it. Each field names its config-file section and key,
+and its role:
 
 * decision -- the settings that decide which units a reduction removes.
-  ``varr reduce`` records them as ``config.run`` in the trace, and they
+  ``run_reduction`` records them as ``config.run`` in the trace, and they
   enter the determinism fingerprint.
 * execution -- how the remote scorer is reached (URL, timeout, attempts,
   concurrency). Recorded as ``config.execution``, outside the
   fingerprint, like ``config.paths``.
 * pilot -- read by ``varr pilot`` only; ``reduce`` does not record them.
 
+A field read by one scorer backend only names it (``backend``); a run on
+the other backend neither records nor fingerprints it.
+
 The file holds one JSON object per section, each entry optional, e.g.
 ``{"schedule": {"epochs": 3}, "scorer": {"in_flight": 1}}``; an entry
 absent from the file keeps its default. A CLI flag overrides the field
-whose name is its argparse ``dest``.
+whose name is its argparse ``dest``. The settings are checked once, when
+the ``RunConfig`` is built, so a bad value fails before any work.
 """
 
 from __future__ import annotations
@@ -27,21 +33,27 @@ from pathlib import Path
 
 from .corpus import Corpus
 from .errors import ConfigurationError
-from .schedule import ClockConfig, StrategyConfig
+from .schedule import CANDIDATE_ORDERS, UNITS
 from .scorer import RemoteScorer, ScorerHandle, fit_tabular_scorer
 from .segmenter import DEFAULT_ABBREVIATIONS, SegmentationRules
+from .verbosity import MODE_VARR_PLUS, MODES
 
 DECISION = "decision"
 EXECUTION = "execution"
 PILOT = "pilot"
 
 
-def _setting(section: str, key: str, default, role: str = DECISION):
-    """A RunConfig field read from the config-file entry ``section.key``."""
-    return field(default=default, metadata={"section": section, "key": key, "role": role})
+def _setting(section: str, key: str, default, role: str = DECISION,
+             backend: str | None = None):
+    """A RunConfig field read from the config-file entry ``section.key``.
+
+    ``backend`` names the one scorer backend that reads it, if only one does.
+    """
+    return field(default=default, metadata={
+        "section": section, "key": key, "role": role, "backend": backend})
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     epochs: int = _setting("schedule", "epochs", 5)
     batch_size: int = _setting("schedule", "batch_size", 8)
@@ -54,10 +66,10 @@ class RunConfig:
     enforce_epochs: int = _setting("strategy", "enforce_epochs", 2)
     k_negatives: int = _setting("negatives", "k", 4)
     scorer_backend: str = _setting("scorer", "backend", "tabular")
-    smoothing_alpha: float = _setting("scorer", "smoothing_alpha", 1.0)
+    smoothing_alpha: float = _setting("scorer", "smoothing_alpha", 1.0, backend="tabular")
     template_id: str = _setting("scorer", "template_id", "plain-v1")
     scorer_url: str | None = _setting("scorer", "url", None, EXECUTION)
-    scorer_model: str = _setting("scorer", "model", "default")
+    scorer_model: str = _setting("scorer", "model", "default", backend="remote")
     timeout_ms: int | None = _setting("scorer", "timeout_ms", None, EXECUTION)
     max_attempts: int = _setting("scorer", "max_attempts", 3, EXECUTION)
     in_flight: int = _setting("scorer", "in_flight", 4, EXECUTION)
@@ -70,18 +82,25 @@ class RunConfig:
         "pilot", "strategies", ("front", "random", "back"), PILOT)
     samples_per_record: int = _setting("pilot", "samples_per_record", 8, PILOT)
 
-    def clock_config(self) -> ClockConfig:
-        return ClockConfig(self.epochs, self.batch_size, self.warmup_ratio)
-
-    def strategy_config(self) -> StrategyConfig:
-        return StrategyConfig(
-            candidate_order=self.candidate_order,
-            mode=self.mode,
-            unit=self.unit,
-            seed=self.seed,
-            enforced_n=self.enforced_n,
-            enforce_epochs=self.enforce_epochs,
-        )
+    def __post_init__(self):
+        for broken, problem in (
+            (self.epochs < 1, f"epochs must be >= 1, got {self.epochs}"),
+            (self.batch_size < 1, f"batch_size must be >= 1, got {self.batch_size}"),
+            (not 0.0 <= self.warmup_ratio <= 1.0,
+             f"warmup_ratio must be in [0, 1], got {self.warmup_ratio}"),
+            (self.candidate_order not in CANDIDATE_ORDERS,
+             f"unknown candidate_order {self.candidate_order!r}"),
+            (self.mode not in MODES, f"unknown mode {self.mode!r}"),
+            (self.unit not in UNITS, f"unknown unit {self.unit!r}"),
+            (self.candidate_order == "enforced_front" and self.enforced_n < 1,
+             f"enforced_front requires enforced_n >= 1, got {self.enforced_n}"),
+            (self.mode == MODE_VARR_PLUS and self.k_negatives < 1,
+             f"k_negatives must be >= 1 in varr_plus mode, got {self.k_negatives}"),
+            (self.samples_per_record < 1,
+             f"samples_per_record must be >= 1, got {self.samples_per_record}"),
+        ):
+            if broken:
+                raise ConfigurationError(problem)
 
     def segmentation_rules(self) -> SegmentationRules:
         return SegmentationRules(
@@ -108,10 +127,12 @@ class RunConfig:
             )
         raise ConfigurationError(f"unknown scorer backend {self.scorer_backend!r}")
 
-    def settings(self, role: str) -> dict:
-        """The fields of one role (DECISION, EXECUTION or PILOT) by name."""
+    def recorded(self, role: str = DECISION) -> dict:
+        """The fields of one role (DECISION, EXECUTION or PILOT) by name,
+        without those that only the other scorer backend reads."""
         return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.metadata["role"] == role}
+                if f.metadata["role"] == role
+                and f.metadata["backend"] in (None, self.scorer_backend)}
 
 
 def _matches(value, hint) -> bool:
@@ -140,13 +161,13 @@ def _value(name: str, value):
 
 
 def load_run_config(path: str | Path | None, flags: dict | None = None) -> RunConfig:
-    """Defaults <- config file sections <- flags.
+    """Defaults <- config file sections <- flags, checked once at the end.
 
     ``flags`` maps names to values, as ``vars()`` of parsed arguments does:
     an entry named after a RunConfig field overrides it unless it is None,
     and other entries are ignored.
     """
-    config = RunConfig()
+    values = {}
     if path is not None:
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -154,10 +175,10 @@ def load_run_config(path: str | Path | None, flags: dict | None = None) -> RunCo
             raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigurationError("config file must hold a JSON object")
-        for section, values in data.items():
-            if not isinstance(values, dict):
+        for section, entries in data.items():
+            if not isinstance(entries, dict):
                 raise ConfigurationError(f"config section {section!r} must be an object")
-            for key, value in values.items():
+            for key, value in entries.items():
                 attr = _ENTRIES.get((section, key))
                 if attr is None:
                     raise ConfigurationError(f"unknown config entry {section}.{key}")
@@ -168,10 +189,9 @@ def load_run_config(path: str | Path | None, flags: dict | None = None) -> RunCo
                         f"config entry {section}.{key} must be {expected}, "
                         f"got {json.dumps(value)}"
                     )
-                setattr(config, attr, _value(attr, value))
+                values[attr] = _value(attr, value)
     for name in _FIELD_TYPES:
         value = (flags or {}).get(name)
         if value is not None:
-            setattr(config, name, _value(name, value))
-    return config
-
+            values[name] = _value(name, value)
+    return RunConfig(**values)

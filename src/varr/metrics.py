@@ -29,8 +29,8 @@ from .corpus import Corpus, atomic_writer
 from .errors import InternalInvariantError
 
 REPORT_SCHEMA_VERSION = "1"
-# Version of the trace config layout: run, execution and paths sections.
-TRACE_SCHEMA = "2"
+# Version of the trace config layout: run, schedule, execution and paths.
+TRACE_SCHEMA = "3"
 UNFINGERPRINTED = ("execution", "paths")
 
 DECISION_REMOVED = "removed"
@@ -146,7 +146,7 @@ def removal_ratio_curve(trace: ReductionTrace) -> list[RemovalRatioPoint]:
     groups: dict = defaultdict(list)
     for e in trace.events:
         groups[e.epoch].append(e)
-    epochs = int(trace.config.get("schedule", {}).get("epochs", 0))
+    epochs = int(trace.config.get("run", {}).get("epochs", 0))
     keys = range(1, epochs + 1) if epochs else sorted(groups)
     points = []
     for epoch in keys:
@@ -224,9 +224,8 @@ def replay_trace(corpus: Corpus, trace: ReductionTrace) -> Corpus:
 def validate_trace(trace: ReductionTrace) -> list[str]:
     """Check the budget, permanence, warm-up, and ordering laws."""
     problems: list[str] = []
-    schedule = trace.config.get("schedule", {})
-    total_steps = int(schedule.get("total_steps", 0))
-    warmup_ratio = float(schedule.get("warmup_ratio", 0.0))
+    total_steps = int(trace.config.get("schedule", {}).get("total_steps", 0))
+    warmup_ratio = float(trace.config.get("run", {}).get("warmup_ratio", 0.0))
 
     previous_key = None
     for e in trace.events:

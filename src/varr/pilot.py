@@ -10,21 +10,25 @@ sampling strategies weight position k as:
 Removal sets are drawn without replacement, renormalizing the remaining
 weights after every draw. The curve reports, per (strategy, size), the
 mean NLL of the gold answer after removing a sampled set of that size,
-against the complete-rationale baseline.
+against the complete-rationale baseline. The sizes, strategies, draws
+per record and seed are the pilot settings of a ``config.RunConfig``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .corpus import Corpus, RationaleRecord
 from .scorer import ScorerHandle
 from .seeding import child_rng
 from .verbosity import nll
 
+if TYPE_CHECKING:
+    from .config import RunConfig
+
 PILOT_STRATEGIES = ("front", "random", "back")
-DEFAULT_SIZES = (1, 2, 3, 4)
 
 
 @dataclass
@@ -86,20 +90,20 @@ def sample_removal_set(
 def pilot_nll_curve(
     corpus: Corpus,
     handle: ScorerHandle,
-    sizes: tuple[int, ...] = DEFAULT_SIZES,
-    strategies: tuple[str, ...] = PILOT_STRATEGIES,
-    samples_per_record: int = 8,
-    seed: int = 0,
-    template_id: str = "plain-v1",
+    settings: RunConfig,
 ) -> list[PilotResult]:
     """Mean NLL per (strategy, removal size) over the eligible corpus.
+
+    The sizes, strategies and draws per record are ``settings.pilot_sizes``,
+    ``pilot_strategies`` and ``samples_per_record``; draws are seeded from
+    ``settings.seed`` and prompts use ``settings.template_id``.
 
     Records shorter than the largest removal size are skipped from the
     whole analysis (and counted), never zero-padded; the baseline is the
     mean NLL with the complete rationale over the same eligible records.
     """
-    if samples_per_record < 1:
-        raise ValueError("samples_per_record must be >= 1")
+    sizes, samples_per_record = settings.pilot_sizes, settings.samples_per_record
+    seed, template_id = settings.seed, settings.template_id
     max_size = max(sizes) if sizes else 0
     eligible = [r for r in corpus.records if len(r.rationale) >= max_size]
     skipped = len(corpus.records) - len(eligible)
@@ -112,7 +116,7 @@ def pilot_nll_curve(
     ) / len(eligible)
 
     results = []
-    for strategy in strategies:
+    for strategy in settings.pilot_strategies:
         means: list[float] = []
         counts: list[int] = []
         for size in sizes:

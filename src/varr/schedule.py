@@ -28,6 +28,10 @@ the serial one. Once a scan fails, the scans of later batch slots stop
 before their next candidate, since a serial run would never have
 reached them.
 
+The driver reads its settings off a ``config.RunConfig``, which checked
+their ranges when it was built, and records the decision settings in the
+trace it returns.
+
 A scan holds its own state: the record's retained indices and full
 prompt, read and validated once. Each candidate's reduced prompt is the
 full one with that unit sliced out, and a removal drops the unit from
@@ -42,56 +46,30 @@ import math
 import random
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .corpus import CHOICE_TASKS, Corpus, RationaleRecord
 from .errors import ConfigurationError, ScorerError, VarrError
-from .metrics import DECISION_KEPT, DECISION_REMOVED, ReductionTrace, TraceEvent
+from .metrics import (
+    DECISION_KEPT,
+    DECISION_REMOVED,
+    TRACE_SCHEMA,
+    ReductionTrace,
+    TraceEvent,
+)
 from .scorer import ScorerHandle, assemble_prompt, corpus_view
 from .seeding import child_rng
-from .verbosity import MODE_VARR, MODE_VARR_PLUS, MODES, evaluate_candidate
+from .verbosity import MODE_VARR, MODE_VARR_PLUS, evaluate_candidate
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import RunConfig
 
 log = logging.getLogger(__name__)
 
 CANDIDATE_ORDERS = ("front", "random", "back", "enforced_front", "no_rule")
 SHUFFLED_ORDERS = ("random", "no_rule")
 UNITS = ("sentence", "token")
-
-
-@dataclass(frozen=True)
-class StrategyConfig:
-    candidate_order: str = "front"
-    mode: str = MODE_VARR_PLUS
-    unit: str = "sentence"
-    seed: int = 0
-    enforced_n: int = 0        # enforced_front only
-    enforce_epochs: int = 2    # epochs during which enforced removal applies
-
-    def __post_init__(self):
-        if self.candidate_order not in CANDIDATE_ORDERS:
-            raise ValueError(f"unknown candidate_order {self.candidate_order!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.unit not in UNITS:
-            raise ValueError(f"unknown unit {self.unit!r}")
-        if self.candidate_order == "enforced_front" and self.enforced_n < 1:
-            raise ValueError("enforced_front requires enforced_n >= 1")
-
-
-@dataclass(frozen=True)
-class ClockConfig:
-    epochs: int = 5
-    batch_size: int = 8
-    warmup_ratio: float = 0.1
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not 0.0 <= self.warmup_ratio <= 1.0:
-            raise ValueError("warmup_ratio must be in [0, 1]")
 
 
 @dataclass
@@ -143,13 +121,13 @@ class Candidate:
 
 def candidate_sequence(
     record: RationaleRecord,
-    strategy: StrategyConfig,
+    settings: RunConfig,
     rng: random.Random | None = None,
     enforced_active: bool = False,
 ) -> list[Candidate]:
     """Visit order over the record's currently retained unit indices."""
     retained = record.retained_indices()
-    order = strategy.candidate_order
+    order = settings.candidate_order
     if order == "front":
         return [Candidate(i) for i in retained]
     if order == "back":
@@ -161,7 +139,7 @@ def candidate_sequence(
         rng.shuffle(shuffled)
         return [Candidate(i) for i in shuffled]
     if order == "enforced_front":
-        n = strategy.enforced_n if enforced_active else 0
+        n = settings.enforced_n if enforced_active else 0
         return [Candidate(i, unconditional=pos < n) for pos, i in enumerate(retained)]
     # no_rule: unguided removal, criteria bypassed
     shuffled = list(retained)
@@ -203,16 +181,15 @@ class ReductionAborted(VarrError):
 def run_reduction(
     corpus: Corpus,
     handle: ScorerHandle,
-    clock_config: ClockConfig,
-    strategy: StrategyConfig,
-    k_negatives: int = 4,
-    template_id: str = "plain-v1",
+    settings: RunConfig,
 ) -> ReductionTrace:
     """Execute the full removal schedule over the corpus, mutating it.
 
-    Returns the complete trace of every evaluation and removal. The
-    corpus records' units carry removed_at marks afterwards; feed the
-    pair to write_reduced for the reduced artifact with provenance.
+    Returns the complete trace of every evaluation and removal. Its config
+    holds the trace schema, the decision settings (``run``) and the
+    derived step counts (``schedule``). The corpus records' units carry
+    removed_at marks afterwards; feed the pair to write_reduced for the
+    reduced artifact with provenance.
 
     On a scorer failure the partial trace holds what the serial driver
     would have recorded: the events of the batch's records before the
@@ -223,27 +200,23 @@ def run_reduction(
     records = corpus.records
     if not records:
         raise ValueError("corpus is empty")
-    if strategy.mode == MODE_VARR_PLUS and k_negatives < 1:
-        raise ConfigurationError("k_negatives must be >= 1 in varr_plus mode")
-    steps_per_epoch = math.ceil(len(records) / clock_config.batch_size)
-    total_steps = clock_config.epochs * steps_per_epoch
-    seed = strategy.seed
-
-    config_snapshot = {
+    if handle.backend != settings.scorer_backend:
+        raise ConfigurationError(
+            f"the settings name the {settings.scorer_backend} scorer backend, "
+            f"the handle is {handle.backend}"
+        )
+    batch_size, epochs = settings.batch_size, settings.epochs
+    steps_per_epoch = math.ceil(len(records) / batch_size)
+    config = {
+        "trace_schema": TRACE_SCHEMA,
+        "run": settings.recorded(),
         "schedule": {
-            "epochs": clock_config.epochs,
-            "batch_size": clock_config.batch_size,
-            "warmup_ratio": clock_config.warmup_ratio,
-            "steps_per_epoch": steps_per_epoch,
-            "total_steps": total_steps,
             "record_count": len(records),
+            "steps_per_epoch": steps_per_epoch,
+            "total_steps": epochs * steps_per_epoch,
         },
-        "strategy": asdict(strategy),
-        "k_negatives": k_negatives,
-        "template_id": template_id,
-        "scorer": {"backend": handle.backend},
     }
-    trace = ReductionTrace(config=config_snapshot, seed=seed)
+    trace = ReductionTrace(config=config, seed=settings.seed)
     # One pool for the whole run, so worker sessions outlive batches.
     pool = (
         ThreadPoolExecutor(handle.in_flight, thread_name_prefix="varr-scan")
@@ -251,28 +224,26 @@ def run_reduction(
     )
 
     try:
-        for epoch in range(1, clock_config.epochs + 1):
+        for epoch in range(1, epochs + 1):
             order = list(range(len(records)))
-            child_rng(seed, "batch-order", epoch).shuffle(order)
+            child_rng(settings.seed, "batch-order", epoch).shuffle(order)
             for step in range(1, steps_per_epoch + 1):
                 clock = TrainingClock(
-                    epoch, step, steps_per_epoch, clock_config.epochs,
-                    clock_config.warmup_ratio,
+                    epoch, step, steps_per_epoch, epochs, settings.warmup_ratio,
                 )
                 if clock.in_warmup:
                     continue
-                lo = (step - 1) * clock_config.batch_size
-                batch = [records[i] for i in order[lo : lo + clock_config.batch_size]]
+                lo = (step - 1) * batch_size
+                batch = [records[i] for i in order[lo : lo + batch_size]]
                 scan = functools.partial(
                     _reduce_record, batch=batch, handle=handle, clock=clock,
-                    strategy=strategy, k_negatives=k_negatives,
-                    template_id=template_id,
+                    settings=settings,
                 )
                 _scan_batch(pool, scan, batch, trace, handle)
-            handle.refresh(corpus_view(corpus, template_id))
+            handle.refresh(corpus_view(corpus, settings.template_id))
             log.info(
                 "epoch %d/%d done: %d removals so far",
-                epoch, clock_config.epochs, len(trace.removal_events()),
+                epoch, epochs, len(trace.removal_events()),
             )
     except ScorerError as exc:
         raise ReductionAborted(exc, trace) from exc
@@ -331,35 +302,34 @@ def _reduce_record(
     batch: Sequence[RationaleRecord],
     handle: ScorerHandle,
     clock: TrainingClock,
-    strategy: StrategyConfig,
-    k_negatives: int,
-    template_id: str,
+    settings: RunConfig,
     events: list[TraceEvent],
     halted: Callable[[], bool] | None = None,
 ) -> None:
     """Scan one record, appending its events; stop early once ``halted()``."""
     retained = record.retained_indices()
+    template_id = settings.template_id
     full = assemble_prompt(record, retained, template_id)
     budget = removal_budget(clock.t, clock.total_steps, len(retained))
     buffer: list[int] = []
 
     # In varr_plus, a record with no usable negative (alone in its batch)
     # cannot confirm the contrast: judged on the gold criterion, kept.
-    mode, negatives, k = MODE_VARR, (), k_negatives
-    if strategy.mode == MODE_VARR_PLUS:
-        negatives, k = negative_pool(record, batch, k_negatives)
+    mode, negatives, k = MODE_VARR, (), settings.k_negatives
+    if settings.mode == MODE_VARR_PLUS:
+        negatives, k = negative_pool(record, batch, settings.k_negatives)
         if any(p != record.answer for p in negatives):
             mode = MODE_VARR_PLUS
 
     enforced_active = (
-        strategy.candidate_order == "enforced_front"
-        and clock.epoch <= strategy.enforce_epochs
+        settings.candidate_order == "enforced_front"
+        and clock.epoch <= settings.enforce_epochs
     )
     order_rng = (
-        child_rng(strategy.seed, "candidate-order", record.id, clock.t)
-        if strategy.candidate_order in SHUFFLED_ORDERS else None
+        child_rng(settings.seed, "candidate-order", record.id, clock.t)
+        if settings.candidate_order in SHUFFLED_ORDERS else None
     )
-    for candidate in candidate_sequence(record, strategy, order_rng, enforced_active):
+    for candidate in candidate_sequence(record, settings, order_rng, enforced_active):
         if len(buffer) >= budget or (halted is not None and halted()):
             break
         position = bisect_left(retained, candidate.index)
@@ -370,7 +340,7 @@ def _reduce_record(
         else:
             # seeded only if the negatives are actually subsampled
             neg_rng = functools.partial(
-                child_rng, strategy.seed, "negatives", record.id, clock.t,
+                child_rng, settings.seed, "negatives", record.id, clock.t,
                 candidate.index,
             ) if mode == MODE_VARR_PLUS else None
             report = evaluate_candidate(
@@ -378,7 +348,7 @@ def _reduce_record(
                 mode=mode, negatives=negatives, k=k, rng=neg_rng,
                 template_id=template_id, assemblies=(full, reduced),
             )
-            removed = report.removal_approved(strategy.mode)
+            removed = report.removal_approved(settings.mode)
             scores = dict(
                 verbosity_gt=report.verbosity_gt,
                 verbosity_wrong=report.verbosity_wrong,

@@ -400,13 +400,15 @@ class RemoteScorer(ScorerHandle):
             timeout_ms = int(os.environ.get(ENV_SCORER_TIMEOUT_MS, DEFAULT_TIMEOUT_MS))
         if max_attempts < 1:
             raise ConfigurationError("max_attempts must be >= 1")
+        if in_flight < 1:
+            raise ConfigurationError("in_flight must be >= 1")
         self.base_url = base_url.rstrip("/")
         self.url = self.base_url + "/v1/score"
         self.model = model
         self.timeout_seconds = timeout_ms / 1000.0
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
-        self.in_flight = max(1, in_flight)
+        self.in_flight = in_flight
         self._settings = _environment_settings(self.url)
         self._local = threading.local()
         self._sessions: dict[threading.Thread, requests.Session] = {}

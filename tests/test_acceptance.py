@@ -13,17 +13,12 @@ from fractions import Fraction
 import pytest
 
 from varr.cli import main as cli_main
+from varr.config import RunConfig
 from varr.corpus import load_corpus, write_reduced
 from varr.errors import TransportError
 from varr.metrics import replay_trace, token_stats, trace_fingerprint, validate_trace
 from varr.pilot import ordering_holds, pilot_nll_curve, sampling_probabilities
-from varr.schedule import (
-    ClockConfig,
-    StrategyConfig,
-    negative_pool,
-    removal_budget,
-    run_reduction,
-)
+from varr.schedule import negative_pool, removal_budget, run_reduction
 from varr.scorer import (
     PromptAssembly,
     RemoteScorer,
@@ -161,8 +156,8 @@ def test_criterion_05_pilot_ordering():
     corpus = load_corpus(PILOT_CORPUS)
     handle = fit_tabular_scorer(corpus, smoothing_alpha=4.0)
     with Budget(30.0) as budget:
-        results = pilot_nll_curve(corpus, handle, sizes=(1, 2, 3, 4),
-                                  samples_per_record=8, seed=0)
+        results = pilot_nll_curve(corpus, handle, RunConfig(
+            pilot_sizes=(1, 2, 3, 4), samples_per_record=8, seed=0))
         assert ordering_holds(results)
         front = next(r for r in results if r.strategy == "front")
         for mean in front.mean_nll_per_size:
@@ -176,9 +171,9 @@ def test_criterion_06_algorithm_conformance():
         corpus_a = load_corpus(FIXTURE_CORPUS)
         handle_a = fit_tabular_scorer(corpus_a)
         trace = run_reduction(
-            corpus_a, handle_a, ClockConfig(epochs=4, batch_size=3, warmup_ratio=0.1),
-            StrategyConfig("front", mode="varr_plus", seed=11), k_negatives=2,
-        )
+            corpus_a, handle_a, RunConfig(
+                epochs=4, batch_size=3, warmup_ratio=0.1, candidate_order="front",
+                mode="varr_plus", seed=11, k_negatives=2))
         corpus_b = load_corpus(FIXTURE_CORPUS)
         handle_b = fit_tabular_scorer(corpus_b)
         ref_events, ref_retained = run_reference(
@@ -226,9 +221,9 @@ def test_criterion_08_budget_and_permanence_laws():
         corpus = load_corpus(FIXTURE_CORPUS)
         handle = fit_tabular_scorer(corpus)
         trace = run_reduction(
-            corpus, handle, ClockConfig(epochs=3, batch_size=4, warmup_ratio=ratio),
-            StrategyConfig("front", mode="varr_plus", seed=5), k_negatives=2,
-        )
+            corpus, handle, RunConfig(
+                epochs=3, batch_size=4, warmup_ratio=ratio, candidate_order="front",
+                mode="varr_plus", seed=5, k_negatives=2))
         assert validate_trace(trace) == []
         total = trace.config["schedule"]["total_steps"]
         assert all(e.t > ratio * total for e in trace.events)
@@ -253,9 +248,9 @@ def test_criterion_09_token_reduction_and_replay(tmp_path):
     corpus = load_corpus(FIXTURE_CORPUS)
     handle = fit_tabular_scorer(corpus)
     trace = run_reduction(
-        corpus, handle, ClockConfig(epochs=3, batch_size=4, warmup_ratio=0.1),
-        StrategyConfig("front", mode="varr", seed=7),
-    )
+        corpus, handle, RunConfig(
+            epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="front",
+            mode="varr", seed=7))
     before = load_corpus(FIXTURE_CORPUS)
     stats = token_stats(before, corpus)
     assert stats["reduction_percent"] > 0

@@ -9,7 +9,7 @@ import pytest
 
 from varr import cli, metrics, schedule
 from varr.cli import main
-from varr.config import DECISION, EXECUTION, PILOT, RunConfig, load_run_config
+from varr.config import DECISION, EXECUTION, RunConfig, load_run_config
 from varr.corpus import load_corpus
 
 from .conftest import FIXTURE_CORPUS, PILOT_CORPUS
@@ -289,9 +289,9 @@ def test_config_file_with_flag_override(tmp_path):
                    "--config", str(config), "--epochs", "3")
     assert code == 0
     trace = json.loads((out / "trace.json").read_text())
-    assert trace["config"]["schedule"]["epochs"] == 3      # flag wins
-    assert trace["config"]["schedule"]["batch_size"] == 6  # file wins
-    assert trace["config"]["strategy"]["candidate_order"] == "back"
+    assert trace["config"]["run"]["epochs"] == 3      # flag wins
+    assert trace["config"]["run"]["batch_size"] == 6  # file wins
+    assert trace["config"]["run"]["candidate_order"] == "back"
     assert trace["seed"] == 21
 
 
@@ -317,9 +317,24 @@ def reduce_with_config(tmp_path, name, entries):
     return json.loads((out / "trace.json").read_text())
 
 
+def reduce_on(tmp_path, backend, entries):
+    """reduce_with_config on the tabular backend, or on the remote one
+    against a mock server scoring with the fixture-fitted model."""
+    if backend == "tabular":
+        return reduce_with_config(tmp_path, backend, entries)
+    with MockScorerServer(score=corpus_score(FIXTURE_CORPUS)) as server:
+        scorer = {**entries.get("scorer", {}), "backend": "remote", "url": server.url}
+        return reduce_with_config(tmp_path, backend, {**entries, "scorer": scorer})
+
+
+def fingerprint(trace):
+    return metrics.trace_fingerprint(metrics.ReductionTrace.from_dict(trace))
+
+
 @pytest.fixture(scope="module")
-def default_trace(tmp_path_factory):
-    return reduce_with_config(tmp_path_factory.mktemp("default"), "default", {})
+def default_traces(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("default")
+    return {backend: reduce_on(tmp, backend, {}) for backend in ("tabular", "remote")}
 
 
 def test_other_values_cover_every_field():
@@ -327,7 +342,7 @@ def test_other_values_cover_every_field():
 
 
 @pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
-def test_setting_config_entry_and_fingerprint_role(tmp_path, default_trace, field):
+def test_setting_config_entry_and_fingerprint_role(tmp_path, default_traces, field):
     value = OTHER_VALUES[field.name]
     entry = {field.metadata["section"]: {field.metadata["key"]: value}}
     config = tmp_path / "config.json"
@@ -335,28 +350,29 @@ def test_setting_config_entry_and_fingerprint_role(tmp_path, default_trace, fiel
     got = getattr(load_run_config(config), field.name)
     assert got == (tuple(value) if isinstance(value, list) else value) != field.default
 
-    role = field.metadata["role"]
-    default_print = metrics.trace_fingerprint(metrics.ReductionTrace.from_dict(default_trace))
+    role, only = field.metadata["role"], field.metadata["backend"]
     if field.name == "scorer_backend":
-        with MockScorerServer(score=corpus_score(FIXTURE_CORPUS)) as server:
-            entry["scorer"]["url"] = server.url
-            trace = reduce_with_config(tmp_path, "run", entry)
-    else:
-        trace = reduce_with_config(tmp_path, "run", entry)
-    fingerprint = metrics.trace_fingerprint(metrics.ReductionTrace.from_dict(trace))
-    assert set(trace["config"]["run"]) == {
-        f.name for f in dataclasses.fields(RunConfig) if f.metadata["role"] == DECISION}
-    if role == DECISION:
+        trace = reduce_on(tmp_path, value, entry)
         assert trace["config"]["run"][field.name] == value
-        assert fingerprint != default_print
-    else:
-        assert role in (EXECUTION, PILOT)
-        assert trace["events"] == default_trace["events"]
-        assert fingerprint == default_print
-        if role == EXECUTION:
-            assert trace["config"]["execution"][field.name] == value
+        assert fingerprint(trace) != fingerprint(default_traces["tabular"])
+        return
+    # a setting read by one backend only is run on both
+    for backend in ("tabular", "remote") if only else ("tabular",):
+        trace = reduce_on(tmp_path, backend, entry)
+        default = default_traces[backend]
+        assert set(trace["config"]["run"]) == {
+            f.name for f in dataclasses.fields(RunConfig)
+            if f.metadata["role"] == DECISION and f.metadata["backend"] in (None, backend)}
+        if role == DECISION and only in (None, backend):
+            assert trace["config"]["run"][field.name] == value
+            assert fingerprint(trace) != fingerprint(default)
         else:
-            assert field.name not in json.dumps(trace["config"])
+            assert trace["events"] == default["events"]
+            assert fingerprint(trace) == fingerprint(default)
+            if role == EXECUTION:
+                assert trace["config"]["execution"][field.name] == value
+            else:
+                assert field.name not in json.dumps(trace["config"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -422,6 +438,36 @@ def test_config_file_typed_values_accepted(tmp_path):
     code = run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir",
                    str(tmp_path / "ok"), "--config", str(config), "--epochs", "1")
     assert code == 0
+
+
+@pytest.mark.parametrize("command, flags, entries", [
+    ("reduce", ["--epochs", "0"], {}),
+    ("reduce", ["--batch-size", "0"], {}),
+    ("reduce", ["--warmup", "1.5"], {}),
+    ("reduce", ["--warmup", "-0.1"], {}),
+    ("reduce", ["--k-negatives", "0"], {}),
+    ("reduce", [], {"strategy": {"candidate_order": "sideways"}}),
+    ("reduce", [], {"strategy": {"candidate_order": "enforced_front", "enforced_n": 0}}),
+    ("reduce", [], {"strategy": {"mode": "maybe"}}),
+    ("reduce", [], {"strategy": {"unit": "word"}}),
+    ("pilot", ["--samples", "0"], {}),
+], ids=["epochs", "batch_size", "warmup_above", "warmup_below", "k_negatives",
+        "candidate_order", "enforced_n", "mode", "unit", "samples_per_record"])
+def test_out_of_range_setting_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                     command, flags, entries):
+    loads = []
+    monkeypatch.setattr(cli, "load_corpus", lambda *args: loads.append(args))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(entries))
+    out = tmp_path / "out"
+    code = run_cli(command, "--input", str(FIXTURE_CORPUS), "--out-dir", str(out),
+                   "--config", str(config), *flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert loads == []
+    assert not out.exists()
 
 
 def test_reduce_varr_plus_needs_negatives(tmp_path, capsys):
@@ -531,17 +577,45 @@ def test_reduce_law_violation_exits_3_before_writing(tmp_path, monkeypatch, caps
 # reference-validated driver on the committed fixture corpus. Regenerate
 # deliberately (rerun and update) whenever config surface or fixtures
 # change; any unexplained difference is a behavior regression.
-GOLDEN_FINGERPRINT = "1aa74b254855ebd41007bc4840ac273595842c6773e0904aab35baddd8626586"
+GOLDEN_FINGERPRINT = "be90fb7e1963647ce7e3d34cb9edd1f70a6c8352b06e9a9b1169ae0e7087c37c"
 
 
-def test_reduce_matches_committed_golden_fingerprint(tmp_path):
-    out = tmp_path / "golden"
+@pytest.fixture(scope="module")
+def golden_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden") / "out"
     code = run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir", str(out),
                    "--mode", "varr-plus", "--strategy", "front", "--epochs", "3",
                    "--batch-size", "4", "--seed", "99")
     assert code == 0
-    report = json.loads((out / "report.json").read_text())
+    return out
+
+
+def test_reduce_matches_committed_golden_fingerprint(golden_out):
+    report = json.loads((golden_out / "report.json").read_text())
     assert report["determinism_fingerprint"] == GOLDEN_FINGERPRINT
+
+
+def test_trace_config_states_each_setting_once(golden_out):
+    config = json.loads((golden_out / "trace.json").read_text())["config"]
+    assert set(config) == {"trace_schema", "run", "schedule", "execution", "paths"}
+    assert config["trace_schema"] == metrics.TRACE_SCHEMA
+    assert set(config["schedule"]) == {"record_count", "steps_per_epoch", "total_steps"}
+
+    def keys(obj):
+        if isinstance(obj, dict):
+            for key, value in obj.items():
+                yield key
+                yield from keys(value)
+        elif isinstance(obj, list):
+            for value in obj:
+                yield from keys(value)
+
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    elsewhere = {section: body for section, body in config.items()
+                 if section not in ("run", "execution")}
+    assert names.isdisjoint(keys(elsewhere))
+    assert set(config["run"]).isdisjoint(config["execution"])
+    assert set(config["run"]) | set(config["execution"]) <= names
 
 
 def test_cli_import_does_not_load_numpy():

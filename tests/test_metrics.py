@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from varr.config import RunConfig
 from varr.corpus import Corpus, load_corpus
 from varr.metrics import (
     DECISION_KEPT,
@@ -20,7 +21,7 @@ from varr.metrics import (
     trace_fingerprint,
     validate_trace,
 )
-from varr.schedule import ClockConfig, StrategyConfig, run_reduction
+from varr.schedule import run_reduction
 from varr.scorer import fit_tabular_scorer
 
 from .conftest import FIXTURE_CORPUS, make_record
@@ -34,8 +35,8 @@ def event(record_id="r", epoch=1, step=1, t=1, index=0, decision=DECISION_REMOVE
 
 
 def trace_with(events, epochs=2, total_steps=10, warmup=0.0, seed=0):
-    config = {"schedule": {"epochs": epochs, "total_steps": total_steps,
-                           "warmup_ratio": warmup}}
+    config = {"run": {"epochs": epochs, "warmup_ratio": warmup},
+              "schedule": {"total_steps": total_steps}}
     return ReductionTrace(config=config, seed=seed, events=events)
 
 
@@ -78,9 +79,9 @@ def test_ratio_uniform_varr_run_is_one_until_exhaustion(fixture_corpus):
     from varr.scorer import build_vocabulary, uniform_tabular_scorer
 
     handle = uniform_tabular_scorer(build_vocabulary(fixture_corpus))
-    trace = run_reduction(fixture_corpus, handle,
-                          ClockConfig(epochs=1, batch_size=4, warmup_ratio=0.0),
-                          StrategyConfig("front", mode="varr", seed=3))
+    trace = run_reduction(fixture_corpus, handle, RunConfig(
+        epochs=1, batch_size=4, warmup_ratio=0.0, candidate_order="front", mode="varr",
+        seed=3))
     points = removal_ratio_curve(trace)
     assert len(points) == 1
     assert points[0].ratio == pytest.approx(1.0)
@@ -115,8 +116,9 @@ def test_token_stats_id_mismatch_lists_difference():
 def test_replay_reproduces_final_retained_sets():
     corpus = load_corpus(FIXTURE_CORPUS)
     handle = fit_tabular_scorer(corpus)
-    trace = run_reduction(corpus, handle, ClockConfig(3, 4, 0.1),
-                          StrategyConfig("front", mode="varr", seed=8))
+    trace = run_reduction(corpus, handle, RunConfig(
+        epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="front", mode="varr",
+        seed=8))
     replayed = replay_trace(load_corpus(FIXTURE_CORPUS), trace)
     for got, want in zip(replayed.records, corpus.records):
         assert got.retained_indices() == want.retained_indices()
@@ -179,8 +181,9 @@ def test_report_flags_no_reductions():
 
 def test_report_full_run(fixture_corpus):
     handle = fit_tabular_scorer(fixture_corpus)
-    trace = run_reduction(fixture_corpus, handle, ClockConfig(3, 4, 0.1),
-                          StrategyConfig("front", mode="varr", seed=8))
+    trace = run_reduction(fixture_corpus, handle, RunConfig(
+        epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="front", mode="varr",
+        seed=8))
     report = build_report(trace, fixture_corpus)
     assert report["removal_count"] > 0
     assert report["no_reductions_performed"] is False
@@ -196,7 +199,7 @@ def test_report_full_run(fixture_corpus):
 def naive_ratio_curve(trace):
     """The per-epoch rescan removal_ratio_curve replaced: one filter per epoch."""
     points = []
-    for epoch in range(1, trace.config["schedule"]["epochs"] + 1):
+    for epoch in range(1, trace.config["run"]["epochs"] + 1):
         events = [e for e in trace.events if e.epoch == epoch]
         removed = sum(e.decision == DECISION_REMOVED for e in events)
         budget = sum({(e.record_id, e.t): e.budget for e in events}.values())
@@ -206,8 +209,9 @@ def naive_ratio_curve(trace):
 
 def test_ratio_curve_matches_per_key_rescan(fixture_corpus):
     handle = fit_tabular_scorer(fixture_corpus)
-    trace = run_reduction(fixture_corpus, handle, ClockConfig(3, 4, 0.0),
-                          StrategyConfig("back", mode="varr", seed=5))
+    trace = run_reduction(fixture_corpus, handle, RunConfig(
+        epochs=3, batch_size=4, warmup_ratio=0.0, candidate_order="back", mode="varr",
+        seed=5))
     got = [(p.epoch, p.removed_count, p.max_potential, p.ratio)
            for p in removal_ratio_curve(trace)]
     assert got == naive_ratio_curve(trace)
@@ -223,7 +227,7 @@ def canonical_trace():
     ]
     trace = trace_with(events)
     trace.scorer_call_count = 7
-    trace.config["run"] = {"mode": "varr", "alpha": 1.0, "template_id": "plain-v1"}
+    trace.config["run"].update(mode="varr", smoothing_alpha=1.0, template_id="plain-v1")
     trace.config["paths"] = {"input": "/data/c\u00f6rpus.jsonl", "out_dir": "out"}
     return trace
 
@@ -278,8 +282,9 @@ def test_to_dict_config_is_a_copy():
 
 def test_marks_token_stats_equal_reload_comparison(fixture_corpus):
     handle = fit_tabular_scorer(fixture_corpus)
-    run_reduction(fixture_corpus, handle, ClockConfig(3, 4, 0.1),
-                  StrategyConfig("front", mode="varr", seed=7))
+    run_reduction(fixture_corpus, handle, RunConfig(
+        epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="front", mode="varr",
+        seed=7))
     stats = reduction_token_stats(fixture_corpus)
     assert stats == token_stats(load_corpus(FIXTURE_CORPUS), fixture_corpus)
     assert stats["reduction_percent"] > 0

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varr.config import RunConfig
 from varr.pilot import (
     ordering_holds,
     pilot_nll_curve,
@@ -98,7 +99,7 @@ def test_sample_always_distinct_and_sized(n, seed):
 def test_degenerate_size_zero_equals_baseline(pilot_corpus):
     handle = fit_tabular_scorer(pilot_corpus, smoothing_alpha=4.0)
     results = pilot_nll_curve(
-        pilot_corpus, handle, sizes=(0,), samples_per_record=2, seed=1
+        pilot_corpus, handle, RunConfig(pilot_sizes=(0,), samples_per_record=2, seed=1)
     )
     for result in results:
         assert result.mean_nll_per_size[0] == pytest.approx(
@@ -109,7 +110,7 @@ def test_degenerate_size_zero_equals_baseline(pilot_corpus):
 def test_uniform_scorer_flattens_all_curves(pilot_corpus):
     handle = uniform_tabular_scorer(build_vocabulary(pilot_corpus))
     results = pilot_nll_curve(
-        pilot_corpus, handle, sizes=(1, 2), samples_per_record=2, seed=0
+        pilot_corpus, handle, RunConfig(pilot_sizes=(1, 2), samples_per_record=2, seed=0)
     )
     for result in results:
         for mean in result.mean_nll_per_size:
@@ -118,7 +119,7 @@ def test_uniform_scorer_flattens_all_curves(pilot_corpus):
 
 def test_synthetic_corpus_ordering_and_front_closeness(pilot_corpus):
     handle = fit_tabular_scorer(pilot_corpus, smoothing_alpha=4.0)
-    results = pilot_nll_curve(pilot_corpus, handle, samples_per_record=8, seed=0)
+    results = pilot_nll_curve(pilot_corpus, handle, RunConfig(samples_per_record=8, seed=0))
     assert ordering_holds(results)
     by = {r.strategy: r for r in results}
     baseline = by["front"].baseline_nll
@@ -131,7 +132,7 @@ def test_synthetic_corpus_ordering_and_front_closeness(pilot_corpus):
 
 def test_back_curve_monotone_on_synthetic(pilot_corpus):
     handle = fit_tabular_scorer(pilot_corpus, smoothing_alpha=4.0)
-    results = pilot_nll_curve(pilot_corpus, handle, samples_per_record=8, seed=0)
+    results = pilot_nll_curve(pilot_corpus, handle, RunConfig(samples_per_record=8, seed=0))
     back = next(r for r in results if r.strategy == "back")
     means = back.mean_nll_per_size
     assert all(means[i] <= means[i + 1] for i in range(len(means) - 1))
@@ -139,15 +140,17 @@ def test_back_curve_monotone_on_synthetic(pilot_corpus):
 
 def test_curve_determinism(pilot_corpus):
     handle = fit_tabular_scorer(pilot_corpus, smoothing_alpha=4.0)
-    a = pilot_nll_curve(pilot_corpus, handle, sizes=(1, 2), samples_per_record=3, seed=9)
-    b = pilot_nll_curve(pilot_corpus, handle, sizes=(1, 2), samples_per_record=3, seed=9)
+    cfg = RunConfig(pilot_sizes=(1, 2), samples_per_record=3, seed=9)
+    a = pilot_nll_curve(pilot_corpus, handle, cfg)
+    b = pilot_nll_curve(pilot_corpus, handle, cfg)
     assert pilot_tsv(a) == pilot_tsv(b)
     assert pilot_summary(a) == pilot_summary(b)
 
 
 def test_tsv_shape(pilot_corpus):
     handle = fit_tabular_scorer(pilot_corpus, smoothing_alpha=4.0)
-    results = pilot_nll_curve(pilot_corpus, handle, sizes=(1, 2), samples_per_record=2, seed=0)
+    results = pilot_nll_curve(
+        pilot_corpus, handle, RunConfig(pilot_sizes=(1, 2), samples_per_record=2, seed=0))
     lines = pilot_tsv(results).strip().split("\n")
     assert lines[0] == "strategy\tsize\tmean_nll\tbaseline_nll\tn"
     assert len(lines) == 1 + 3 * 2  # header + strategies x sizes
@@ -159,4 +162,4 @@ def test_all_records_too_short_raises():
     corpus = Corpus(records=[make_record(units=("a", "b"))])
     handle = uniform_tabular_scorer(["a", "b", "what", "is", "it", "fine"])
     with pytest.raises(ValueError):
-        pilot_nll_curve(corpus, handle, sizes=(4,))
+        pilot_nll_curve(corpus, handle, RunConfig(pilot_sizes=(4,)))

@@ -1,14 +1,15 @@
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
+from varr.config import RunConfig
 from varr.corpus import load_corpus
 from varr.errors import ConfigurationError, ProtocolError, TransportError
-from varr.schedule import ClockConfig, ReductionAborted, StrategyConfig, run_reduction
+from varr.schedule import ReductionAborted, run_reduction
 from varr.scorer import (
     ENV_SCORER_TIMEOUT_MS,
     ENV_SCORER_URL,
@@ -103,6 +104,20 @@ def test_missing_url_is_configuration_error(monkeypatch):
         RemoteScorer()
 
 
+@pytest.mark.parametrize("setting", [{"max_attempts": 0}, {"in_flight": 0}],
+                         ids=["max_attempts", "in_flight"])
+def test_remote_settings_below_one_are_configuration_errors(setting):
+    with pytest.raises(ConfigurationError, match=next(iter(setting))):
+        RemoteScorer("http://127.0.0.1:9", **setting)
+
+
+def test_run_reduction_rejects_a_handle_of_another_backend():
+    corpus = load_corpus(FIXTURE_CORPUS)
+    with pytest.raises(ConfigurationError, match="remote"):
+        run_reduction(corpus, fit_tabular_scorer(corpus), SETTINGS)
+    assert all(u.removed_at is None for r in corpus for u in r.rationale)
+
+
 def test_environment_settings_read_once(monkeypatch):
     for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY",
                  "no_proxy", "NO_PROXY"):
@@ -169,15 +184,15 @@ def fixed_model():
     return fit_tabular_scorer(load_corpus(FIXTURE_CORPUS)).model
 
 
-CLOCK = ClockConfig(epochs=3, batch_size=8, warmup_ratio=0.0)
-STRATEGY = StrategyConfig("random", mode="varr_plus", seed=5)
+SETTINGS = RunConfig(epochs=3, batch_size=8, warmup_ratio=0.0, candidate_order="random",
+                     mode="varr_plus", seed=5, k_negatives=2, scorer_backend="remote")
 
 
-def reduce_remote(server, in_flight, clock=CLOCK, strategy=STRATEGY):
+def reduce_remote(server, in_flight, settings=SETTINGS):
     corpus = load_corpus(FIXTURE_CORPUS)
     scorer = remote(server.url, in_flight=in_flight)
     try:
-        trace = run_reduction(corpus, scorer, clock, strategy, k_negatives=2)
+        trace = run_reduction(corpus, scorer, settings)
     finally:
         scorer.close()
     return trace, corpus
@@ -194,8 +209,8 @@ def test_concurrent_reduction_matches_serial_and_tabular():
         concurrent = outcome(*reduce_remote(server, in_flight=4))
         serial = outcome(*reduce_remote(server, in_flight=1))
     corpus = load_corpus(FIXTURE_CORPUS)
-    trace = run_reduction(corpus, FixedTabularScorer(model), CLOCK, STRATEGY,
-                          k_negatives=2)
+    trace = run_reduction(corpus, FixedTabularScorer(model),
+                          replace(SETTINGS, scorer_backend="tabular"))
     assert concurrent[0]
     assert concurrent == serial == outcome(trace, corpus)
 
@@ -206,8 +221,8 @@ def test_cache_spares_requests_and_workers_keep_connections():
         try:
             # the second run's workers take over the first run's sessions
             calls = sum(
-                run_reduction(load_corpus(FIXTURE_CORPUS), scorer, CLOCK, STRATEGY,
-                              k_negatives=2).scorer_call_count
+                run_reduction(load_corpus(FIXTURE_CORPUS), scorer, SETTINGS)
+                .scorer_call_count
                 for _ in range(2)
             )
         finally:
@@ -220,11 +235,10 @@ def test_cache_spares_requests_and_workers_keep_connections():
 def test_partial_trace_on_mid_batch_failure_is_serial():
     # the failing record sits second in a batch whose budget allows two
     # candidates, so both an earlier record and the failing one have events
-    clock = ClockConfig(epochs=1, batch_size=8, warmup_ratio=0.0)
-    strategy = StrategyConfig("front", mode="varr", seed=0)
+    settings = replace(SETTINGS, epochs=1, candidate_order="front", mode="varr", seed=0)
     corpus = load_corpus(FIXTURE_CORPUS)
     order = list(range(len(corpus.records)))
-    child_rng(strategy.seed, "batch-order", 1).shuffle(order)
+    child_rng(settings.seed, "batch-order", 1).shuffle(order)
     target = corpus.records[order[9]]
     second, third = (u.text for u in target.rationale[1:3])
 
@@ -238,7 +252,7 @@ def test_partial_trace_on_mid_batch_failure_is_serial():
         with MockScorerServer(score=model_score(fixed_model()),
                               fail_prompt=fails) as server:
             with pytest.raises(ReductionAborted) as exc:
-                reduce_remote(server, in_flight, clock, strategy)
+                reduce_remote(server, in_flight, settings)
         assert isinstance(exc.value.cause, ProtocolError)
         partial[in_flight] = [asdict(e) for e in exc.value.trace.events]
     events = partial[1]

@@ -9,12 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from varr import schedule
+from varr.config import RunConfig
 from varr.corpus import load_corpus
-from varr.errors import OutOfVocabularyError
+from varr.errors import ConfigurationError, OutOfVocabularyError
 from varr.schedule import (
-    ClockConfig,
     ReductionAborted,
-    StrategyConfig,
     TrainingClock,
     candidate_sequence,
     in_warmup,
@@ -90,59 +89,64 @@ def test_clock_bookkeeping():
 
 # --- candidate ordering ------------------------------------------------------
 
-def seq_indices(record, strategy, rng=None, enforced_active=False):
-    return [c.index for c in candidate_sequence(record, strategy, rng, enforced_active)]
+def seq_indices(record, order, rng=None, enforced_active=False):
+    settings = RunConfig(candidate_order=order)
+    return [c.index for c in candidate_sequence(record, settings, rng, enforced_active)]
 
 
 def test_front_and_back_orders():
     record = make_record(units=("a", "b", "c", "d"))
-    assert seq_indices(record, StrategyConfig("front")) == [0, 1, 2, 3]
-    assert seq_indices(record, StrategyConfig("back")) == [3, 2, 1, 0]
+    assert seq_indices(record, "front") == [0, 1, 2, 3]
+    assert seq_indices(record, "back") == [3, 2, 1, 0]
 
 
 def test_orders_skip_removed_units():
     record = make_record(units=("a", "b", "c", "d"))
     record.mark_removed(1, 1, 1)
-    assert seq_indices(record, StrategyConfig("front")) == [0, 2, 3]
+    assert seq_indices(record, "front") == [0, 2, 3]
 
 
 def test_random_order_seeded_permutation():
     record = make_record(units=("a", "b", "c", "d"))
-    one = seq_indices(record, StrategyConfig("random"), child_rng(7, "x"))
-    two = seq_indices(record, StrategyConfig("random"), child_rng(7, "x"))
+    one = seq_indices(record, "random", child_rng(7, "x"))
+    two = seq_indices(record, "random", child_rng(7, "x"))
     assert one == two
     assert sorted(one) == [0, 1, 2, 3]
 
 
 def test_enforced_front_flags():
     record = make_record(units=("a", "b", "c", "d"))
-    strategy = StrategyConfig("enforced_front", enforced_n=2)
-    active = candidate_sequence(record, strategy, enforced_active=True)
+    settings = RunConfig(candidate_order="enforced_front", enforced_n=2)
+    active = candidate_sequence(record, settings, enforced_active=True)
     assert [(c.index, c.unconditional) for c in active] == [
         (0, True), (1, True), (2, False), (3, False),
     ]
-    inactive = candidate_sequence(record, strategy, enforced_active=False)
+    inactive = candidate_sequence(record, settings, enforced_active=False)
     assert all(not c.unconditional for c in inactive)
 
 
 def test_no_rule_all_unconditional():
     record = make_record(units=("a", "b", "c"))
-    got = candidate_sequence(record, StrategyConfig("no_rule"), child_rng(3, "y"))
+    got = candidate_sequence(record, RunConfig(candidate_order="no_rule"), child_rng(3, "y"))
     assert all(c.unconditional for c in got)
     assert sorted(c.index for c in got) == [0, 1, 2]
 
 
-def test_strategy_config_validation():
-    with pytest.raises(ValueError):
-        StrategyConfig("sideways")
-    with pytest.raises(ValueError):
-        StrategyConfig("enforced_front", enforced_n=0)
-    with pytest.raises(ValueError):
-        StrategyConfig("front", mode="maybe")
-    with pytest.raises(ValueError):
-        ClockConfig(epochs=0)
-    with pytest.raises(ValueError):
-        ClockConfig(warmup_ratio=1.5)
+def test_run_config_range_checks():
+    for settings in (
+        {"candidate_order": "sideways"},
+        {"candidate_order": "enforced_front", "enforced_n": 0},
+        {"mode": "maybe"},
+        {"unit": "word"},
+        {"epochs": 0},
+        {"batch_size": 0},
+        {"warmup_ratio": 1.5},
+        {"warmup_ratio": -0.1},
+        {"k_negatives": 0},
+        {"samples_per_record": 0},
+    ):
+        with pytest.raises(ConfigurationError):
+            RunConfig(**settings)
 
 
 # --- negative pools ----------------------------------------------------------
@@ -176,8 +180,8 @@ def fresh_corpus():
 def test_full_warmup_means_zero_removals():
     corpus = fresh_corpus()
     handle = fit_tabular_scorer(corpus)
-    trace = run_reduction(corpus, handle, ClockConfig(3, 4, warmup_ratio=1.0),
-                          StrategyConfig("front", seed=1))
+    trace = run_reduction(corpus, handle, RunConfig(
+        epochs=3, batch_size=4, warmup_ratio=1.0, candidate_order="front", seed=1))
     assert trace.events == []
     assert all(u.removed_at is None for r in corpus for u in r.rationale)
 
@@ -187,9 +191,9 @@ def test_uniform_scorer_removals_match_budget_exactly():
     # so the scorer stays uniform for every evaluation of the run
     corpus = fresh_corpus()
     handle = uniform_tabular_scorer(build_vocabulary(corpus))
-    trace = run_reduction(corpus, handle, ClockConfig(epochs=1, batch_size=4,
-                                                      warmup_ratio=0.0),
-                          StrategyConfig("front", mode="varr", seed=3))
+    trace = run_reduction(corpus, handle, RunConfig(
+        epochs=1, batch_size=4, warmup_ratio=0.0, candidate_order="front", mode="varr",
+        seed=3))
     # zero law: every candidate passes, so each (record, step) removes r(t)
     # exactly, until the rationale is exhausted
     by_group = {}
@@ -215,9 +219,9 @@ def test_uniform_scorer_removals_match_budget_exactly():
 def test_budget_law_and_permanence_on_fixture():
     corpus = fresh_corpus()
     handle = fit_tabular_scorer(corpus)
-    trace = run_reduction(corpus, handle, ClockConfig(4, 3, 0.1),
-                          StrategyConfig("front", mode="varr_plus", seed=11),
-                          k_negatives=2)
+    trace = run_reduction(corpus, handle, RunConfig(
+        epochs=4, batch_size=3, warmup_ratio=0.1, candidate_order="front",
+        mode="varr_plus", seed=11, k_negatives=2))
     seen = set()
     by_group = {}
     for e in trace.events:
@@ -247,8 +251,9 @@ def test_budget_law_and_permanence_on_fixture():
 def test_warmup_purity(ratio):
     corpus = fresh_corpus()
     handle = fit_tabular_scorer(corpus)
-    trace = run_reduction(corpus, handle, ClockConfig(3, 4, ratio),
-                          StrategyConfig("front", mode="varr", seed=5))
+    trace = run_reduction(corpus, handle, RunConfig(
+        epochs=3, batch_size=4, warmup_ratio=ratio, candidate_order="front",
+        mode="varr", seed=5))
     total = trace.config["schedule"]["total_steps"]
     assert all(e.t > ratio * total for e in trace.events)
 
@@ -257,9 +262,9 @@ def test_trace_determinism_same_seed():
     def run(seed):
         corpus = fresh_corpus()
         handle = fit_tabular_scorer(corpus)
-        trace = run_reduction(corpus, handle, ClockConfig(3, 4, 0.1),
-                              StrategyConfig("random", mode="varr_plus", seed=seed),
-                              k_negatives=2)
+        trace = run_reduction(corpus, handle, RunConfig(
+            epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="random",
+            mode="varr_plus", seed=seed, k_negatives=2))
         return [asdict(e) for e in trace.events]
 
     assert run(21) == run(21)
@@ -269,9 +274,9 @@ def test_trace_determinism_same_seed():
 def test_scorer_call_accounting():
     corpus = fresh_corpus()
     handle = fit_tabular_scorer(corpus)
-    trace = run_reduction(corpus, handle, ClockConfig(3, 4, 0.1),
-                          StrategyConfig("front", mode="varr_plus", seed=11),
-                          k_negatives=2)
+    trace = run_reduction(corpus, handle, RunConfig(
+        epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="front",
+        mode="varr_plus", seed=11, k_negatives=2))
     expected = sum(
         0 if e.unconditional else 2 + 2 * e.k_used for e in trace.events
     )
@@ -282,8 +287,8 @@ def test_no_rule_makes_no_scorer_calls():
     corpus = fresh_corpus()
     handle = fit_tabular_scorer(corpus)
     calls_before = handle.thread_calls()
-    trace = run_reduction(corpus, handle, ClockConfig(2, 4, 0.0),
-                          StrategyConfig("no_rule", seed=2))
+    trace = run_reduction(corpus, handle, RunConfig(
+        epochs=2, batch_size=4, warmup_ratio=0.0, candidate_order="no_rule", seed=2))
     assert trace.scorer_call_count == 0
     assert handle.thread_calls() == calls_before
     assert all(e.unconditional for e in trace.events)
@@ -294,11 +299,9 @@ def test_enforced_front_removes_unconditionally_in_early_epochs():
     corpus = fresh_corpus()
     handle = fit_tabular_scorer(corpus)
     trace = run_reduction(
-        corpus, handle, ClockConfig(4, 4, 0.0),
-        StrategyConfig("enforced_front", mode="varr_plus", seed=6,
-                       enforced_n=2, enforce_epochs=2),
-        k_negatives=2,
-    )
+        corpus, handle, RunConfig(
+            epochs=4, batch_size=4, warmup_ratio=0.0, candidate_order="enforced_front",
+            mode="varr_plus", seed=6, enforced_n=2, enforce_epochs=2, k_negatives=2))
     unconditional = [e for e in trace.events if e.unconditional]
     assert unconditional
     assert all(e.epoch <= 2 for e in unconditional)
@@ -310,8 +313,9 @@ def test_reduction_aborts_with_partial_trace():
     # vocabulary missing the fixture tokens: first evaluation raises OOV
     handle = uniform_tabular_scorer(["nothing", "here"])
     with pytest.raises(ReductionAborted) as exc:
-        run_reduction(corpus, handle, ClockConfig(2, 4, 0.0),
-                      StrategyConfig("front", mode="varr", seed=1))
+        run_reduction(corpus, handle, RunConfig(
+            epochs=2, batch_size=4, warmup_ratio=0.0, candidate_order="front",
+            mode="varr", seed=1))
     assert exc.value.trace is not None
     assert exc.value.trace.events == []
 
@@ -323,9 +327,9 @@ def test_scan_pool_matches_inline_under_thread_stress():
         corpus = fresh_corpus()
         handle = fit_tabular_scorer(corpus)
         handle.in_flight = in_flight
-        trace = run_reduction(corpus, handle, ClockConfig(4, 8, 0.1),
-                              StrategyConfig("random", mode="varr_plus", seed=21),
-                              k_negatives=2)
+        trace = run_reduction(corpus, handle, RunConfig(
+            epochs=4, batch_size=8, warmup_ratio=0.1, candidate_order="random",
+            mode="varr_plus", seed=21, k_negatives=2))
         retained = {r.id: r.retained_indices() for r in corpus.records}
         return [asdict(e) for e in trace.events], trace.scorer_call_count, retained
 
@@ -381,8 +385,9 @@ def test_pooled_scan_failure_keeps_serial_partial_trace(monkeypatch):
         # one batch of one step: every record's budget is its unit count,
         # so the failing scan fails at its first call, mid-batch
         with pytest.raises(ReductionAborted) as exc:
-            run_reduction(corpus, handle, ClockConfig(1, len(order), 0.0),
-                          StrategyConfig("front", mode="varr", seed=1))
+            run_reduction(corpus, handle, RunConfig(
+                epochs=1, batch_size=len(order), warmup_ratio=0.0,
+                candidate_order="front", mode="varr", seed=1))
         assert isinstance(exc.value.cause, OutOfVocabularyError)
         assert late_calls == []
         trace = exc.value.trace
@@ -423,9 +428,9 @@ def test_scan_prompts_equal_candidate_assemblies(monkeypatch, template_id):
         return report
 
     monkeypatch.setattr(schedule, "evaluate_candidate", checking)
-    run_reduction(corpus, handle, ClockConfig(3, 4, 0.1),
-                  StrategyConfig("random", mode="varr_plus", seed=5),
-                  k_negatives=2, template_id=template_id)
+    run_reduction(corpus, handle, RunConfig(
+        epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="random",
+        mode="varr_plus", seed=5, k_negatives=2, template_id=template_id))
     assert checked and max(checked) > 2  # wrong answers were scored too
 
 
@@ -444,8 +449,9 @@ def test_negative_pool_built_once_per_scan_in_varr_plus_only(monkeypatch, mode):
     monkeypatch.setattr(schedule, "negative_pool",
                         counting("pools", schedule.negative_pool))
     corpus = fresh_corpus()
-    run_reduction(corpus, fit_tabular_scorer(corpus), ClockConfig(3, 4, 0.1),
-                  StrategyConfig("random", mode=mode, seed=5), k_negatives=2)
+    run_reduction(corpus, fit_tabular_scorer(corpus), RunConfig(
+        epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="random", mode=mode,
+        seed=5, k_negatives=2))
     assert counts["scans"] > 0
     assert counts["pools"] == (counts["scans"] if mode == "varr_plus" else 0)
 
@@ -457,11 +463,11 @@ def assert_conformance(candidate_order, mode, seed, epochs=4, batch_size=3,
     corpus_a = fresh_corpus()
     handle_a = fit_tabular_scorer(corpus_a)
     trace = run_reduction(
-        corpus_a, handle_a, ClockConfig(epochs, batch_size, warmup),
-        StrategyConfig(candidate_order, mode=mode, seed=seed,
-                       enforced_n=max(enforced_n, 1) if candidate_order == "enforced_front" else 0),
-        k_negatives=k,
-    )
+        corpus_a, handle_a, RunConfig(
+            epochs=epochs, batch_size=batch_size, warmup_ratio=warmup,
+            candidate_order=candidate_order, mode=mode, seed=seed,
+            enforced_n=max(enforced_n, 1) if candidate_order == "enforced_front" else 0,
+            k_negatives=k))
     corpus_b = fresh_corpus()
     handle_b = fit_tabular_scorer(corpus_b)
     ref_events, ref_retained = run_reference(
