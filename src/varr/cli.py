@@ -99,7 +99,7 @@ def _int_list(raw: str) -> list[int]:
 
 def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
     _add_setting(parser, "--scorer", "scorer_backend", "likelihood backend",
-                 choices=["tabular", "remote"])
+                 choices=config_mod.BACKENDS)
     _add_setting(parser, "--alpha", "smoothing_alpha",
                  "additive smoothing for the tabular backend", type=float)
     _add_setting(parser, "--template", "template_id", "prompt template id")

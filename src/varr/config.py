@@ -33,6 +33,7 @@ from pathlib import Path
 
 from .corpus import Corpus
 from .errors import ConfigurationError
+from .pilot import PILOT_STRATEGIES
 from .schedule import CANDIDATE_ORDERS, UNITS
 from .scorer import RemoteScorer, ScorerHandle, fit_tabular_scorer
 from .segmenter import DEFAULT_ABBREVIATIONS, SegmentationRules
@@ -41,6 +42,7 @@ from .verbosity import MODE_VARR_PLUS, MODES
 DECISION = "decision"
 EXECUTION = "execution"
 PILOT = "pilot"
+BACKENDS = ("tabular", "remote")
 
 
 def _setting(section: str, key: str, default, role: str = DECISION,
@@ -96,6 +98,14 @@ class RunConfig:
              f"enforced_front requires enforced_n >= 1, got {self.enforced_n}"),
             (self.mode == MODE_VARR_PLUS and self.k_negatives < 1,
              f"k_negatives must be >= 1 in varr_plus mode, got {self.k_negatives}"),
+            (self.scorer_backend not in BACKENDS,
+             f"unknown scorer backend {self.scorer_backend!r}"),
+            (not self.pilot_strategies
+             or any(s not in PILOT_STRATEGIES for s in self.pilot_strategies),
+             f"pilot strategies must be some of {', '.join(PILOT_STRATEGIES)}, "
+             f"got {list(self.pilot_strategies)}"),
+            (any(size < 0 for size in self.pilot_sizes),
+             f"pilot sizes must be >= 0, got {list(self.pilot_sizes)}"),
             (self.samples_per_record < 1,
              f"samples_per_record must be >= 1, got {self.samples_per_record}"),
         ):
@@ -117,15 +127,13 @@ class RunConfig:
             return fit_tabular_scorer(
                 corpus, self.smoothing_alpha, self.template_id
             )
-        if self.scorer_backend == "remote":
-            return RemoteScorer(
-                base_url=self.scorer_url,
-                model=self.scorer_model,
-                timeout_ms=self.timeout_ms,
-                max_attempts=self.max_attempts,
-                in_flight=self.in_flight,
-            )
-        raise ConfigurationError(f"unknown scorer backend {self.scorer_backend!r}")
+        return RemoteScorer(
+            base_url=self.scorer_url,
+            model=self.scorer_model,
+            timeout_ms=self.timeout_ms,
+            max_attempts=self.max_attempts,
+            in_flight=self.in_flight,
+        )
 
     def recorded(self, role: str = DECISION) -> dict:
         """The fields of one role (DECISION, EXECUTION or PILOT) by name,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .corpus import Corpus, RationaleRecord
+from .errors import ValidationError
 from .scorer import ScorerHandle
 from .seeding import child_rng
 from .verbosity import nll
@@ -108,7 +109,7 @@ def pilot_nll_curve(
     eligible = [r for r in corpus.records if len(r.rationale) >= max_size]
     skipped = len(corpus.records) - len(eligible)
     if not eligible:
-        raise ValueError("no record is long enough for the requested sizes")
+        raise ValidationError("no record is long enough for the requested sizes")
 
     all_indices = {r.id: [u.index for u in r.rationale] for r in eligible}
     baseline = sum(

@@ -12,10 +12,11 @@ Two backends sit behind one handle interface:
   429 and 5xx responses and transport faults retry with exponential
   backoff; other statuses fail immediately. All values are natural-log.
   The driver scans up to ``in_flight`` records at once, so the client
-  sends up to that many concurrent requests, one keep-alive connection
-  per worker; the server must accept that much concurrency and score
-  deterministically per model version. Proxy, CA bundle and netrc
-  settings are read from the environment once, when the scorer is built.
+  sends up to that many concurrent requests, over at most that many
+  keep-alive ``http.client`` connections; the server must accept that
+  much concurrency and score deterministically per model version. Proxy,
+  CA bundle and netrc settings are read from the environment once, when
+  the scorer is built.
 
 Everything stays in log space; probabilities are never materialized.
 Scores are deterministic for a fixed model_version, which increases on
@@ -31,16 +32,21 @@ therefore see fewer requests than the logical call count.
 
 from __future__ import annotations
 
+import base64
+import http.client
+import ipaddress
+import json
 import math
+import netrc
 import os
+import ssl
 import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .corpus import Corpus, RationaleRecord
 from .errors import (
@@ -366,16 +372,55 @@ class TabularScorer(ScorerHandle):
         self._next_version()
 
 
-def _environment_settings(url: str) -> dict:
-    """Proxies, CA bundle, client certificate and netrc auth for url.
+def _bypasses_proxy(host: str, no_proxy: str) -> bool:
+    """Whether no_proxy names ``*``, host, a domain of it or a CIDR network of it."""
+    for entry in no_proxy.replace(" ", "").lower().split(","):
+        try:
+            if ipaddress.ip_address(host) in ipaddress.ip_network(entry, strict=False):
+                return True
+        except ValueError:
+            if entry == "*" or (entry and f".{host}".endswith("." + entry.lstrip("."))):
+                return True
+    return False
 
-    ``requests`` reads these from the environment on every request when a
-    session trusts it; the remote scorer reads them once, here.
-    """
-    with requests.Session() as session:
-        settings = session.merge_environment_settings(url, {}, None, None, None)
-    settings["auth"] = requests.utils.get_netrc_auth(url)
-    return settings
+
+def _environment_settings(url: str, timeout: float):
+    """A connection factory, request target and headers for url, from the
+    proxy, CA bundle and netrc variables that the README lists, read as
+    ``requests`` reads them."""
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigurationError(f"scorer URL {url!r} is not an http or https URL")
+    https = parts.scheme == "https"
+    host, port = parts.hostname, parts.port or (443 if https else 80)
+    address, target, tunnel = (host, port), parts.path, None
+    headers = {"Content-Type": "application/json"}
+    try:
+        login = netrc.netrc(os.path.expanduser(os.environ.get("NETRC") or "~/.netrc"))
+        if entry := login.authenticators(host):
+            user = f"{entry[0] or entry[1]}:{entry[2]}".encode("latin-1")
+            headers["Authorization"] = "Basic " + base64.b64encode(user).decode()
+    except (OSError, netrc.NetrcParseError):
+        pass
+    # a proxy variable by its lower-case name, else by its upper-case one
+    env = {**{name.lower(): value for name, value in os.environ.items()}, **os.environ}
+    proxy = env.get(f"{parts.scheme}_proxy") or env.get("all_proxy")
+    if proxy and not _bypasses_proxy(host, env.get("no_proxy", "")):
+        proxy = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+        address = (proxy.hostname, proxy.port or 80)
+        # https goes through a CONNECT tunnel; http asks the proxy for the URL
+        tunnel, target = ((host, port), target) if https else (None, url)
+    context = https and ssl.create_default_context(
+        cafile=os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE"))
+
+    def connect() -> http.client.HTTPConnection:
+        if not https:
+            return http.client.HTTPConnection(*address, timeout=timeout)
+        connection = http.client.HTTPSConnection(*address, timeout=timeout, context=context)
+        if tunnel:
+            connection.set_tunnel(*tunnel)
+        return connection
+    return connect, target, headers
 
 
 class RemoteScorer(ScorerHandle):
@@ -398,6 +443,8 @@ class RemoteScorer(ScorerHandle):
             )
         if timeout_ms is None:
             timeout_ms = int(os.environ.get(ENV_SCORER_TIMEOUT_MS, DEFAULT_TIMEOUT_MS))
+        if timeout_ms < 1:
+            raise ConfigurationError("timeout_ms must be >= 1")
         if max_attempts < 1:
             raise ConfigurationError("max_attempts must be >= 1")
         if in_flight < 1:
@@ -409,62 +456,56 @@ class RemoteScorer(ScorerHandle):
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
         self.in_flight = in_flight
-        self._settings = _environment_settings(self.url)
-        self._local = threading.local()
-        self._sessions: dict[threading.Thread, requests.Session] = {}
-        self._sessions_lock = threading.Lock()
+        self._connect, self._target, self._headers = _environment_settings(
+            self.url, self.timeout_seconds)
+        # idle keep-alive connections; list.pop and list.append are atomic
+        self._idle: list[http.client.HTTPConnection] = []
 
-    def _session(self) -> requests.Session:
-        """The calling thread's keep-alive session.
-
-        A thread's first request takes over the session of a thread that
-        has ended, if any, so repeated runs reuse their connections.
-        """
-        session = getattr(self._local, "session", None)
-        if session is None:
-            with self._sessions_lock:
-                ended = next((t for t in self._sessions if not t.is_alive()), None)
-                if ended is not None:
-                    session = self._sessions.pop(ended)
-                else:
-                    session = requests.Session()
-                    session.trust_env = False
-                    session.proxies = dict(self._settings["proxies"])
-                    session.verify = self._settings["verify"]
-                    session.cert = self._settings["cert"]
-                    session.auth = self._settings["auth"]
-                self._sessions[threading.current_thread()] = session
-            self._local.session = session
-        return session
+    def _post(self, body: bytes, reuse: bool = True) -> tuple[int, bytes]:
+        """Status and body of one attempt on an idle connection, else a new one,
+        kept unless it fails. A server may close an idle connection, so if a
+        reused one fails before any response the request goes on a new one."""
+        try:
+            connection = self._idle.pop() if reuse else self._connect()
+        except IndexError:
+            connection, reuse = self._connect(), False
+        response = None
+        try:
+            connection.request("POST", self._target, body, self._headers)
+            response = connection.getresponse()
+            payload = response.read()
+        except BaseException as exc:
+            connection.close()
+            if reuse and response is None and isinstance(exc, ConnectionError):
+                return self._post(body, reuse=False)
+            raise
+        self._idle.append(connection)
+        return response.status, payload
 
     def _evaluate(self, context: str, answer: str) -> LogLikelihood:
-        payload = {"model": self.model, "prompt": context, "completion": answer}
-        session = self._session()
+        body = json.dumps(
+            {"model": self.model, "prompt": context, "completion": answer}).encode()
         attempts = 0
         failure = "no attempt made"
         while attempts < self.max_attempts:
             attempts += 1
             try:
-                response = session.post(
-                    self.url, json=payload, timeout=self.timeout_seconds
-                )
-            except requests.RequestException as exc:
+                status, payload = self._post(body)
+            except (OSError, http.client.HTTPException) as exc:
                 failure = f"transport failure: {exc}"
             else:
-                if response.status_code == 200:
-                    return self._parse_response(response)
-                if response.status_code not in RETRYABLE_STATUSES:
-                    raise ProtocolError(
-                        f"scorer endpoint returned status {response.status_code}"
-                    )
-                failure = f"retryable status {response.status_code}"
+                if status == 200:
+                    return self._parse_response(payload)
+                if status not in RETRYABLE_STATUSES:
+                    raise ProtocolError(f"scorer endpoint returned status {status}")
+                failure = f"retryable status {status}"
             if attempts < self.max_attempts:
                 time.sleep(self.backoff_seconds * (2 ** (attempts - 1)))
         raise TransportError(failure, attempts=attempts)
 
-    def _parse_response(self, response: requests.Response) -> LogLikelihood:
+    def _parse_response(self, payload: bytes) -> LogLikelihood:
         try:
-            body = response.json()
+            body = json.loads(payload)
             per_token = tuple(float(v) for v in body["token_logprobs"])
             total = float(body["total_logprob"])
         except (ValueError, KeyError, TypeError) as exc:
@@ -478,10 +519,9 @@ class RemoteScorer(ScorerHandle):
         self._next_version()
 
     def close(self) -> None:
-        with self._sessions_lock:
-            sessions, self._sessions = self._sessions, {}
-        for session in sessions.values():
-            session.close()
+        idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
 
 
 # --- corpus-backed construction -------------------------------------------

@@ -6,9 +6,13 @@ POST /v1/score with {"model", "prompt", "completion"} returns
 None), or else as a fixed -0.5 per whitespace token of the completion,
 unless a scripted behavior (status sequence, malformed payload, a
 ``fail_prompt(prompt)`` predicate that holds) says otherwise. Requests
-are recorded for assertions, with the client address of the connection
-they came on. Connections stay open (HTTP/1.1 keep-alive) and every
-response carries a Content-Length.
+are recorded for assertions, with their headers and the client address
+of the connection they came on. Connections stay open (HTTP/1.1
+keep-alive) and every response carries a Content-Length, unless
+``close_after_reply`` is set: then the server closes each connection
+after one response without saying so, as a server that drops idle
+keep-alive connections does. With ``certfile`` (a PEM file holding the
+certificate and its key) the server speaks HTTPS.
 
 Run as a module, it serves a corpus-fitted bigram model, so the remote
 backend can be exercised end to end without an inference service:
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import socket
+import ssl
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
@@ -64,6 +69,8 @@ class MockScorerServer:
         score: Callable[[str, str], list[float]] | None = None,
         fail_prompt: Callable[[str], bool] | None = None,
         fail_status: int = 400,
+        close_after_reply: bool = False,
+        certfile: str | None = None,
         port: int = 0,
     ):
         # status_script: HTTP statuses for successive requests; after the
@@ -75,6 +82,7 @@ class MockScorerServer:
         self.score = score
         self.fail_prompt = fail_prompt
         self.fail_status = fail_status
+        self.close_after_reply = close_after_reply
         self.requests: list[dict] = []
         self._lock = threading.Lock()
         server = self
@@ -94,13 +102,16 @@ class MockScorerServer:
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
                 self.wfile.write(payload)
+                if server.close_after_reply:
+                    self.close_connection = True
 
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length)) if length else {}
                 with server._lock:
                     server.requests.append({
-                        "path": self.path, "body": body, "client": self.client_address,
+                        "path": self.path, "body": body, "headers": dict(self.headers),
+                        "client": self.client_address,
                     })
                     status = (
                         server.status_script.pop(0) if server.status_script else 200
@@ -133,12 +144,19 @@ class MockScorerServer:
                 pass
 
         self._httpd = ThreadingHTTPServer(("127.0.0.1", port), Handler)
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self.scheme = "http"
+        if certfile is not None:
+            context = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
+            context.load_cert_chain(certfile)
+            self._httpd.socket = context.wrap_socket(self._httpd.socket, server_side=True)
+            self.scheme = "https"
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, args=(0.05,), daemon=True)
 
     @property
     def url(self) -> str:
         host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
+        return f"{self.scheme}://{host}:{port}"
 
     def connections(self) -> set:
         """Client addresses that sent at least one request."""

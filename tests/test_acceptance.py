@@ -282,12 +282,14 @@ def test_criterion_10_wire_protocol():
             body = server.requests[0]["body"]
             assert set(body) == {"model", "prompt", "completion"}
             assert body["prompt"] == "the question one unit"
+            scorer.close()
         for status in (429, 500, 503):
             with MockScorerServer(status_script=[status, status]) as server:
                 scorer = RemoteScorer(base_url=server.url, max_attempts=3,
                                       backoff_seconds=0.001, timeout_ms=2000)
                 assert scorer.score_answer(assembly, "a").total == -0.5
                 assert len(server.requests) == 3
+                scorer.close()
         with MockScorerServer(status_script=[500] * 5) as server:
             scorer = RemoteScorer(base_url=server.url, max_attempts=3,
                                   backoff_seconds=0.001, timeout_ms=2000)
@@ -295,6 +297,7 @@ def test_criterion_10_wire_protocol():
                 scorer.score_answer(assembly, "a")
             assert exc.value.attempts == 3
             assert len(server.requests) == 3
+            scorer.close()
     passed(10, "remote backend round-trips, retries on 429/5xx, reports attempts", budget)
 
 

@@ -451,8 +451,15 @@ def test_config_file_typed_values_accepted(tmp_path):
     ("reduce", [], {"strategy": {"mode": "maybe"}}),
     ("reduce", [], {"strategy": {"unit": "word"}}),
     ("pilot", ["--samples", "0"], {}),
+    ("pilot", ["--strategies", "front,sideways"], {}),
+    ("pilot", [], {"pilot": {"strategies": []}}),
+    ("pilot", ["--sizes", "1,-1"], {}),
+    ("reduce", [], {"scorer": {"backend": "foo"}}),
+    ("pilot", [], {"scorer": {"backend": "foo"}}),
 ], ids=["epochs", "batch_size", "warmup_above", "warmup_below", "k_negatives",
-        "candidate_order", "enforced_n", "mode", "unit", "samples_per_record"])
+        "candidate_order", "enforced_n", "mode", "unit", "samples_per_record",
+        "pilot_strategies", "pilot_strategies_empty", "pilot_sizes", "scorer_backend",
+        "scorer_backend_pilot"])
 def test_out_of_range_setting_fails_before_any_work(tmp_path, capsys, monkeypatch,
                                                      command, flags, entries):
     loads = []
@@ -618,11 +625,13 @@ def test_trace_config_states_each_setting_once(golden_out):
     assert set(config["run"]) | set(config["execution"]) <= names
 
 
-def test_cli_import_does_not_load_numpy():
+def test_cli_import_loads_only_the_standard_library():
+    # modules that site hooks load at startup belong to the interpreter, not varr
+    probe = ("import sys; started = set(sys.modules); import varr.cli; "
+             "print(sorted({name.partition('.')[0] for name in set(sys.modules) - started}"
+             " - sys.stdlib_module_names - {'varr'}))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, varr.cli; print('numpy' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"

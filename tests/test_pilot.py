@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varr.config import RunConfig
+from varr.errors import ValidationError
 from varr.pilot import (
     ordering_holds,
     pilot_nll_curve,
@@ -161,5 +162,5 @@ def test_all_records_too_short_raises():
 
     corpus = Corpus(records=[make_record(units=("a", "b"))])
     handle = uniform_tabular_scorer(["a", "b", "what", "is", "it", "fine"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         pilot_nll_curve(corpus, handle, RunConfig(pilot_sizes=(4,)))

@@ -1,6 +1,8 @@
+import base64
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -25,14 +27,29 @@ from .conftest import FIXTURE_CORPUS
 from .mockserver import MockScorerServer, corpus_score, model_score
 
 ROOT = Path(__file__).resolve().parent.parent
+# self-signed certificate for IP:127.0.0.1, valid until 2126, with its key
+LOOPBACK_PEM = str(ROOT / "tests" / "data" / "loopback.pem")
+REFUSING = "http://127.0.0.1:9"
 ASSEMBLY = PromptAssembly("the question", ("one unit", "two units"))
 ASSEMBLY_A1 = PromptAssembly("what is job a1", ("start with k1 now",))
+
+
+OPENED: list[RemoteScorer] = []
 
 
 def remote(url, **kwargs):
     kwargs.setdefault("backoff_seconds", 0.001)
     kwargs.setdefault("timeout_ms", 2000)
-    return RemoteScorer(base_url=url, **kwargs)
+    OPENED.append(RemoteScorer(base_url=url, **kwargs))
+    return OPENED[-1]
+
+
+@pytest.fixture(autouse=True)
+def close_remote_scorers():
+    """Close the connections of every scorer a test made with remote()."""
+    yield
+    while OPENED:
+        OPENED.pop().close()
 
 
 def test_roundtrip_prompt_completion():
@@ -96,6 +113,7 @@ def test_env_var_configuration(monkeypatch):
         assert scorer.base_url == server.url
         assert scorer.timeout_seconds == 1.5
         assert scorer.score_answer(ASSEMBLY, "x y").total == -1.0
+        scorer.close()
 
 
 def test_missing_url_is_configuration_error(monkeypatch):
@@ -104,8 +122,8 @@ def test_missing_url_is_configuration_error(monkeypatch):
         RemoteScorer()
 
 
-@pytest.mark.parametrize("setting", [{"max_attempts": 0}, {"in_flight": 0}],
-                         ids=["max_attempts", "in_flight"])
+@pytest.mark.parametrize("setting", [{"max_attempts": 0}, {"in_flight": 0}, {"timeout_ms": 0}],
+                         ids=["max_attempts", "in_flight", "timeout_ms"])
 def test_remote_settings_below_one_are_configuration_errors(setting):
     with pytest.raises(ConfigurationError, match=next(iter(setting))):
         RemoteScorer("http://127.0.0.1:9", **setting)
@@ -118,14 +136,23 @@ def test_run_reduction_rejects_a_handle_of_another_backend():
     assert all(u.removed_at is None for r in corpus for u in r.rationale)
 
 
-def test_environment_settings_read_once(monkeypatch):
-    for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY",
-                 "no_proxy", "NO_PROXY"):
+@pytest.fixture
+def environment(monkeypatch, tmp_path):
+    """monkeypatch, with no proxy, CA bundle or netrc setting in effect."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
         monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("NETRC", str(tmp_path / "no-netrc"))
+    return monkeypatch
+
+
+def test_environment_settings_read_once(environment):
     with MockScorerServer() as server:
         direct = remote(server.url)
         # a proxy that refuses connections, set after the scorer was built
-        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+        environment.setenv("HTTP_PROXY", REFUSING)
         assert direct.score_answer(ASSEMBLY, "a").total == -0.5
         proxied = remote(server.url, max_attempts=1)
         with pytest.raises(TransportError):
@@ -133,6 +160,71 @@ def test_environment_settings_read_once(monkeypatch):
         direct.close()
         proxied.close()
     assert len(server.requests) == 1
+
+
+@pytest.mark.parametrize("certfile, settings, reached", [
+    (None, {"HTTP_PROXY": REFUSING}, False),
+    (None, {"http_proxy": REFUSING}, False),
+    (None, {"ALL_PROXY": REFUSING}, False),
+    (None, {"HTTPS_PROXY": REFUSING}, True),
+    (None, {"HTTP_PROXY": REFUSING, "NO_PROXY": "127.0.0.1"}, True),
+    (None, {"HTTP_PROXY": REFUSING, "NO_PROXY": "*"}, True),
+    (None, {"ALL_PROXY": REFUSING, "no_proxy": "10.0.0.0/8, 127.0.0.0/8"}, True),
+    (None, {"HTTP_PROXY": REFUSING, "NO_PROXY": "10.0.0.0/8"}, False),
+    (LOOPBACK_PEM, {}, False),
+    (LOOPBACK_PEM, {"REQUESTS_CA_BUNDLE": LOOPBACK_PEM}, True),
+    (LOOPBACK_PEM, {"CURL_CA_BUNDLE": LOOPBACK_PEM}, True),
+    (LOOPBACK_PEM, {"REQUESTS_CA_BUNDLE": LOOPBACK_PEM, "HTTP_PROXY": REFUSING}, True),
+    (LOOPBACK_PEM, {"REQUESTS_CA_BUNDLE": LOOPBACK_PEM, "HTTPS_PROXY": REFUSING}, False),
+], ids=["HTTP_PROXY", "http_proxy", "ALL_PROXY", "HTTPS_PROXY-for-http",
+        "NO_PROXY-host", "NO_PROXY-star", "no_proxy-cidr", "NO_PROXY-other-cidr",
+        "https-default-ca", "REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE",
+        "HTTP_PROXY-for-https", "HTTPS_PROXY"])
+def test_proxy_and_ca_environment(environment, certfile, settings, reached):
+    for name, value in settings.items():
+        environment.setenv(name, value)
+    with MockScorerServer(certfile=certfile) as server:
+        scorer = remote(server.url, max_attempts=1)
+        if reached:
+            assert scorer.score_answer(ASSEMBLY, "a").total == -0.5
+        else:
+            with pytest.raises(TransportError):
+                scorer.score_answer(ASSEMBLY, "a")
+    assert len(server.requests) == int(reached)
+
+
+def test_http_proxy_is_asked_for_the_absolute_url(environment):
+    with MockScorerServer() as target, MockScorerServer() as proxy:
+        environment.setenv("HTTP_PROXY", proxy.url)
+        scorer = remote(target.url + "/api", max_attempts=1)
+        with pytest.raises(ProtocolError):  # the mock proxy answers 404
+            scorer.score_answer(ASSEMBLY, "a")
+    assert target.requests == []
+    [sent] = proxy.requests
+    assert sent["path"] == target.url + "/api/v1/score"
+    assert sent["headers"]["Host"] == target.url.removeprefix("http://")
+
+
+def test_netrc_login_is_sent_as_basic_auth(environment, tmp_path):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login ann password s3cret\n")
+    with MockScorerServer() as server:
+        anonymous = remote(server.url)
+        environment.setenv("NETRC", str(netrc))
+        authorized = remote(server.url)
+        anonymous.score_answer(ASSEMBLY, "a")
+        authorized.score_answer(ASSEMBLY, "a")
+    assert "Authorization" not in server.requests[0]["headers"]
+    assert server.requests[1]["headers"]["Authorization"] == (
+        "Basic " + base64.b64encode(b"ann:s3cret").decode())
+
+
+def test_connection_closed_by_an_idle_server_is_replaced():
+    with MockScorerServer(close_after_reply=True) as server:
+        scorer = remote(server.url, max_attempts=1)
+        for n in range(1, 6):
+            assert scorer.score_answer(ASSEMBLY, " ".join("a" * n)).total == -0.5 * n
+        assert len(server.requests) == len(server.connections()) == 5
 
 
 def test_refresh_bumps_version_and_calls_back():
@@ -169,6 +261,26 @@ def test_memo_key_is_the_whole_prompt():
         "the question one unit two units", "another question units",
     ]
     assert (scorer.cache.hits, scorer.cache.misses) == (1, 2)
+
+
+def test_threads_share_idle_connections_without_a_lost_update():
+    # more threads than cores, switching often: two threads on one
+    # connection would garble its responses or open more than `threads`
+    threads, calls = 8, 240
+    interval = sys.getswitchinterval()
+    with MockScorerServer() as server:
+        scorer = remote(server.url, in_flight=threads, max_attempts=1)
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                totals = list(pool.map(
+                    lambda n: scorer.score_answer(ASSEMBLY, "a " * (n % 4) + f"t{n}").total,
+                    range(calls), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert totals == [-0.5 * (n % 4 + 1) for n in range(calls)]
+        assert len(server.requests) == calls
+        assert len(server.connections()) <= threads
 
 
 # --- run_reduction against a server that scores with a fixed model ----------
@@ -219,7 +331,7 @@ def test_cache_spares_requests_and_workers_keep_connections():
     with MockScorerServer(score=model_score(fixed_model())) as server:
         scorer = remote(server.url, in_flight=4)
         try:
-            # the second run's workers take over the first run's sessions
+            # the second run's workers take the first run's idle connections
             calls = sum(
                 run_reduction(load_corpus(FIXTURE_CORPUS), scorer, SETTINGS)
                 .scorer_call_count
