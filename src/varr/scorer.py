@@ -13,10 +13,12 @@ Two backends sit behind one handle interface:
   backoff; other statuses fail immediately. All values are natural-log.
   The driver scans up to ``in_flight`` records at once, so the client
   sends up to that many concurrent requests, over at most that many
-  keep-alive ``http.client`` connections; the server must accept that
-  much concurrency and score deterministically per model version. Proxy,
-  CA bundle and netrc settings are read from the environment once, when
-  the scorer is built.
+  keep-alive connections; the server must accept that much concurrency
+  and score deterministically per model version. Each request goes out
+  in one write; a small HTTP/1.1 reader takes the reply (Content-Length,
+  chunked or close-delimited, interim 1xx skipped). Proxy, CA bundle and
+  netrc settings are read from the environment once, when the scorer is
+  built.
 
 Everything stays in log space; probabilities are never materialized.
 Scores are deterministic for a fixed model_version, which increases on
@@ -33,19 +35,19 @@ therefore see fewer requests than the logical call count.
 from __future__ import annotations
 
 import base64
-import http.client
 import ipaddress
 import json
 import math
 import netrc
 import os
+import socket
 import ssl
 import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 from urllib.parse import urlsplit
 
 from .corpus import Corpus, RationaleRecord
@@ -372,6 +374,8 @@ class TabularScorer(ScorerHandle):
         self._next_version()
 
 
+# --- remote backend --------------------------------------------------------
+
 def _bypasses_proxy(host: str, no_proxy: str) -> bool:
     """Whether no_proxy names ``*``, host, a domain of it or a CIDR network of it."""
     for entry in no_proxy.replace(" ", "").lower().split(","):
@@ -384,17 +388,126 @@ def _bypasses_proxy(host: str, no_proxy: str) -> bool:
     return False
 
 
+# the line length and header count limits of http.client
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+_Connection = tuple[socket.socket, BinaryIO]
+
+
+class _MalformedResponse(Exception):
+    """A reply that breaks HTTP/1.1 framing: a transport failure, as is a
+    reply cut short by a close (a ConnectionResetError)."""
+
+
+def _read_line(reader: BinaryIO) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise _MalformedResponse(f"response line longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _read_status(reader: BinaryIO) -> tuple[bytes, int]:
+    """HTTP version and status code of the status line that starts a reply."""
+    line = _read_line(reader)
+    if not line:
+        raise ConnectionResetError("connection closed before the status line")
+    version, _, rest = line.partition(b" ")
+    code = rest[:3]
+    if not (version.startswith(b"HTTP/") and len(code) == 3 and code.isdigit()
+            and code >= b"100" and not rest[3:4].strip()):
+        raise _MalformedResponse(f"malformed status line {line[:80]!r}")
+    return version, int(code)
+
+
+def _read_headers(reader: BinaryIO) -> dict[bytes, bytes]:
+    """Header fields up to the blank line, by lower-case name."""
+    headers = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(reader)
+        if line in (b"\r\n", b"\n"):
+            return headers
+        if not line:
+            raise ConnectionResetError("connection closed inside the response headers")
+        name, _, value = line.partition(b":")
+        headers[name.strip().lower()] = value.strip()
+    raise _MalformedResponse(f"more than {_MAX_HEADERS} response headers")
+
+
+def _read_exactly(reader: BinaryIO, size: int) -> bytes:
+    data = reader.read(size)
+    if len(data) < size:
+        raise ConnectionResetError(f"connection closed {len(data)} bytes into {size}")
+    return data
+
+
+def _read_chunked(reader: BinaryIO) -> bytes:
+    chunks = []
+    while True:
+        line = _read_line(reader)
+        try:
+            size = int(line.partition(b";")[0], 16)  # drops chunk extensions
+        except ValueError:
+            size = -1
+        if size < 0:
+            raise _MalformedResponse(f"malformed chunk size line {line[:80]!r}")
+        if size == 0:
+            break
+        chunk = _read_exactly(reader, size + 2)
+        if chunk[size:] != b"\r\n":
+            raise _MalformedResponse("chunk not ended by CRLF")
+        chunks.append(chunk[:size])
+    _read_headers(reader)  # the trailer
+    return b"".join(chunks)
+
+
+def _read_reply(reader: BinaryIO, version: bytes, status: int) -> tuple[int, bytes, bool]:
+    """Status, body and reusability of the reply whose status line was read.
+
+    Interim 1xx replies are skipped. The body is framed by chunked
+    transfer coding, else by Content-Length, else by the end of the
+    stream; a body cut short raises, and is never returned.
+    """
+    headers = _read_headers(reader)
+    while status < 200:
+        version, status = _read_status(reader)
+        headers = _read_headers(reader)
+    length = headers.get(b"content-length")
+    if status in (204, 304):
+        body = b""
+    elif headers.get(b"transfer-encoding", b"").lower().endswith(b"chunked"):
+        body = _read_chunked(reader)
+    elif length is None:
+        return status, reader.read(), False
+    elif length.isdigit():
+        body = _read_exactly(reader, int(length))
+    else:
+        raise _MalformedResponse(f"malformed Content-Length {length[:80]!r}")
+    tokens = {token.strip() for token in headers.get(b"connection", b"").lower().split(b",")}
+    keep = b"close" not in tokens if version == b"HTTP/1.1" else b"keep-alive" in tokens
+    return status, body, keep
+
+
+def _close(connection: _Connection) -> None:
+    sock, reader = connection
+    reader.close()
+    sock.close()
+
+
 def _environment_settings(url: str, timeout: float):
-    """A connection factory, request target and headers for url, from the
-    proxy, CA bundle and netrc variables that the README lists, read as
-    ``requests`` reads them."""
+    """A connection factory and the request head up to the Content-Length
+    value for url, from the proxy, CA bundle and netrc variables that the
+    README lists, read as ``requests`` reads them."""
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ConfigurationError(f"scorer URL {url!r} is not an http or https URL")
+    if not all("!" <= c <= "~" for c in url):
+        raise ConfigurationError(f"scorer URL {url!r} has a space, control or non-ASCII character")
     https = parts.scheme == "https"
     host, port = parts.hostname, parts.port or (443 if https else 80)
     address, target, tunnel = (host, port), parts.path, None
-    headers = {"Content-Type": "application/json"}
+    headers = {"Host": parts.netloc.rpartition("@")[2], "Accept-Encoding": "identity",
+               "Content-Type": "application/json"}
     try:
         login = netrc.netrc(os.path.expanduser(os.environ.get("NETRC") or "~/.netrc"))
         if entry := login.authenticators(host):
@@ -409,18 +522,33 @@ def _environment_settings(url: str, timeout: float):
         proxy = urlsplit(proxy if "://" in proxy else "http://" + proxy)
         address = (proxy.hostname, proxy.port or 80)
         # https goes through a CONNECT tunnel; http asks the proxy for the URL
-        tunnel, target = ((host, port), target) if https else (None, url)
+        if https:
+            tunnel = (f"[{host}]" if ":" in host else host) + f":{port}"
+        else:
+            target = url
     context = https and ssl.create_default_context(
         cafile=os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE"))
+    head = f"POST {target} HTTP/1.1\r\n" + "".join(
+        f"{name}: {value}\r\n" for name, value in headers.items()) + "Content-Length: "
 
-    def connect() -> http.client.HTTPConnection:
-        if not https:
-            return http.client.HTTPConnection(*address, timeout=timeout)
-        connection = http.client.HTTPSConnection(*address, timeout=timeout, context=context)
-        if tunnel:
-            connection.set_tunnel(*tunnel)
-        return connection
-    return connect, target, headers
+    def connect() -> _Connection:
+        sock = socket.create_connection(address, timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if tunnel:
+                sock.sendall(f"CONNECT {tunnel} HTTP/1.1\r\nHost: {tunnel}\r\n\r\n".encode())
+                with sock.makefile("rb") as reader:
+                    _, status = _read_status(reader)
+                    _read_headers(reader)
+                if status != 200:
+                    raise OSError(f"proxy refused the CONNECT tunnel with status {status}")
+            if context:
+                sock = context.wrap_socket(sock, server_hostname=host)
+        except BaseException:
+            sock.close()
+            raise
+        return sock, sock.makefile("rb")
+    return connect, head.encode("latin-1")
 
 
 class RemoteScorer(ScorerHandle):
@@ -442,7 +570,13 @@ class RemoteScorer(ScorerHandle):
                 f"remote scorer needs a base URL (flag, config, or {ENV_SCORER_URL})"
             )
         if timeout_ms is None:
-            timeout_ms = int(os.environ.get(ENV_SCORER_TIMEOUT_MS, DEFAULT_TIMEOUT_MS))
+            setting = os.environ.get(ENV_SCORER_TIMEOUT_MS, str(DEFAULT_TIMEOUT_MS))
+            try:
+                timeout_ms = int(setting)
+            except ValueError:
+                raise ConfigurationError(
+                    f"{ENV_SCORER_TIMEOUT_MS}={setting!r} is not a whole number of"
+                    " milliseconds (timeout_ms)") from None
         if timeout_ms < 1:
             raise ConfigurationError("timeout_ms must be >= 1")
         if max_attempts < 1:
@@ -456,31 +590,35 @@ class RemoteScorer(ScorerHandle):
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
         self.in_flight = in_flight
-        self._connect, self._target, self._headers = _environment_settings(
-            self.url, self.timeout_seconds)
+        self._connect, self._head = _environment_settings(self.url, self.timeout_seconds)
         # idle keep-alive connections; list.pop and list.append are atomic
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[_Connection] = []
 
     def _post(self, body: bytes, reuse: bool = True) -> tuple[int, bytes]:
         """Status and body of one attempt on an idle connection, else a new one,
-        kept unless it fails. A server may close an idle connection, so if a
-        reused one fails before any response the request goes on a new one."""
+        kept if the reply was read in full and allows reuse. A server may close
+        an idle connection, so if a reused one fails with a ConnectionError
+        before the status line arrives the request goes on a new one."""
         try:
             connection = self._idle.pop() if reuse else self._connect()
         except IndexError:
             connection, reuse = self._connect(), False
-        response = None
+        sock, reader = connection
+        started = None
         try:
-            connection.request("POST", self._target, body, self._headers)
-            response = connection.getresponse()
-            payload = response.read()
+            sock.sendall(b"%s%d\r\n\r\n%s" % (self._head, len(body), body))
+            started = _read_status(reader)
+            status, payload, keep = _read_reply(reader, *started)
         except BaseException as exc:
-            connection.close()
-            if reuse and response is None and isinstance(exc, ConnectionError):
+            _close(connection)
+            if reuse and started is None and isinstance(exc, ConnectionError):
                 return self._post(body, reuse=False)
             raise
-        self._idle.append(connection)
-        return response.status, payload
+        if keep:
+            self._idle.append(connection)
+        else:
+            _close(connection)
+        return status, payload
 
     def _evaluate(self, context: str, answer: str) -> LogLikelihood:
         body = json.dumps(
@@ -491,7 +629,7 @@ class RemoteScorer(ScorerHandle):
             attempts += 1
             try:
                 status, payload = self._post(body)
-            except (OSError, http.client.HTTPException) as exc:
+            except (OSError, _MalformedResponse) as exc:
                 failure = f"transport failure: {exc}"
             else:
                 if status == 200:
@@ -521,7 +659,7 @@ class RemoteScorer(ScorerHandle):
     def close(self) -> None:
         idle, self._idle = self._idle, []
         for connection in idle:
-            connection.close()
+            _close(connection)
 
 
 # --- corpus-backed construction -------------------------------------------

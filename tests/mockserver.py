@@ -14,6 +14,12 @@ after one response without saying so, as a server that drops idle
 keep-alive connections does. With ``certfile`` (a PEM file holding the
 certificate and its key) the server speaks HTTPS.
 
+``ScriptedReplyServer`` answers each request with raw bytes from a
+script, to check how the client reads replies that this server never
+sends (chunked, close-delimited, interim 1xx, malformed or cut short).
+``ConnectProxy`` forwards a CONNECT tunnel to its target, or refuses it
+with a given status.
+
 Run as a module, it serves a corpus-fitted bigram model, so the remote
 backend can be exercised end to end without an inference service:
 
@@ -31,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import socket
+import socketserver
 import ssl
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -172,6 +179,124 @@ class MockScorerServer:
         self._httpd.server_close()
         self._thread.join(timeout=5)
         return False
+
+
+def completion_reply(body: dict) -> bytes:
+    """The reply body for a request body, scored as MockScorerServer scores
+    by default: -0.5 per whitespace token of the completion."""
+    per_token = [-0.5 for _ in body.get("completion", "").split()]
+    return json.dumps({"token_logprobs": per_token, "total_logprob": sum(per_token)}).encode()
+
+
+class _Stream(socketserver.StreamRequestHandler):
+    def handle(self):
+        self.server.serve(self)
+
+
+class _RawServer(socketserver.ThreadingTCPServer):
+    """A threaded TCP server on an OS-picked loopback port, as a context
+    manager; a subclass's ``serve(stream)`` serves one connection."""
+
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _Stream)
+        self._thread = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)
+
+    @property
+    def url(self) -> str:
+        host, port = self.server_address
+        return f"http://{host}:{port}"
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+        self.server_close()
+        self._thread.join(timeout=5)
+        return False
+
+
+class ScriptedReplyServer(_RawServer):
+    """Answers successive requests with scripted (raw bytes, close) replies,
+    then with complete 200 replies, as it does for a None reply; ``close``
+    ends the connection after the reply. Requests are recorded as
+    (connection number, body)."""
+
+    def __init__(self, script: list[tuple[bytes | None, bool]]):
+        self.script = list(script)
+        self.requests: list[tuple[int, dict]] = []
+        self._lock = threading.Lock()
+        self._connections = 0
+        super().__init__()
+
+    def serve(self, stream) -> None:
+        with self._lock:
+            self._connections += 1
+            connection = self._connections
+        while stream.rfile.readline():  # the request line
+            headers = {}
+            while (line := stream.rfile.readline()) not in (b"\r\n", b""):
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            body = json.loads(stream.rfile.read(int(headers.get("content-length", 0))))
+            with self._lock:
+                self.requests.append((connection, body))
+                reply, close = self.script.pop(0) if self.script else (None, False)
+            if reply is None:
+                payload = completion_reply(body)
+                reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (
+                    len(payload), payload)
+            stream.request.sendall(reply)
+            if close:
+                return
+
+    def connections(self) -> list[int]:
+        """Connection number of each request, in order."""
+        with self._lock:
+            return [connection for connection, _ in self.requests]
+
+
+def _pipe(source: socket.socket, sink: socket.socket) -> None:
+    try:
+        while data := source.recv(65536):
+            sink.sendall(data)
+    except OSError:
+        pass
+    try:
+        sink.shutdown(socket.SHUT_WR)
+    except OSError:
+        pass
+
+
+class ConnectProxy(_RawServer):
+    """An HTTP proxy that serves only CONNECT requests: it tunnels to the
+    requested host:port, or answers ``refuse_status`` and closes. Tunnel
+    targets are recorded in ``tunnels``."""
+
+    def __init__(self, refuse_status: int | None = None):
+        self.refuse_status = refuse_status
+        self.tunnels: list[str] = []
+        super().__init__()
+
+    def serve(self, stream) -> None:
+        _, target, _ = stream.rfile.readline().decode("latin-1").split(" ", 2)
+        while stream.rfile.readline() not in (b"\r\n", b""):
+            pass
+        self.tunnels.append(target)
+        if self.refuse_status is not None:
+            stream.request.sendall(
+                b"HTTP/1.1 %d Refused\r\nContent-Length: 0\r\n\r\n" % self.refuse_status)
+            return
+        host, _, port = target.rpartition(":")
+        with socket.create_connection((host.strip("[]"), int(port))) as upstream:
+            stream.request.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            back = threading.Thread(target=_pipe, args=(upstream, stream.request), daemon=True)
+            back.start()
+            _pipe(stream.request, upstream)
+            back.join(timeout=5)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import base64
 import os
+import socket
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +25,14 @@ from varr.scorer import (
 from varr.seeding import child_rng
 
 from .conftest import FIXTURE_CORPUS
-from .mockserver import MockScorerServer, corpus_score, model_score
+from .mockserver import (
+    ConnectProxy,
+    MockScorerServer,
+    ScriptedReplyServer,
+    completion_reply,
+    corpus_score,
+    model_score,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 # self-signed certificate for IP:127.0.0.1, valid until 2126, with its key
@@ -56,6 +64,8 @@ def test_roundtrip_prompt_completion():
     with MockScorerServer() as server:
         scorer = remote(server.url)
         got = scorer.score_answer(ASSEMBLY, "a b c")
+        [(sock, _)] = scorer._idle
+        assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
     assert got.per_token == (-0.5, -0.5, -0.5)
     assert got.total == -1.5
     body = server.requests[0]["body"]
@@ -114,6 +124,17 @@ def test_env_var_configuration(monkeypatch):
         assert scorer.timeout_seconds == 1.5
         assert scorer.score_answer(ASSEMBLY, "x y").total == -1.0
         scorer.close()
+
+
+def test_unparsable_timeout_variable_is_a_configuration_error(monkeypatch):
+    monkeypatch.setenv(ENV_SCORER_TIMEOUT_MS, "abc")
+    with pytest.raises(ConfigurationError, match=f"{ENV_SCORER_TIMEOUT_MS}='abc'"):
+        RemoteScorer("http://127.0.0.1:9")
+
+
+def test_url_with_a_space_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="space"):
+        RemoteScorer("http://127.0.0.1:9/a b")
 
 
 def test_missing_url_is_configuration_error(monkeypatch):
@@ -225,6 +246,110 @@ def test_connection_closed_by_an_idle_server_is_replaced():
         for n in range(1, 6):
             assert scorer.score_answer(ASSEMBLY, " ".join("a" * n)).total == -0.5 * n
         assert len(server.requests) == len(server.connections()) == 5
+
+
+# --- replies the mock server never sends -----------------------------------
+
+def http(status_line: str, *fields: str, body: bytes = b"") -> bytes:
+    """A reply: status line, header fields, blank line, body."""
+    return "".join(f"{line}\r\n" for line in (status_line, *fields, "")).encode() + body
+
+
+AB = completion_reply({"completion": "a b"})
+SIZED = f"Content-Length: {len(AB)}"
+CHUNKED = b"5;name=value\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Checksum: 1\r\n\r\n" % (
+    AB[:5], len(AB) - 5, AB[5:])
+
+
+@pytest.mark.parametrize("reply, close, connections", [
+    (http("HTTP/1.1 200 OK", "Transfer-Encoding: chunked", body=CHUNKED), False, [1, 1]),
+    (http("HTTP/1.0 200 OK", body=AB), True, [1, 2]),
+    (http("HTTP/1.1 200 OK", "Connection: close", SIZED, body=AB), False, [1, 2]),
+    (http("HTTP/1.0 200 OK", "Connection: keep-alive", SIZED, body=AB), False, [1, 1]),
+    (http("HTTP/1.0 200 OK", SIZED, body=AB), False, [1, 2]),
+    (http("HTTP/1.1 100 Continue") + http("HTTP/1.1 200 OK", SIZED, body=AB), False, [1, 1]),
+], ids=["chunked-extension-trailer", "http10-close-delimited", "connection-close",
+        "http10-keep-alive", "http10-sized", "100-continue"])
+def test_reply_framing_and_connection_reuse(reply, close, connections):
+    # the server keeps the connection open unless told to close, so a second
+    # request on a new connection shows that the client chose not to reuse it
+    with ScriptedReplyServer([(reply, close)]) as server:
+        scorer = remote(server.url, max_attempts=1)
+        assert scorer.score_answer(ASSEMBLY, "a b").total == -1.0
+        assert len(scorer._idle) == (connections == [1, 1])
+        assert scorer.score_answer(ASSEMBLY, "c").total == -0.5
+        scorer.close()
+    assert server.connections() == connections
+
+
+@pytest.mark.parametrize("reply", [
+    http("HTTQ/1.1 200 OK", SIZED, body=AB),
+    http("HTTP/1.1 20 OK", SIZED, body=AB),
+    http("HTTP/1.1 200 OK", "Content-Length: 100", body=AB),
+    http("HTTP/1.1 200 OK", "Transfer-Encoding: chunked", body=CHUNKED[:20]),
+    http("HTTP/1.1 200 OK", "Transfer-Encoding: chunked", body=b"zz\r\n" + CHUNKED),
+    http("HTTP/1.1 200 OK", "X-Long: " + "a" * 65536, SIZED, body=AB),
+    http("HTTP/1.1 200 OK", *["X-Many: 1"] * 100, SIZED, body=AB),
+    http("HTTP/1.1 200 OK", "Content-Length: 1e3", body=AB),
+], ids=["bad-version", "bad-status", "body-cut-short", "chunk-cut-short", "bad-chunk-size",
+        "over-long-header-line", "too-many-headers", "bad-content-length"])
+def test_broken_reply_is_a_retried_transport_failure(reply):
+    # never a ProtocolError: a short body must not reach the JSON parser
+    with ScriptedReplyServer([(reply, True)] * 2) as server:
+        once = remote(server.url, max_attempts=1)
+        with pytest.raises(TransportError, match="transport failure") as exc:
+            once.score_answer(ASSEMBLY, "a b")
+        assert exc.value.attempts == 1
+        twice = remote(server.url, max_attempts=2)
+        assert twice.score_answer(ASSEMBLY, "a b").total == -1.0
+        once.close()
+        twice.close()
+    assert server.connections() == [1, 2, 3]
+
+
+def test_reply_with_the_header_limits_is_read():
+    reply = http("HTTP/1.1 200 OK", "X-Long: " + "a" * 65525, *["X-Many: 1"] * 98,
+                 SIZED, body=AB)
+    with ScriptedReplyServer([(reply, False)]) as server:
+        scorer = remote(server.url, max_attempts=1)
+        assert scorer.score_answer(ASSEMBLY, "a b").total == -1.0
+        scorer.close()
+
+
+def test_reused_connection_closed_after_the_status_line_is_a_failed_attempt():
+    # only a connection closed before any reply is replayed on a new one
+    with ScriptedReplyServer([(None, False), (b"HTTP/1.1 200 OK\r\n", True)]) as server:
+        scorer = remote(server.url, max_attempts=1)
+        scorer.score_answer(ASSEMBLY, "a")
+        with pytest.raises(TransportError) as exc:
+            scorer.score_answer(ASSEMBLY, "a b")
+        assert exc.value.attempts == 1
+        scorer.close()
+    assert server.connections() == [1, 1]
+
+
+def test_https_scorer_is_reached_through_a_connect_tunnel(environment):
+    environment.setenv("REQUESTS_CA_BUNDLE", LOOPBACK_PEM)
+    with MockScorerServer(certfile=LOOPBACK_PEM) as server, ConnectProxy() as proxy:
+        environment.setenv("HTTPS_PROXY", proxy.url)
+        scorer = remote(server.url, max_attempts=1)
+        assert scorer.score_answer(ASSEMBLY, "a").total == -0.5
+        assert scorer.score_answer(ASSEMBLY, "a b").total == -1.0
+        scorer.close()
+    assert proxy.tunnels == [server.url.removeprefix("https://")]
+    assert len(server.requests) == 2
+
+
+def test_refused_connect_tunnel_is_a_transport_error(environment):
+    environment.setenv("REQUESTS_CA_BUNDLE", LOOPBACK_PEM)
+    with MockScorerServer(certfile=LOOPBACK_PEM) as server, \
+            ConnectProxy(refuse_status=403) as proxy:
+        environment.setenv("HTTPS_PROXY", proxy.url)
+        scorer = remote(server.url, max_attempts=1)
+        with pytest.raises(TransportError, match="403"):
+            scorer.score_answer(ASSEMBLY, "a")
+    assert proxy.tunnels == [server.url.removeprefix("https://")]
+    assert server.requests == []
 
 
 def test_refresh_bumps_version_and_calls_back():
