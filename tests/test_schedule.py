@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 import sys
 import threading
@@ -5,14 +7,15 @@ from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varr import schedule
 from varr.config import RunConfig
-from varr.corpus import load_corpus
+from varr.corpus import Corpus, load_corpus
 from varr.errors import ConfigurationError, OutOfVocabularyError
 from varr.schedule import (
+    CANDIDATE_ORDERS,
     ReductionAborted,
     TrainingClock,
     candidate_sequence,
@@ -21,7 +24,13 @@ from varr.schedule import (
     removal_budget,
     run_reduction,
 )
-from varr.scorer import build_vocabulary, fit_tabular_scorer, uniform_tabular_scorer
+from varr.scorer import (
+    LogLikelihood,
+    ScorerHandle,
+    build_vocabulary,
+    fit_tabular_scorer,
+    uniform_tabular_scorer,
+)
 from varr.seeding import child_rng
 from varr.verbosity import candidate_assemblies
 
@@ -498,3 +507,97 @@ def test_conformance_no_rule():
 
 def test_conformance_enforced_front():
     assert_conformance("enforced_front", "varr_plus", seed=17, enforced_n=2)
+
+
+# --- differential: driver against the reference on generated corpora --------
+
+class RenderedHashScorer(ScorerHandle):
+    """Scores a hash of the rendered prompt, the answer and the last refresh
+    view. Unlike the tabular backend, which sees only the prompt's last
+    token, a wrong middle slice of a prompt or a wrong separator changes
+    its scores. Few score levels, so exact ties at zero occur."""
+
+    backend = "remote"
+
+    def __init__(self):
+        super().__init__()
+        self.view = ""
+
+    def _evaluate(self, context, answer):
+        material = f"{self.view}\x00{context}\x00{answer}".encode()
+        digest = hashlib.sha256(material).digest()
+        return LogLikelihood.from_per_token([-(digest[0] % 4) / 2, -(digest[1] % 3)])
+
+    def refresh(self, corpus_view=None):
+        self.view = repr(corpus_view)
+        self._next_version()
+
+
+WORDS = ("p", "q", "r", "s")
+ANSWERS = ("p", "q r", "s")
+
+
+@st.composite
+def record_specs(draw):
+    """Small corpora whose answers and wrong answers overlap, so negative
+    pools may hold the gold answer, duplicates, or nothing else."""
+    phrase = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
+    records = []
+    for n in range(draw(st.integers(1, 5))):
+        records.append(dict(
+            id=f"r{n}",
+            question=draw(phrase),
+            units=draw(st.lists(phrase, min_size=1, max_size=4)),
+            answer=draw(st.sampled_from(ANSWERS)),
+            wrong_answers=draw(st.lists(st.sampled_from(ANSWERS), max_size=3)),
+            task_kind=draw(st.sampled_from(["free_form", "multiple_choice"])),
+        ))
+    return records
+
+
+def spec_corpus(specs):
+    return Corpus(records=[
+        make_record(record_id=s["id"], question=s["question"], units=s["units"],
+                    answer=s["answer"], wrong_answers=s["wrong_answers"],
+                    task_kind=s["task_kind"])
+        for s in specs
+    ])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    specs=record_specs(),
+    epochs=st.integers(1, 3),
+    batch_size=st.integers(1, 3),
+    warmup=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 50),
+    k=st.integers(1, 3),
+    enforced_n=st.integers(1, 2),
+)
+def test_driver_matches_reference_on_generated_corpora(specs, epochs, batch_size,
+                                                       warmup, seed, k, enforced_n):
+    for handle_kind, order, mode, template_id, in_flight in itertools.product(
+        ("tabular", "hash"), CANDIDATE_ORDERS, ("varr", "varr_plus"),
+        ("plain-v1", "newline-v1"), (1, 3),
+    ):
+        def handle_for(corpus):
+            if handle_kind == "tabular":
+                return fit_tabular_scorer(corpus)
+            return RenderedHashScorer()
+
+        corpus_a = spec_corpus(specs)
+        handle_a = handle_for(corpus_a)
+        handle_a.in_flight = in_flight
+        trace = run_reduction(corpus_a, handle_a, RunConfig(
+            epochs=epochs, batch_size=batch_size, warmup_ratio=warmup,
+            candidate_order=order, mode=mode, seed=seed, k_negatives=k,
+            enforced_n=enforced_n, scorer_backend=handle_a.backend,
+            template_id=template_id))
+        corpus_b = spec_corpus(specs)
+        ref_events, ref_retained = run_reference(
+            corpus_b, handle_for(corpus_b), epochs=epochs, batch_size=batch_size,
+            warmup_ratio=warmup, candidate_order=order, mode=mode, seed=seed,
+            k_negatives=k, enforced_n=enforced_n, template_id=template_id)
+        setting = (handle_kind, order, mode, template_id, in_flight)
+        assert [asdict(e) for e in trace.events] == ref_events, setting
+        assert {r.id: r.retained_indices() for r in corpus_a.records} == ref_retained, setting
