@@ -21,6 +21,7 @@ from pathlib import Path
 from . import config as config_mod
 from . import metrics, pilot as pilot_mod
 from .corpus import (
+    GRANULARITIES,
     load_corpus,
     validate_corpus,
     write_corpus,
@@ -36,8 +37,9 @@ from .errors import (
     ValidationError,
     VarrError,
 )
-from .schedule import ReductionAborted, run_reduction
-from .scorer import PromptAssembly, fit_tabular_scorer, uniform_tabular_scorer
+from .schedule import CANDIDATE_ORDERS, ReductionAborted, run_reduction
+from .scorer import PromptAssembly, uniform_tabular_scorer
+from .verbosity import MODES
 
 log = logging.getLogger("varr")
 
@@ -75,7 +77,8 @@ def _add_setting(parser: argparse.ArgumentParser, flag: str, dest: str,
 def _strategy(raw: str) -> tuple[str, int | None]:
     """--strategy spelling -> (candidate_order, enforced_n or None).
 
-    Accepts front, random, back, no-rule, enforced-front:N.
+    Accepts each candidate order, hyphens for underscores; enforced-front
+    takes its count as enforced-front:N.
     """
     name = raw.replace("-", "_")
     if name.startswith("enforced_front"):
@@ -85,7 +88,7 @@ def _strategy(raw: str) -> tuple[str, int | None]:
                 "enforced-front takes a positive count, e.g. enforced-front:2"
             )
         return "enforced_front", int(parts[1])
-    if name in ("front", "random", "back", "no_rule"):
+    if name in CANDIDATE_ORDERS:
         return name, None
     raise argparse.ArgumentTypeError(f"unknown strategy {raw!r}")
 
@@ -125,7 +128,7 @@ def build_parser() -> _Parser:
     p_ingest.add_argument("--output", required=True,
                           help="normalized corpus file (rationale pre-split)")
     p_ingest.add_argument("--report", default=None, help="validation report JSON path")
-    _add_setting(p_ingest, "--granularity", "unit", choices=["sentence", "token"])
+    _add_setting(p_ingest, "--granularity", "unit", choices=GRANULARITIES)
     p_ingest.add_argument("--config", default=None)
 
     p_pilot = sub.add_parser("pilot", help="NLL-vs-removal-size curves")
@@ -133,7 +136,7 @@ def build_parser() -> _Parser:
     p_pilot.add_argument("--out-dir", required=True)
     _add_setting(p_pilot, "--sizes", "pilot_sizes", "comma list", type=_int_list)
     _add_setting(p_pilot, "--strategies", "pilot_strategies",
-                 "comma list from front,random,back",
+                 f"comma list from {','.join(pilot_mod.PILOT_STRATEGIES)}",
                  type=lambda raw: raw.split(","))
     _add_setting(p_pilot, "--samples", "samples_per_record",
                  "removal-set draws per record per cell", type=int)
@@ -148,10 +151,11 @@ def build_parser() -> _Parser:
     p_reduce.add_argument("--out-dir", required=True)
     p_reduce.add_argument("--config", default=None)
     _add_setting(p_reduce, "--mode", "mode", "varr or varr-plus",
-                 choices=["varr", "varr_plus"], type=lambda raw: raw.replace("-", "_"))
-    p_reduce.add_argument("--strategy", default=None, type=_strategy,
-                          help="front | random | back | enforced-front:N | no-rule")
-    _add_setting(p_reduce, "--unit", "unit", choices=["sentence", "token"])
+                 choices=MODES, type=lambda raw: raw.replace("-", "_"))
+    p_reduce.add_argument("--strategy", default=None, type=_strategy, help=" | ".join(
+        order.replace("_", "-") + (":N" if order == "enforced_front" else "")
+        for order in CANDIDATE_ORDERS))
+    _add_setting(p_reduce, "--unit", "unit", choices=GRANULARITIES)
     _add_setting(p_reduce, "--warmup", "warmup_ratio",
                  "warm-up ratio of total steps", type=float)
     _add_setting(p_reduce, "--epochs", "epochs", type=int)
@@ -293,10 +297,8 @@ def cmd_score(args) -> int:
         if args.vocab:
             handle = uniform_tabular_scorer(args.vocab.split(), cfg.smoothing_alpha)
         elif args.fit_corpus:
-            handle = fit_tabular_scorer(
-                load_corpus(args.fit_corpus, cfg.unit, cfg.segmentation_rules()),
-                cfg.smoothing_alpha, cfg.template_id,
-            )
+            handle = cfg.build_scorer(
+                load_corpus(args.fit_corpus, cfg.unit, cfg.segmentation_rules()))
         else:
             raise ConfigurationError(
                 "tabular scoring needs --vocab (untrained) or --fit-corpus"

@@ -26,16 +26,17 @@ the ``RunConfig`` is built, so a bad value fails before any work.
 from __future__ import annotations
 
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .corpus import Corpus
+from .corpus import GRANULARITIES, Corpus
 from .errors import ConfigurationError
 from .pilot import PILOT_STRATEGIES
-from .schedule import CANDIDATE_ORDERS, UNITS
-from .scorer import RemoteScorer, ScorerHandle, fit_tabular_scorer
+from .schedule import CANDIDATE_ORDERS
+from .scorer import TEMPLATES, RemoteScorer, ScorerHandle, fit_tabular_scorer
 from .segmenter import DEFAULT_ABBREVIATIONS, SegmentationRules
 from .verbosity import MODE_VARR_PLUS, MODES
 
@@ -93,13 +94,18 @@ class RunConfig:
             (self.candidate_order not in CANDIDATE_ORDERS,
              f"unknown candidate_order {self.candidate_order!r}"),
             (self.mode not in MODES, f"unknown mode {self.mode!r}"),
-            (self.unit not in UNITS, f"unknown unit {self.unit!r}"),
+            (self.unit not in GRANULARITIES, f"unknown unit {self.unit!r}"),
             (self.candidate_order == "enforced_front" and self.enforced_n < 1,
              f"enforced_front requires enforced_n >= 1, got {self.enforced_n}"),
             (self.mode == MODE_VARR_PLUS and self.k_negatives < 1,
              f"k_negatives must be >= 1 in varr_plus mode, got {self.k_negatives}"),
             (self.scorer_backend not in BACKENDS,
              f"unknown scorer backend {self.scorer_backend!r}"),
+            (self.scorer_backend == "tabular"
+             and not 0.0 < self.smoothing_alpha < math.inf,
+             f"smoothing_alpha must be a finite number > 0, got {self.smoothing_alpha}"),
+            (self.template_id not in TEMPLATES,
+             f"unknown template_id {self.template_id!r}"),
             (not self.pilot_strategies
              or any(s not in PILOT_STRATEGIES for s in self.pilot_strategies),
              f"pilot strategies must be some of {', '.join(PILOT_STRATEGIES)}, "
@@ -124,9 +130,7 @@ class RunConfig:
         if self.scorer_backend == "tabular":
             if corpus is None:
                 raise ConfigurationError("tabular scorer needs a corpus to fit on")
-            return fit_tabular_scorer(
-                corpus, self.smoothing_alpha, self.template_id
-            )
+            return fit_tabular_scorer(corpus, self.smoothing_alpha)
         return RemoteScorer(
             base_url=self.scorer_url,
             model=self.scorer_model,

@@ -35,7 +35,9 @@ trace it returns.
 A scan holds its own state: the record's retained indices and full
 prompt, read and validated once. Each candidate's reduced prompt is the
 full one with that unit sliced out, and a removal drops the unit from
-both. Only varr_plus builds a negative pool, once per scan.
+both. Only varr_plus builds a negative pool, once per scan; a record
+whose pool is empty (say, one alone in its batch) cannot confirm the
+wrong-answer contrast, so each of its candidates is kept.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .metrics import (
 )
 from .scorer import ScorerHandle, assemble_prompt, corpus_view
 from .seeding import child_rng
-from .verbosity import MODE_VARR, MODE_VARR_PLUS, evaluate_candidate
+from .verbosity import MODE_VARR_PLUS, evaluate_candidate
 
 if TYPE_CHECKING:  # config imports this module
     from .config import RunConfig
@@ -69,7 +71,6 @@ log = logging.getLogger(__name__)
 
 CANDIDATE_ORDERS = ("front", "random", "back", "enforced_front", "no_rule")
 SHUFFLED_ORDERS = ("random", "no_rule")
-UNITS = ("sentence", "token")
 
 
 @dataclass
@@ -125,28 +126,24 @@ def candidate_sequence(
     rng: random.Random | None = None,
     enforced_active: bool = False,
 ) -> list[Candidate]:
-    """Visit order over the record's currently retained unit indices."""
+    """Visit order over the record's currently retained unit indices.
+
+    The shuffled orders permute them with ``rng``, back reverses them; an
+    unconditional prefix covers all of no_rule's and the first enforced_n
+    of enforced_front's while ``enforced_active``.
+    """
     retained = record.retained_indices()
     order = settings.candidate_order
-    if order == "front":
-        return [Candidate(i) for i in retained]
-    if order == "back":
-        return [Candidate(i) for i in reversed(retained)]
-    if order == "random":
-        shuffled = list(retained)
+    if order in SHUFFLED_ORDERS:
         if rng is None:
-            raise ValueError("random order requires an rng")
-        rng.shuffle(shuffled)
-        return [Candidate(i) for i in shuffled]
-    if order == "enforced_front":
-        n = settings.enforced_n if enforced_active else 0
-        return [Candidate(i, unconditional=pos < n) for pos, i in enumerate(retained)]
-    # no_rule: unguided removal, criteria bypassed
-    shuffled = list(retained)
-    if rng is None:
-        raise ValueError("no_rule order requires an rng")
-    rng.shuffle(shuffled)
-    return [Candidate(i, unconditional=True) for i in shuffled]
+            raise ValueError(f"{order} order requires an rng")
+        rng.shuffle(retained)
+    elif order == "back":
+        retained.reverse()
+    n = (len(retained) if order == "no_rule"
+         else settings.enforced_n if order == "enforced_front" and enforced_active
+         else 0)
+    return [Candidate(i, unconditional=pos < n) for pos, i in enumerate(retained)]
 
 
 def negative_pool(
@@ -158,15 +155,14 @@ def negative_pool(
 
     Choice tasks use the record's complete non-correct label set (all of
     it, no subsampling); free-form tasks draw k_default answers from the
-    other records of the batch. Pools are deduplicated by exact string.
+    other records of the batch. Pools are deduplicated by exact string
+    and never hold the gold answer.
     """
-    if record.task_kind in CHOICE_TASKS:
-        pool = list(dict.fromkeys(record.wrong_answers))
-        k = sum(1 for p in pool if p != record.answer)
-    else:
-        pool = list(dict.fromkeys(r.answer for r in batch if r.id != record.id))
-        k = k_default
-    return pool, k
+    choice = record.task_kind in CHOICE_TASKS
+    answers = record.wrong_answers if choice else (
+        r.answer for r in batch if r.id != record.id)
+    pool = [a for a in dict.fromkeys(answers) if a != record.answer]
+    return pool, len(pool) if choice else k_default
 
 
 class ReductionAborted(VarrError):
@@ -240,7 +236,7 @@ def run_reduction(
                     settings=settings,
                 )
                 _scan_batch(pool, scan, batch, trace, handle)
-            handle.refresh(corpus_view(corpus, settings.template_id))
+            handle.refresh(corpus_view(corpus))
             log.info(
                 "epoch %d/%d done: %d removals so far",
                 epoch, epochs, len(trace.removal_events()),
@@ -308,18 +304,13 @@ def _reduce_record(
 ) -> None:
     """Scan one record, appending its events; stop early once ``halted()``."""
     retained = record.retained_indices()
-    template_id = settings.template_id
-    full = assemble_prompt(record, retained, template_id)
+    full = assemble_prompt(record, retained, settings.template_id)
     budget = removal_budget(clock.t, clock.total_steps, len(retained))
     buffer: list[int] = []
-
-    # In varr_plus, a record with no usable negative (alone in its batch)
-    # cannot confirm the contrast: judged on the gold criterion, kept.
-    mode, negatives, k = MODE_VARR, (), settings.k_negatives
-    if settings.mode == MODE_VARR_PLUS:
-        negatives, k = negative_pool(record, batch, settings.k_negatives)
-        if any(p != record.answer for p in negatives):
-            mode = MODE_VARR_PLUS
+    negatives, k = (
+        negative_pool(record, batch, settings.k_negatives)
+        if settings.mode == MODE_VARR_PLUS else ((), 0)
+    )
 
     enforced_active = (
         settings.candidate_order == "enforced_front"
@@ -342,20 +333,11 @@ def _reduce_record(
             neg_rng = functools.partial(
                 child_rng, settings.seed, "negatives", record.id, clock.t,
                 candidate.index,
-            ) if mode == MODE_VARR_PLUS else None
+            ) if negatives else None
             report = evaluate_candidate(
-                handle, record, candidate.index, retained,
-                mode=mode, negatives=negatives, k=k, rng=neg_rng,
-                template_id=template_id, assemblies=(full, reduced),
-            )
+                handle, record, full, reduced, negatives, k, neg_rng)
             removed = report.removal_approved(settings.mode)
-            scores = dict(
-                verbosity_gt=report.verbosity_gt,
-                verbosity_wrong=report.verbosity_wrong,
-                k_used=report.k_used,
-                score_full=report.score_full,
-                score_reduced=report.score_reduced,
-            )
+            scores = vars(report)
         if removed:
             record.mark_removed(candidate.index, clock.epoch, clock.step_in_epoch)
             buffer.append(candidate.index)

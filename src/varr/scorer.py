@@ -30,6 +30,10 @@ the remote one. Template separators are whitespace, so the tabular
 backend reads that token straight off the assembly's last non-blank
 unit (or its question) and never renders a prompt. A remote server may
 therefore see fewer requests than the logical call count.
+
+``config.RunConfig`` rejects an unknown template id and, for the tabular
+backend, a smoothing alpha that is not a finite number > 0, before any
+work; rendering a prompt is the one other place that looks a template up.
 """
 
 from __future__ import annotations
@@ -92,28 +96,13 @@ class LogLikelihood:
 
 # --- prompt assembly -------------------------------------------------------
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    """Joining rule for question + retained units: whitespace separators
-    only, so a rendered prompt's tokens are those of its parts."""
-
-    template_id: str
-    question_separator: str = " "
-    unit_separator: str = " "
-
-    def __post_init__(self):
-        for separator in (self.question_separator, self.unit_separator):
-            if not separator.isspace():
-                raise ValueError(f"separator {separator!r} is not whitespace")
+# Template id -> the separator that joins the question and each retained
+# unit. Separators are whitespace, so a rendered prompt's tokens are those
+# of its parts.
+TEMPLATES: dict[str, str] = {"plain-v1": " ", "newline-v1": "\n"}
 
 
-TEMPLATES: dict[str, PromptTemplate] = {
-    "plain-v1": PromptTemplate("plain-v1", " ", " "),
-    "newline-v1": PromptTemplate("newline-v1", "\n", "\n"),
-}
-
-
-def get_template(template_id: str) -> PromptTemplate:
+def get_template(template_id: str) -> str:
     try:
         return TEMPLATES[template_id]
     except KeyError:
@@ -127,14 +116,7 @@ class PromptAssembly:
     template_id: str = "plain-v1"
 
     def render(self) -> str:
-        template = get_template(self.template_id)
-        if not self.retained_rationale:
-            return self.question
-        return (
-            self.question
-            + template.question_separator
-            + template.unit_separator.join(self.retained_rationale)
-        )
+        return get_template(self.template_id).join((self.question, *self.retained_rationale))
 
     def without(self, position: int) -> "PromptAssembly":
         """This prompt with the retained unit at ``position`` left out."""
@@ -150,7 +132,6 @@ def assemble_prompt(
     template_id: str = "plain-v1",
 ) -> PromptAssembly:
     """Question first, then the retained units in their original order."""
-    get_template(template_id)
     wanted = set(retained)
     texts = tuple(u.text for u in record.rationale if u.index in wanted)
     if len(texts) != len(wanted):
@@ -217,26 +198,6 @@ class TabularModel:
         self.smoothing_alpha = float(smoothing_alpha)
         self._index = {symbol: i for i, symbol in enumerate(self.vocabulary)}
         self._set_counts(Counter())
-
-    @classmethod
-    def from_counts(
-        cls,
-        vocabulary: Sequence[str],
-        counts: Sequence[Sequence[int]],
-        smoothing_alpha: float = 1.0,
-    ) -> "TabularModel":
-        """A model with the given dense V x V count matrix (nested lists)."""
-        model = cls(vocabulary, smoothing_alpha)
-        size = model.vocab_size
-        rows = [[int(c) for c in row] for row in counts]
-        if len(rows) != size or any(len(row) != size for row in rows):
-            raise ValueError(f"counts must be {size}x{size} nested sequences")
-        if any(c < 0 for row in rows for c in row):
-            raise ValueError("counts must be nonnegative")
-        model._set_counts(Counter(
-            {(v, w): c for v, row in enumerate(rows) for w, c in enumerate(row) if c}
-        ))
-        return model
 
     def _set_counts(self, counts: Counter) -> None:
         row_sums = [0] * self.vocab_size
@@ -345,7 +306,6 @@ class TabularScorer(ScorerHandle):
         # An order-1 model sees only the token before the answer, the last
         # whitespace token of the rendered prompt; with whitespace
         # separators that is the last token of the last non-blank part.
-        get_template(assembly.template_id)
         parts = chain(reversed(assembly.retained_rationale), (assembly.question,))
         for text in parts:
             tokens = text.rsplit(None, 1)
@@ -679,13 +639,13 @@ def build_vocabulary(corpus: Corpus, extra_tokens: Iterable[str] = ()) -> tuple[
     return tuple(sorted(symbols))
 
 
-def corpus_view(corpus: Corpus, template_id: str = "plain-v1") -> list[tuple[list[str], list[str]]]:
+def corpus_view(corpus: Corpus) -> list[tuple[list[str], list[str]]]:
     """(context tokens, answer tokens) per record, using retained units.
 
     The context tokens are the question's, then each retained unit's:
-    those of the rendered prompt, whose separators are whitespace.
+    those of the rendered prompt under any template, whose separators
+    are whitespace.
     """
-    get_template(template_id)
     view = []
     for record in corpus.records:
         context = record.question.split()
@@ -696,16 +656,12 @@ def corpus_view(corpus: Corpus, template_id: str = "plain-v1") -> list[tuple[lis
     return view
 
 
-def fit_tabular_scorer(
-    corpus: Corpus,
-    smoothing_alpha: float = 1.0,
-    template_id: str = "plain-v1",
-) -> TabularScorer:
+def fit_tabular_scorer(corpus: Corpus, smoothing_alpha: float = 1.0) -> TabularScorer:
     """Build a tabular scorer fitted on the corpus as currently retained."""
     model = TabularModel(build_vocabulary(corpus), smoothing_alpha)
     scorer = TabularScorer(model)
     model.fit_streams(
-        [context + answer for context, answer in corpus_view(corpus, template_id)]
+        [context + answer for context, answer in corpus_view(corpus)]
     )
     return scorer
 

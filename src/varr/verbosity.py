@@ -14,9 +14,8 @@ answers over the gold one). Ties at exactly zero pass both inequalities.
 
 R is always the record's *current* retained set: earlier removals in the
 same pass already changed the context each later candidate is judged in.
-Both terms score against one pair of prompts for R and R': the one the
-reduction driver slices from its scan's state, or else the one
-``candidate_assemblies`` builds and validates from an index list.
+Both terms score against the one pair of prompts for R and R' that the
+caller passes in.
 """
 
 from __future__ import annotations
@@ -39,22 +38,28 @@ RngSource = random.Random | Callable[[], random.Random] | None
 
 @dataclass(frozen=True)
 class VerbosityReport:
-    """Outcome of evaluating one candidate unit against the criteria.
+    """Outcome of evaluating one candidate unit: the trace's score fields.
 
-    verbosity_wrong and passes_varr_plus are present together: both are
-    None in plain mode and when the first criterion already rejected the
-    candidate (the wrong-answer contrast is then never computed).
+    verbosity_wrong is None when no wrong answers were scored: without
+    negatives (as in plain mode), or when the first criterion already
+    rejected the candidate.
     """
 
-    record_id: str
-    candidate_index: int
     verbosity_gt: float
     verbosity_wrong: float | None
     k_used: int
-    passes_varr: bool
-    passes_varr_plus: bool | None
     score_full: float
     score_reduced: float
+
+    @property
+    def passes_varr(self) -> bool:
+        return self.verbosity_gt >= 0.0
+
+    @property
+    def passes_varr_plus(self) -> bool | None:
+        if self.verbosity_wrong is None:
+            return None
+        return self.verbosity_wrong - self.verbosity_gt <= 0.0
 
     def removal_approved(self, mode: str) -> bool:
         if mode == MODE_VARR:
@@ -132,51 +137,27 @@ def verbosity_wrong(
 def evaluate_candidate(
     handle: ScorerHandle,
     record: RationaleRecord,
-    i: int,
-    current_retained: Iterable[int],
-    mode: str = MODE_VARR_PLUS,
+    full: PromptAssembly,
+    reduced: PromptAssembly,
     negatives: Sequence[str] = (),
     k: int = 4,
     rng: RngSource = None,
-    template_id: str = "plain-v1",
-    *,
-    assemblies: tuple[PromptAssembly, PromptAssembly] | None = None,
 ) -> VerbosityReport:
-    """Run the configured criteria for one candidate and report.
+    """Judge the candidate whose removal turns prompt ``full`` into ``reduced``.
 
-    In strict mode the wrong-answer contrast is computed only when the
-    gold criterion already passed; a candidate failing verbosity_gt >= 0
-    is rejected without sampling negatives or spending scorer calls on
-    them. ``assemblies`` is the (full, reduced) prompt pair if the caller
-    has built it; otherwise ``candidate_assemblies`` builds it.
+    The gold answer is scored on both prompts. The wrong-answer contrast
+    is computed only when there are negatives and the gold criterion
+    passed; a candidate failing verbosity_gt >= 0 is rejected without
+    sampling negatives or spending scorer calls on them.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    full, reduced = assemblies or candidate_assemblies(
-        record, i, current_retained, template_id
-    )
     score_full = handle.score_answer(full, record.answer).total
     score_reduced = handle.score_answer(reduced, record.answer).total
     v_gt = score_reduced - score_full
-    passes = v_gt >= 0.0
 
     v_wrong: float | None = None
     k_used = 0
-    passes_plus: bool | None = None
-    if mode == MODE_VARR_PLUS and passes:
+    if negatives and v_gt >= 0.0:
         sampled = sample_negatives(record, negatives, k, rng)
         v_wrong = verbosity_wrong(handle, full, reduced, sampled)
         k_used = len(sampled)
-        passes_plus = v_wrong - v_gt <= 0.0
-
-    return VerbosityReport(
-        record_id=record.id,
-        candidate_index=i,
-        verbosity_gt=v_gt,
-        verbosity_wrong=v_wrong,
-        k_used=k_used,
-        passes_varr=passes,
-        passes_varr_plus=passes_plus,
-        score_full=score_full,
-        score_reduced=score_reduced,
-    )
+    return VerbosityReport(v_gt, v_wrong, k_used, score_full, score_reduced)

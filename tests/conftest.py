@@ -33,13 +33,29 @@ def make_record(record_id="r1", question="what is it", units=("first step here",
     )
 
 
+def model_from_counts(vocabulary, counts, smoothing_alpha=1.0) -> TabularModel:
+    """A model with the given dense V x V count matrix (nested lists)."""
+    model = TabularModel(vocabulary, smoothing_alpha)
+    size = model.vocab_size
+    rows = [[int(c) for c in row] for row in counts]
+    if len(rows) != size or any(len(row) != size for row in rows):
+        raise ValueError(f"counts must be {size}x{size} nested sequences")
+    if any(c < 0 for row in rows for c in row):
+        raise ValueError("counts must be nonnegative")
+    model.fit_streams(
+        (vocabulary[v], vocabulary[w])
+        for v, row in enumerate(rows) for w, c in enumerate(row) for _ in range(c)
+    )
+    return model
+
+
 def random_model(rng: random.Random, max_vocab=8, max_count=9, alphas=(0.5, 1.0, 2.0)):
     """A randomized small tabular model plus its raw-count twin for oracles."""
     size = rng.randint(2, max_vocab)
     vocab = [f"w{i}" for i in range(size)]
     counts = [[rng.randint(0, max_count) for _ in range(size)] for _ in range(size)]
     alpha = rng.choice(alphas)
-    model = TabularModel.from_counts(vocab, counts, alpha)
+    model = model_from_counts(vocab, counts, alpha)
     return TabularScorer(model), counts, vocab, alpha
 
 

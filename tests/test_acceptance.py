@@ -27,7 +27,6 @@ from varr.scorer import (
     uniform_tabular_scorer,
 )
 from varr.verbosity import (
-    MODE_VARR,
     candidate_assemblies,
     evaluate_candidate,
     nll,
@@ -77,7 +76,8 @@ def test_criterion_01_oracle_equivalence():
             want_nll = oracle_nll(counts, vocab, record, retained, alpha)
             assert got_nll == pytest.approx(want_nll, abs=1e-9)
 
-            got_gt = evaluate_candidate(scorer, record, i, retained, MODE_VARR).verbosity_gt
+            got_gt = evaluate_candidate(
+                scorer, record, *candidate_assemblies(record, i, retained)).verbosity_gt
             want_gt = oracle_verbosity_gt(counts, vocab, record, i, retained, alpha)
             assert got_gt == pytest.approx(want_gt, abs=1e-9)
 
@@ -106,8 +106,8 @@ def test_criterion_02_zero_laws():
             retained = record.retained_indices()
             negatives = [r.answer for r in corpus.records if r.answer != record.answer]
             for i in retained:
-                v_gt = evaluate_candidate(handle, record, i, retained, MODE_VARR).verbosity_gt
                 full, reduced = candidate_assemblies(record, i, retained)
+                v_gt = evaluate_candidate(handle, record, full, reduced).verbosity_gt
                 v_w = verbosity_wrong(handle, full, reduced, negatives)
                 assert abs(v_gt) <= 1e-12
                 assert abs(v_w) <= 1e-12
@@ -202,11 +202,11 @@ def test_criterion_07_subset_law():
                 pool = [p for p in pool if p != record.answer]
                 if not pool:
                     continue
-                base = evaluate_candidate(handle, record, i, retained, "varr")
+                full, reduced = candidate_assemblies(record, i, retained)
+                base = evaluate_candidate(handle, record, full, reduced)
                 rng = random.Random(17)
                 plus = evaluate_candidate(
-                    handle, record, i, retained, "varr_plus",
-                    negatives=pool, k=k, rng=rng,
+                    handle, record, full, reduced, negatives=pool, k=k, rng=rng,
                 )
                 cells += 1
                 if plus.passes_varr_plus is True and not base.passes_varr:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -9,8 +10,11 @@ import pytest
 
 from varr import cli, metrics, schedule
 from varr.cli import main
-from varr.config import DECISION, EXECUTION, RunConfig, load_run_config
-from varr.corpus import load_corpus
+from varr.config import BACKENDS, DECISION, EXECUTION, RunConfig, load_run_config
+from varr.corpus import GRANULARITIES, load_corpus
+from varr.pilot import PILOT_STRATEGIES
+from varr.schedule import CANDIDATE_ORDERS
+from varr.verbosity import MODES
 
 from .conftest import FIXTURE_CORPUS, PILOT_CORPUS
 from .mockserver import MockScorerServer, corpus_score
@@ -396,6 +400,30 @@ def test_setting_flags_set_their_fields(argv):
         assert getattr(cfg, name) == (tuple(value) if isinstance(value, list) else value)
 
 
+def test_parser_choices_are_the_setting_vocabularies():
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def option(command, flag):
+        return next(a for a in commands[command]._actions if flag in a.option_strings)
+
+    assert tuple(option("reduce", "--mode").choices) == MODES
+    assert tuple(option("reduce", "--unit").choices) == GRANULARITIES
+    assert tuple(option("ingest", "--granularity").choices) == GRANULARITIES
+    assert tuple(option("reduce", "--scorer").choices) == BACKENDS
+    strategy = option("reduce", "--strategy")
+    for order in CANDIDATE_ORDERS:
+        spelling = order.replace("_", "-")
+        if order == "enforced_front":
+            assert strategy.type(spelling + ":3") == (order, 3)
+            spelling += ":N"
+        else:
+            assert strategy.type(spelling) == (order, None)
+        assert spelling in strategy.help.split(" | ")
+    assert option("pilot", "--strategies").help.startswith(
+        f"comma list from {','.join(PILOT_STRATEGIES)} ")
+
+
 def test_help_defaults_come_from_run_config(capsys):
     assert run_cli("reduce", "--help") == 0
     out = " ".join(capsys.readouterr().out.split())
@@ -456,10 +484,15 @@ def test_config_file_typed_values_accepted(tmp_path):
     ("pilot", ["--sizes", "1,-1"], {}),
     ("reduce", [], {"scorer": {"backend": "foo"}}),
     ("pilot", [], {"scorer": {"backend": "foo"}}),
+    ("reduce", ["--alpha", "nan"], {}),
+    ("reduce", ["--alpha", "0"], {}),
+    ("reduce", ["--template", "nope"], {}),
+    ("reduce", ["--template", "nope", "--scorer", "remote"], {}),
 ], ids=["epochs", "batch_size", "warmup_above", "warmup_below", "k_negatives",
         "candidate_order", "enforced_n", "mode", "unit", "samples_per_record",
         "pilot_strategies", "pilot_strategies_empty", "pilot_sizes", "scorer_backend",
-        "scorer_backend_pilot"])
+        "scorer_backend_pilot", "smoothing_alpha_nan", "smoothing_alpha_zero",
+        "template_id", "template_id_remote"])
 def test_out_of_range_setting_fails_before_any_work(tmp_path, capsys, monkeypatch,
                                                      command, flags, entries):
     loads = []

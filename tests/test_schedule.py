@@ -153,6 +153,11 @@ def test_run_config_range_checks():
         {"warmup_ratio": -0.1},
         {"k_negatives": 0},
         {"samples_per_record": 0},
+        {"smoothing_alpha": float("nan")},
+        {"smoothing_alpha": float("inf")},
+        {"smoothing_alpha": 0.0},
+        {"smoothing_alpha": -1.0},
+        {"template_id": "nope"},
     ):
         with pytest.raises(ConfigurationError):
             RunConfig(**settings)
@@ -166,6 +171,8 @@ def test_negative_pool_choice_uses_full_wrong_set():
     pool, k = negative_pool(record, [record], k_default=1)
     assert pool == ["w1", "w2"]  # deduplicated, order kept
     assert k == 2
+    record.wrong_answers = ["g", "w2", "g"]
+    assert negative_pool(record, [record], k_default=1) == (["w2"], 1)  # no gold
 
 
 def test_negative_pool_free_form_uses_batch():
@@ -178,6 +185,8 @@ def test_negative_pool_free_form_uses_batch():
     pool, k = negative_pool(target, [target] + others, k_default=4)
     assert pool == ["a1", "a2"]
     assert k == 4
+    same = make_record(record_id="o4", answer="gold")  # another record's gold
+    assert negative_pool(target, [same, target] + others, k_default=4) == (["a1", "a2"], 4)
 
 
 # --- the driver --------------------------------------------------------------
@@ -424,23 +433,26 @@ def test_scan_prompts_equal_candidate_assemblies(monkeypatch, template_id):
 
     handle.score_answer = recording
     evaluate = schedule.evaluate_candidate
-    checked = []
+    calls = []
 
-    def checking(handle, record, i, current_retained, **kwargs):
+    def checking(handle, record, *args, **kwargs):
         seen.clear()
         retained = record.retained_indices()
-        assert list(current_retained) == retained
-        report = evaluate(handle, record, i, current_retained, **kwargs)
-        expected = candidate_assemblies(record, i, retained, template_id)
-        assert seen and [expected[n % 2] for n in range(len(seen))] == seen
-        checked.append(len(seen))
+        report = evaluate(handle, record, *args, **kwargs)
+        calls.append((record, retained, list(seen)))
         return report
 
     monkeypatch.setattr(schedule, "evaluate_candidate", checking)
-    run_reduction(corpus, handle, RunConfig(
+    trace = run_reduction(corpus, handle, RunConfig(
         epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="random",
         mode="varr_plus", seed=5, k_negatives=2, template_id=template_id))
-    assert checked and max(checked) > 2  # wrong answers were scored too
+    decisions = [e for e in trace.events if not e.unconditional]
+    assert len(decisions) == len(calls)
+    for event, (record, retained, scored) in zip(decisions, calls):
+        assert event.record_id == record.id
+        expected = candidate_assemblies(record, event.candidate_index, retained, template_id)
+        assert scored and [expected[n % 2] for n in range(len(scored))] == scored
+    assert max(len(scored) for _, _, scored in calls) > 2  # wrong answers were scored too
 
 
 @pytest.mark.parametrize("mode", ["varr", "varr_plus"])

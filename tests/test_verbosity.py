@@ -4,7 +4,7 @@ import random
 import pytest
 
 from varr.errors import EmptyNegativePoolError
-from varr.scorer import TabularModel, TabularScorer, uniform_tabular_scorer
+from varr.scorer import TabularScorer, uniform_tabular_scorer
 from varr.seeding import child_rng
 from varr.verbosity import (
     MODE_VARR,
@@ -16,14 +16,26 @@ from varr.verbosity import (
     verbosity_wrong,
 )
 
-from .conftest import dense_counts, make_record, random_model, random_record
+from .conftest import (
+    dense_counts,
+    make_record,
+    model_from_counts,
+    random_model,
+    random_record,
+)
 from .oracles import oracle_nll, oracle_verbosity_gt, oracle_verbosity_wrong
 
 VOCAB4 = ["a", "b", "c", "d"]
 
 
+def evaluate(scorer, record, i, retained, **kwargs):
+    """evaluate_candidate on the prompts for removing unit i from retained."""
+    return evaluate_candidate(
+        scorer, record, *candidate_assemblies(record, i, retained), **kwargs)
+
+
 def verbosity_gt(scorer, record, i, retained):
-    return evaluate_candidate(scorer, record, i, retained, mode=MODE_VARR).verbosity_gt
+    return evaluate(scorer, record, i, retained).verbosity_gt
 
 
 def sampled_verbosity_wrong(scorer, record, i, retained, negatives, k, rng=None):
@@ -41,7 +53,7 @@ def contrast_model():
     counts[1][4] = 1  # u -> b
     counts[2][3] = 3  # v -> a
     counts[2][4] = 1  # v -> b
-    return TabularScorer(TabularModel.from_counts(vocab, counts, 1.0)), vocab
+    return TabularScorer(model_from_counts(vocab, counts, 1.0)), vocab
 
 
 def test_nll_uniform_any_retained_set():
@@ -209,13 +221,15 @@ def test_randomized_oracle_equivalence_nll_and_verbosities():
 def test_evaluate_zero_boundary_passes():
     scorer = uniform_tabular_scorer(VOCAB4)
     record = make_record(units=("a", "b"), question="c", answer="d")
-    report = evaluate_candidate(scorer, record, 0, [0, 1], MODE_VARR)
+    report = evaluate(scorer, record, 0, [0, 1])
     assert report.verbosity_gt == 0.0
     assert report.passes_varr is True
     assert report.verbosity_wrong is None
     assert report.passes_varr_plus is None
     assert report.k_used == 0
     assert report.removal_approved(MODE_VARR)
+    # without negatives the contrast is never confirmed: varr_plus keeps it
+    assert not report.removal_approved(MODE_VARR_PLUS)
 
 
 def test_evaluate_plus_rejects_when_wrong_exceeds_gt():
@@ -230,9 +244,7 @@ def test_evaluate_plus_rejects_when_wrong_exceeds_gt():
     record_good = make_record(
         units=("v", "u"), question="q", answer="a", wrong_answers=["b"],
     )
-    report = evaluate_candidate(
-        scorer, record_good, 1, [0, 1], MODE_VARR_PLUS, negatives=["b"], k=1,
-    )
+    report = evaluate(scorer, record_good, 1, [0, 1], negatives=["b"], k=1)
     v_gt = math.log(4 / 9) - math.log(2 / 7)
     v_w = math.log(2 / 9) - math.log(2 / 7)
     assert report.verbosity_gt == pytest.approx(v_gt, abs=1e-12)
@@ -248,9 +260,7 @@ def test_evaluate_plus_difference_sign_decides():
     # gt(b) = log(2/9)-log(2/7) < 0 -> short-circuit
     record = make_record(units=("v", "u"), question="q", answer="b")
     calls_before = scorer.thread_calls()
-    report = evaluate_candidate(
-        scorer, record, 1, [0, 1], MODE_VARR_PLUS, negatives=["a"], k=1,
-    )
+    report = evaluate(scorer, record, 1, [0, 1], negatives=["a"], k=1)
     assert report.passes_varr is False
     assert report.verbosity_wrong is None
     assert report.passes_varr_plus is None
@@ -268,20 +278,11 @@ def test_subset_law_random_models():
         negatives = [v for v in vocab if v != record.answer][:3]
         if not negatives:
             continue
-        plus = evaluate_candidate(
-            scorer, record, i, retained, MODE_VARR_PLUS,
-            negatives=negatives, k=len(negatives),
-        )
-        base = evaluate_candidate(scorer, record, i, retained, MODE_VARR)
+        plus = evaluate(scorer, record, i, retained,
+                        negatives=negatives, k=len(negatives))
+        base = evaluate(scorer, record, i, retained)
         if plus.passes_varr_plus is True:
             assert base.passes_varr is True
-
-
-def test_unknown_mode_rejected():
-    scorer = uniform_tabular_scorer(VOCAB4)
-    record = make_record(units=("a",), question="b", answer="c")
-    with pytest.raises(ValueError):
-        evaluate_candidate(scorer, record, 0, [0], "both")
 
 
 class StubScorer:
@@ -307,8 +308,7 @@ def test_evaluate_literal_half_versus_point_six():
         (2, "gold"): -2.0, (1, "gold"): -1.5,   # gt = 0.5
         (2, "bad"): -2.0, (1, "bad"): -1.4,     # wrong = 0.6
     })
-    report = evaluate_candidate(scorer, record, 0, [0, 1], MODE_VARR_PLUS,
-                                negatives=["bad"], k=1)
+    report = evaluate(scorer, record, 0, [0, 1], negatives=["bad"], k=1)
     assert report.verbosity_gt == pytest.approx(0.5, abs=1e-12)
     assert report.verbosity_wrong == pytest.approx(0.6, abs=1e-12)
     assert report.passes_varr is True
@@ -326,6 +326,5 @@ def test_evaluate_scores_gold_then_each_wrong_full_before_reduced():
 
     scorer.score_answer = recording
     record = make_record(units=("a", "b"), question="c", answer="d")
-    evaluate_candidate(scorer, record, 0, [0, 1], MODE_VARR_PLUS,
-                       negatives=["a", "d", "b"], k=2)
+    evaluate(scorer, record, 0, [0, 1], negatives=["a", "d", "b"], k=2)
     assert seen == [(2, "d"), (1, "d"), (2, "a"), (1, "a"), (2, "b"), (1, "b")]
