@@ -25,6 +25,7 @@ from varr.schedule import (
     run_reduction,
 )
 from varr.scorer import (
+    TEMPLATES,
     LogLikelihood,
     ScorerHandle,
     build_vocabulary,
@@ -588,17 +589,15 @@ def spec_corpus(specs):
 )
 def test_driver_matches_reference_on_generated_corpora(specs, epochs, batch_size,
                                                        warmup, seed, k, enforced_n):
+    def handle_for(kind, corpus):
+        return fit_tabular_scorer(corpus) if kind == "tabular" else RenderedHashScorer()
+
     for handle_kind, order, mode, template_id, in_flight in itertools.product(
         ("tabular", "hash"), CANDIDATE_ORDERS, ("varr", "varr_plus"),
-        ("plain-v1", "newline-v1"), (1, 3),
+        sorted(TEMPLATES), (1, 3),
     ):
-        def handle_for(corpus):
-            if handle_kind == "tabular":
-                return fit_tabular_scorer(corpus)
-            return RenderedHashScorer()
-
         corpus_a = spec_corpus(specs)
-        handle_a = handle_for(corpus_a)
+        handle_a = handle_for(handle_kind, corpus_a)
         handle_a.in_flight = in_flight
         trace = run_reduction(corpus_a, handle_a, RunConfig(
             epochs=epochs, batch_size=batch_size, warmup_ratio=warmup,
@@ -607,7 +606,7 @@ def test_driver_matches_reference_on_generated_corpora(specs, epochs, batch_size
             template_id=template_id))
         corpus_b = spec_corpus(specs)
         ref_events, ref_retained = run_reference(
-            corpus_b, handle_for(corpus_b), epochs=epochs, batch_size=batch_size,
+            corpus_b, handle_for(handle_kind, corpus_b), epochs=epochs, batch_size=batch_size,
             warmup_ratio=warmup, candidate_order=order, mode=mode, seed=seed,
             k_negatives=k, enforced_n=enforced_n, template_id=template_id)
         setting = (handle_kind, order, mode, template_id, in_flight)
