@@ -38,7 +38,7 @@ WARMUP_GRID = [0.0, 0.1, 0.2, 0.3, 0.4]
 
 
 def run_cell(corpus_path, settings):
-    corpus = load_corpus(corpus_path, settings.unit, settings.segmentation_rules())
+    corpus = load_corpus(corpus_path, settings)
     handle = settings.build_scorer(corpus)
     trace = run_reduction(corpus, handle, settings)
     stats = reduction_token_stats(corpus)

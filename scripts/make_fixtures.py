@@ -150,11 +150,13 @@ def pilot_records() -> list[dict]:
     return records
 
 
+def jsonl(records: list[dict]) -> str:
+    return "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+
+
 def write_jsonl(records: list[dict], path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    path.write_bytes(jsonl(records).encode("utf-8"))
     print(f"wrote {len(records):4d} records -> {path}")
 
 

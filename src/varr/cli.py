@@ -5,8 +5,9 @@
     varr reduce --input corpus.jsonl --out-dir out/ --mode varr-plus
     varr score  --question "..." --rationale-file r.txt --answer "..."
 
-Exit codes: 0 success, 1 validation or usage error, 2 scorer/transport
-failure, 3 internal invariant violation.
+Exit codes: 0 success; 1 usage, configuration or input error, or a file
+that cannot be read or written; 2 scorer or transport failure; 3 internal
+fault (a broken invariant or any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from . import config as config_mod
 from . import metrics, pilot as pilot_mod
 from .corpus import (
     GRANULARITIES,
+    Corpus,
     load_corpus,
     validate_corpus,
     write_corpus,
@@ -39,6 +41,7 @@ from .errors import (
 )
 from .schedule import CANDIDATE_ORDERS, ReductionAborted, run_reduction
 from .scorer import PromptAssembly, uniform_tabular_scorer
+from .segmenter import DEFAULT_RULE_ID
 from .verbosity import MODES
 
 log = logging.getLogger("varr")
@@ -178,9 +181,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _load_valid(path: str, cfg: config_mod.RunConfig) -> Corpus:
+    """The corpus at ``path`` read with ``cfg``; else, if it is empty or a
+    record is invalid, a ValidationError after each violation on stderr."""
+    corpus = load_corpus(path, cfg)
+    if not corpus.records:
+        raise ValidationError(f"corpus {path} holds no records")
+    violations = [(r.record_id, v) for r in validate_corpus(corpus) for v in r.violations]
+    for rid, violation in violations:
+        print(f"violation [{rid}]: {violation}", file=sys.stderr)
+    if violations:
+        raise ValidationError(f"{len(violations)} violation(s) in corpus {path}")
+    return corpus
+
+
 def cmd_ingest(args) -> int:
     cfg = config_mod.load_run_config(args.config, vars(args))
-    corpus = load_corpus(args.input, cfg.unit, cfg.segmentation_rules())
+    corpus = load_corpus(args.input, cfg)
     reports = validate_corpus(corpus)
     violations = [(r.record_id, v) for r in reports for v in r.violations]
     flags = [(r.record_id, f) for r in reports for f in r.flags]
@@ -189,7 +206,7 @@ def cmd_ingest(args) -> int:
         "records": len(corpus),
         "violations": [{"record_id": rid, "problem": v} for rid, v in violations],
         "flags": [{"record_id": rid, "note": f} for rid, f in flags],
-        "segmentation_rule_id": corpus.meta.segmentation_rule_id,
+        "segmentation_rule_id": DEFAULT_RULE_ID,
     }
     if args.report:
         write_text_atomic(args.report, json.dumps(summary, indent=2, ensure_ascii=False))
@@ -203,7 +220,10 @@ def cmd_ingest(args) -> int:
 
 def cmd_pilot(args) -> int:
     cfg = config_mod.load_run_config(args.config, vars(args))
-    corpus = load_corpus(args.input, cfg.unit, cfg.segmentation_rules())
+    if args.check_ordering and set(cfg.pilot_strategies) != set(pilot_mod.PILOT_STRATEGIES):
+        raise ConfigurationError(
+            f"--check-ordering needs the strategies {','.join(pilot_mod.PILOT_STRATEGIES)}")
+    corpus = _load_valid(args.input, cfg)
     handle = cfg.build_scorer(corpus)
     try:
         results = pilot_mod.pilot_nll_curve(corpus, handle, cfg)
@@ -244,15 +264,7 @@ def cmd_reduce(args) -> int:
                 "--mode is meaningless with --strategy no-rule (criteria are bypassed)"
             )
     cfg = config_mod.load_run_config(args.config, vars(args))
-
-    corpus = load_corpus(args.input, cfg.unit, cfg.segmentation_rules())
-    bad = [r for r in validate_corpus(corpus) if not r.ok]
-    if bad:
-        for report in bad:
-            for violation in report.violations:
-                print(f"violation [{report.record_id}]: {violation}", file=sys.stderr)
-        return EXIT_USAGE
-
+    corpus = _load_valid(args.input, cfg)
     handle = cfg.build_scorer(corpus)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -289,16 +301,20 @@ def cmd_reduce(args) -> int:
 
 def cmd_score(args) -> int:
     cfg = config_mod.load_run_config(args.config, vars(args))
+    if not args.question.strip() or not args.answer.strip():
+        raise ConfigurationError("--question and --answer must not be blank")
     units: list[str] = []
     if args.rationale_file:
         raw = Path(args.rationale_file).read_text(encoding="utf-8")
         units = [line.strip() for line in raw.splitlines() if line.strip()]
     if cfg.scorer_backend == "tabular":
         if args.vocab:
-            handle = uniform_tabular_scorer(args.vocab.split(), cfg.smoothing_alpha)
+            try:
+                handle = uniform_tabular_scorer(args.vocab.split(), cfg.smoothing_alpha)
+            except ValueError as exc:  # an empty or repeating vocabulary
+                raise ConfigurationError(f"--vocab {args.vocab!r}: {exc}") from None
         elif args.fit_corpus:
-            handle = cfg.build_scorer(
-                load_corpus(args.fit_corpus, cfg.unit, cfg.segmentation_rules()))
+            handle = cfg.build_scorer(_load_valid(args.fit_corpus, cfg))
         else:
             raise ConfigurationError(
                 "tabular scoring needs --vocab (untrained) or --fit-corpus"
@@ -336,7 +352,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigurationError, ParseError, ValidationError, ValueError, OSError) as exc:
+    except (ConfigurationError, ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TransportError as exc:
@@ -351,6 +367,10 @@ def main(argv=None) -> int:
     except VarrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a fault of the program, not of its input
+        log.debug("internal error", exc_info=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

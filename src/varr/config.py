@@ -1,8 +1,9 @@
 """Run configuration: one declarative JSON file plus flag overrides.
 
-``RunConfig`` is the only settings object: the CLI builds one, and the
-driver (``schedule.run_reduction``) and ``pilot.pilot_nll_curve`` read
-their settings off it. Each field names its config-file section and key,
+``RunConfig`` is the only settings object: the CLI builds one, and
+``corpus.load_corpus`` (unit and segmenter settings), the driver
+(``schedule.run_reduction``) and ``pilot.pilot_nll_curve`` read their
+settings off it. Each field names its config-file section and key,
 and its role:
 
 * decision -- the settings that decide which units a reduction removes.
@@ -37,7 +38,7 @@ from .errors import ConfigurationError
 from .pilot import PILOT_STRATEGIES
 from .schedule import CANDIDATE_ORDERS
 from .scorer import TEMPLATES, RemoteScorer, ScorerHandle, fit_tabular_scorer
-from .segmenter import DEFAULT_ABBREVIATIONS, SegmentationRules
+from .segmenter import DEFAULT_ABBREVIATIONS, DEFAULT_MIN_UNIT_CHARS, DEFAULT_TERMINAL_PUNCTUATION
 from .verbosity import MODE_VARR_PLUS, MODES
 
 DECISION = "decision"
@@ -76,10 +77,11 @@ class RunConfig:
     timeout_ms: int | None = _setting("scorer", "timeout_ms", None, EXECUTION)
     max_attempts: int = _setting("scorer", "max_attempts", 3, EXECUTION)
     in_flight: int = _setting("scorer", "in_flight", 4, EXECUTION)
-    terminal_punctuation: str = _setting("segmenter", "terminal_punctuation", ".?!")
+    terminal_punctuation: str = _setting(
+        "segmenter", "terminal_punctuation", DEFAULT_TERMINAL_PUNCTUATION)
     abbreviation_exceptions: tuple[str, ...] = _setting(
-        "segmenter", "abbreviation_exceptions", tuple(DEFAULT_ABBREVIATIONS))
-    min_unit_chars: int = _setting("segmenter", "min_unit_chars", 2)
+        "segmenter", "abbreviation_exceptions", DEFAULT_ABBREVIATIONS)
+    min_unit_chars: int = _setting("segmenter", "min_unit_chars", DEFAULT_MIN_UNIT_CHARS)
     pilot_sizes: tuple[int, ...] = _setting("pilot", "sizes", (1, 2, 3, 4), PILOT)
     pilot_strategies: tuple[str, ...] = _setting(
         "pilot", "strategies", ("front", "random", "back"), PILOT)
@@ -106,6 +108,8 @@ class RunConfig:
              f"smoothing_alpha must be a finite number > 0, got {self.smoothing_alpha}"),
             (self.template_id not in TEMPLATES,
              f"unknown template_id {self.template_id!r}"),
+            (not self.terminal_punctuation, "terminal_punctuation must be non-empty"),
+            (self.min_unit_chars < 1, f"min_unit_chars must be >= 1, got {self.min_unit_chars}"),
             (not self.pilot_strategies
              or any(s not in PILOT_STRATEGIES for s in self.pilot_strategies),
              f"pilot strategies must be some of {', '.join(PILOT_STRATEGIES)}, "
@@ -117,13 +121,6 @@ class RunConfig:
         ):
             if broken:
                 raise ConfigurationError(problem)
-
-    def segmentation_rules(self) -> SegmentationRules:
-        return SegmentationRules(
-            terminal_punctuation=self.terminal_punctuation,
-            abbreviation_exceptions=tuple(self.abbreviation_exceptions),
-            min_unit_chars=self.min_unit_chars,
-        )
 
     def build_scorer(self, corpus: Corpus | None = None) -> ScorerHandle:
         """Tabular scorers fit on the given corpus; remote ones connect."""

@@ -23,12 +23,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, TextIO
 
 from .errors import InternalInvariantError, ParseError, ValidationError
-from .segmenter import SegmentationRules, segment_sentences, segment_tokens
+from .segmenter import segment_sentences, segment_tokens
 
 if TYPE_CHECKING:
+    from .config import RunConfig
     from .metrics import ReductionTrace
 
-FORMAT_VERSION = "1"
 TASK_KINDS = ("multiple_choice", "true_false", "free_form")
 GRANULARITIES = ("sentence", "token")
 CHOICE_TASKS = ("multiple_choice", "true_false")
@@ -38,7 +38,6 @@ CHOICE_TASKS = ("multiple_choice", "true_false")
 class RationaleUnit:
     index: int
     text: str
-    granularity: str = "sentence"
     removed_at: tuple[int, int] | None = None  # (epoch, step); never cleared
 
 
@@ -72,16 +71,8 @@ class RationaleRecord:
 
 
 @dataclass
-class CorpusMeta:
-    source: str = ""
-    format_version: str = FORMAT_VERSION
-    segmentation_rule_id: str = ""
-
-
-@dataclass
 class Corpus:
     records: list[RationaleRecord]
-    meta: CorpusMeta = field(default_factory=CorpusMeta)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -107,14 +98,15 @@ class ValidationReport:
         return not self.violations
 
 
-def _split_rationale(raw, granularity: str, rules: SegmentationRules) -> list[str]:
+def _split_rationale(raw: str | list[str], settings: RunConfig) -> list[str]:
     if isinstance(raw, list):
-        sentences = [str(s) for s in raw]
-    elif isinstance(raw, str):
-        sentences = segment_sentences(raw, rules) if raw.strip() else []
+        sentences = raw
+    elif raw.strip():
+        sentences = segment_sentences(raw, settings.terminal_punctuation,
+                                      settings.abbreviation_exceptions, settings.min_unit_chars)
     else:
-        raise TypeError("rationale must be a string or a list of strings")
-    if granularity == "sentence":
+        sentences = []
+    if settings.unit == "sentence":
         return sentences
     tokens: list[str] = []
     for sentence in sentences:
@@ -122,44 +114,52 @@ def _split_rationale(raw, granularity: str, rules: SegmentationRules) -> list[st
     return tokens
 
 
-def _record_from_obj(obj: dict, granularity: str, rules: SegmentationRules) -> RationaleRecord:
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _record_from_obj(obj: dict, settings: RunConfig) -> RationaleRecord:
     for key in ("id", "question", "rationale", "answer", "task_kind"):
         if key not in obj:
             raise KeyError(key)
-    task_kind = obj["task_kind"]
-    if task_kind not in TASK_KINDS:
-        raise ValueError(f"unknown task_kind {task_kind!r}")
-    texts = _split_rationale(obj["rationale"], granularity, rules)
-    units = [RationaleUnit(i, t, granularity) for i, t in enumerate(texts)]
+    wrong_answers = obj.get("wrong_answers", [])
+    for key, ok, expected in (
+        ("question", isinstance(obj["question"], str), "a string"),
+        ("rationale", isinstance(obj["rationale"], str) or _strings(obj["rationale"]),
+         "a string or a list of strings"),
+        ("answer", isinstance(obj["answer"], str), "a string"),
+        ("wrong_answers", _strings(wrong_answers), "a list of strings"),
+        ("task_kind", obj["task_kind"] in TASK_KINDS, "one of " + ", ".join(TASK_KINDS)),
+    ):
+        if not ok:
+            raise ValueError(f"field {key!r} must be {expected}, "
+                             f"got {json.dumps(obj.get(key))}")
+    texts = _split_rationale(obj["rationale"], settings)
     return RationaleRecord(
         id=str(obj["id"]),
-        question=str(obj["question"]),
-        rationale=units,
-        answer=str(obj["answer"]),
-        wrong_answers=[str(w) for w in obj.get("wrong_answers", [])],
-        task_kind=task_kind,
+        question=obj["question"],
+        rationale=[RationaleUnit(i, t) for i, t in enumerate(texts)],
+        answer=obj["answer"],
+        wrong_answers=list(wrong_answers),
+        task_kind=obj["task_kind"],
     )
 
 
-def load_corpus(
-    path: str | Path,
-    granularity: str = "sentence",
-    rules: SegmentationRules | None = None,
-) -> Corpus:
-    """Load a line-delimited corpus, splitting rationales as requested.
+def load_corpus(path: str | Path, settings: RunConfig | None = None) -> Corpus:
+    """Load a line-delimited corpus, splitting rationales by the unit and
+    segmenter settings of ``settings`` (default ``RunConfig()``).
 
-    Raises ParseError for malformed lines (naming the line number) and
-    ValidationError for duplicate record ids. Empty rationales load fine;
-    they surface as flags in validate_record, not as failures here.
+    Raises ParseError for malformed lines and fields of the wrong JSON
+    type (naming the line number and the field) and ValidationError for
+    duplicate record ids. Empty rationales load fine; they surface as
+    flags in validate_record, not as failures here.
     """
-    if granularity not in GRANULARITIES:
-        raise ValueError(f"unknown granularity {granularity!r}")
-    if rules is None:
-        rules = SegmentationRules()
-    path = Path(path)
+    if settings is None:
+        from .config import RunConfig
+        settings = RunConfig()
     records: list[RationaleRecord] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
+    with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -170,28 +170,27 @@ def load_corpus(
             if not isinstance(obj, dict):
                 raise ParseError(f"line {lineno}: record must be a JSON object")
             try:
-                record = _record_from_obj(obj, granularity, rules)
+                record = _record_from_obj(obj, settings)
             except KeyError as exc:
                 raise ParseError(f"line {lineno}: missing field {exc.args[0]!r}") from exc
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
             if record.id in seen:
                 raise ValidationError(f"duplicate record id: {record.id!r}")
             seen.add(record.id)
             records.append(record)
-    meta = CorpusMeta(
-        source=str(path),
-        format_version=FORMAT_VERSION,
-        segmentation_rule_id=rules.rule_id,
-    )
-    return Corpus(records=records, meta=meta)
+    return Corpus(records=records)
 
 
 def validate_record(record: RationaleRecord) -> ValidationReport:
     """Check a record against its invariants. Reports, never raises."""
     report = ValidationReport(record_id=record.id)
+    if not record.question.strip():
+        report.violations.append("question is empty")
     if not record.answer.strip():
         report.violations.append("answer is empty")
+    if any(not wrong.strip() for wrong in record.wrong_answers):
+        report.violations.append("wrong_answers has an empty entry")
     if record.task_kind not in TASK_KINDS:
         report.violations.append(f"unknown task_kind {record.task_kind!r}")
     elif record.task_kind in CHOICE_TASKS and not record.wrong_answers:
@@ -234,19 +233,33 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus in the input format, rationale as a pre-split list."""
+def _write_records(corpus: Corpus, path: str | Path, reduced: bool) -> None:
+    """Write each record in the input format, rationale as a pre-split list:
+    all its units, or if ``reduced`` the retained ones and a ``removed``
+    provenance block."""
     with atomic_writer(path) as fh:
         for record in corpus.records:
             obj = {
                 "id": record.id,
                 "question": record.question,
-                "rationale": [u.text for u in record.rationale],
+                "rationale": [u.text for u in record.rationale
+                              if not reduced or u.removed_at is None],
                 "answer": record.answer,
                 "wrong_answers": record.wrong_answers,
                 "task_kind": record.task_kind,
             }
+            if reduced:
+                obj["removed"] = [
+                    {"index": u.index, "text": u.text, "epoch": u.removed_at[0],
+                     "step": u.removed_at[1]}
+                    for u in record.removed_units()
+                ]
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+
+
+def write_corpus(corpus: Corpus, path: str | Path) -> None:
+    """Write a corpus in the input format, rationale as a pre-split list."""
+    _write_records(corpus, path, reduced=False)
 
 
 def write_reduced(corpus: Corpus, trace: "ReductionTrace", path: str | Path) -> None:
@@ -271,23 +284,4 @@ def write_reduced(corpus: Corpus, trace: "ReductionTrace", path: str | Path) -> 
         raise InternalInvariantError(
             "trace removal events disagree with corpus removed_at marks"
         )
-    with atomic_writer(path) as fh:
-        for record in corpus.records:
-            obj = {
-                "id": record.id,
-                "question": record.question,
-                "rationale": [u.text for u in record.retained_units()],
-                "answer": record.answer,
-                "wrong_answers": record.wrong_answers,
-                "task_kind": record.task_kind,
-                "removed": [
-                    {
-                        "index": u.index,
-                        "text": u.text,
-                        "epoch": u.removed_at[0],
-                        "step": u.removed_at[1],
-                    }
-                    for u in record.removed_units()
-                ],
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    _write_records(corpus, path, reduced=True)

@@ -1,9 +1,10 @@
 """Exception taxonomy shared across the package.
 
-Exit-code mapping used by the CLI:
-  ParseError / ValidationError / ConfigurationError -> 1
-  ScorerError (incl. TransportError, OutOfVocabularyError) -> 2
-  InternalInvariantError -> 3
+Exit-code mapping used by the CLI (README, "Exit codes"):
+  ParseError / ValidationError / ConfigurationError, any other VarrError
+  and OSError (a file that cannot be read or written) -> 1
+  ScorerError (incl. TransportError, ProtocolError, OutOfVocabularyError) -> 2
+  InternalInvariantError, and any other exception (an internal fault) -> 3
 """
 
 

@@ -182,22 +182,9 @@ def _token_summary(before_total: int, after_total: int, n: int) -> dict:
     }
 
 
-def token_stats(corpus_before: Corpus, corpus_after: Corpus) -> dict:
-    """Average whitespace tokens (retained rationale + answer) per record."""
-    before_ids = {r.id for r in corpus_before.records}
-    after_ids = {r.id for r in corpus_after.records}
-    if before_ids != after_ids:
-        diff = sorted(before_ids.symmetric_difference(after_ids))
-        raise ValueError(f"corpora do not share record ids; differ on {diff}")
-    return _token_summary(
-        sum(_record_token_count(r) for r in corpus_before.records),
-        sum(_record_token_count(r) for r in corpus_after.records),
-        len(corpus_before.records),
-    )
-
-
 def reduction_token_stats(corpus: Corpus) -> dict:
-    """token_stats of the corpus as loaded against the corpus as reduced.
+    """Average whitespace tokens (retained rationale + answer) per record,
+    of the corpus as loaded against the corpus as reduced.
 
     A reduction only marks units removed (removed_at), so the corpus as
     loaded is its retained plus its removed units: no second parse.

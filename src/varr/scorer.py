@@ -192,8 +192,8 @@ class TabularModel:
             raise ValueError("vocabulary must be non-empty")
         if len(set(vocabulary)) != len(vocabulary):
             raise ValueError("vocabulary contains duplicates")
-        if smoothing_alpha <= 0:
-            raise ValueError("smoothing_alpha must be positive")
+        if not 0 < smoothing_alpha < math.inf:
+            raise ValueError(f"smoothing_alpha must be a finite number > 0, got {smoothing_alpha}")
         self.vocabulary = tuple(vocabulary)
         self.smoothing_alpha = float(smoothing_alpha)
         self._index = {symbol: i for i, symbol in enumerate(self.vocabulary)}
@@ -454,17 +454,26 @@ def _close(connection: _Connection) -> None:
     sock.close()
 
 
+def _split_url(url: str, what: str):
+    """urlsplit(url) and its port, or a ConfigurationError naming ``what``."""
+    try:
+        parts = urlsplit(url)
+        return parts, parts.port
+    except ValueError as exc:  # e.g. "Invalid IPv6 URL", "Port out of range"
+        raise ConfigurationError(f"{what} {url!r} is not a valid URL: {exc}") from None
+
+
 def _environment_settings(url: str, timeout: float):
     """A connection factory and the request head up to the Content-Length
     value for url, from the proxy, CA bundle and netrc variables that the
     README lists, read as ``requests`` reads them."""
-    parts = urlsplit(url)
+    parts, port = _split_url(url, "scorer URL")
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ConfigurationError(f"scorer URL {url!r} is not an http or https URL")
     if not all("!" <= c <= "~" for c in url):
         raise ConfigurationError(f"scorer URL {url!r} has a space, control or non-ASCII character")
     https = parts.scheme == "https"
-    host, port = parts.hostname, parts.port or (443 if https else 80)
+    host, port = parts.hostname, port or (443 if https else 80)
     address, target, tunnel = (host, port), parts.path, None
     headers = {"Host": parts.netloc.rpartition("@")[2], "Accept-Encoding": "identity",
                "Content-Type": "application/json"}
@@ -479,8 +488,9 @@ def _environment_settings(url: str, timeout: float):
     env = {**{name.lower(): value for name, value in os.environ.items()}, **os.environ}
     proxy = env.get(f"{parts.scheme}_proxy") or env.get("all_proxy")
     if proxy and not _bypasses_proxy(host, env.get("no_proxy", "")):
-        proxy = urlsplit(proxy if "://" in proxy else "http://" + proxy)
-        address = (proxy.hostname, proxy.port or 80)
+        proxy, proxy_port = _split_url(proxy if "://" in proxy else "http://" + proxy,
+                                       "proxy")
+        address = (proxy.hostname, proxy_port or 80)
         # https goes through a CONNECT tunnel; http asks the proxy for the URL
         if https:
             tunnel = (f"[{host}]" if ":" in host else host) + f":{port}"

@@ -15,48 +15,34 @@ segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 DEFAULT_RULE_ID = "default-v1"
-
+# The default rules, which are also RunConfig's segmenter defaults.
+DEFAULT_TERMINAL_PUNCTUATION = ".?!"
+DEFAULT_MIN_UNIT_CHARS = 2
 # Words that end with a terminal mark without ending a sentence.
-# A deliberately small, documented list; extend via SegmentationRules.
-DEFAULT_ABBREVIATIONS = [
+# A deliberately small, documented list.
+DEFAULT_ABBREVIATIONS = (
     "Dr.", "Mr.", "Mrs.", "Ms.", "Prof.", "St.", "Mt.", "No.",
     "Fig.", "Eq.", "Sec.", "approx.", "etc.", "vs.",
     "e.g.", "i.e.", "cf.",
-]
-
-
-@dataclass(frozen=True)
-class SegmentationRules:
-    terminal_punctuation: str = ".?!"
-    abbreviation_exceptions: tuple[str, ...] = tuple(DEFAULT_ABBREVIATIONS)
-    min_unit_chars: int = 2
-    rule_id: str = DEFAULT_RULE_ID
-
-    def __post_init__(self):
-        if not self.terminal_punctuation:
-            raise ValueError("terminal_punctuation must be non-empty")
-        if self.min_unit_chars < 1:
-            raise ValueError("min_unit_chars must be >= 1")
+)
 
 
 def normalize_whitespace(text: str) -> str:
     return " ".join(text.split())
 
 
-def segment_sentences(text: str, rules: SegmentationRules | None = None) -> list[str]:
+def segment_sentences(text: str, terminal_punctuation: str = DEFAULT_TERMINAL_PUNCTUATION,
+                      abbreviation_exceptions: tuple[str, ...] = DEFAULT_ABBREVIATIONS,
+                      min_unit_chars: int = DEFAULT_MIN_UNIT_CHARS) -> list[str]:
     """Split rationale text into sentence units.
 
-    A split point is a terminal character followed by a space and then an
-    upper-case letter or digit, provided the word ending in the terminal
-    is not an abbreviation exception and the closing segment is at least
-    ``min_unit_chars`` long. A trailing fragment shorter than the minimum
-    is merged into the previous segment.
+    A split point is a character of ``terminal_punctuation`` followed by
+    a space and then an upper-case letter or digit, provided the word
+    ending in it is not one of ``abbreviation_exceptions`` and the closing
+    segment is at least ``min_unit_chars`` long. A trailing fragment
+    shorter than the minimum is merged into the previous segment.
     """
-    if rules is None:
-        rules = SegmentationRules()
     if not text.strip():
         raise ValueError("cannot segment empty text")
 
@@ -66,14 +52,14 @@ def segment_sentences(text: str, rules: SegmentationRules | None = None) -> list
     i = 0
     while i < len(normalized) - 1:
         ch = normalized[i]
-        if ch in rules.terminal_punctuation and normalized[i + 1] == " ":
+        if ch in terminal_punctuation and normalized[i + 1] == " ":
             nxt = normalized[i + 2] if i + 2 < len(normalized) else ""
             if nxt and (nxt.isupper() or nxt.isdigit()):
                 word = _word_ending_at(normalized, i)
                 candidate = normalized[start : i + 1]
                 if (
-                    word not in rules.abbreviation_exceptions
-                    and len(candidate) >= rules.min_unit_chars
+                    word not in abbreviation_exceptions
+                    and len(candidate) >= min_unit_chars
                 ):
                     segments.append(candidate)
                     start = i + 2
@@ -82,7 +68,7 @@ def segment_sentences(text: str, rules: SegmentationRules | None = None) -> list
         i += 1
     tail = normalized[start:]
     if tail:
-        if segments and len(tail) < rules.min_unit_chars:
+        if segments and len(tail) < min_unit_chars:
             segments[-1] = segments[-1] + " " + tail
         else:
             segments.append(tail)

@@ -66,3 +66,31 @@ def oracle_verbosity_wrong(counts, vocab, record, i, retained, negatives, alpha)
         s_reduced = oracle_score(counts, vocab, record.question, reduced, wrong, alpha)
         total += s_reduced - s_full
     return total / len(negatives)
+
+
+def token_stats(corpus_before, corpus_after):
+    """Average whitespace tokens (retained rationale + answer) per record,
+    counted on two corpora with the same record ids."""
+    before_ids = {r.id for r in corpus_before.records}
+    after_ids = {r.id for r in corpus_after.records}
+    if before_ids != after_ids:
+        diff = sorted(before_ids.symmetric_difference(after_ids))
+        raise ValueError(f"corpora do not share record ids; differ on {diff}")
+
+    def average(corpus):
+        if not corpus.records:
+            return 0.0
+        total = 0
+        for record in corpus.records:
+            total += len(record.answer.split())
+            for unit in record.rationale:
+                if unit.removed_at is None:
+                    total += len(unit.text.split())
+        return total / len(corpus.records)
+
+    before, after = average(corpus_before), average(corpus_after)
+    return {
+        "avg_rationale_tokens_before": before,
+        "avg_rationale_tokens_after": after,
+        "reduction_percent": 100.0 * (before - after) / before if before > 0 else 0.0,
+    }

@@ -16,7 +16,7 @@ from varr.cli import main as cli_main
 from varr.config import RunConfig
 from varr.corpus import load_corpus, write_reduced
 from varr.errors import TransportError
-from varr.metrics import replay_trace, token_stats, trace_fingerprint, validate_trace
+from varr.metrics import replay_trace, trace_fingerprint, validate_trace
 from varr.pilot import ordering_holds, pilot_nll_curve, sampling_probabilities
 from varr.schedule import negative_pool, removal_budget, run_reduction
 from varr.scorer import (
@@ -36,7 +36,7 @@ from varr.verbosity import (
 
 from .conftest import FIXTURE_CORPUS, PILOT_CORPUS, random_model, random_record
 from .mockserver import MockScorerServer
-from .oracles import oracle_nll, oracle_verbosity_gt, oracle_verbosity_wrong
+from .oracles import oracle_nll, oracle_verbosity_gt, oracle_verbosity_wrong, token_stats
 from .reference_driver import run_reference
 
 

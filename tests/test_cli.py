@@ -18,6 +18,7 @@ from varr.verbosity import MODES
 
 from .conftest import FIXTURE_CORPUS, PILOT_CORPUS
 from .mockserver import MockScorerServer, corpus_score
+from .test_corpus import WRONG_FIELD_TYPES
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -187,6 +188,109 @@ def test_reduce_invalid_corpus_exits_one(tmp_path, capsys):
     code = run_cli("reduce", "--input", str(src), "--out-dir", str(tmp_path / "x"))
     assert code == 1
     assert "wrong_answers" in capsys.readouterr().err
+
+
+BAD_RECORDS = {
+    **{f"{key}-type": {key: value} for key, value in WRONG_FIELD_TYPES},
+    "blank-question": {"question": " "},
+    "blank-wrong-answer": {"task_kind": "multiple_choice", "wrong_answers": ["m", " "]},
+}
+
+
+@pytest.mark.parametrize("fields", BAD_RECORDS.values(), ids=BAD_RECORDS)
+def test_reduce_bad_record_exits_one_before_out_dir(tmp_path, capsys, fields):
+    src = tmp_path / "bad.jsonl"
+    write_lines(src, [record_obj("ok", ["One here."]),
+                      {**record_obj("bad", ["One here."]), **fields}])
+    out = tmp_path / "out"
+    assert run_cli("reduce", "--input", str(src), "--out-dir", str(out),
+                   "--mode", "varr-plus") == 1
+    err = capsys.readouterr().err
+    assert "line 2: field" in err or "violation [bad]" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("pilot", ["--out-dir", "{tmp}/out"]),
+    ("score", ["--question", "a", "--answer", "b"]),
+])
+def test_blank_answer_in_corpus_exits_one_naming_the_record(tmp_path, capsys, command, flags):
+    src = tmp_path / "bad.jsonl"
+    write_lines(src, [record_obj("ok", ["One here."]),
+                      {**record_obj("blank", ["One here."]), "answer": " "}])
+    corpus_flag = "--input" if command == "pilot" else "--fit-corpus"
+    flags = [f.format(tmp=tmp_path) for f in flags]
+    assert run_cli(command, corpus_flag, str(src), *flags) == 1
+    err = capsys.readouterr().err
+    assert "violation [blank]: answer is empty" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--out-dir", "{tmp}/out"],
+    ["reduce", "--out-dir", "{tmp}/out", "--scorer", "remote",
+     "--scorer-url", "http://127.0.0.1:9"],
+    ["pilot", "--out-dir", "{tmp}/out"],
+    ["score", "--question", "a", "--answer", "b", "--fit-corpus"],
+], ids=["reduce-tabular", "reduce-remote", "pilot", "score-fit-corpus"])
+def test_empty_corpus_exits_one_before_out_dir(tmp_path, capsys, argv):
+    src = tmp_path / "empty.jsonl"
+    src.write_text("\n", encoding="utf-8")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if argv[-1] != "--fit-corpus":
+        argv.append("--input")
+    assert run_cli(*argv, str(src)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: corpus {src} holds no records\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("vocab, problem", [
+    (" ", "vocabulary must be non-empty"),
+    ("a a", "vocabulary contains duplicates"),
+])
+def test_score_bad_vocab_is_configuration_error(capsys, vocab, problem):
+    assert run_cli("score", "--question", "a", "--answer", "a", "--vocab", vocab) == 1
+    assert capsys.readouterr().err == f"error: --vocab {vocab!r}: {problem}\n"
+
+
+@pytest.mark.parametrize("question, answer", [(" ", "a"), ("a", "")])
+def test_score_blank_question_or_answer_exits_one(capsys, question, answer):
+    # a blank answer used to exit 2 as a scorer failure
+    assert run_cli("score", "--question", question, "--answer", answer, "--vocab", "a") == 1
+    assert capsys.readouterr().err == "error: --question and --answer must not be blank\n"
+
+
+@pytest.mark.parametrize("url, env, problem", [
+    ("http://[::1", {}, "Invalid IPv6 URL"),
+    ("http://h:99999", {}, "Port out of range"),
+    ("http://127.0.0.1:9", {"http_proxy": "http://[::1"}, "Invalid IPv6 URL"),
+    ("http://127.0.0.1:9", {"HTTP_PROXY": "proxy:99999"}, "Port out of range"),
+], ids=["ipv6", "port", "proxy-ipv6", "proxy-port"])
+def test_bad_scorer_or_proxy_url_is_configuration_error(tmp_path, capsys, monkeypatch,
+                                                        url, env, problem):
+    for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "out"
+    assert run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir", str(out),
+                   "--scorer", "remote", "--scorer-url", url) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert problem in err
+    assert not out.exists()
+
+
+def test_unexpected_exception_exits_three_without_traceback(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("planted fault")
+
+    monkeypatch.setattr(cli, "run_reduction", broken)
+    assert reduce_fixture(tmp_path / "run") == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: ValueError: planted fault\n"
 
 
 def test_reduce_remote_scorer_failure_exits_two(tmp_path, capsys):
@@ -488,11 +592,16 @@ def test_config_file_typed_values_accepted(tmp_path):
     ("reduce", ["--alpha", "0"], {}),
     ("reduce", ["--template", "nope"], {}),
     ("reduce", ["--template", "nope", "--scorer", "remote"], {}),
+    ("pilot", ["--strategies", "front", "--check-ordering"], {}),
+    ("reduce", [], {"segmenter": {"min_unit_chars": 0}}),
+    ("reduce", [], {"segmenter": {"terminal_punctuation": ""}}),
+    ("pilot", [], {"segmenter": {"min_unit_chars": 0}}),
 ], ids=["epochs", "batch_size", "warmup_above", "warmup_below", "k_negatives",
         "candidate_order", "enforced_n", "mode", "unit", "samples_per_record",
         "pilot_strategies", "pilot_strategies_empty", "pilot_sizes", "scorer_backend",
         "scorer_backend_pilot", "smoothing_alpha_nan", "smoothing_alpha_zero",
-        "template_id", "template_id_remote"])
+        "template_id", "template_id_remote", "check_ordering_strategies",
+        "min_unit_chars", "terminal_punctuation", "min_unit_chars_pilot"])
 def test_out_of_range_setting_fails_before_any_work(tmp_path, capsys, monkeypatch,
                                                      command, flags, entries):
     loads = []
@@ -536,10 +645,12 @@ def test_reduce_worker_exception_reaches_caller(tmp_path, monkeypatch):
     real = schedule.evaluate_candidate
     monkeypatch.setattr(schedule, "evaluate_candidate", evaluate)
     with MockScorerServer() as server:
-        with pytest.raises(Boom) as exc:
-            run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir",
-                    str(tmp_path / "x"), "--scorer", "remote",
-                    "--scorer-url", server.url, "--epochs", "1", "--warmup", "0")
+        args = cli.build_parser().parse_args([
+            "reduce", "--input", str(FIXTURE_CORPUS), "--out-dir", str(tmp_path / "x"),
+            "--scorer", "remote", "--scorer-url", server.url, "--epochs", "1",
+            "--warmup", "0"])
+        with pytest.raises(Boom) as exc:  # main() would map it to exit 3
+            cli.cmd_reduce(args)
     assert exc.value is raised
 
 
@@ -592,8 +703,8 @@ def test_reduce_serialization_failure_keeps_previous_trace(tmp_path, monkeypatch
 
     real = metrics.ReductionTrace.canonical_json
     monkeypatch.setattr(metrics.ReductionTrace, "canonical_json", failing_encoding)
-    assert reduce_fixture(out, "--seed", "4") == 1
-    assert "cannot serialize" in capsys.readouterr().err
+    assert reduce_fixture(out, "--seed", "4") == 3  # an internal fault
+    assert capsys.readouterr().err == "internal error: ValueError: cannot serialize\n"
     assert {name: (out / name).read_bytes() for name in REDUCE_OUTPUTS} == before
     assert sorted(p.name for p in out.iterdir()) == REDUCE_OUTPUTS
 

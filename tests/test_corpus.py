@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varr.config import RunConfig
 from varr.corpus import (
     atomic_writer,
     load_corpus,
@@ -40,8 +41,6 @@ def test_load_counts_records(tmp_path):
     write_lines(path, [base_obj("a"), base_obj("b"), base_obj("c")])
     corpus = load_corpus(path)
     assert len(corpus) == 3
-    assert corpus.meta.format_version == "1"
-    assert corpus.meta.segmentation_rule_id == "default-v1"
 
 
 def test_presplit_list_passthrough(tmp_path):
@@ -64,9 +63,8 @@ def test_raw_string_goes_through_segmenter(tmp_path):
 def test_token_granularity(tmp_path):
     path = tmp_path / "c.jsonl"
     write_lines(path, [base_obj("a", rationale=["a b", "c d e"])])
-    record = load_corpus(path, granularity="token").records[0]
+    record = load_corpus(path, RunConfig(unit="token")).records[0]
     assert [u.text for u in record.rationale] == ["a", "b", "c", "d", "e"]
-    assert all(u.granularity == "token" for u in record.rationale)
 
 
 def test_malformed_line_names_line_number(tmp_path):
@@ -82,6 +80,24 @@ def test_missing_field_names_line(tmp_path):
     del obj["answer"]
     write_lines(path, [obj])
     with pytest.raises(ParseError, match="line 1.*answer"):
+        load_corpus(path)
+
+
+# One wrong JSON type per field; str() used to coerce each of them.
+WRONG_FIELD_TYPES = [
+    ("question", None),
+    ("rationale", ["s1 y.", None]),
+    ("answer", None),
+    ("wrong_answers", "abc"),
+    ("task_kind", "essay"),
+]
+
+
+@pytest.mark.parametrize("key, value", WRONG_FIELD_TYPES, ids=[k for k, _ in WRONG_FIELD_TYPES])
+def test_field_of_wrong_type_names_line_and_field(tmp_path, key, value):
+    path = tmp_path / "c.jsonl"
+    write_lines(path, [base_obj("a"), {**base_obj("b"), key: value}])
+    with pytest.raises(ParseError, match=f"^line 2: field '{key}' must be .*, got "):
         load_corpus(path)
 
 
@@ -116,6 +132,13 @@ def test_validate_empty_answer():
     report = validate_record(make_record(answer="  "))
     assert len(report.violations) == 1
     assert "answer" in report.violations[0]
+
+
+def test_validate_blank_question_and_wrong_answer():
+    report = validate_record(make_record(question=" \t"))
+    assert report.violations == ["question is empty"]
+    report = validate_record(make_record(task_kind="multiple_choice", wrong_answers=("m", " ")))
+    assert report.violations == ["wrong_answers has an empty entry"]
 
 
 def test_mark_removed_is_permanent():

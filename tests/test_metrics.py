@@ -17,7 +17,6 @@ from varr.metrics import (
     removal_ratio_tsv,
     render_report_text,
     replay_trace,
-    token_stats,
     trace_fingerprint,
     validate_trace,
 )
@@ -25,6 +24,7 @@ from varr.schedule import run_reduction
 from varr.scorer import fit_tabular_scorer
 
 from .conftest import FIXTURE_CORPUS, make_record
+from .oracles import token_stats
 
 
 def event(record_id="r", epoch=1, step=1, t=1, index=0, decision=DECISION_REMOVED,

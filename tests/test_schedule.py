@@ -159,6 +159,8 @@ def test_run_config_range_checks():
         {"smoothing_alpha": 0.0},
         {"smoothing_alpha": -1.0},
         {"template_id": "nope"},
+        {"terminal_punctuation": ""},
+        {"min_unit_chars": 0},
     ):
         with pytest.raises(ConfigurationError):
             RunConfig(**settings)

@@ -312,8 +312,9 @@ def test_from_counts_validation():
         model_from_counts(["a", "b"], [[1, -2], [0, 0]])
     with pytest.raises(ValueError):
         TabularModel(["a", "a"])
-    with pytest.raises(ValueError):
-        TabularModel(["a"], smoothing_alpha=0)
+    for alpha in (0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            TabularModel(["a"], smoothing_alpha=alpha)
 
 
 def test_loglikelihood_invariants():

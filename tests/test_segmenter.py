@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varr.segmenter import (
-    SegmentationRules,
     normalize_whitespace,
     segment_sentences,
     segment_tokens,
@@ -22,8 +21,8 @@ def test_no_terminal_single_segment():
 
 
 def test_abbreviation_exception_blocks_split():
-    rules = SegmentationRules(abbreviation_exceptions=("Dr.",))
-    got = segment_sentences("Dr. Lee ran 5 km. Then rested.", rules)
+    got = segment_sentences("Dr. Lee ran 5 km. Then rested.",
+                            abbreviation_exceptions=("Dr.",))
     assert got == ["Dr. Lee ran 5 km.", "Then rested."]
 
 
@@ -53,8 +52,7 @@ def test_question_and_exclamation_terminals():
 
 
 def test_short_trailing_fragment_merges():
-    rules = SegmentationRules(min_unit_chars=3)
-    got = segment_sentences("A full sentence here. Ok", rules)
+    got = segment_sentences("A full sentence here. Ok", min_unit_chars=3)
     assert got == ["A full sentence here. Ok"]
 
 
@@ -66,13 +64,6 @@ def test_whitespace_runs_collapse():
 def test_empty_text_rejected():
     with pytest.raises(ValueError):
         segment_sentences("   ")
-
-
-def test_rules_validation():
-    with pytest.raises(ValueError):
-        SegmentationRules(terminal_punctuation="")
-    with pytest.raises(ValueError):
-        SegmentationRules(min_unit_chars=0)
 
 
 text_strategy = st.text(
@@ -89,8 +80,7 @@ def test_reconstruction_invariant(text):
 
 @given(text_strategy)
 def test_determinism(text):
-    rules = SegmentationRules()
-    assert segment_sentences(text, rules) == segment_sentences(text, rules)
+    assert segment_sentences(text) == segment_sentences(text)
 
 
 def test_tokens_whitespace():
