@@ -41,7 +41,6 @@ from .errors import (
 )
 from .schedule import CANDIDATE_ORDERS, ReductionAborted, run_reduction
 from .scorer import PromptAssembly, uniform_tabular_scorer
-from .segmenter import DEFAULT_RULE_ID
 from .verbosity import MODES
 
 log = logging.getLogger("varr")
@@ -181,12 +180,18 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_valid(path: str, cfg: config_mod.RunConfig) -> Corpus:
-    """The corpus at ``path`` read with ``cfg``; else, if it is empty or a
-    record is invalid, a ValidationError after each violation on stderr."""
+def _load_records(path: str, cfg: config_mod.RunConfig) -> Corpus:
+    """The corpus at ``path`` read with ``cfg``; a ValidationError if it is empty."""
     corpus = load_corpus(path, cfg)
     if not corpus.records:
         raise ValidationError(f"corpus {path} holds no records")
+    return corpus
+
+
+def _load_valid(path: str, cfg: config_mod.RunConfig) -> Corpus:
+    """The corpus at ``path`` read with ``cfg``; else, if it is empty or a
+    record is invalid, a ValidationError after each violation on stderr."""
+    corpus = _load_records(path, cfg)
     violations = [(r.record_id, v) for r in validate_corpus(corpus) for v in r.violations]
     for rid, violation in violations:
         print(f"violation [{rid}]: {violation}", file=sys.stderr)
@@ -197,7 +202,7 @@ def _load_valid(path: str, cfg: config_mod.RunConfig) -> Corpus:
 
 def cmd_ingest(args) -> int:
     cfg = config_mod.load_run_config(args.config, vars(args))
-    corpus = load_corpus(args.input, cfg)
+    corpus = _load_records(args.input, cfg)
     reports = validate_corpus(corpus)
     violations = [(r.record_id, v) for r in reports for v in r.violations]
     flags = [(r.record_id, f) for r in reports for f in r.flags]
@@ -206,7 +211,9 @@ def cmd_ingest(args) -> int:
         "records": len(corpus),
         "violations": [{"record_id": rid, "problem": v} for rid, v in violations],
         "flags": [{"record_id": rid, "note": f} for rid, f in flags],
-        "segmentation_rule_id": DEFAULT_RULE_ID,
+        # the config file's segmenter section, as this run applied it
+        "segmenter": {f.metadata["key"]: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+                      if f.metadata["section"] == "segmenter"},
     }
     if args.report:
         write_text_atomic(args.report, json.dumps(summary, indent=2, ensure_ascii=False))

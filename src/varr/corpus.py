@@ -80,12 +80,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.records)
 
-    def by_id(self, record_id: str) -> RationaleRecord:
-        for record in self.records:
-            if record.id == record_id:
-                return record
-        raise KeyError(record_id)
-
 
 @dataclass
 class ValidationReport:

@@ -6,8 +6,11 @@ count. Everything downstream (removal-ratio curves, token statistics,
 replay checks, the determinism fingerprint) is derived from it.
 
 The trace is written as canonical JSON: keys sorted, compact separators,
-non-ASCII characters escaped. The fingerprint is the sha256 of the same
-encoding without the config entries that cannot change a decision
+non-ASCII characters escaped. TraceEvent declares its fields in sorted
+order, so an event's attribute dict is already in canonical key order
+and the events list, most of the trace, is encoded without re-sorting.
+The fingerprint is the sha256 of the same encoding without the config
+entries that cannot change a decision
 (``UNFINGERPRINTED``: filesystem paths and remote execution settings),
 so two runs of the same configuration into different output directories,
 or against the same scorer at another concurrency, fingerprint
@@ -37,22 +40,23 @@ DECISION_REMOVED = "removed"
 DECISION_KEPT = "kept"
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TraceEvent:
-    record_id: str
-    epoch: int
-    step: int
-    t: int
-    candidate_index: int
-    decision: str
+    # Fields in sorted order: encode_events relies on it.
     budget: int
     buffer_size: int  # |R_B| after this decision was applied
-    verbosity_gt: float | None = None
-    verbosity_wrong: float | None = None
+    candidate_index: int
+    decision: str
+    epoch: int
     k_used: int = 0
+    record_id: str
     score_full: float | None = None
     score_reduced: float | None = None
+    step: int
+    t: int
     unconditional: bool = False
+    verbosity_gt: float | None = None
+    verbosity_wrong: float | None = None
 
 
 @dataclass
@@ -117,8 +121,14 @@ def _canonical(obj) -> str:
 
 
 def encode_events(events: list[TraceEvent]) -> str:
-    """The canonical JSON of the events list, without copying the events."""
-    return _canonical([vars(e) for e in events])
+    """The canonical JSON of the events list, without copying the events.
+
+    Each event's attribute dict is in TraceEvent's field order, which is
+    sorted, so the keys need no sorting; its values are scalars, so there
+    is no reference cycle to check for.
+    """
+    return json.dumps([vars(e) for e in events], separators=(",", ":"),
+                      check_circular=False)
 
 
 def trace_fingerprint(trace: ReductionTrace, events_json: str | None = None) -> str:
@@ -200,47 +210,48 @@ def replay_trace(corpus: Corpus, trace: ReductionTrace) -> Corpus:
     Used to verify the replay law: the result must match the corpus the
     run actually produced, retained set for retained set.
     """
+    records = {record.id: record for record in corpus.records}
     for event in trace.events:
-        if event.decision != DECISION_REMOVED:
-            continue
-        record = corpus.by_id(event.record_id)
-        record.mark_removed(event.candidate_index, event.epoch, event.step)
+        if event.decision == DECISION_REMOVED:
+            records[event.record_id].mark_removed(event.candidate_index, event.epoch, event.step)
     return corpus
 
 
 def validate_trace(trace: ReductionTrace) -> list[str]:
-    """Check the budget, permanence, warm-up, and ordering laws."""
-    problems: list[str] = []
+    """Check the budget, permanence, warm-up, and ordering laws.
+
+    One pass over the events. The problems are listed by law: ordering
+    and warm-up first, then permanence, then budget.
+    """
+    timing: list[str] = []
+    permanence: list[str] = []
     total_steps = int(trace.config.get("schedule", {}).get("total_steps", 0))
-    warmup_ratio = float(trace.config.get("run", {}).get("warmup_ratio", 0.0))
+    warmup_end = float(trace.config.get("run", {}).get("warmup_ratio", 0.0)) * total_steps
 
     previous_key = None
-    for e in trace.events:
-        key = (e.epoch, e.step)
-        if previous_key is not None and key < previous_key:
-            problems.append(f"events out of (epoch, step) order at t={e.t}")
-        previous_key = key
-        if total_steps and e.t <= warmup_ratio * total_steps:
-            problems.append(f"event at t={e.t} inside warm-up window")
-
     removed_by_group: dict[tuple[str, int, int], int] = {}
     budget_by_group: dict[tuple[str, int, int], int] = {}
     seen_removals: set[tuple[str, int]] = set()
     for e in trace.events:
+        key = (e.epoch, e.step)
+        if previous_key is not None and key < previous_key:
+            timing.append(f"events out of (epoch, step) order at t={e.t}")
+        previous_key = key
+        if total_steps and e.t <= warmup_end:
+            timing.append(f"event at t={e.t} inside warm-up window")
         group = (e.record_id, e.epoch, e.step)
         budget_by_group[group] = e.budget
         if e.decision == DECISION_REMOVED:
             removed_by_group[group] = removed_by_group.get(group, 0) + 1
             unit = (e.record_id, e.candidate_index)
             if unit in seen_removals:
-                problems.append(f"unit {unit} removed twice")
+                permanence.append(f"unit {unit} removed twice")
             seen_removals.add(unit)
-    for group, removed in removed_by_group.items():
-        if removed > budget_by_group[group]:
-            problems.append(
-                f"group {group} removed {removed} over budget {budget_by_group[group]}"
-            )
-    return problems
+    return timing + permanence + [
+        f"group {group} removed {removed} over budget {budget_by_group[group]}"
+        for group, removed in removed_by_group.items()
+        if removed > budget_by_group[group]
+    ]
 
 
 def build_report(

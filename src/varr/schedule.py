@@ -49,7 +49,7 @@ import random
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .corpus import CHOICE_TASKS, Corpus, RationaleRecord
 from .errors import ConfigurationError, ScorerError, VarrError
@@ -62,7 +62,7 @@ from .metrics import (
 )
 from .scorer import ScorerHandle, assemble_prompt, corpus_view
 from .seeding import child_rng
-from .verbosity import MODE_VARR_PLUS, evaluate_candidate
+from .verbosity import MODE_VARR_PLUS, VerbosityReport, evaluate_candidate
 
 if TYPE_CHECKING:  # config imports this module
     from .config import RunConfig
@@ -114,10 +114,14 @@ def in_warmup(t: int, total_steps: int, warmup_ratio: float) -> bool:
     return t <= warmup_ratio * total_steps
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     index: int
     unconditional: bool = False
+
+
+# The score fields of an unconditional removal, which scores nothing:
+# the trace's defaults.
+_UNSCORED = VerbosityReport(None, None, 0, None, None)
 
 
 def candidate_sequence(
@@ -143,7 +147,7 @@ def candidate_sequence(
     n = (len(retained) if order == "no_rule"
          else settings.enforced_n if order == "enforced_front" and enforced_active
          else 0)
-    return [Candidate(i, unconditional=pos < n) for pos, i in enumerate(retained)]
+    return [Candidate(i, pos < n) for pos, i in enumerate(retained)]
 
 
 def negative_pool(
@@ -219,8 +223,10 @@ def run_reduction(
         if handle.in_flight > 1 else None
     )
 
+    removals = 0
     try:
         for epoch in range(1, epochs + 1):
+            first = len(trace.events)
             order = list(range(len(records)))
             child_rng(settings.seed, "batch-order", epoch).shuffle(order)
             for step in range(1, steps_per_epoch + 1):
@@ -237,10 +243,8 @@ def run_reduction(
                 )
                 _scan_batch(pool, scan, batch, trace, handle)
             handle.refresh(corpus_view(corpus))
-            log.info(
-                "epoch %d/%d done: %d removals so far",
-                epoch, epochs, len(trace.removal_events()),
-            )
+            removals += sum(e.decision == DECISION_REMOVED for e in trace.events[first:])
+            log.info("epoch %d/%d done: %d removals so far", epoch, epochs, removals)
     except ScorerError as exc:
         raise ReductionAborted(exc, trace) from exc
     finally:
@@ -316,42 +320,44 @@ def _reduce_record(
         settings.candidate_order == "enforced_front"
         and clock.epoch <= settings.enforce_epochs
     )
+    epoch, step, t, mode = clock.epoch, clock.step_in_epoch, clock.t, settings.mode
     order_rng = (
-        child_rng(settings.seed, "candidate-order", record.id, clock.t)
+        child_rng(settings.seed, "candidate-order", record.id, t)
         if settings.candidate_order in SHUFFLED_ORDERS else None
     )
-    for candidate in candidate_sequence(record, settings, order_rng, enforced_active):
+    for index, unconditional in candidate_sequence(record, settings, order_rng, enforced_active):
         if len(buffer) >= budget or (halted is not None and halted()):
             break
-        position = bisect_left(retained, candidate.index)
+        position = bisect_left(retained, index)
         reduced = full.without(position)
-        scores = {}
-        if candidate.unconditional:
-            removed = True
+        if unconditional:
+            removed, report = True, _UNSCORED
         else:
             # seeded only if the negatives are actually subsampled
             neg_rng = functools.partial(
-                child_rng, settings.seed, "negatives", record.id, clock.t,
-                candidate.index,
+                child_rng, settings.seed, "negatives", record.id, t, index,
             ) if negatives else None
             report = evaluate_candidate(
                 handle, record, full, reduced, negatives, k, neg_rng)
-            removed = report.removal_approved(settings.mode)
-            scores = vars(report)
+            removed = report.removal_approved(mode)
         if removed:
-            record.mark_removed(candidate.index, clock.epoch, clock.step_in_epoch)
-            buffer.append(candidate.index)
+            record.mark_removed(index, epoch, step)
+            buffer.append(index)
             del retained[position]
             full = reduced
         events.append(TraceEvent(
-            record_id=record.id,
-            epoch=clock.epoch,
-            step=clock.step_in_epoch,
-            t=clock.t,
-            candidate_index=candidate.index,
-            decision=DECISION_REMOVED if removed else DECISION_KEPT,
             budget=budget,
             buffer_size=len(buffer),
-            unconditional=candidate.unconditional,
-            **scores,
+            candidate_index=index,
+            decision=DECISION_REMOVED if removed else DECISION_KEPT,
+            epoch=epoch,
+            k_used=report.k_used,
+            record_id=record.id,
+            score_full=report.score_full,
+            score_reduced=report.score_reduced,
+            step=step,
+            t=t,
+            unconditional=unconditional,
+            verbosity_gt=report.verbosity_gt,
+            verbosity_wrong=report.verbosity_wrong,
         ))

@@ -38,20 +38,15 @@ work; rendering a prompt is the one other place that looks a template up.
 
 from __future__ import annotations
 
-import base64
 import ipaddress
 import json
 import math
-import netrc
 import os
-import socket
-import ssl
 import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from typing import BinaryIO, Iterable, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterable, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
 from .corpus import Corpus, RationaleRecord
@@ -62,6 +57,9 @@ from .errors import (
     ScorerError,
     TransportError,
 )
+
+if TYPE_CHECKING:  # imported where a remote scorer is built
+    import socket
 
 ENV_SCORER_URL = "VARR_SCORER_URL"
 ENV_SCORER_TIMEOUT_MS = "VARR_SCORER_TIMEOUT_MS"
@@ -109,8 +107,13 @@ def get_template(template_id: str) -> str:
         raise ConfigurationError(f"unknown template_id {template_id!r}") from None
 
 
-@dataclass(frozen=True)
-class PromptAssembly:
+class PromptAssembly(NamedTuple):
+    """A question and the retained units in order, under one template.
+
+    A named tuple rather than a dataclass: the driver builds one per
+    candidate, and a tuple is the cheapest immutable record to build.
+    """
+
     question: str
     retained_rationale: tuple[str, ...]
     template_id: str = "plain-v1"
@@ -264,7 +267,8 @@ class ScorerHandle:
         return getattr(self._calls, "count", 0)
 
     def score_answer(self, assembly: PromptAssembly, answer: str) -> LogLikelihood:
-        self._calls.count = self.thread_calls() + 1
+        calls = self._calls
+        calls.count = getattr(calls, "count", 0) + 1
         if not answer.strip():
             raise ScorerError("answer must be non-empty")
         context = self._context(assembly)
@@ -306,11 +310,11 @@ class TabularScorer(ScorerHandle):
         # An order-1 model sees only the token before the answer, the last
         # whitespace token of the rendered prompt; with whitespace
         # separators that is the last token of the last non-blank part.
-        parts = chain(reversed(assembly.retained_rationale), (assembly.question,))
-        for text in parts:
-            tokens = text.rsplit(None, 1)
-            if tokens:
+        for text in reversed(assembly.retained_rationale):
+            if tokens := text.rsplit(None, 1):
                 return tokens[-1]
+        if tokens := assembly.question.rsplit(None, 1):
+            return tokens[-1]
         raise ScorerError("assembled context is empty; cannot condition")
 
     def _evaluate(self, context: str, answer: str) -> LogLikelihood:
@@ -352,7 +356,7 @@ def _bypasses_proxy(host: str, no_proxy: str) -> bool:
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
 
-_Connection = tuple[socket.socket, BinaryIO]
+_Connection = tuple["socket.socket", BinaryIO]
 
 
 class _MalformedResponse(Exception):
@@ -466,7 +470,15 @@ def _split_url(url: str, what: str):
 def _environment_settings(url: str, timeout: float):
     """A connection factory and the request head up to the Content-Length
     value for url, from the proxy, CA bundle and netrc variables that the
-    README lists, read as ``requests`` reads them."""
+    README lists, read as ``requests`` reads them.
+
+    The modules only a remote scorer needs are imported here, so that a
+    tabular run does not pay for them at start-up."""
+    import base64
+    import netrc
+    import socket
+    import ssl
+
     parts, port = _split_url(url, "scorer URL")
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ConfigurationError(f"scorer URL {url!r} is not an http or https URL")

@@ -4,8 +4,9 @@ Sentence boundaries are purely rule-based: a terminal punctuation mark,
 followed by whitespace, followed by an upper-case letter or a digit,
 opens a new sentence unless the word carrying the mark is a known
 abbreviation ("Dr.", "e.g.", ...). No statistical boundary detection,
-no language-specific morphology; the rule set is pinned and versioned so
-identical inputs split identically on every platform.
+no language-specific morphology; the rules are pinned, and set only by
+the ``segmenter`` settings, so identical inputs split identically on
+every platform.
 
 Reconstruction invariant: joining the returned segments with single
 spaces equals the input after collapsing all whitespace runs to single
@@ -15,7 +16,8 @@ segment.
 
 from __future__ import annotations
 
-DEFAULT_RULE_ID = "default-v1"
+import re
+
 # The default rules, which are also RunConfig's segmenter defaults.
 DEFAULT_TERMINAL_PUNCTUATION = ".?!"
 DEFAULT_MIN_UNIT_CHARS = 2
@@ -49,23 +51,19 @@ def segment_sentences(text: str, terminal_punctuation: str = DEFAULT_TERMINAL_PU
     normalized = normalize_whitespace(text)
     segments: list[str] = []
     start = 0
-    i = 0
-    while i < len(normalized) - 1:
-        ch = normalized[i]
-        if ch in terminal_punctuation and normalized[i + 1] == " ":
-            nxt = normalized[i + 2] if i + 2 < len(normalized) else ""
-            if nxt and (nxt.isupper() or nxt.isdigit()):
-                word = _word_ending_at(normalized, i)
-                candidate = normalized[start : i + 1]
-                if (
-                    word not in abbreviation_exceptions
-                    and len(candidate) >= min_unit_chars
-                ):
-                    segments.append(candidate)
-                    start = i + 2
-                    i += 2
-                    continue
-        i += 1
+    # Each match is a terminal mark and the space after it; matches cannot
+    # overlap, as the normalized text holds no two spaces in a row.
+    for match in re.finditer(f"[{re.escape(terminal_punctuation)}] ", normalized):
+        i = match.start()
+        nxt = normalized[i + 2 : i + 3]
+        if nxt and (nxt.isupper() or nxt.isdigit()):
+            candidate = normalized[start : i + 1]
+            if (
+                _word_ending_at(normalized, i) not in abbreviation_exceptions
+                and len(candidate) >= min_unit_chars
+            ):
+                segments.append(candidate)
+                start = i + 2
     tail = normalized[start:]
     if tail:
         if segments and len(tail) < min_unit_chars:

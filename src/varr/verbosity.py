@@ -21,8 +21,7 @@ caller passes in.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .corpus import RationaleRecord
 from .errors import EmptyNegativePoolError
@@ -36,13 +35,12 @@ MODES = (MODE_VARR, MODE_VARR_PLUS)
 RngSource = random.Random | Callable[[], random.Random] | None
 
 
-@dataclass(frozen=True)
-class VerbosityReport:
+class VerbosityReport(NamedTuple):
     """Outcome of evaluating one candidate unit: the trace's score fields.
 
     verbosity_wrong is None when no wrong answers were scored: without
     negatives (as in plain mode), or when the first criterion already
-    rejected the candidate.
+    rejected the candidate. A named tuple, as one is built per decision.
     """
 
     verbosity_gt: float

@@ -94,3 +94,65 @@ def token_stats(corpus_before, corpus_after):
         "avg_rationale_tokens_after": after,
         "reduction_percent": 100.0 * (before - after) / before if before > 0 else 0.0,
     }
+
+
+def oracle_segment_sentences(text, terminal_punctuation, abbreviation_exceptions,
+                             min_unit_chars):
+    """The sentence splitter as a character-by-character scan: the
+    reference for ``segmenter.segment_sentences``, which finds its split
+    candidates with a regular expression."""
+    normalized = " ".join(text.split())
+    segments = []
+    start = 0
+    i = 0
+    while i < len(normalized) - 1:
+        ch = normalized[i]
+        if ch in terminal_punctuation and normalized[i + 1] == " ":
+            nxt = normalized[i + 2] if i + 2 < len(normalized) else ""
+            if nxt and (nxt.isupper() or nxt.isdigit()):
+                word = normalized[normalized.rfind(" ", 0, i) + 1 : i + 1]
+                candidate = normalized[start : i + 1]
+                if word not in abbreviation_exceptions and len(candidate) >= min_unit_chars:
+                    segments.append(candidate)
+                    start = i + 2
+                    i += 2
+                    continue
+        i += 1
+    tail = normalized[start:]
+    if tail:
+        if segments and len(tail) < min_unit_chars:
+            segments[-1] = segments[-1] + " " + tail
+        else:
+            segments.append(tail)
+    return segments
+
+
+def oracle_validate_trace(trace):
+    """The trace law check in two passes over the events: ordering and
+    warm-up, then permanence and budget."""
+    problems = []
+    total_steps = int(trace.config.get("schedule", {}).get("total_steps", 0))
+    warmup_ratio = float(trace.config.get("run", {}).get("warmup_ratio", 0.0))
+    previous_key = None
+    for e in trace.events:
+        key = (e.epoch, e.step)
+        if previous_key is not None and key < previous_key:
+            problems.append(f"events out of (epoch, step) order at t={e.t}")
+        previous_key = key
+        if total_steps and e.t <= warmup_ratio * total_steps:
+            problems.append(f"event at t={e.t} inside warm-up window")
+    removed_by_group, budget_by_group, seen_removals = {}, {}, set()
+    for e in trace.events:
+        group = (e.record_id, e.epoch, e.step)
+        budget_by_group[group] = e.budget
+        if e.decision == "removed":
+            removed_by_group[group] = removed_by_group.get(group, 0) + 1
+            unit = (e.record_id, e.candidate_index)
+            if unit in seen_removals:
+                problems.append(f"unit {unit} removed twice")
+            seen_removals.add(unit)
+    for group, removed in removed_by_group.items():
+        if removed > budget_by_group[group]:
+            problems.append(
+                f"group {group} removed {removed} over budget {budget_by_group[group]}")
+    return problems

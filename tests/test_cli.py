@@ -14,6 +14,7 @@ from varr.config import BACKENDS, DECISION, EXECUTION, RunConfig, load_run_confi
 from varr.corpus import GRANULARITIES, load_corpus
 from varr.pilot import PILOT_STRATEGIES
 from varr.schedule import CANDIDATE_ORDERS
+from varr.segmenter import DEFAULT_ABBREVIATIONS
 from varr.verbosity import MODES
 
 from .conftest import FIXTURE_CORPUS, PILOT_CORPUS
@@ -69,6 +70,22 @@ def test_ingest_raw_text_matches_segmenter_golden(tmp_path):
     assert [u.text for u in record.rationale] == [
         "He bikes 40 miles.", "So 200 miles total.",
     ]
+
+
+def test_ingest_report_names_the_segmenter_settings_it_used(tmp_path):
+    src = tmp_path / "in.jsonl"
+    write_lines(src, [record_obj("r1", "One two. Three four.")])
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"segmenter": {"min_unit_chars": 50}}))
+    out, report = tmp_path / "corpus.jsonl", tmp_path / "report.json"
+    assert run_cli("ingest", "--input", str(src), "--output", str(out),
+                   "--report", str(report), "--config", str(config)) == 0
+    assert [u.text for u in load_corpus(out).records[0].rationale] == ["One two. Three four."]
+    assert json.loads(report.read_text())["segmenter"] == {
+        "terminal_punctuation": ".?!",
+        "abbreviation_exceptions": list(DEFAULT_ABBREVIATIONS),
+        "min_unit_chars": 50,
+    }
 
 
 def test_ingest_reports_violations(tmp_path, capsys):
@@ -233,7 +250,8 @@ def test_blank_answer_in_corpus_exits_one_naming_the_record(tmp_path, capsys, co
      "--scorer-url", "http://127.0.0.1:9"],
     ["pilot", "--out-dir", "{tmp}/out"],
     ["score", "--question", "a", "--answer", "b", "--fit-corpus"],
-], ids=["reduce-tabular", "reduce-remote", "pilot", "score-fit-corpus"])
+    ["ingest", "--output", "{tmp}/out"],
+], ids=["reduce-tabular", "reduce-remote", "pilot", "score-fit-corpus", "ingest"])
 def test_empty_corpus_exits_one_before_out_dir(tmp_path, capsys, argv):
     src = tmp_path / "empty.jsonl"
     src.write_text("\n", encoding="utf-8")
@@ -782,3 +800,13 @@ def test_cli_import_loads_only_the_standard_library():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[] []"
+    # Only a remote scorer uses these; -S keeps site hooks from loading
+    # any of them before the probe looks. (ipaddress is not among them:
+    # pathlib loads it, through urllib.parse.)
+    remote_only = ("ssl", "netrc", "base64", "socket")
+    probe = ("import sys; import varr.cli; "
+             f"print(sorted(name for name in {remote_only} if name in sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

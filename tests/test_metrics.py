@@ -1,7 +1,10 @@
 import hashlib
 import json
+from dataclasses import asdict, fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varr.config import RunConfig
 from varr.corpus import Corpus, load_corpus
@@ -24,7 +27,7 @@ from varr.schedule import run_reduction
 from varr.scorer import fit_tabular_scorer
 
 from .conftest import FIXTURE_CORPUS, make_record
-from .oracles import token_stats
+from .oracles import oracle_validate_trace, token_stats
 
 
 def event(record_id="r", epoch=1, step=1, t=1, index=0, decision=DECISION_REMOVED,
@@ -171,6 +174,23 @@ def test_validate_trace_catches_violations():
     assert any("order" in p for p in validate_trace(disorder))
 
 
+SMALL = st.integers(0, 3)
+# events of a few records, epochs and steps, so laws break by chance
+EVENTS = st.lists(st.builds(
+    event, record_id=st.sampled_from(["a", "b"]), epoch=SMALL, step=SMALL,
+    t=st.integers(0, 12), index=SMALL,
+    decision=st.sampled_from([DECISION_KEPT, DECISION_REMOVED]), budget=SMALL,
+), max_size=12)
+
+
+@given(events=EVENTS, total_steps=st.sampled_from([0, 10]),
+       warmup=st.sampled_from([0.0, 0.25]))
+@settings(max_examples=200, deadline=None)
+def test_validate_trace_lists_the_problems_of_the_two_pass_check(events, total_steps, warmup):
+    trace = trace_with(events, total_steps=total_steps, warmup=warmup)
+    assert validate_trace(trace) == oracle_validate_trace(trace)
+
+
 def test_report_flags_no_reductions():
     report = build_report(trace_with([]))
     assert report["no_reductions_performed"] is True
@@ -261,6 +281,31 @@ def test_non_ascii_trace_roundtrips_with_same_fingerprint(tmp_path):
     assert loaded.events[1].record_id == "\u00e9t\u00e9-\u4e2d"
     assert trace_fingerprint(loaded) == trace_fingerprint(trace)
     assert raw.decode() == trace.canonical_json()
+
+
+def test_trace_event_fields_are_declared_in_sorted_order():
+    # encode_events leaves each event's keys in field order, unsorted
+    names = [f.name for f in fields(TraceEvent)]
+    assert names == sorted(names)
+
+
+# -0.0, the smallest subnormal, a subnormal, the largest float, nan and inf
+FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e-310, 1.7976931348623157e308])
+OPTIONAL_FLOATS = st.none() | FLOATS
+INTS = st.integers(0, 10**12)
+
+
+@given(st.lists(st.builds(
+    TraceEvent, budget=INTS, buffer_size=INTS, candidate_index=INTS,
+    decision=st.sampled_from([DECISION_KEPT, DECISION_REMOVED]), epoch=INTS,
+    k_used=INTS, record_id=st.text(), score_full=OPTIONAL_FLOATS,
+    score_reduced=OPTIONAL_FLOATS, step=INTS, t=INTS, unconditional=st.booleans(),
+    verbosity_gt=OPTIONAL_FLOATS, verbosity_wrong=OPTIONAL_FLOATS,
+), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_encode_events_equals_key_sorted_dumps(events):
+    expected = json.dumps([asdict(e) for e in events], sort_keys=True, separators=(",", ":"))
+    assert encode_events(events) == expected
 
 
 def test_to_dict_rows_are_copies():

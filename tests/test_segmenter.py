@@ -3,10 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varr.segmenter import (
+    DEFAULT_ABBREVIATIONS,
+    DEFAULT_TERMINAL_PUNCTUATION,
     normalize_whitespace,
     segment_sentences,
     segment_tokens,
 )
+
+from .oracles import oracle_segment_sentences
 
 
 def test_two_terminal_periods():
@@ -81,6 +85,36 @@ def test_reconstruction_invariant(text):
 @given(text_strategy)
 def test_determinism(text):
     assert segment_sentences(text) == segment_sentences(text)
+
+
+# Words that end in a mark, abbreviations, non-ASCII capitals and digits
+# ("É", "Σ", "Ж", "٣") and marks that a regular expression
+# character class treats specially.
+WORDS = st.sampled_from([
+    "a", "bc", "Dr.", "e.g.", "vs.", "X.", "Élan.", "ß?", "12", "٣", "3.5",
+    "no!", "ok.", "Σ", "Жe", "end.", "?", "!", ".", "…", "^", "]", "-", "x\\",
+    "été;", "Q;",
+])
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\n"])
+
+
+@given(
+    words=st.lists(st.tuples(WORDS, SEPARATORS), min_size=1, max_size=30),
+    terminal_punctuation=st.sampled_from(
+        [DEFAULT_TERMINAL_PUNCTUATION, ".", "!?", ".;…", "^]-\\"]),
+    abbreviation_exceptions=st.sampled_from(
+        [DEFAULT_ABBREVIATIONS, (), ("X.", "ok.", "^")]),
+    min_unit_chars=st.integers(1, 8),
+)
+@settings(max_examples=300, deadline=None)
+def test_regex_split_agrees_with_character_scan(words, terminal_punctuation,
+                                                 abbreviation_exceptions, min_unit_chars):
+    text = "".join(word + sep for word, sep in words).rstrip()
+    rules = (terminal_punctuation, abbreviation_exceptions, min_unit_chars)
+    assert segment_sentences(text, *rules) == oracle_segment_sentences(text, *rules)
+    # a mark at the very end of the text
+    text += terminal_punctuation[-1]
+    assert segment_sentences(text, *rules) == oracle_segment_sentences(text, *rules)
 
 
 def test_tokens_whitespace():
