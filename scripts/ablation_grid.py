@@ -23,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from varr.config import RunConfig
 from varr.corpus import load_corpus
-from varr.metrics import reduction_token_stats, trace_fingerprint
+from varr.metrics import DECISION_REMOVED, reduction_token_stats, trace_fingerprint
 from varr.schedule import run_reduction
 
 STRATEGY_GRID = [
@@ -43,7 +43,7 @@ def run_cell(corpus_path, settings):
     trace = run_reduction(corpus, handle, settings)
     stats = reduction_token_stats(corpus)
     return {
-        "removals": len(trace.removal_events()),
+        "removals": sum(e.decision == DECISION_REMOVED for e in trace.events),
         "decisions": len(trace.events),
         "scorer_calls": trace.scorer_call_count,
         "reduction": stats["reduction_percent"],

@@ -296,7 +296,7 @@ def cmd_reduce(args) -> int:
         return EXIT_INVARIANT
 
     trace.save(out_dir / "trace.json", events_json)
-    write_reduced(corpus, trace, out_dir / "reduced.jsonl")
+    write_reduced(corpus, out_dir / "reduced.jsonl")
     write_text_atomic(out_dir / "report.json", json.dumps(report, indent=2, sort_keys=True))
     text = metrics.render_report_text(report)
     write_text_atomic(out_dir / "report.txt", text + "\n")

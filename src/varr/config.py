@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import types
 import typing
 from dataclasses import dataclass, field, fields
@@ -45,6 +46,8 @@ DECISION = "decision"
 EXECUTION = "execution"
 PILOT = "pilot"
 BACKENDS = ("tabular", "remote")
+ENV_SCORER_URL = "VARR_SCORER_URL"
+ENV_SCORER_TIMEOUT_MS = "VARR_SCORER_TIMEOUT_MS"
 
 
 def _setting(section: str, key: str, default, role: str = DECISION,
@@ -88,6 +91,7 @@ class RunConfig:
     samples_per_record: int = _setting("pilot", "samples_per_record", 8, PILOT)
 
     def __post_init__(self):
+        remote = self.scorer_backend == "remote"
         for broken, problem in (
             (self.epochs < 1, f"epochs must be >= 1, got {self.epochs}"),
             (self.batch_size < 1, f"batch_size must be >= 1, got {self.batch_size}"),
@@ -108,6 +112,11 @@ class RunConfig:
              f"smoothing_alpha must be a finite number > 0, got {self.smoothing_alpha}"),
             (self.template_id not in TEMPLATES,
              f"unknown template_id {self.template_id!r}"),
+            (remote and self.timeout_ms is not None and self.timeout_ms < 1,
+             f"timeout_ms must be >= 1, got {self.timeout_ms}"),
+            (remote and self.max_attempts < 1,
+             f"max_attempts must be >= 1, got {self.max_attempts}"),
+            (remote and self.in_flight < 1, f"in_flight must be >= 1, got {self.in_flight}"),
             (not self.terminal_punctuation, "terminal_punctuation must be non-empty"),
             (self.min_unit_chars < 1, f"min_unit_chars must be >= 1, got {self.min_unit_chars}"),
             (not self.pilot_strategies
@@ -174,7 +183,9 @@ def load_run_config(path: str | Path | None, flags: dict | None = None) -> RunCo
 
     ``flags`` maps names to values, as ``vars()`` of parsed arguments does:
     an entry named after a RunConfig field overrides it unless it is None,
-    and other entries are ignored.
+    and other entries are ignored. On the remote backend, the variables
+    VARR_SCORER_URL and VARR_SCORER_TIMEOUT_MS fill in the scorer URL and
+    timeout that neither the file nor the flags set.
     """
     values = {}
     if path is not None:
@@ -203,4 +214,15 @@ def load_run_config(path: str | Path | None, flags: dict | None = None) -> RunCo
         value = (flags or {}).get(name)
         if value is not None:
             values[name] = _value(name, value)
+    if values.get("scorer_backend", RunConfig.scorer_backend) == "remote":
+        if url := values.get("scorer_url") or os.environ.get(ENV_SCORER_URL):
+            values["scorer_url"] = url
+        timeout = os.environ.get(ENV_SCORER_TIMEOUT_MS)
+        if values.get("timeout_ms") is None and timeout is not None:
+            try:
+                values["timeout_ms"] = int(timeout)
+            except ValueError:
+                raise ConfigurationError(
+                    f"{ENV_SCORER_TIMEOUT_MS}={timeout!r} is not a whole number of"
+                    " milliseconds (timeout_ms)") from None
     return RunConfig(**values)

@@ -27,7 +27,6 @@ from .segmenter import segment_sentences, segment_tokens
 
 if TYPE_CHECKING:
     from .config import RunConfig
-    from .metrics import ReductionTrace
 
 TASK_KINDS = ("multiple_choice", "true_false", "free_form")
 GRANULARITIES = ("sentence", "token")
@@ -256,26 +255,10 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
     _write_records(corpus, path, reduced=False)
 
 
-def write_reduced(corpus: Corpus, trace: "ReductionTrace", path: str | Path) -> None:
-    """Emit the reduced corpus with removal provenance attached.
+def write_reduced(corpus: Corpus, path: str | Path) -> None:
+    """Write the reduced corpus with removal provenance attached.
 
-    The trace must have been produced over this corpus: the set of
-    removal events must equal the set of units marked removed, else the
-    engine broke its replay law and we refuse to write.
+    The caller checks the replay law first (``metrics.validate_trace``
+    given the corpus): the marks written here are the trace's removals.
     """
-    removal_events = {
-        (e.record_id, e.candidate_index): (e.epoch, e.step)
-        for e in trace.events
-        if e.decision == "removed"
-    }
-    marked = {
-        (record.id, unit.index): unit.removed_at
-        for record in corpus.records
-        for unit in record.rationale
-        if unit.removed_at is not None
-    }
-    if removal_events != marked:
-        raise InternalInvariantError(
-            "trace removal events disagree with corpus removed_at marks"
-        )
     _write_records(corpus, path, reduced=True)

@@ -48,9 +48,5 @@ class ProtocolError(ScorerError):
     """Remote scorer answered, but not with the documented wire format."""
 
 
-class EmptyNegativePoolError(VarrError):
-    """No usable wrong answers remain after filtering the gold answer."""
-
-
 class InternalInvariantError(VarrError):
     """A law the engine promises to uphold was observed broken."""

@@ -66,9 +66,6 @@ class ReductionTrace:
     events: list[TraceEvent] = field(default_factory=list)
     scorer_call_count: int = 0
 
-    def removal_events(self) -> list[TraceEvent]:
-        return [e for e in self.events if e.decision == DECISION_REMOVED]
-
     def to_dict(self) -> dict:
         return {
             "config": copy.deepcopy(self.config),
@@ -207,8 +204,8 @@ def reduction_token_stats(corpus: Corpus) -> dict:
 def replay_trace(corpus: Corpus, trace: ReductionTrace) -> Corpus:
     """Apply the trace's removal decisions to a pristine corpus copy.
 
-    Used to verify the replay law: the result must match the corpus the
-    run actually produced, retained set for retained set.
+    Used to verify the replay law: ``validate_trace(trace, result)`` must
+    find no problem, as it must for the corpus the run actually produced.
     """
     records = {record.id: record for record in corpus.records}
     for event in trace.events:
@@ -217,11 +214,13 @@ def replay_trace(corpus: Corpus, trace: ReductionTrace) -> Corpus:
     return corpus
 
 
-def validate_trace(trace: ReductionTrace) -> list[str]:
-    """Check the budget, permanence, warm-up, and ordering laws.
+def validate_trace(trace: ReductionTrace, corpus: Corpus | None = None) -> list[str]:
+    """Check the budget, permanence, warm-up, and ordering laws, and, given
+    the corpus the run reduced, the replay law: the trace's removal events
+    are exactly the units the corpus marks removed, at the same (epoch, step).
 
     One pass over the events. The problems are listed by law: ordering
-    and warm-up first, then permanence, then budget.
+    and warm-up first, then permanence, then budget, then replay.
     """
     timing: list[str] = []
     permanence: list[str] = []
@@ -231,7 +230,7 @@ def validate_trace(trace: ReductionTrace) -> list[str]:
     previous_key = None
     removed_by_group: dict[tuple[str, int, int], int] = {}
     budget_by_group: dict[tuple[str, int, int], int] = {}
-    seen_removals: set[tuple[str, int]] = set()
+    removed_at: dict[tuple[str, int], tuple[int, int]] = {}
     for e in trace.events:
         key = (e.epoch, e.step)
         if previous_key is not None and key < previous_key:
@@ -244,14 +243,21 @@ def validate_trace(trace: ReductionTrace) -> list[str]:
         if e.decision == DECISION_REMOVED:
             removed_by_group[group] = removed_by_group.get(group, 0) + 1
             unit = (e.record_id, e.candidate_index)
-            if unit in seen_removals:
+            if unit in removed_at:
                 permanence.append(f"unit {unit} removed twice")
-            seen_removals.add(unit)
-    return timing + permanence + [
+            removed_at[unit] = key
+    problems = timing + permanence + [
         f"group {group} removed {removed} over budget {budget_by_group[group]}"
         for group, removed in removed_by_group.items()
         if removed > budget_by_group[group]
     ]
+    if corpus is not None and removed_at != {
+        (record.id, unit.index): unit.removed_at
+        for record in corpus.records for unit in record.rationale
+        if unit.removed_at is not None
+    }:
+        problems.append("trace removal events disagree with corpus removed_at marks")
+    return problems
 
 
 def build_report(
@@ -262,11 +268,11 @@ def build_report(
 ) -> dict:
     """Machine-readable run summary.
 
-    Token stats are included when the reduced corpus (carrying its
-    removed_at marks) is given. ``events_json`` is ``encode_events`` of
-    the trace's events, when the caller has it already.
+    Token stats and the replay law's check are included when the reduced
+    corpus (carrying its removed_at marks) is given. ``events_json`` is
+    ``encode_events`` of the trace's events, when the caller has it already.
     """
-    removals = len(trace.removal_events())
+    removals = sum(e.decision == DECISION_REMOVED for e in trace.events)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "config": trace.config,
@@ -277,7 +283,7 @@ def build_report(
         "no_reductions_performed": removals == 0,
         "determinism_fingerprint": trace_fingerprint(trace, events_json),
         "removal_ratio_curve": [vars(p) for p in removal_ratio_curve(trace)],
-        "law_violations": validate_trace(trace),
+        "law_violations": validate_trace(trace, corpus),
     }
     if corpus is not None:
         report["token_stats"] = reduction_token_stats(corpus)

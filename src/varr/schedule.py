@@ -188,7 +188,7 @@ def run_reduction(
     Returns the complete trace of every evaluation and removal. Its config
     holds the trace schema, the decision settings (``run``) and the
     derived step counts (``schedule``). The corpus records' units carry
-    removed_at marks afterwards; feed the pair to write_reduced for the
+    removed_at marks afterwards; ``corpus.write_reduced`` writes the
     reduced artifact with provenance.
 
     On a scorer failure the partial trace holds what the serial driver

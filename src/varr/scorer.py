@@ -61,8 +61,6 @@ from .errors import (
 if TYPE_CHECKING:  # imported where a remote scorer is built
     import socket
 
-ENV_SCORER_URL = "VARR_SCORER_URL"
-ENV_SCORER_TIMEOUT_MS = "VARR_SCORER_TIMEOUT_MS"
 DEFAULT_TIMEOUT_MS = 10_000
 RETRYABLE_STATUSES = frozenset({429}) | frozenset(range(500, 600))
 
@@ -467,10 +465,11 @@ def _split_url(url: str, what: str):
         raise ConfigurationError(f"{what} {url!r} is not a valid URL: {exc}") from None
 
 
-def _environment_settings(url: str, timeout: float):
+def _environment_settings(base_url: str, timeout: float):
     """A connection factory and the request head up to the Content-Length
-    value for url, from the proxy, CA bundle and netrc variables that the
-    README lists, read as ``requests`` reads them.
+    value for the score endpoint under base_url, from the proxy, CA bundle
+    and netrc variables that the README lists, read as ``requests`` reads
+    them. An unusable base_url is a ConfigurationError that names it.
 
     The modules only a remote scorer needs are imported here, so that a
     tabular run does not pay for them at start-up."""
@@ -479,14 +478,16 @@ def _environment_settings(url: str, timeout: float):
     import socket
     import ssl
 
-    parts, port = _split_url(url, "scorer URL")
+    parts, port = _split_url(base_url, "scorer URL")
     if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise ConfigurationError(f"scorer URL {url!r} is not an http or https URL")
-    if not all("!" <= c <= "~" for c in url):
-        raise ConfigurationError(f"scorer URL {url!r} has a space, control or non-ASCII character")
+        raise ConfigurationError(f"scorer URL {base_url!r} is not an http or https URL")
+    if not all("!" <= c <= "~" for c in base_url):
+        raise ConfigurationError(
+            f"scorer URL {base_url!r} has a space, control or non-ASCII character")
+    url = base_url.rstrip("/") + "/v1/score"
     https = parts.scheme == "https"
     host, port = parts.hostname, port or (443 if https else 80)
-    address, target, tunnel = (host, port), parts.path, None
+    address, target, tunnel = (host, port), urlsplit(url).path, None
     headers = {"Host": parts.netloc.rpartition("@")[2], "Accept-Encoding": "identity",
                "Content-Type": "application/json"}
     try:
@@ -546,33 +547,23 @@ class RemoteScorer(ScorerHandle):
         in_flight: int = 4,
     ):
         super().__init__()
-        base_url = base_url or os.environ.get(ENV_SCORER_URL)
         if not base_url:
             raise ConfigurationError(
-                f"remote scorer needs a base URL (flag, config, or {ENV_SCORER_URL})"
-            )
+                "remote scorer needs a base URL (flag, config, or VARR_SCORER_URL)")
         if timeout_ms is None:
-            setting = os.environ.get(ENV_SCORER_TIMEOUT_MS, str(DEFAULT_TIMEOUT_MS))
-            try:
-                timeout_ms = int(setting)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{ENV_SCORER_TIMEOUT_MS}={setting!r} is not a whole number of"
-                    " milliseconds (timeout_ms)") from None
+            timeout_ms = DEFAULT_TIMEOUT_MS
         if timeout_ms < 1:
             raise ConfigurationError("timeout_ms must be >= 1")
         if max_attempts < 1:
             raise ConfigurationError("max_attempts must be >= 1")
         if in_flight < 1:
             raise ConfigurationError("in_flight must be >= 1")
-        self.base_url = base_url.rstrip("/")
-        self.url = self.base_url + "/v1/score"
         self.model = model
         self.timeout_seconds = timeout_ms / 1000.0
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
         self.in_flight = in_flight
-        self._connect, self._head = _environment_settings(self.url, self.timeout_seconds)
+        self._connect, self._head = _environment_settings(base_url, self.timeout_seconds)
         # idle keep-alive connections; list.pop and list.append are atomic
         self._idle: list[_Connection] = []
 

@@ -24,7 +24,6 @@ import random
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .corpus import RationaleRecord
-from .errors import EmptyNegativePoolError
 from .scorer import PromptAssembly, ScorerHandle, assemble_prompt
 
 MODE_VARR = "varr"
@@ -76,47 +75,6 @@ def nll(
     return -handle.score_answer(assembly, record.answer).total
 
 
-def candidate_assemblies(
-    record: RationaleRecord,
-    i: int,
-    current_retained: Iterable[int],
-    template_id: str = "plain-v1",
-) -> tuple[PromptAssembly, PromptAssembly]:
-    """The prompts for R and for R' = R minus candidate i."""
-    retained = sorted(set(current_retained))
-    if i not in retained:
-        raise ValueError(f"candidate {i} not in retained set of record {record.id}")
-    full = assemble_prompt(record, retained, template_id)
-    return full, full.without(retained.index(i))
-
-
-def sample_negatives(
-    record: RationaleRecord,
-    negatives: Sequence[str],
-    k: int,
-    rng: RngSource = None,
-) -> list[str]:
-    """Up to k wrong answers, the gold answer filtered out.
-
-    Sampling is without replacement; when k covers the whole filtered
-    pool no randomness is consumed (and an rng factory is not called).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    pool = [n for n in negatives if n != record.answer]
-    if not pool:
-        raise EmptyNegativePoolError(
-            f"record {record.id}: no negatives distinct from the gold answer"
-        )
-    if k >= len(pool):
-        return pool
-    if rng is None:
-        raise ValueError("subsampling negatives requires an rng")
-    if not isinstance(rng, random.Random):
-        rng = rng()
-    return rng.sample(pool, k)
-
-
 def verbosity_wrong(
     handle: ScorerHandle,
     full: PromptAssembly,
@@ -147,6 +105,12 @@ def evaluate_candidate(
     is computed only when there are negatives and the gold criterion
     passed; a candidate failing verbosity_gt >= 0 is rejected without
     sampling negatives or spending scorer calls on them.
+
+    ``negatives`` never holds the gold answer: the driver passes the pool
+    that ``schedule.negative_pool`` built, which guarantees it. When k
+    covers the pool, all of it is scored and no randomness is consumed
+    (an rng factory is not called); otherwise k wrong answers are drawn
+    without replacement by ``rng.sample``.
     """
     score_full = handle.score_answer(full, record.answer).total
     score_reduced = handle.score_answer(reduced, record.answer).total
@@ -155,7 +119,10 @@ def evaluate_candidate(
     v_wrong: float | None = None
     k_used = 0
     if negatives and v_gt >= 0.0:
-        sampled = sample_negatives(record, negatives, k, rng)
-        v_wrong = verbosity_wrong(handle, full, reduced, sampled)
-        k_used = len(sampled)
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        if k < len(negatives):
+            negatives = (rng if isinstance(rng, random.Random) else rng()).sample(negatives, k)
+        v_wrong = verbosity_wrong(handle, full, reduced, negatives)
+        k_used = len(negatives)
     return VerbosityReport(v_gt, v_wrong, k_used, score_full, score_reduced)

@@ -5,9 +5,13 @@ off a plain list-of-lists count matrix and takes one log at the end,
 whereas the engine sums per-token logs over a sparse-count model. The
 verbosity oracles difference two such scores. Agreement within 1e-9
 validates both the arithmetic and the prompt-assembly conventions.
+``candidate_assemblies`` builds a candidate's two prompts from the
+retained sets alone, the reference for the driver's sliced prompts.
 """
 
 import math
+
+from varr.scorer import assemble_prompt
 
 
 def oracle_smoothed_prob(counts, vocab, prev, nxt, alpha):
@@ -156,3 +160,13 @@ def oracle_validate_trace(trace):
             problems.append(
                 f"group {group} removed {removed} over budget {budget_by_group[group]}")
     return problems
+
+
+def candidate_assemblies(record, i, current_retained, template_id="plain-v1"):
+    """The prompts for R and for R' = R minus candidate i, each assembled
+    from its retained set."""
+    retained = sorted(set(current_retained))
+    if i not in retained:
+        raise ValueError(f"candidate {i} not in retained set of record {record.id}")
+    return (assemble_prompt(record, retained, template_id),
+            assemble_prompt(record, [j for j in retained if j != i], template_id))

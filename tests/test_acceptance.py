@@ -26,17 +26,17 @@ from varr.scorer import (
     fit_tabular_scorer,
     uniform_tabular_scorer,
 )
-from varr.verbosity import (
-    candidate_assemblies,
-    evaluate_candidate,
-    nll,
-    sample_negatives,
-    verbosity_wrong,
-)
+from varr.verbosity import evaluate_candidate, nll, verbosity_wrong
 
 from .conftest import FIXTURE_CORPUS, PILOT_CORPUS, random_model, random_record
 from .mockserver import MockScorerServer
-from .oracles import oracle_nll, oracle_verbosity_gt, oracle_verbosity_wrong, token_stats
+from .oracles import (
+    candidate_assemblies,
+    oracle_nll,
+    oracle_verbosity_gt,
+    oracle_verbosity_wrong,
+    token_stats,
+)
 from .reference_driver import run_reference
 
 
@@ -85,13 +85,11 @@ def test_criterion_01_oracle_equivalence():
             negatives = [v for v in vocab if v != record.answer][:3]
             negatives.append(f"{vocab[0]} {vocab[-1]}")
             negatives = [n for n in negatives if n != record.answer]
-            sampled = sample_negatives(record, negatives, len(negatives))
             full, reduced = candidate_assemblies(record, i, retained)
-            got_w = verbosity_wrong(scorer, full, reduced, sampled)
+            got_w = verbosity_wrong(scorer, full, reduced, negatives)
             want_w = oracle_verbosity_wrong(
                 counts, vocab, record, i, retained, negatives, alpha
             )
-            assert sampled == negatives
             assert got_w == pytest.approx(want_w, abs=1e-9)
             cases += 1
     passed(1, f"nll/verbosity match brute-force oracle on {cases} random models", budget)
@@ -256,10 +254,11 @@ def test_criterion_09_token_reduction_and_replay(tmp_path):
     assert stats["reduction_percent"] > 0
 
     out_run = tmp_path / "reduced_run.jsonl"
-    write_reduced(corpus, trace, out_run)
+    write_reduced(corpus, out_run)
     replayed = replay_trace(load_corpus(FIXTURE_CORPUS), trace)
+    assert validate_trace(trace, corpus) == validate_trace(trace, replayed) == []
     out_replay = tmp_path / "reduced_replay.jsonl"
-    write_reduced(replayed, trace, out_replay)
+    write_reduced(replayed, out_replay)
     assert out_run.read_bytes() == out_replay.read_bytes()
 
     reloaded = load_corpus(out_run)

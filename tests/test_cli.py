@@ -285,7 +285,8 @@ def test_score_blank_question_or_answer_exits_one(capsys, question, answer):
     ("http://h:99999", {}, "Port out of range"),
     ("http://127.0.0.1:9", {"http_proxy": "http://[::1"}, "Invalid IPv6 URL"),
     ("http://127.0.0.1:9", {"HTTP_PROXY": "proxy:99999"}, "Port out of range"),
-], ids=["ipv6", "port", "proxy-ipv6", "proxy-port"])
+    ("ftp://x", {}, "error: scorer URL 'ftp://x' is not an http or https URL\n"),
+], ids=["ipv6", "port", "proxy-ipv6", "proxy-port", "scheme"])
 def test_bad_scorer_or_proxy_url_is_configuration_error(tmp_path, capsys, monkeypatch,
                                                         url, env, problem):
     for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY", "no_proxy", "NO_PROXY"):
@@ -299,6 +300,23 @@ def test_bad_scorer_or_proxy_url_is_configuration_error(tmp_path, capsys, monkey
     assert err.startswith("error: ") and err.count("\n") == 1
     assert problem in err
     assert not out.exists()
+
+
+def test_reduce_records_the_url_and_timeout_taken_from_the_environment(tmp_path, monkeypatch):
+    def remote_trace(out, *flags):
+        assert run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir", str(out),
+                       "--scorer", "remote", "--epochs", "2", "--seed", "3", *flags) == 0
+        return json.loads((out / "trace.json").read_text())
+
+    with MockScorerServer(score=corpus_score(FIXTURE_CORPUS)) as server:
+        given = remote_trace(tmp_path / "flags", "--scorer-url", server.url,
+                             "--timeout-ms", "4000")
+        monkeypatch.setenv("VARR_SCORER_URL", server.url)
+        monkeypatch.setenv("VARR_SCORER_TIMEOUT_MS", "4000")
+        from_env = remote_trace(tmp_path / "env")
+    assert from_env["config"]["execution"] == given["config"]["execution"] == {
+        "scorer_url": server.url, "timeout_ms": 4000, "max_attempts": 3, "in_flight": 4}
+    assert from_env["events"] == given["events"]
 
 
 def test_unexpected_exception_exits_three_without_traceback(tmp_path, capsys, monkeypatch):
@@ -614,12 +632,16 @@ def test_config_file_typed_values_accepted(tmp_path):
     ("reduce", [], {"segmenter": {"min_unit_chars": 0}}),
     ("reduce", [], {"segmenter": {"terminal_punctuation": ""}}),
     ("pilot", [], {"segmenter": {"min_unit_chars": 0}}),
+    ("reduce", ["--scorer", "remote", "--timeout-ms", "0"], {}),
+    ("reduce", ["--scorer", "remote", "--max-attempts", "0"], {}),
+    ("reduce", [], {"scorer": {"backend": "remote", "in_flight": 0}}),
 ], ids=["epochs", "batch_size", "warmup_above", "warmup_below", "k_negatives",
         "candidate_order", "enforced_n", "mode", "unit", "samples_per_record",
         "pilot_strategies", "pilot_strategies_empty", "pilot_sizes", "scorer_backend",
         "scorer_backend_pilot", "smoothing_alpha_nan", "smoothing_alpha_zero",
         "template_id", "template_id_remote", "check_ordering_strategies",
-        "min_unit_chars", "terminal_punctuation", "min_unit_chars_pilot"])
+        "min_unit_chars", "terminal_punctuation", "min_unit_chars_pilot",
+        "timeout_ms", "max_attempts", "in_flight"])
 def test_out_of_range_setting_fails_before_any_work(tmp_path, capsys, monkeypatch,
                                                      command, flags, entries):
     loads = []
@@ -730,15 +752,32 @@ def test_reduce_serialization_failure_keeps_previous_trace(tmp_path, monkeypatch
 def test_reduce_law_violation_exits_3_before_writing(tmp_path, monkeypatch, capsys):
     calls = []
 
-    def violated(trace):
-        calls.append(trace)
+    def violated(trace, corpus=None):
+        calls.append(corpus)
         return ["planted violation"]
 
     monkeypatch.setattr(metrics, "validate_trace", violated)
     out = tmp_path / "run"
     assert reduce_fixture(out) == 3
     assert "planted violation" in capsys.readouterr().err
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0] is not None  # the reduced corpus, for the replay law
+    assert list(out.iterdir()) == []
+
+
+def test_reduce_replay_law_violation_exits_3_before_writing(tmp_path, monkeypatch, capsys):
+    def unmarking_run(corpus, handle, settings):
+        trace = real_run(corpus, handle, settings)
+        removed = next(e for e in trace.events if e.decision == metrics.DECISION_REMOVED)
+        record = next(r for r in corpus.records if r.id == removed.record_id)
+        record.rationale[removed.candidate_index].removed_at = None
+        return trace
+
+    real_run = cli.run_reduction
+    monkeypatch.setattr(cli, "run_reduction", unmarking_run)
+    out = tmp_path / "run"
+    assert reduce_fixture(out) == 3
+    assert capsys.readouterr().err == (
+        "invariant violation: trace removal events disagree with corpus removed_at marks\n")
     assert list(out.iterdir()) == []
 
 

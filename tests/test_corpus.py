@@ -14,7 +14,6 @@ from varr.corpus import (
     write_reduced,
 )
 from varr.errors import InternalInvariantError, ParseError, ValidationError
-from varr.metrics import DECISION_REMOVED, ReductionTrace, TraceEvent
 
 from .conftest import make_record
 
@@ -150,23 +149,9 @@ def test_mark_removed_is_permanent():
         record.mark_removed(0, epoch=2, step=1)
 
 
-def _trace_for(corpus_records):
-    events = []
-    for record in corpus_records:
-        for unit in record.rationale:
-            if unit.removed_at is not None:
-                events.append(TraceEvent(
-                    record_id=record.id, epoch=unit.removed_at[0],
-                    step=unit.removed_at[1], t=unit.removed_at[1],
-                    candidate_index=unit.index, decision=DECISION_REMOVED,
-                    budget=9, buffer_size=1,
-                ))
-    return ReductionTrace(config={}, seed=0, events=events)
-
-
 def test_write_reduced_no_removals_identity(tmp_path, fixture_corpus):
     out = tmp_path / "red.jsonl"
-    write_reduced(fixture_corpus, _trace_for(fixture_corpus.records), out)
+    write_reduced(fixture_corpus, out)
     reloaded = load_corpus(out)
     assert [r.id for r in reloaded.records] == [r.id for r in fixture_corpus.records]
     for before, after in zip(fixture_corpus.records, reloaded.records):
@@ -181,23 +166,13 @@ def test_write_reduced_set_difference(tmp_path):
 
     corpus = Corpus(records=[record])
     out = tmp_path / "red.jsonl"
-    write_reduced(corpus, _trace_for(corpus.records), out)
+    write_reduced(corpus, out)
     obj = json.loads(out.read_text(encoding="utf-8"))
     assert obj["rationale"] == ["u1", "u3"]
     assert obj["removed"] == [
         {"index": 0, "text": "u0", "epoch": 1, "step": 1},
         {"index": 2, "text": "u2", "epoch": 1, "step": 2},
     ]
-
-
-def test_write_reduced_refuses_inconsistent_trace(tmp_path):
-    record = make_record(units=("u0", "u1"))
-    record.mark_removed(0, 1, 1)
-    from varr.corpus import Corpus
-
-    corpus = Corpus(records=[record])
-    with pytest.raises(InternalInvariantError):
-        write_reduced(corpus, ReductionTrace(config={}, seed=0), tmp_path / "x.jsonl")
 
 
 record_strategy = st.lists(
@@ -234,7 +209,7 @@ def test_roundtrip_restricted_to_retained(tmp_path_factory, specs):
         records.append(record)
     corpus = Corpus(records=records)
     out = tmp / "reduced.jsonl"
-    write_reduced(corpus, _trace_for(records), out)
+    write_reduced(corpus, out)
     reloaded = load_corpus(out)
     assert len(reloaded) == len(corpus)
     for before, after in zip(corpus.records, reloaded.records):

@@ -174,6 +174,41 @@ def test_validate_trace_catches_violations():
     assert any("order" in p for p in validate_trace(disorder))
 
 
+REPLAY_PROBLEM = "trace removal events disagree with corpus removed_at marks"
+
+
+def replayed_pair():
+    """A trace of two removals and a corpus marked exactly as it replays."""
+    record = make_record(units=("u0", "u1", "u2"))
+    record.mark_removed(0, 1, 1)
+    record.mark_removed(2, 2, 1)
+    trace = trace_with([event(record.id, index=0), event(record.id, epoch=2, t=6, index=2)])
+    return trace, Corpus(records=[record])
+
+
+@pytest.mark.parametrize("change", ["none", "missing", "extra", "moved", "no-events"])
+def test_validate_trace_checks_the_replay_law_given_the_corpus(change):
+    trace, corpus = replayed_pair()
+    units = corpus.records[0].rationale
+    if change == "missing":
+        units[2].removed_at = None
+    elif change == "extra":
+        units[1].removed_at = (2, 1)
+    elif change == "moved":
+        units[2].removed_at = (2, 2)
+    elif change == "no-events":
+        trace.events.clear()
+    assert validate_trace(trace, corpus) == ([] if change == "none" else [REPLAY_PROBLEM])
+    assert validate_trace(trace) == []  # without a corpus, no replay check
+
+
+def test_validate_trace_lists_the_replay_problem_after_the_budget_problems():
+    trace, corpus = replayed_pair()
+    trace.events.insert(1, event(corpus.records[0].id, index=1, buffer_size=2))
+    assert validate_trace(trace, corpus) == [
+        "group ('r1', 1, 1) removed 2 over budget 1", REPLAY_PROBLEM]
+
+
 SMALL = st.integers(0, 3)
 # events of a few records, epochs and steps, so laws break by chance
 EVENTS = st.lists(st.builds(

@@ -9,13 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from varr.config import RunConfig
+from varr.config import ENV_SCORER_TIMEOUT_MS, ENV_SCORER_URL, RunConfig, load_run_config
 from varr.corpus import load_corpus
 from varr.errors import ConfigurationError, ProtocolError, TransportError
 from varr.schedule import ReductionAborted, run_reduction
 from varr.scorer import (
-    ENV_SCORER_TIMEOUT_MS,
-    ENV_SCORER_URL,
     PromptAssembly,
     RemoteScorer,
     TabularScorer,
@@ -115,21 +113,40 @@ def test_malformed_response_is_protocol_error():
             scorer.score_answer(ASSEMBLY, "a")
 
 
-def test_env_var_configuration(monkeypatch):
+REMOTE = {"scorer_backend": "remote"}
+
+
+def test_env_var_configuration(monkeypatch, tmp_path):
     with MockScorerServer() as server:
         monkeypatch.setenv(ENV_SCORER_URL, server.url)
         monkeypatch.setenv(ENV_SCORER_TIMEOUT_MS, "1500")
-        scorer = RemoteScorer(backoff_seconds=0.001)
-        assert scorer.base_url == server.url
+        cfg = load_run_config(None, REMOTE)
+        assert (cfg.scorer_url, cfg.timeout_ms) == (server.url, 1500)
+        scorer = cfg.build_scorer()
         assert scorer.timeout_seconds == 1.5
         assert scorer.score_answer(ASSEMBLY, "x y").total == -1.0
         scorer.close()
+    # the config file and the flags set what they name; the variables fill the rest
+    config = tmp_path / "run.json"
+    config.write_text('{"scorer": {"url": "http://127.0.0.1:9"}}')
+    cfg = load_run_config(config, REMOTE)
+    assert (cfg.scorer_url, cfg.timeout_ms) == (REFUSING, 1500)
+    cfg = load_run_config(None, {**REMOTE, "scorer_url": REFUSING, "timeout_ms": 20})
+    assert (cfg.scorer_url, cfg.timeout_ms) == (REFUSING, 20)
+    # a tabular run reads neither variable
+    cfg = load_run_config(None, {})
+    assert (cfg.scorer_url, cfg.timeout_ms) == (None, None)
 
 
 def test_unparsable_timeout_variable_is_a_configuration_error(monkeypatch):
     monkeypatch.setenv(ENV_SCORER_TIMEOUT_MS, "abc")
     with pytest.raises(ConfigurationError, match=f"{ENV_SCORER_TIMEOUT_MS}='abc'"):
-        RemoteScorer("http://127.0.0.1:9")
+        load_run_config(None, {**REMOTE, "scorer_url": REFUSING})
+    assert load_run_config(None, {**REMOTE, "timeout_ms": 5}).timeout_ms == 5
+    assert load_run_config(None, {}).timeout_ms is None
+    monkeypatch.setenv(ENV_SCORER_TIMEOUT_MS, "0")
+    with pytest.raises(ConfigurationError, match="timeout_ms must be >= 1, got 0"):
+        load_run_config(None, REMOTE)
 
 
 def test_url_with_a_space_is_a_configuration_error():
@@ -138,8 +155,8 @@ def test_url_with_a_space_is_a_configuration_error():
 
 
 def test_missing_url_is_configuration_error(monkeypatch):
-    monkeypatch.delenv(ENV_SCORER_URL, raising=False)
-    with pytest.raises(ConfigurationError):
+    monkeypatch.setenv(ENV_SCORER_URL, REFUSING)  # read by load_run_config, not here
+    with pytest.raises(ConfigurationError, match="needs a base URL"):
         RemoteScorer()
 
 

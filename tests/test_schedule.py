@@ -33,9 +33,9 @@ from varr.scorer import (
     uniform_tabular_scorer,
 )
 from varr.seeding import child_rng
-from varr.verbosity import candidate_assemblies
 
 from .conftest import FIXTURE_CORPUS, make_record
+from .oracles import candidate_assemblies
 from .reference_driver import run_reference
 
 
@@ -255,7 +255,7 @@ def test_budget_law_and_permanence_on_fixture():
     for events in by_group.values():
         removed = sum(1 for e in events if e.decision == "removed")
         assert removed <= events[0].budget
-    assert len(trace.removal_events()) > 0
+    assert any(e.decision == "removed" for e in trace.events)
     # removed units are never re-evaluated
     evaluated_after_removal = set()
     removal_t = {}

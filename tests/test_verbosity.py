@@ -1,18 +1,16 @@
+import functools
 import math
 import random
 
 import pytest
 
-from varr.errors import EmptyNegativePoolError
 from varr.scorer import TabularScorer, uniform_tabular_scorer
 from varr.seeding import child_rng
 from varr.verbosity import (
     MODE_VARR,
     MODE_VARR_PLUS,
-    candidate_assemblies,
     evaluate_candidate,
     nll,
-    sample_negatives,
     verbosity_wrong,
 )
 
@@ -23,7 +21,12 @@ from .conftest import (
     random_model,
     random_record,
 )
-from .oracles import oracle_nll, oracle_verbosity_gt, oracle_verbosity_wrong
+from .oracles import (
+    candidate_assemblies,
+    oracle_nll,
+    oracle_verbosity_gt,
+    oracle_verbosity_wrong,
+)
 
 VOCAB4 = ["a", "b", "c", "d"]
 
@@ -38,11 +41,17 @@ def verbosity_gt(scorer, record, i, retained):
     return evaluate(scorer, record, i, retained).verbosity_gt
 
 
-def sampled_verbosity_wrong(scorer, record, i, retained, negatives, k, rng=None):
-    """(mean, k_used) over the negatives sample_negatives draws."""
-    full, reduced = candidate_assemblies(record, i, retained)
-    sampled = sample_negatives(record, negatives, k, rng)
-    return verbosity_wrong(scorer, full, reduced, sampled), len(sampled)
+def scored_answers(scorer):
+    """The answers the scorer is asked for, in order, as they are scored."""
+    seen = []
+    score = scorer.score_answer
+
+    def recording(assembly, answer):
+        seen.append(answer)
+        return score(assembly, answer)
+
+    scorer.score_answer = recording
+    return seen
 
 
 def contrast_model():
@@ -118,9 +127,9 @@ def test_verbosity_gt_candidate_must_be_retained():
 def test_verbosity_wrong_uniform_is_zero():
     scorer = uniform_tabular_scorer(VOCAB4)
     record = make_record(units=("a", "b"), question="c", answer="d")
-    mean, k_used = sampled_verbosity_wrong(scorer, record, 0, [0, 1], ["a", "b"], 2)
-    assert mean == 0.0
-    assert k_used == 2
+    report = evaluate(scorer, record, 0, [0, 1], negatives=["a", "b"], k=2)
+    assert report.verbosity_wrong == 0.0
+    assert report.k_used == 2
 
 
 def test_verbosity_wrong_per_term_cancellation():
@@ -132,64 +141,52 @@ def test_verbosity_wrong_per_term_cancellation():
     assert mean == 0.0
 
 
-def test_verbosity_wrong_filters_gold_and_errors_when_empty():
-    scorer = uniform_tabular_scorer(VOCAB4)
-    record = make_record(units=("a",), question="b", answer="c")
-    with pytest.raises(EmptyNegativePoolError):
-        sample_negatives(record, ["c", "c"], 2)
-    assert sample_negatives(record, ["c", "d"], 5) == ["d"]  # only "d" survives
-    mean, k_used = sampled_verbosity_wrong(scorer, record, 0, [0], ["c", "d"], 5)
-    assert (mean, k_used) == (0.0, 1)
-
-
 def test_verbosity_wrong_fixed_negatives_match_oracle():
     scorer, vocab = contrast_model()
     counts = dense_counts(scorer.model)
     record = make_record(units=("v", "u"), question="q", answer="a")
-    mean, k_used = sampled_verbosity_wrong(scorer, record, 1, [0, 1], ["b", "q"], 2)
+    report = evaluate(scorer, record, 1, [0, 1], negatives=["b", "q"], k=2)
     want = oracle_verbosity_wrong(counts, vocab, record, 1, [0, 1], ["b", "q"], 1.0)
-    assert k_used == 2
-    assert mean == pytest.approx(want, abs=1e-12)
+    assert report.k_used == 2
+    assert report.verbosity_wrong == pytest.approx(want, abs=1e-12)
 
 
 def test_verbosity_wrong_seeded_sampling_is_reproducible():
-    rng = random.Random(8)
-    scorer, _, vocab, _ = random_model(rng)
-    record = random_record(rng, vocab, max_units=3)
-    negatives = [f"{vocab[0]}", f"{vocab[1]}", f"{vocab[-1]}", f"{vocab[0]} {vocab[1]}"]
-    negatives = [n for n in negatives if n != record.answer]
-    retained = [u.index for u in record.rationale]
-    runs = [
-        sampled_verbosity_wrong(
-            scorer, record, retained[0], retained, negatives, 2,
-            rng=child_rng(42, "negatives", record.id, 1, retained[0]),
-        )
-        for _ in range(3)
-    ]
-    assert runs[0] == runs[1] == runs[2]
-    assert runs[0][1] == 2
-
-
-def test_verbosity_wrong_subsampling_requires_rng():
-    record = make_record(units=("a",), question="b", answer="c")
-    with pytest.raises(ValueError):
-        sample_negatives(record, ["a", "b", "d"], 2, rng=None)
+    # the uniform model passes every gold check, so the wrong answers are scored
+    scorer = uniform_tabular_scorer(VOCAB4)
+    seen = scored_answers(scorer)
+    record = make_record(units=("a", "b"), question="c", answer="d")
+    pool = ["a", "b", "c", "a b"]
+    samples = []
+    for rng in (
+        child_rng(42, "negatives", record.id, 1, 0),
+        functools.partial(child_rng, 42, "negatives", record.id, 1, 0),
+        functools.partial(child_rng, 42, "negatives", record.id, 1, 0),
+    ):
+        seen.clear()
+        report = evaluate(scorer, record, 0, [0, 1], negatives=pool, k=2, rng=rng)
+        assert report.k_used == 2
+        samples.append(seen[2::2])  # each wrong answer's score on the full prompt
+    assert samples[0] == samples[1] == samples[2]
+    assert samples[0] == child_rng(42, "negatives", record.id, 1, 0).sample(pool, 2)
 
 
 def test_verbosity_wrong_rng_factory_called_only_to_subsample():
-    record = make_record(units=("a",), question="b", answer="c")
+    scorer = uniform_tabular_scorer(VOCAB4)
+    record = make_record(units=("a", "b"), question="c", answer="d")
     made = []
 
     def factory():
         made.append(1)
         return random.Random(3)
 
-    sample_negatives(record, ["a", "b"], 2, rng=factory)
-    assert made == []
-    sampled = sample_negatives(record, ["a", "b", "d"], 2, rng=factory)
-    assert (made, len(sampled)) == ([1], 2)
+    for k in (2, 5):  # k covers the pool: all of it is scored
+        report = evaluate(scorer, record, 0, [0, 1], negatives=["a", "b"], k=k, rng=factory)
+        assert (made, report.k_used) == ([], 2)
+    report = evaluate(scorer, record, 0, [0, 1], negatives=["a", "b", "c"], k=2, rng=factory)
+    assert (made, report.k_used) == ([1], 2)
     with pytest.raises(ValueError):
-        sample_negatives(record, ["a", "b"], 0, rng=factory)
+        evaluate(scorer, record, 0, [0, 1], negatives=["a", "b"], k=0, rng=factory)
 
 
 def test_randomized_oracle_equivalence_nll_and_verbosities():
@@ -208,10 +205,8 @@ def test_randomized_oracle_equivalence_nll_and_verbosities():
             oracle_verbosity_gt(counts, vocab, record, i, retained, alpha), abs=1e-9
         )
         negatives = list({f"{vocab[0]} {vocab[1]}", vocab[-1], vocab[0]} - {record.answer})
-        got_w, k_used = sampled_verbosity_wrong(
-            scorer, record, i, retained, negatives, len(negatives)
-        )
-        assert k_used == len(negatives)
+        got_w = verbosity_wrong(
+            scorer, *candidate_assemblies(record, i, retained), negatives)
         assert got_w == pytest.approx(
             oracle_verbosity_wrong(counts, vocab, record, i, retained, negatives, alpha),
             abs=1e-9,
@@ -326,5 +321,5 @@ def test_evaluate_scores_gold_then_each_wrong_full_before_reduced():
 
     scorer.score_answer = recording
     record = make_record(units=("a", "b"), question="c", answer="d")
-    evaluate(scorer, record, 0, [0, 1], negatives=["a", "d", "b"], k=2)
+    evaluate(scorer, record, 0, [0, 1], negatives=["a", "b"], k=2)
     assert seen == [(2, "d"), (1, "d"), (2, "a"), (1, "a"), (2, "b"), (1, "b")]
