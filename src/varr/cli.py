@@ -40,7 +40,7 @@ from .errors import (
     VarrError,
 )
 from .schedule import CANDIDATE_ORDERS, ReductionAborted, run_reduction
-from .scorer import PromptAssembly, uniform_tabular_scorer
+from .scorer import PromptAssembly, ScorerHandle, uniform_tabular_scorer
 from .verbosity import MODES
 
 log = logging.getLogger("varr")
@@ -200,6 +200,16 @@ def _load_valid(path: str, cfg: config_mod.RunConfig) -> Corpus:
     return corpus
 
 
+def _scorer_and_corpus(path: str, cfg: config_mod.RunConfig) -> tuple[ScorerHandle, Corpus]:
+    """The run's scorer and the valid corpus at ``path``. A remote scorer is
+    built first, so a missing or unusable URL is named before the corpus is
+    read; it opens no connection until its first request. A tabular one is
+    fitted on the corpus."""
+    remote = cfg.build_scorer() if cfg.scorer_backend == "remote" else None
+    corpus = _load_valid(path, cfg)
+    return remote or cfg.build_scorer(corpus), corpus
+
+
 def cmd_ingest(args) -> int:
     cfg = config_mod.load_run_config(args.config, vars(args))
     corpus = _load_records(args.input, cfg)
@@ -230,8 +240,7 @@ def cmd_pilot(args) -> int:
     if args.check_ordering and set(cfg.pilot_strategies) != set(pilot_mod.PILOT_STRATEGIES):
         raise ConfigurationError(
             f"--check-ordering needs the strategies {','.join(pilot_mod.PILOT_STRATEGIES)}")
-    corpus = _load_valid(args.input, cfg)
-    handle = cfg.build_scorer(corpus)
+    handle, corpus = _scorer_and_corpus(args.input, cfg)
     try:
         results = pilot_mod.pilot_nll_curve(corpus, handle, cfg)
     finally:
@@ -271,8 +280,7 @@ def cmd_reduce(args) -> int:
                 "--mode is meaningless with --strategy no-rule (criteria are bypassed)"
             )
     cfg = config_mod.load_run_config(args.config, vars(args))
-    corpus = _load_valid(args.input, cfg)
-    handle = cfg.build_scorer(corpus)
+    handle, corpus = _scorer_and_corpus(args.input, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:

@@ -38,7 +38,14 @@ from .corpus import GRANULARITIES, Corpus
 from .errors import ConfigurationError
 from .pilot import PILOT_STRATEGIES
 from .schedule import CANDIDATE_ORDERS
-from .scorer import TEMPLATES, RemoteScorer, ScorerHandle, fit_tabular_scorer
+from .scorer import (
+    DEFAULT_IN_FLIGHT,
+    DEFAULT_MAX_ATTEMPTS,
+    TEMPLATES,
+    RemoteScorer,
+    ScorerHandle,
+    fit_tabular_scorer,
+)
 from .segmenter import DEFAULT_ABBREVIATIONS, DEFAULT_MIN_UNIT_CHARS, DEFAULT_TERMINAL_PUNCTUATION
 from .verbosity import MODE_VARR_PLUS, MODES
 
@@ -78,8 +85,8 @@ class RunConfig:
     scorer_url: str | None = _setting("scorer", "url", None, EXECUTION)
     scorer_model: str = _setting("scorer", "model", "default", backend="remote")
     timeout_ms: int | None = _setting("scorer", "timeout_ms", None, EXECUTION)
-    max_attempts: int = _setting("scorer", "max_attempts", 3, EXECUTION)
-    in_flight: int = _setting("scorer", "in_flight", 4, EXECUTION)
+    max_attempts: int = _setting("scorer", "max_attempts", DEFAULT_MAX_ATTEMPTS, EXECUTION)
+    in_flight: int = _setting("scorer", "in_flight", DEFAULT_IN_FLIGHT, EXECUTION)
     terminal_punctuation: str = _setting(
         "segmenter", "terminal_punctuation", DEFAULT_TERMINAL_PUNCTUATION)
     abbreviation_exceptions: tuple[str, ...] = _setting(

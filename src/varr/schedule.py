@@ -22,11 +22,12 @@ all unconditional; criteria bypassed entirely).
 Within an epoch the scorer does not change and each record is scanned
 once, reading only its own units and the answers of its batch, so the
 scans of one batch are independent. A handle with ``in_flight > 1``
-(the remote backend) has them run on that many worker threads; their
-events and scorer call counts are merged in batch order, so the trace is
-the serial one. Once a scan fails, the scans of later batch slots stop
-before their next candidate, since a serial run would never have
-reached them.
+(the remote backend, default 16) has them run on that many worker
+threads, so a batch of up to that many records is scanned all at once,
+each scan sending one request at a time; their events and scorer call
+counts are merged in batch order, so the trace is the serial one. Once
+a scan fails, the scans of later batch slots stop before their next
+candidate, since a serial run would never have reached them.
 
 The driver reads its settings off a ``config.RunConfig``, which checked
 their ranges when it was built, and records the decision settings in the

@@ -11,14 +11,17 @@ Two backends sit behind one handle interface:
   response {"token_logprobs": [float, ...], "total_logprob": float}
   429 and 5xx responses and transport faults retry with exponential
   backoff; other statuses fail immediately. All values are natural-log.
-  The driver scans up to ``in_flight`` records at once, so the client
-  sends up to that many concurrent requests, over at most that many
-  keep-alive connections; the server must accept that much concurrency
-  and score deterministically per model version. Each request goes out
-  in one write; a small HTTP/1.1 reader takes the reply (Content-Length,
-  chunked or close-delimited, interim 1xx skipped). Proxy, CA bundle and
-  netrc settings are read from the environment once, when the scorer is
-  built.
+  The driver scans up to ``in_flight`` records at once (default 16), so
+  the client sends up to that many concurrent requests, over at most
+  that many keep-alive connections; the server must accept that much
+  concurrency and score deterministically per model version. At most
+  ``MAX_CONNECTING`` new connections wait for their first status line
+  at once, so filling the pool does not overflow a small listen backlog;
+  once the server closes a connection after a reply, every request may
+  open a new one, and that guard is lifted. Each request goes out in one
+  write; a small HTTP/1.1 reader takes the reply (Content-Length, chunked
+  or close-delimited, interim 1xx skipped). Proxy, CA bundle and netrc
+  settings are read from the environment once, when the scorer is built.
 
 Everything stays in log space; probabilities are never materialized.
 Scores are deterministic for a fixed model_version, which increases on
@@ -38,6 +41,7 @@ work; rendering a prompt is the one other place that looks a template up.
 
 from __future__ import annotations
 
+import contextlib
 import ipaddress
 import json
 import math
@@ -62,6 +66,12 @@ if TYPE_CHECKING:  # imported where a remote scorer is built
     import socket
 
 DEFAULT_TIMEOUT_MS = 10_000
+DEFAULT_MAX_ATTEMPTS = 3
+DEFAULT_IN_FLIGHT = 16
+# New connections that may wait for their first status line at once: a
+# server with a small listen backlog (Python's http.server has 5) drops
+# the SYNs of a larger burst, and each drop costs a 1 s retransmit.
+MAX_CONNECTING = 4
 RETRYABLE_STATUSES = frozenset({429}) | frozenset(range(500, 600))
 
 
@@ -484,6 +494,9 @@ def _environment_settings(base_url: str, timeout: float):
     if not all("!" <= c <= "~" for c in base_url):
         raise ConfigurationError(
             f"scorer URL {base_url!r} has a space, control or non-ASCII character")
+    if "?" in base_url or "#" in base_url:
+        raise ConfigurationError(
+            f"scorer URL {base_url!r} has a query or fragment; give the base URL only")
     url = base_url.rstrip("/") + "/v1/score"
     https = parts.scheme == "https"
     host, port = parts.hostname, port or (443 if https else 80)
@@ -542,9 +555,9 @@ class RemoteScorer(ScorerHandle):
         base_url: str | None = None,
         model: str = "default",
         timeout_ms: int | None = None,
-        max_attempts: int = 3,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_seconds: float = 0.1,
-        in_flight: int = 4,
+        in_flight: int = DEFAULT_IN_FLIGHT,
     ):
         super().__init__()
         if not base_url:
@@ -566,32 +579,56 @@ class RemoteScorer(ScorerHandle):
         self._connect, self._head = _environment_settings(base_url, self.timeout_seconds)
         # idle keep-alive connections; list.pop and list.append are atomic
         self._idle: list[_Connection] = []
+        # Paces the connects that fill the keep-alive pool. Lifted (None) once
+        # the server closes a connection after a reply: then every request
+        # opens a new connection, and the guard would cap requests at
+        # MAX_CONNECTING.
+        self._connecting: threading.BoundedSemaphore | None = threading.BoundedSemaphore(
+            MAX_CONNECTING)
 
     def _post(self, body: bytes, reuse: bool = True) -> tuple[int, bytes]:
         """Status and body of one attempt on an idle connection, else a new one,
         kept if the reply was read in full and allows reuse. A server may close
         an idle connection, so if a reused one fails with a ConnectionError
-        before the status line arrives the request goes on a new one."""
+        before the status line arrives the request goes on a new one. A new
+        connection holds the guard, while there is one, until its status
+        line arrives."""
         try:
-            connection = self._idle.pop() if reuse else self._connect()
+            connection = self._idle.pop() if reuse else None
         except IndexError:
-            connection, reuse = self._connect(), False
-        sock, reader = connection
-        started = None
-        try:
-            sock.sendall(b"%s%d\r\n\r\n%s" % (self._head, len(body), body))
-            started = _read_status(reader)
-            status, payload, keep = _read_reply(reader, *started)
-        except BaseException as exc:
-            _close(connection)
-            if reuse and started is None and isinstance(exc, ConnectionError):
+            connection = None
+        if connection is None:
+            with self._connecting or contextlib.nullcontext():
+                connection = self._connect()
+                started = self._start(connection, body)
+        else:
+            try:
+                started = self._start(connection, body)
+            except ConnectionError:
+                self._connecting = None
                 return self._post(body, reuse=False)
+        try:
+            status, payload, keep = _read_reply(connection[1], *started)
+        except BaseException:
+            _close(connection)
             raise
         if keep:
             self._idle.append(connection)
         else:
+            self._connecting = None
             _close(connection)
         return status, payload
+
+    def _start(self, connection: _Connection, body: bytes) -> tuple[bytes, int]:
+        """Send the request and read the reply's status line; on a failure
+        the connection is closed."""
+        sock, reader = connection
+        try:
+            sock.sendall(b"%s%d\r\n\r\n%s" % (self._head, len(body), body))
+            return _read_status(reader)
+        except BaseException:
+            _close(connection)
+            raise
 
     def _evaluate(self, context: str, answer: str) -> LogLikelihood:
         body = json.dumps(

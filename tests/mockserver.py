@@ -12,7 +12,13 @@ keep-alive) and every response carries a Content-Length, unless
 ``close_after_reply`` is set: then the server closes each connection
 after one response without saying so, as a server that drops idle
 keep-alive connections does. With ``certfile`` (a PEM file holding the
-certificate and its key) the server speaks HTTPS.
+certificate and its key) the server speaks HTTPS. ``first_delay`` holds
+back the first reply on each connection, and ``hold_replies(n)`` holds
+back every reply until n requests are open at once, so a test sees the
+client's concurrency whatever the timing. ``peak`` holds the most
+requests, connections, and connections still waiting for their first
+reply, that the server had open at once. The server listens with a
+backlog of 64, so a client's burst of connects is not dropped.
 
 ``ScriptedReplyServer`` answers each request with raw bytes from a
 script, to check how the client reads replies that this server never
@@ -40,6 +46,8 @@ import socket
 import socketserver
 import ssl
 import threading
+import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
@@ -66,6 +74,13 @@ def corpus_score(path, smoothing_alpha: float = 1.0):
     return model_score(fit_tabular_scorer(load_corpus(path), smoothing_alpha).model)
 
 
+HOLD_S = 5.0  # the longest a held reply waits (MockScorerServer.hold_replies)
+
+
+class _Server(ThreadingHTTPServer):
+    request_queue_size = 64
+
+
 class MockScorerServer:
     """Context manager around a ThreadingHTTPServer on an OS-picked port."""
 
@@ -79,6 +94,7 @@ class MockScorerServer:
         close_after_reply: bool = False,
         certfile: str | None = None,
         port: int = 0,
+        first_delay: float = 0.0,
     ):
         # status_script: HTTP statuses for successive requests; after the
         # script is exhausted, requests succeed with 200.
@@ -90,8 +106,14 @@ class MockScorerServer:
         self.fail_prompt = fail_prompt
         self.fail_status = fail_status
         self.close_after_reply = close_after_reply
+        self.first_delay = first_delay
         self.requests: list[dict] = []
+        self.peak: Counter = Counter()
+        self._open: Counter = Counter()
         self._lock = threading.Lock()
+        self._hold = 0
+        self._released = threading.Event()
+        self._released.set()
         server = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -102,8 +124,29 @@ class MockScorerServer:
                 # headers and body go out in separate writes; without this,
                 # Nagle's algorithm holds the body back on a kept-alive socket
                 self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self.replied = False
+                server._track("connections", 1)
+                server._track("connecting", 1)
+
+            def finish(self):
+                try:
+                    super().finish()
+                finally:
+                    server._track("connections", -1)
+                    if not self.replied:
+                        server._track("connecting", -1)
 
             def _reply(self, status: int, payload: bytes = b"") -> None:
+                if not server._released.wait(HOLD_S):
+                    server._released.set()  # the client never got there
+                if not self.replied:
+                    time.sleep(server.first_delay)
+                # counted as answered before the client can read the reply,
+                # so a request it sends next is never counted beside this one
+                server._track("requests", -1)
+                if not self.replied:
+                    self.replied = True
+                    server._track("connecting", -1)
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
@@ -113,6 +156,8 @@ class MockScorerServer:
                     self.close_connection = True
 
             def do_POST(self):
+                if server._track("requests", 1) >= server._hold:
+                    server._released.set()
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length)) if length else {}
                 with server._lock:
@@ -150,7 +195,7 @@ class MockScorerServer:
             def log_message(self, *args):
                 pass
 
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", port), Handler)
+        self._httpd = _Server(("127.0.0.1", port), Handler)
         self.scheme = "http"
         if certfile is not None:
             context = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
@@ -159,6 +204,19 @@ class MockScorerServer:
             self.scheme = "https"
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, args=(0.05,), daemon=True)
+
+    def _track(self, name: str, step: int) -> int:
+        with self._lock:
+            self._open[name] += step
+            self.peak[name] = max(self.peak[name], self._open[name])
+            return self._open[name]
+
+    def hold_replies(self, count: int) -> None:
+        """From now on, replies wait until ``count`` requests are open at
+        once, or for HOLD_S if the client never sends that many."""
+        with self._lock:
+            self._hold = count
+            self._released.clear()
 
     @property
     def url(self) -> str:

@@ -4,16 +4,25 @@
 public functions of ``varr`` by name; a rename under ``src/`` would
 break the set-up probe or the per-layer trace without failing any
 other test. Both run here as subprocesses on a tiny token-unit tabular
-corpus, as the benchmark runs them.
+corpus, as the benchmark runs them. ``traced.py`` also counts requests by
+wrapping ``score_answer`` on the scorer classes, and fails a run whose
+count differs from the trace's; a remote run checks that law in process.
 """
 
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+from varr.config import RunConfig
+from varr.corpus import load_corpus
+from varr.schedule import run_reduction
+from varr.scorer import RemoteScorer
+
 from .conftest import FIXTURE_CORPUS
+from .mockserver import MockScorerServer, corpus_score
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,3 +66,26 @@ def test_traced_run_records_every_layer(tmp_path):
     for name in ("segmenter.segment", "scorer.request", "verbosity.evaluate"):
         assert summary["spans"][name][0] > 0, name
     assert sum(summary["cache"]) > 0
+
+
+def test_wrapped_remote_requests_match_the_trace_count(monkeypatch):
+    # every logical call, whichever thread sends it, goes through the class's
+    # score_answer, where the benchmark's wrapper sees it
+    count, lock = [0], threading.Lock()
+    score = RemoteScorer.score_answer
+
+    def counting(handle, assembly, answer):
+        with lock:
+            count[0] += 1
+        return score(handle, assembly, answer)
+
+    monkeypatch.setattr(RemoteScorer, "score_answer", counting)
+    settings = RunConfig(epochs=3, batch_size=16, warmup_ratio=0.0, candidate_order="random",
+                         mode="varr_plus", seed=1, k_negatives=4, scorer_backend="remote")
+    with MockScorerServer(score=corpus_score(FIXTURE_CORPUS)) as server:
+        handle = RemoteScorer(server.url, in_flight=16)
+        try:
+            trace = run_reduction(load_corpus(FIXTURE_CORPUS), handle, settings)
+        finally:
+            handle.close()
+    assert trace.scorer_call_count == count[0] > 0

@@ -244,6 +244,31 @@ def test_blank_answer_in_corpus_exits_one_naming_the_record(tmp_path, capsys, co
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("reduce", ["--input", "{src}", "--out-dir", "{tmp}/out"]),
+    ("pilot", ["--input", "{src}", "--out-dir", "{tmp}/out"]),
+    ("score", ["--fit-corpus", "{src}", "--question", "a", "--answer", "b"]),
+])
+def test_missing_remote_url_is_named_before_the_corpus_is_read(tmp_path, capsys, monkeypatch,
+                                                               command, flags):
+    monkeypatch.delenv("VARR_SCORER_URL", raising=False)
+    src = tmp_path / "bad.jsonl"  # a corpus violation, if it were read
+    write_lines(src, [{**record_obj("blank", ["One here."]), "question": " "}])
+    flags = [f.format(src=src, tmp=tmp_path) for f in flags]
+    assert run_cli(command, *flags, "--scorer", "remote") == 1
+    assert capsys.readouterr().err == (
+        "error: remote scorer needs a base URL (flag, config, or VARR_SCORER_URL)\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_ingest_builds_no_scorer_so_needs_no_url(tmp_path, monkeypatch):
+    monkeypatch.delenv("VARR_SCORER_URL", raising=False)
+    config = tmp_path / "remote.json"
+    config.write_text(json.dumps({"scorer": {"backend": "remote"}}), encoding="utf-8")
+    assert run_cli("ingest", "--input", str(FIXTURE_CORPUS), "--output",
+                   str(tmp_path / "corpus.jsonl"), "--config", str(config)) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "--out-dir", "{tmp}/out"],
     ["reduce", "--out-dir", "{tmp}/out", "--scorer", "remote",
@@ -286,7 +311,10 @@ def test_score_blank_question_or_answer_exits_one(capsys, question, answer):
     ("http://127.0.0.1:9", {"http_proxy": "http://[::1"}, "Invalid IPv6 URL"),
     ("http://127.0.0.1:9", {"HTTP_PROXY": "proxy:99999"}, "Port out of range"),
     ("ftp://x", {}, "error: scorer URL 'ftp://x' is not an http or https URL\n"),
-], ids=["ipv6", "port", "proxy-ipv6", "proxy-port", "scheme"])
+    # the score path is appended to the base URL, which a query would swallow
+    ("http://h/p?x=1", {},
+     "error: scorer URL 'http://h/p?x=1' has a query or fragment; give the base URL only\n"),
+], ids=["ipv6", "port", "proxy-ipv6", "proxy-port", "scheme", "query"])
 def test_bad_scorer_or_proxy_url_is_configuration_error(tmp_path, capsys, monkeypatch,
                                                         url, env, problem):
     for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY", "no_proxy", "NO_PROXY"):
@@ -315,7 +343,7 @@ def test_reduce_records_the_url_and_timeout_taken_from_the_environment(tmp_path,
         monkeypatch.setenv("VARR_SCORER_TIMEOUT_MS", "4000")
         from_env = remote_trace(tmp_path / "env")
     assert from_env["config"]["execution"] == given["config"]["execution"] == {
-        "scorer_url": server.url, "timeout_ms": 4000, "max_attempts": 3, "in_flight": 4}
+        "scorer_url": server.url, "timeout_ms": 4000, "max_attempts": 3, "in_flight": 16}
     assert from_env["events"] == given["events"]
 
 

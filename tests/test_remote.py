@@ -3,6 +3,7 @@ import os
 import socket
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -14,6 +15,7 @@ from varr.corpus import load_corpus
 from varr.errors import ConfigurationError, ProtocolError, TransportError
 from varr.schedule import ReductionAborted, run_reduction
 from varr.scorer import (
+    MAX_CONNECTING,
     PromptAssembly,
     RemoteScorer,
     TabularScorer,
@@ -460,13 +462,59 @@ def outcome(trace, corpus):
 def test_concurrent_reduction_matches_serial_and_tabular():
     model = fixed_model()
     with MockScorerServer(score=model_score(model)) as server:
-        concurrent = outcome(*reduce_remote(server, in_flight=4))
+        concurrent = [outcome(*reduce_remote(server, in_flight)) for in_flight in (4, 16)]
         serial = outcome(*reduce_remote(server, in_flight=1))
     corpus = load_corpus(FIXTURE_CORPUS)
     trace = run_reduction(corpus, FixedTabularScorer(model),
                           replace(SETTINGS, scorer_backend="tabular"))
-    assert concurrent[0]
-    assert concurrent == serial == outcome(trace, corpus)
+    assert serial[0]
+    assert concurrent == [serial, serial]
+    assert serial == outcome(trace, corpus)
+
+
+@pytest.mark.parametrize("in_flight", [3, 16])
+def test_in_flight_caps_requests_connections_and_new_connections(monkeypatch, in_flight):
+    # a whole batch of scans at once against a server whose first reply on
+    # each connection is slow, so connects pile up if nothing paces them
+    settings = replace(SETTINGS, batch_size=16, k_negatives=4)
+    workers = []
+    score = RemoteScorer.score_answer
+
+    def sampling(handle, assembly, answer):
+        workers.append(sum(t.name.startswith("varr-") for t in threading.enumerate()))
+        return score(handle, assembly, answer)
+
+    monkeypatch.setattr(RemoteScorer, "score_answer", sampling)
+    with MockScorerServer(score=model_score(fixed_model()), first_delay=0.05) as server:
+        trace, _ = reduce_remote(server, in_flight, settings)
+        peak = server.peak
+    assert trace.scorer_call_count == len(workers)
+    assert 1 <= peak["requests"] <= in_flight
+    assert peak["connections"] <= in_flight
+    assert 1 <= peak["connecting"] <= MAX_CONNECTING
+    assert max(workers) <= in_flight
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("varr-")]
+
+
+def test_server_closing_after_each_reply_still_gets_in_flight_requests():
+    # once the server has closed a connection after its reply, every request
+    # opens one, so the new-connection guard is lifted: 16 callers at once,
+    # whose replies the server holds until 16 requests are open, all get in
+    records = load_corpus(FIXTURE_CORPUS).records
+    with MockScorerServer(score=model_score(fixed_model()), close_after_reply=True) as server:
+        scorer = remote(server.url, in_flight=16, timeout_ms=10_000)
+        with ThreadPoolExecutor(16) as callers:
+            # the second request finds the first one's connection closed
+            for record in records[:2]:
+                scorer.score_answer(PromptAssembly(record.question, ()), record.answer)
+            server.hold_replies(16)
+            list(callers.map(
+                lambda r: scorer.score_answer(
+                    PromptAssembly(r.question, tuple(u.text for u in r.rationale)), r.answer),
+                records[:16]))
+        scorer.close()
+        peak = server.peak
+    assert peak["requests"] == 16 > MAX_CONNECTING
 
 
 def test_cache_spares_requests_and_workers_keep_connections():
@@ -486,34 +534,63 @@ def test_cache_spares_requests_and_workers_keep_connections():
     assert 1 <= len(connections) <= 4
 
 
-def test_partial_trace_on_mid_batch_failure_is_serial():
-    # the failing record sits second in a batch whose budget allows two
-    # candidates, so both an earlier record and the failing one have events
-    settings = replace(SETTINGS, epochs=1, candidate_order="front", mode="varr", seed=0)
+# the failing record sits second in a batch whose budget allows two
+# candidates, so an earlier record of its batch has events
+MID_BATCH = replace(SETTINGS, epochs=1, candidate_order="front", mode="varr", seed=0)
+
+
+def mid_batch_target():
     corpus = load_corpus(FIXTURE_CORPUS)
     order = list(range(len(corpus.records)))
-    child_rng(settings.seed, "batch-order", 1).shuffle(order)
-    target = corpus.records[order[9]]
-    second, third = (u.text for u in target.rationale[1:3])
+    child_rng(MID_BATCH.seed, "batch-order", 1).shuffle(order)
+    return corpus.records[order[9]]
 
-    def fails(prompt):
-        # the reduced prompt of the second candidate: unit 1 gone, unit 2 kept
-        return (prompt.startswith(target.question + " ")
-                and second not in prompt and third in prompt)
 
+def partial_traces(fails):
+    """Events and scorer call count of the aborted run, by in_flight."""
     partial = {}
-    for in_flight in (1, 4):
+    for in_flight in (1, 4, 16):
         with MockScorerServer(score=model_score(fixed_model()),
                               fail_prompt=fails) as server:
             with pytest.raises(ReductionAborted) as exc:
-                reduce_remote(server, in_flight, settings)
+                reduce_remote(server, in_flight, MID_BATCH)
         assert isinstance(exc.value.cause, ProtocolError)
-        partial[in_flight] = [asdict(e) for e in exc.value.trace.events]
-    events = partial[1]
+        trace = exc.value.trace
+        partial[in_flight] = [asdict(e) for e in trace.events], trace.scorer_call_count
+    assert partial[4] == partial[16] == partial[1]
+    return partial[1]
+
+
+def test_partial_trace_on_mid_batch_failure_is_serial():
+    target = mid_batch_target()
+    second, third = (u.text for u in target.rationale[1:3])
+
+    def fails(prompt):
+        # the reduced prompt of the second candidate, the second request of
+        # its group: unit 1 gone, unit 2 kept
+        return (prompt.startswith(target.question + " ")
+                and second not in prompt and third in prompt)
+
+    events, calls = partial_traces(fails)
     assert events[-1]["record_id"] == target.id
     assert any(e["record_id"] != target.id and e["t"] == events[-1]["t"]
                for e in events)
-    assert partial[4] == events
+    assert calls == 2 * len(events) + 2
+
+
+def test_partial_trace_counts_no_request_sent_beside_the_failing_one():
+    target = mid_batch_target()
+    full = " ".join((target.question, *(u.text for u in target.rationale)))
+
+    def fails(prompt):
+        # the full prompt of the first candidate: the failing record's first
+        # request, while later scans of its batch have requests in flight
+        return prompt == full
+
+    events, calls = partial_traces(fails)
+    assert events and all(e["record_id"] != target.id for e in events)
+    assert events[-1]["t"] == 2  # the failing record's batch
+    assert calls == 2 * len(events) + 1
 
 
 def test_corpus_score_is_the_fitted_tabular_scorer():
