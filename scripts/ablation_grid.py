@@ -10,8 +10,11 @@ Two sweeps, mirroring the configuration grids the engine exposes:
 enforced_front) under both criteria modes; `warmup` sweeps the warm-up
 ratio over {0.0, 0.1, 0.2, 0.3, 0.4} with the default strategy. Each cell
 is the flags' base RunConfig with the swept settings replaced. Every
-cell reports removals, retained-token reduction, and the trace
-fingerprint, so two checkouts can compare runs exactly.
+cell prints from its run's report (``metrics.build_report``, the one
+that ``varr reduce`` writes): removals, decisions, scorer calls,
+retained-token reduction and the trace fingerprint, so two checkouts can
+compare runs exactly. A run that breaks a law of the trace ends the
+script.
 """
 
 import argparse
@@ -23,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from varr.config import RunConfig
 from varr.corpus import load_corpus
-from varr.metrics import DECISION_REMOVED, reduction_token_stats, trace_fingerprint
+from varr.metrics import build_report
 from varr.schedule import run_reduction
 
 STRATEGY_GRID = [
@@ -38,26 +41,28 @@ WARMUP_GRID = [0.0, 0.1, 0.2, 0.3, 0.4]
 
 
 def run_cell(corpus_path, settings):
+    """One run's report; exits naming the broken laws if the run broke any."""
     corpus = load_corpus(corpus_path, settings)
     handle = settings.build_scorer(corpus)
-    trace = run_reduction(corpus, handle, settings)
-    stats = reduction_token_stats(corpus)
-    return {
-        "removals": sum(e.decision == DECISION_REMOVED for e in trace.events),
-        "decisions": len(trace.events),
-        "scorer_calls": trace.scorer_call_count,
-        "reduction": stats["reduction_percent"],
-        "fingerprint": trace_fingerprint(trace)[:12],
-    }
+    try:
+        trace = run_reduction(corpus, handle, settings)
+    finally:
+        handle.close()
+    report = build_report(trace, corpus)
+    if report["law_violations"]:
+        sys.exit("internal invariant violation: " + "; ".join(report["law_violations"]))
+    return report
 
 
 def print_table(rows, label):
     header = f"{label:<24} {'removals':>8} {'decisions':>9} {'calls':>7} {'tok-red%':>9}  fingerprint"
     print(header)
     print("-" * len(header))
-    for name, cell in rows:
-        print(f"{name:<24} {cell['removals']:>8} {cell['decisions']:>9} "
-              f"{cell['scorer_calls']:>7} {cell['reduction']:>8.2f}%  {cell['fingerprint']}")
+    for name, report in rows:
+        print(f"{name:<24} {report['removal_count']:>8} {report['event_count']:>9} "
+              f"{report['scorer_call_count']:>7} "
+              f"{report['token_stats']['reduction_percent']:>8.2f}%  "
+              f"{report['determinism_fingerprint'][:12]}")
 
 
 def main():

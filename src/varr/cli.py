@@ -7,7 +7,10 @@
 
 Exit codes: 0 success; 1 usage, configuration or input error, or a file
 that cannot be read or written; 2 scorer or transport failure; 3 internal
-fault (a broken invariant or any other unexpected exception).
+fault (a broken invariant or any other unexpected exception). A command
+raises every failure to ``main``, which alone maps it to its exit code
+and prints its one stderr line; ``reduce`` first saves
+``trace.partial.json`` when the scorer fails mid-run.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .corpus import (
 from .errors import (
     ConfigurationError,
     InternalInvariantError,
-    ParseError,
     ScorerError,
     TransportError,
     ValidationError,
@@ -288,8 +290,7 @@ def cmd_reduce(args) -> int:
     except ReductionAborted as exc:
         _record_run(exc.trace, cfg, args.input, out_dir)
         exc.trace.save(out_dir / "trace.partial.json")
-        print(f"scorer failure, partial trace saved: {exc.cause}", file=sys.stderr)
-        return EXIT_SCORER
+        raise exc.cause from None
     finally:
         handle.close()
 
@@ -299,9 +300,7 @@ def cmd_reduce(args) -> int:
     events_json = metrics.encode_events(trace.events)
     report = metrics.build_report(trace, corpus, events_json=events_json)
     if report["law_violations"]:
-        for problem in report["law_violations"]:
-            print(f"invariant violation: {problem}", file=sys.stderr)
-        return EXIT_INVARIANT
+        raise InternalInvariantError("; ".join(report["law_violations"]))
 
     trace.save(out_dir / "trace.json", events_json)
     write_reduced(corpus, out_dir / "reduced.jsonl")
@@ -367,9 +366,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigurationError, ParseError, ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except TransportError as exc:
         print(f"scorer transport failure: {exc}", file=sys.stderr)
         return EXIT_SCORER
@@ -379,7 +375,7 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except VarrError as exc:
+    except (VarrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a fault of the program, not of its input

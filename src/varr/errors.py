@@ -1,10 +1,11 @@
 """Exception taxonomy shared across the package.
 
-Exit-code mapping used by the CLI (README, "Exit codes"):
+Exit-code mapping, applied in one place, ``cli.main`` (README, "Exit codes"):
+  ScorerError (incl. TransportError, ProtocolError, OutOfVocabularyError) -> 2
+  InternalInvariantError (incl. a broken law of a finished run) and any
+  exception outside this taxonomy (an internal fault) -> 3
   ParseError / ValidationError / ConfigurationError, any other VarrError
   and OSError (a file that cannot be read or written) -> 1
-  ScorerError (incl. TransportError, ProtocolError, OutOfVocabularyError) -> 2
-  InternalInvariantError, and any other exception (an internal fault) -> 3
 """
 
 

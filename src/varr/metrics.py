@@ -21,7 +21,6 @@ a file would fall back to the pure-Python one).
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from collections import defaultdict
@@ -66,14 +65,6 @@ class ReductionTrace:
     events: list[TraceEvent] = field(default_factory=list)
     scorer_call_count: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "config": copy.deepcopy(self.config),
-            "seed": self.seed,
-            "scorer_call_count": self.scorer_call_count,
-            "events": [dict(vars(e)) for e in self.events],
-        }
-
     @classmethod
     def from_dict(cls, obj: dict) -> "ReductionTrace":
         return cls(
@@ -85,7 +76,9 @@ class ReductionTrace:
 
     def canonical_json(self, events_json: str | None = None,
                        for_fingerprint: bool = False) -> str:
-        """``json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))``.
+        """The trace as canonical JSON: the ``json.dumps`` of a dict of its
+        config, its events (each as its attribute dict), scorer_call_count
+        and seed, with ``sort_keys=True`` and ``separators=(",", ":")``.
 
         Built by splicing: the sorted top-level keys are config, events,
         scorer_call_count, seed. Pass the output of ``encode_events`` to
@@ -301,8 +294,6 @@ def render_report_text(report: dict) -> str:
     ]
     if report["no_reductions_performed"]:
         lines.append("  note               no reductions performed")
-    if report["law_violations"]:
-        lines.append(f"  LAW VIOLATIONS     {report['law_violations']}")
     stats = report.get("token_stats")
     if stats:
         lines.append(

@@ -27,7 +27,12 @@ threads, so a batch of up to that many records is scanned all at once,
 each scan sending one request at a time; their events and scorer call
 counts are merged in batch order, so the trace is the serial one. Once
 a scan fails, the scans of later batch slots stop before their next
-candidate, since a serial run would never have reached them.
+candidate, since a serial run would never have reached them. Every scan,
+pooled or not, is handed the same halt check, run before each candidate:
+it compares the scan's slot with the earliest failed slot, which is
+kept in a one-element list, so each call is one item read and one
+comparison, and an inline run, which visits thousands of candidates,
+pays next to nothing for the pool's early stop.
 
 The driver reads its settings off a ``config.RunConfig``, which checked
 their ranges when it was built, and records the decision settings in the
@@ -47,9 +52,9 @@ import functools
 import logging
 import math
 import random
+import threading
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .corpus import CHOICE_TASKS, Corpus, RationaleRecord
@@ -74,29 +79,6 @@ CANDIDATE_ORDERS = ("front", "random", "back", "enforced_front", "no_rule")
 SHUFFLED_ORDERS = ("random", "no_rule")
 
 
-@dataclass
-class TrainingClock:
-    """Step bookkeeping: epoch and step are 1-based, t is global."""
-
-    epoch: int
-    step_in_epoch: int
-    steps_per_epoch: int
-    epochs: int
-    warmup_ratio: float
-
-    @property
-    def t(self) -> int:
-        return (self.epoch - 1) * self.steps_per_epoch + self.step_in_epoch
-
-    @property
-    def total_steps(self) -> int:
-        return self.epochs * self.steps_per_epoch
-
-    @property
-    def in_warmup(self) -> bool:
-        return in_warmup(self.t, self.total_steps, self.warmup_ratio)
-
-
 def removal_budget(t: int, total_steps: int, n_t: int) -> int:
     """floor(n_t * t / T) in exact integer arithmetic."""
     if total_steps < 1:
@@ -110,8 +92,6 @@ def removal_budget(t: int, total_steps: int, n_t: int) -> int:
 
 def in_warmup(t: int, total_steps: int, warmup_ratio: float) -> bool:
     """True while t <= warmup_ratio * T (boundary step still warms up)."""
-    if not 0.0 <= warmup_ratio <= 1.0:
-        raise ValueError("warmup_ratio must be in [0, 1]")
     return t <= warmup_ratio * total_steps
 
 
@@ -208,13 +188,14 @@ def run_reduction(
         )
     batch_size, epochs = settings.batch_size, settings.epochs
     steps_per_epoch = math.ceil(len(records) / batch_size)
+    total_steps = epochs * steps_per_epoch
     config = {
         "trace_schema": TRACE_SCHEMA,
         "run": settings.recorded(),
         "schedule": {
             "record_count": len(records),
             "steps_per_epoch": steps_per_epoch,
-            "total_steps": epochs * steps_per_epoch,
+            "total_steps": total_steps,
         },
     }
     trace = ReductionTrace(config=config, seed=settings.seed)
@@ -231,16 +212,14 @@ def run_reduction(
             order = list(range(len(records)))
             child_rng(settings.seed, "batch-order", epoch).shuffle(order)
             for step in range(1, steps_per_epoch + 1):
-                clock = TrainingClock(
-                    epoch, step, steps_per_epoch, epochs, settings.warmup_ratio,
-                )
-                if clock.in_warmup:
+                t = (epoch - 1) * steps_per_epoch + step
+                if in_warmup(t, total_steps, settings.warmup_ratio):
                     continue
                 lo = (step - 1) * batch_size
                 batch = [records[i] for i in order[lo : lo + batch_size]]
                 scan = functools.partial(
-                    _reduce_record, batch=batch, handle=handle, clock=clock,
-                    settings=settings,
+                    _reduce_record, batch=batch, handle=handle, epoch=epoch, step=step,
+                    t=t, total_steps=total_steps, settings=settings,
                 )
                 _scan_batch(pool, scan, batch, trace, handle)
             handle.refresh(corpus_view(corpus))
@@ -272,15 +251,16 @@ def _scan_batch(
     """
     logs: list[list[TraceEvent]] = [[] for _ in batch]
     calls = [0] * len(batch)
-    failed: list[int] = []  # slots whose scan raised
+    first_failed = [len(batch)]  # the earliest slot whose scan raised
+    lock = threading.Lock()
 
     def counted(slot: int) -> None:
-        halted = (lambda: any(f < slot for f in failed)) if pool is not None else None
         start = handle.thread_calls()
         try:
-            scan(batch[slot], events=logs[slot], halted=halted)
+            scan(batch[slot], events=logs[slot], halted=lambda: first_failed[0] < slot)
         except BaseException:
-            failed.append(slot)
+            with lock:
+                first_failed[0] = min(first_failed[0], slot)
             raise
         finally:
             calls[slot] = handle.thread_calls() - start
@@ -302,15 +282,18 @@ def _reduce_record(
     record: RationaleRecord,
     batch: Sequence[RationaleRecord],
     handle: ScorerHandle,
-    clock: TrainingClock,
+    epoch: int,
+    step: int,
+    t: int,
+    total_steps: int,
     settings: RunConfig,
     events: list[TraceEvent],
-    halted: Callable[[], bool] | None = None,
+    halted: Callable[[], bool],
 ) -> None:
     """Scan one record, appending its events; stop early once ``halted()``."""
     retained = record.retained_indices()
     full = assemble_prompt(record, retained, settings.template_id)
-    budget = removal_budget(clock.t, clock.total_steps, len(retained))
+    budget = removal_budget(t, total_steps, len(retained))
     buffer: list[int] = []
     negatives, k = (
         negative_pool(record, batch, settings.k_negatives)
@@ -319,15 +302,15 @@ def _reduce_record(
 
     enforced_active = (
         settings.candidate_order == "enforced_front"
-        and clock.epoch <= settings.enforce_epochs
+        and epoch <= settings.enforce_epochs
     )
-    epoch, step, t, mode = clock.epoch, clock.step_in_epoch, clock.t, settings.mode
+    mode = settings.mode
     order_rng = (
         child_rng(settings.seed, "candidate-order", record.id, t)
         if settings.candidate_order in SHUFFLED_ORDERS else None
     )
     for index, unconditional in candidate_sequence(record, settings, order_rng, enforced_active):
-        if len(buffer) >= budget or (halted is not None and halted()):
+        if len(buffer) >= budget or halted():
             break
         position = bisect_left(retained, index)
         reduced = full.without(position)

@@ -30,9 +30,6 @@ MODE_VARR = "varr"
 MODE_VARR_PLUS = "varr_plus"
 MODES = (MODE_VARR, MODE_VARR_PLUS)
 
-# A generator, or a zero-argument factory called only when a draw is made.
-RngSource = random.Random | Callable[[], random.Random] | None
-
 
 class VerbosityReport(NamedTuple):
     """Outcome of evaluating one candidate unit: the trace's score fields.
@@ -97,7 +94,7 @@ def evaluate_candidate(
     reduced: PromptAssembly,
     negatives: Sequence[str] = (),
     k: int = 4,
-    rng: RngSource = None,
+    rng: Callable[[], random.Random] | None = None,
 ) -> VerbosityReport:
     """Judge the candidate whose removal turns prompt ``full`` into ``reduced``.
 
@@ -109,8 +106,8 @@ def evaluate_candidate(
     ``negatives`` never holds the gold answer: the driver passes the pool
     that ``schedule.negative_pool`` built, which guarantees it. When k
     covers the pool, all of it is scored and no randomness is consumed
-    (an rng factory is not called); otherwise k wrong answers are drawn
-    without replacement by ``rng.sample``.
+    (``rng``, a zero-argument generator factory, is not called); otherwise
+    k wrong answers are drawn without replacement by ``rng().sample``.
     """
     score_full = handle.score_answer(full, record.answer).total
     score_reduced = handle.score_answer(reduced, record.answer).total
@@ -122,7 +119,7 @@ def evaluate_candidate(
         if k < 1:
             raise ValueError("k must be >= 1")
         if k < len(negatives):
-            negatives = (rng if isinstance(rng, random.Random) else rng()).sample(negatives, k)
+            negatives = rng().sample(negatives, k)
         v_wrong = verbosity_wrong(handle, full, reduced, negatives)
         k_used = len(negatives)
     return VerbosityReport(v_gt, v_wrong, k_used, score_full, score_reduced)

@@ -7,8 +7,11 @@ verbosity oracles difference two such scores. Agreement within 1e-9
 validates both the arithmetic and the prompt-assembly conventions.
 ``candidate_assemblies`` builds a candidate's two prompts from the
 retained sets alone, the reference for the driver's sliced prompts.
+``trace_to_dict`` is the plain-dict form of a trace that
+``ReductionTrace.canonical_json`` must equal once dumped.
 """
 
+import copy
 import math
 
 from varr.scorer import assemble_prompt
@@ -129,6 +132,18 @@ def oracle_segment_sentences(text, terminal_punctuation, abbreviation_exceptions
         else:
             segments.append(tail)
     return segments
+
+
+def trace_to_dict(trace):
+    """The trace as a plain dict: ``json.dumps`` of it with sorted keys and
+    compact separators is the trace's canonical JSON. The config and the
+    event rows are copies, so editing the result leaves the trace alone."""
+    return {
+        "config": copy.deepcopy(trace.config),
+        "seed": trace.seed,
+        "scorer_call_count": trace.scorer_call_count,
+        "events": [dict(vars(e)) for e in trace.events],
+    }
 
 
 def oracle_validate_trace(trace):

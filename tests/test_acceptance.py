@@ -202,9 +202,9 @@ def test_criterion_07_subset_law():
                     continue
                 full, reduced = candidate_assemblies(record, i, retained)
                 base = evaluate_candidate(handle, record, full, reduced)
-                rng = random.Random(17)
                 plus = evaluate_candidate(
-                    handle, record, full, reduced, negatives=pool, k=k, rng=rng,
+                    handle, record, full, reduced, negatives=pool, k=k,
+                    rng=lambda: random.Random(17),
                 )
                 cells += 1
                 if plus.passes_varr_plus is True and not base.passes_varr:

@@ -19,6 +19,7 @@ from varr.verbosity import MODES
 
 from .conftest import FIXTURE_CORPUS, PILOT_CORPUS
 from .mockserver import MockScorerServer, corpus_score
+from .oracles import trace_to_dict
 from .test_corpus import WRONG_FIELD_TYPES
 
 
@@ -358,11 +359,19 @@ def test_unexpected_exception_exits_three_without_traceback(tmp_path, capsys, mo
 
 
 def test_reduce_remote_scorer_failure_exits_two(tmp_path, capsys):
-    code = run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir",
-                   str(tmp_path / "x"), "--scorer", "remote",
-                   "--scorer-url", "http://127.0.0.1:9", "--timeout-ms", "100",
-                   "--max-attempts", "1", "--epochs", "1", "--warmup", "0.0")
-    assert code == 2
+    # a refused connection, then a server that answers every request with 503
+    with MockScorerServer(status_script=[503] * 64) as busy:
+        for name, url in (("refused", "http://127.0.0.1:9"), ("busy", busy.url)):
+            out = tmp_path / name
+            code = run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir",
+                           str(out), "--scorer", "remote",
+                           "--scorer-url", url, "--timeout-ms", "100",
+                           "--max-attempts", "1", "--epochs", "1", "--warmup", "0.0")
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("scorer transport failure: ") and err.count("\n") == 1, err
+            assert [p.name for p in out.iterdir()] == ["trace.partial.json"]
+        assert busy.requests  # the server answered, with 503
 
 
 @pytest.mark.parametrize("argv", [
@@ -750,8 +759,8 @@ def test_reduce_loads_corpus_once_and_trace_parses_to_run_trace(tmp_path, monkey
     assert len(loads) == 1
     raw = (tmp_path / "run" / "trace.json").read_text(encoding="utf-8")
     # JSON has no tuples: tuples in config.run read back as lists.
-    assert json.loads(raw) == json.loads(json.dumps(traces[0].to_dict()))
-    assert raw == json.dumps(traces[0].to_dict(), sort_keys=True, separators=(",", ":"))
+    assert json.loads(raw) == json.loads(json.dumps(trace_to_dict(traces[0])))
+    assert raw == json.dumps(trace_to_dict(traces[0]), sort_keys=True, separators=(",", ":"))
 
 
 def test_reduce_leaves_no_temp_files(tmp_path):
@@ -793,20 +802,27 @@ def test_reduce_law_violation_exits_3_before_writing(tmp_path, monkeypatch, caps
 
 
 def test_reduce_replay_law_violation_exits_3_before_writing(tmp_path, monkeypatch, capsys):
+    # the replay law alone, then with the ordering law: one line names every broken law
     def unmarking_run(corpus, handle, settings):
         trace = real_run(corpus, handle, settings)
         removed = next(e for e in trace.events if e.decision == metrics.DECISION_REMOVED)
         record = next(r for r in corpus.records if r.id == removed.record_id)
         record.rationale[removed.candidate_index].removed_at = None
+        problems = ["trace removal events disagree with corpus removed_at marks"]
+        if reordered:  # the first event moved behind the last
+            trace.events.append(trace.events.pop(0))
+            problems.insert(0, f"events out of (epoch, step) order at t={trace.events[-1].t}")
+        expected.append("internal invariant violation: " + "; ".join(problems) + "\n")
         return trace
 
     real_run = cli.run_reduction
     monkeypatch.setattr(cli, "run_reduction", unmarking_run)
-    out = tmp_path / "run"
-    assert reduce_fixture(out) == 3
-    assert capsys.readouterr().err == (
-        "invariant violation: trace removal events disagree with corpus removed_at marks\n")
-    assert list(out.iterdir()) == []
+    expected = []
+    for reordered in (False, True):
+        out = tmp_path / f"run-{reordered}"
+        assert reduce_fixture(out) == 3
+        assert capsys.readouterr().err == expected[-1]
+        assert list(out.iterdir()) == []
 
 
 # Golden fingerprint for the pinned invocation below, produced by the

@@ -27,7 +27,7 @@ from varr.schedule import run_reduction
 from varr.scorer import fit_tabular_scorer
 
 from .conftest import FIXTURE_CORPUS, make_record
-from .oracles import oracle_validate_trace, token_stats
+from .oracles import oracle_validate_trace, token_stats, trace_to_dict
 
 
 def event(record_id="r", epoch=1, step=1, t=1, index=0, decision=DECISION_REMOVED,
@@ -148,7 +148,7 @@ def test_trace_json_roundtrip(tmp_path):
     path = tmp_path / "trace.json"
     trace.save(path)
     loaded = ReductionTrace.load(path)
-    assert loaded.to_dict() == trace.to_dict()
+    assert trace_to_dict(loaded) == trace_to_dict(trace)
     assert trace_fingerprint(loaded) == trace_fingerprint(trace)
 
 
@@ -289,7 +289,7 @@ def canonical_trace():
 
 def test_canonical_json_is_sorted_compact_dumps_of_to_dict():
     trace = canonical_trace()
-    plain = json.dumps(trace.to_dict(), sort_keys=True, separators=(",", ":"))
+    plain = json.dumps(trace_to_dict(trace), sort_keys=True, separators=(",", ":"))
     assert trace.canonical_json() == plain
     assert trace.canonical_json(encode_events(trace.events)) == plain
     assert plain.isascii()
@@ -297,7 +297,7 @@ def test_canonical_json_is_sorted_compact_dumps_of_to_dict():
 
 def test_fingerprint_is_sha256_of_canonical_bytes_without_paths():
     trace = canonical_trace()
-    payload = trace.to_dict()
+    payload = trace_to_dict(trace)
     payload["config"] = {k: v for k, v in payload["config"].items() if k != "paths"}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(canonical).hexdigest() == trace_fingerprint(trace)
@@ -311,7 +311,7 @@ def test_non_ascii_trace_roundtrips_with_same_fingerprint(tmp_path):
     trace.save(path)
     raw = path.read_bytes()
     assert raw.isascii()
-    assert json.loads(raw) == trace.to_dict()
+    assert json.loads(raw) == trace_to_dict(trace)
     loaded = ReductionTrace.load(path)
     assert loaded.events[1].record_id == "\u00e9t\u00e9-\u4e2d"
     assert trace_fingerprint(loaded) == trace_fingerprint(trace)
@@ -345,14 +345,14 @@ def test_encode_events_equals_key_sorted_dumps(events):
 
 def test_to_dict_rows_are_copies():
     trace = canonical_trace()
-    trace.to_dict()["events"][0]["decision"] = "tampered"
+    trace_to_dict(trace)["events"][0]["decision"] = "tampered"
     assert trace.events[0].decision == DECISION_KEPT
 
 
 def test_to_dict_config_is_a_copy():
     trace = canonical_trace()
     before = trace.canonical_json()
-    config = trace.to_dict()["config"]
+    config = trace_to_dict(trace)["config"]
     del config["paths"]
     config["run"]["mode"] = "tampered"
     assert trace.config["paths"] == {"input": "/data/c\u00f6rpus.jsonl", "out_dir": "out"}

@@ -17,7 +17,6 @@ from varr.errors import ConfigurationError, OutOfVocabularyError
 from varr.schedule import (
     CANDIDATE_ORDERS,
     ReductionAborted,
-    TrainingClock,
     candidate_sequence,
     in_warmup,
     negative_pool,
@@ -87,14 +86,6 @@ def test_warmup_zero_ratio_never_warm():
 
 def test_warmup_full_ratio_always_warm():
     assert all(in_warmup(t, 50, 1.0) for t in range(1, 51))
-
-
-def test_clock_bookkeeping():
-    clock = TrainingClock(epoch=3, step_in_epoch=2, steps_per_epoch=5,
-                          epochs=4, warmup_ratio=0.1)
-    assert clock.t == 12
-    assert clock.total_steps == 20
-    assert clock.in_warmup is False
 
 
 # --- candidate ordering ------------------------------------------------------

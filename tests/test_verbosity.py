@@ -159,7 +159,6 @@ def test_verbosity_wrong_seeded_sampling_is_reproducible():
     pool = ["a", "b", "c", "a b"]
     samples = []
     for rng in (
-        child_rng(42, "negatives", record.id, 1, 0),
         functools.partial(child_rng, 42, "negatives", record.id, 1, 0),
         functools.partial(child_rng, 42, "negatives", record.id, 1, 0),
     ):
@@ -167,7 +166,7 @@ def test_verbosity_wrong_seeded_sampling_is_reproducible():
         report = evaluate(scorer, record, 0, [0, 1], negatives=pool, k=2, rng=rng)
         assert report.k_used == 2
         samples.append(seen[2::2])  # each wrong answer's score on the full prompt
-    assert samples[0] == samples[1] == samples[2]
+    assert samples[0] == samples[1]
     assert samples[0] == child_rng(42, "negatives", record.id, 1, 0).sample(pool, 2)
 
 
