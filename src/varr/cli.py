@@ -5,12 +5,13 @@
     varr reduce --input corpus.jsonl --out-dir out/ --mode varr-plus
     varr score  --question "..." --rationale-file r.txt --answer "..."
 
-Exit codes: 0 success; 1 usage, configuration or input error, or a file
-that cannot be read or written; 2 scorer or transport failure; 3 internal
-fault (a broken invariant or any other unexpected exception). A command
-raises every failure to ``main``, which alone maps it to its exit code
-and prints its one stderr line; ``reduce`` first saves
-``trace.partial.json`` when the scorer fails mid-run.
+Exit codes: 0 success; 1 usage, configuration or input error, a file
+that cannot be read or written, or a failed ``pilot --check-ordering``;
+2 scorer or transport failure; 3 internal fault (a broken invariant or
+any other unexpected exception). A command raises every failure to
+``main``, which alone maps it to its exit code and prints its one stderr
+line; ``reduce`` first saves ``trace.partial.json`` when the scorer
+fails mid-run, and ``ingest`` and ``pilot`` write their outputs first.
 """
 
 from __future__ import annotations
@@ -234,7 +235,9 @@ def cmd_ingest(args) -> int:
         print(f"violation [{rid}]: {violation}")
     for rid, note in flags:
         print(f"flag [{rid}]: {note}")
-    return EXIT_USAGE if violations else EXIT_OK
+    if violations:
+        raise ValidationError(f"{len(violations)} violation(s) in corpus {args.input}")
+    return EXIT_OK
 
 
 def cmd_pilot(args) -> int:
@@ -256,8 +259,7 @@ def cmd_pilot(args) -> int:
     print(f"pilot curves over {len(results)} strategies -> {out_dir}")
     print(f"baseline mean NLL: {results[0].baseline_nll:.6f}")
     if args.check_ordering and not pilot_mod.ordering_holds(results):
-        print("ordering check FAILED: expected back > random > front", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValidationError("ordering check failed: expected back > random > front")
     return EXIT_OK
 
 

@@ -20,8 +20,10 @@ the other backend neither records nor fingerprints it.
 The file holds one JSON object per section, each entry optional, e.g.
 ``{"schedule": {"epochs": 3}, "scorer": {"in_flight": 1}}``; an entry
 absent from the file keeps its default. A CLI flag overrides the field
-whose name is its argparse ``dest``. The settings are checked once, when
-the ``RunConfig`` is built, so a bad value fails before any work.
+whose name is its argparse ``dest``. Settings are checked in two places
+only: ``load_run_config`` (the file's entries and JSON types, the
+environment) and ``RunConfig.__post_init__`` (every range, once, so a bad
+value fails before any work).
 """
 
 from __future__ import annotations
@@ -141,8 +143,6 @@ class RunConfig:
     def build_scorer(self, corpus: Corpus | None = None) -> ScorerHandle:
         """Tabular scorers fit on the given corpus; remote ones connect."""
         if self.scorer_backend == "tabular":
-            if corpus is None:
-                raise ConfigurationError("tabular scorer needs a corpus to fit on")
             return fit_tabular_scorer(corpus, self.smoothing_alpha)
         return RemoteScorer(
             base_url=self.scorer_url,

@@ -11,6 +11,10 @@ output keeps the same shape, with ``rationale`` holding only the
 retained units plus a ``removed`` provenance block:
 
     "removed": [{"index": int, "text": str, "epoch": int, "step": int}]
+
+Records are checked in two places only: ``load_corpus`` (JSON, field
+types, ``task_kind``, duplicate ids) and ``validate_record`` (blank text,
+choice records' wrong answers, unit indices).
 """
 
 from __future__ import annotations
@@ -86,19 +90,13 @@ class ValidationReport:
     violations: list[str] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def _split_rationale(raw: str | list[str], settings: RunConfig) -> list[str]:
     if isinstance(raw, list):
         sentences = raw
-    elif raw.strip():
+    else:
         sentences = segment_sentences(raw, settings.terminal_punctuation,
                                       settings.abbreviation_exceptions, settings.min_unit_chars)
-    else:
-        sentences = []
     if settings.unit == "sentence":
         return sentences
     tokens: list[str] = []
@@ -184,9 +182,7 @@ def validate_record(record: RationaleRecord) -> ValidationReport:
         report.violations.append("answer is empty")
     if any(not wrong.strip() for wrong in record.wrong_answers):
         report.violations.append("wrong_answers has an empty entry")
-    if record.task_kind not in TASK_KINDS:
-        report.violations.append(f"unknown task_kind {record.task_kind!r}")
-    elif record.task_kind in CHOICE_TASKS and not record.wrong_answers:
+    if record.task_kind in CHOICE_TASKS and not record.wrong_answers:
         report.violations.append(
             f"{record.task_kind} record needs a non-empty wrong_answers set"
         )

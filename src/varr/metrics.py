@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Corpus, atomic_writer
-from .errors import InternalInvariantError
 
 REPORT_SCHEMA_VERSION = "1"
 # Version of the trace config layout: run, schedule, execution and paths.
@@ -157,8 +156,6 @@ def removal_ratio_curve(trace: ReductionTrace) -> list[RemovalRatioPoint]:
             budgets[(e.record_id, e.t)] = e.budget
         max_potential = sum(budgets.values())
         ratio = removed / max_potential if max_potential > 0 else 0.0
-        if not 0.0 <= ratio <= 1.0:
-            raise InternalInvariantError(f"removal ratio {ratio} out of [0, 1]")
         points.append(RemovalRatioPoint(epoch, removed, max_potential, ratio))
     return points
 

@@ -120,8 +120,6 @@ def candidate_sequence(
     retained = record.retained_indices()
     order = settings.candidate_order
     if order in SHUFFLED_ORDERS:
-        if rng is None:
-            raise ValueError(f"{order} order requires an rng")
         rng.shuffle(retained)
     elif order == "back":
         retained.reverse()

@@ -34,9 +34,9 @@ backend reads that token straight off the assembly's last non-blank
 unit (or its question) and never renders a prompt. A remote server may
 therefore see fewer requests than the logical call count.
 
-``config.RunConfig`` rejects an unknown template id and, for the tabular
-backend, a smoothing alpha that is not a finite number > 0, before any
-work; rendering a prompt is the one other place that looks a template up.
+``config.RunConfig`` checks the template id, the smoothing alpha and the
+remote settings before any work, so this module uses them unchecked; what
+a server replies is checked here, by ``_parse_response`` and ``LogLikelihood``.
 """
 
 from __future__ import annotations
@@ -108,13 +108,6 @@ class LogLikelihood:
 TEMPLATES: dict[str, str] = {"plain-v1": " ", "newline-v1": "\n"}
 
 
-def get_template(template_id: str) -> str:
-    try:
-        return TEMPLATES[template_id]
-    except KeyError:
-        raise ConfigurationError(f"unknown template_id {template_id!r}") from None
-
-
 class PromptAssembly(NamedTuple):
     """A question and the retained units in order, under one template.
 
@@ -127,7 +120,7 @@ class PromptAssembly(NamedTuple):
     template_id: str = "plain-v1"
 
     def render(self) -> str:
-        return get_template(self.template_id).join((self.question, *self.retained_rationale))
+        return TEMPLATES[self.template_id].join((self.question, *self.retained_rationale))
 
     def without(self, position: int) -> "PromptAssembly":
         """This prompt with the retained unit at ``position`` left out."""
@@ -203,8 +196,6 @@ class TabularModel:
             raise ValueError("vocabulary must be non-empty")
         if len(set(vocabulary)) != len(vocabulary):
             raise ValueError("vocabulary contains duplicates")
-        if not 0 < smoothing_alpha < math.inf:
-            raise ValueError(f"smoothing_alpha must be a finite number > 0, got {smoothing_alpha}")
         self.vocabulary = tuple(vocabulary)
         self.smoothing_alpha = float(smoothing_alpha)
         self._index = {symbol: i for i, symbol in enumerate(self.vocabulary)}
@@ -219,14 +210,6 @@ class TabularModel:
     @property
     def vocab_size(self) -> int:
         return len(self.vocabulary)
-
-    def count(self, v: int, w: int) -> int:
-        """Bigram count of vocabulary indices (v, w)."""
-        return self._counts[v, w]
-
-    def total(self) -> int:
-        """Number of bigrams counted."""
-        return sum(self._row_sums)
 
     def symbol_index(self, symbol: str) -> int:
         try:
@@ -340,8 +323,6 @@ class TabularScorer(ScorerHandle):
         ``corpus_view`` builds it. Bumps model_version, which clears the
         cache.
         """
-        if not corpus_view:
-            raise ScorerError("tabular refresh needs a corpus view to refit on")
         self.model.fit_streams(context + answer for context, answer in corpus_view)
         self._next_version()
 
@@ -565,12 +546,6 @@ class RemoteScorer(ScorerHandle):
                 "remote scorer needs a base URL (flag, config, or VARR_SCORER_URL)")
         if timeout_ms is None:
             timeout_ms = DEFAULT_TIMEOUT_MS
-        if timeout_ms < 1:
-            raise ConfigurationError("timeout_ms must be >= 1")
-        if max_attempts < 1:
-            raise ConfigurationError("max_attempts must be >= 1")
-        if in_flight < 1:
-            raise ConfigurationError("in_flight must be >= 1")
         self.model = model
         self.timeout_seconds = timeout_ms / 1000.0
         self.max_attempts = max_attempts
@@ -684,8 +659,6 @@ def build_vocabulary(corpus: Corpus, extra_tokens: Iterable[str] = ()) -> tuple[
             symbols.update(unit.text.split())
         for wrong in record.wrong_answers:
             symbols.update(wrong.split())
-    if not symbols:
-        raise ValueError("corpus yields an empty vocabulary")
     return tuple(sorted(symbols))
 
 

@@ -11,7 +11,7 @@ every platform.
 Reconstruction invariant: joining the returned segments with single
 spaces equals the input after collapsing all whitespace runs to single
 spaces. Pathological text (no terminals at all) comes back as one
-segment.
+segment, and blank text as none (``[]``).
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ def segment_sentences(text: str, terminal_punctuation: str = DEFAULT_TERMINAL_PU
     segment is at least ``min_unit_chars`` long. A trailing fragment
     shorter than the minimum is merged into the previous segment.
     """
-    if not text.strip():
-        raise ValueError("cannot segment empty text")
-
     normalized = normalize_whitespace(text)
     segments: list[str] = []
     start = 0

@@ -116,8 +116,6 @@ def evaluate_candidate(
     v_wrong: float | None = None
     k_used = 0
     if negatives and v_gt >= 0.0:
-        if k < 1:
-            raise ValueError("k must be >= 1")
         if k < len(negatives):
             negatives = rng().sample(negatives, k)
         v_wrong = verbosity_wrong(handle, full, reduced, negatives)

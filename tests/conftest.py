@@ -59,10 +59,20 @@ def random_model(rng: random.Random, max_vocab=8, max_count=9, alphas=(0.5, 1.0,
     return TabularScorer(model), counts, vocab, alpha
 
 
+def bigram_count(model: TabularModel, v: int, w: int) -> int:
+    """Bigram count of vocabulary indices (v, w)."""
+    return model._counts[v, w]
+
+
+def bigram_total(model: TabularModel) -> int:
+    """Number of bigrams counted."""
+    return sum(model._row_sums)
+
+
 def dense_counts(model: TabularModel) -> list[list[int]]:
     """The model's bigram counts as a V x V list of lists, for oracles."""
     size = range(model.vocab_size)
-    return [[model.count(v, w) for w in size] for v in size]
+    return [[bigram_count(model, v, w) for w in size] for v in size]
 
 
 def random_record(rng: random.Random, vocab, max_units=4, max_answer_len=6) -> RationaleRecord:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -95,11 +96,14 @@ def test_ingest_reports_violations(tmp_path, capsys):
     bad["task_kind"] = "multiple_choice"  # no wrong_answers
     write_lines(src, [bad])
     report = tmp_path / "report.json"
-    code = run_cli("ingest", "--input", str(src), "--output",
-                   str(tmp_path / "o.jsonl"), "--report", str(report))
+    out = tmp_path / "o.jsonl"
+    code = run_cli("ingest", "--input", str(src), "--output", str(out), "--report", str(report))
     assert code == 1
-    assert "wrong_answers" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "violation [mc]" in captured.out and "wrong_answers" in captured.out
+    assert captured.err == f"error: 1 violation(s) in corpus {src}\n"
     assert json.loads(report.read_text())["violations"]
+    assert len(load_corpus(out)) == 1
 
 
 # --- pilot -------------------------------------------------------------------
@@ -123,6 +127,17 @@ def test_pilot_check_ordering_passes_on_synthetic(tmp_path):
     code = run_cli("pilot", "--input", str(PILOT_CORPUS), "--out-dir",
                    str(tmp_path / "p"), "--alpha", "4.0", "--check-ordering")
     assert code == 0
+
+
+def test_pilot_check_ordering_failure_exits_1_after_writing(tmp_path, capsys):
+    # removing nothing leaves every mean at the baseline: no strict ordering
+    out = tmp_path / "p"
+    code = run_cli("pilot", "--input", str(PILOT_CORPUS), "--out-dir", str(out),
+                   "--sizes", "0", "--check-ordering")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: ordering check failed: expected back > random > front\n")
+    assert sorted(p.name for p in out.iterdir()) == ["pilot.json", "pilot.tsv"]
 
 
 # --- reduce ------------------------------------------------------------------
@@ -802,24 +817,35 @@ def test_reduce_law_violation_exits_3_before_writing(tmp_path, monkeypatch, caps
 
 
 def test_reduce_replay_law_violation_exits_3_before_writing(tmp_path, monkeypatch, capsys):
-    # the replay law alone, then with the ordering law: one line names every broken law
+    # the replay law alone, then with the ordering law, then with the budget
+    # law: one line names every broken law
+    def group(event):
+        return event.record_id, event.epoch, event.step
+
     def unmarking_run(corpus, handle, settings):
         trace = real_run(corpus, handle, settings)
         removed = next(e for e in trace.events if e.decision == metrics.DECISION_REMOVED)
         record = next(r for r in corpus.records if r.id == removed.record_id)
         record.rationale[removed.candidate_index].removed_at = None
         problems = ["trace removal events disagree with corpus removed_at marks"]
-        if reordered:  # the first event moved behind the last
+        if broken == "ordering":  # the first event moved behind the last
             trace.events.append(trace.events.pop(0))
             problems.insert(0, f"events out of (epoch, step) order at t={trace.events[-1].t}")
+        if broken == "budget":  # every group at its budget, the first removal's one below
+            counts = Counter(group(e) for e in trace.events
+                             if e.decision == metrics.DECISION_REMOVED)
+            for e in trace.events:
+                e.budget = counts[group(e)] - (group(e) == group(removed))
+            n = counts[group(removed)]
+            problems.insert(0, f"group {group(removed)} removed {n} over budget {n - 1}")
         expected.append("internal invariant violation: " + "; ".join(problems) + "\n")
         return trace
 
     real_run = cli.run_reduction
     monkeypatch.setattr(cli, "run_reduction", unmarking_run)
     expected = []
-    for reordered in (False, True):
-        out = tmp_path / f"run-{reordered}"
+    for broken in (None, "ordering", "budget"):
+        out = tmp_path / f"run-{broken}"
         assert reduce_fixture(out) == 3
         assert capsys.readouterr().err == expected[-1]
         assert list(out.iterdir()) == []

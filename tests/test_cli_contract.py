@@ -1,8 +1,9 @@
 """Property test of the CLI contract on generated inputs.
 
 Whatever the corpus lines, config-file entries and flag values, ``varr``
-exits 0, 1, 2 or 3, prints no traceback, and a ``reduce`` that exits 1
-leaves no out-dir. Every run is on the tabular backend: no generated
+exits 0, 1, 2 or 3, prints no traceback, ends the stderr of an exit 1
+with one ``error: ...`` line, and a ``reduce`` that exits 1 leaves no
+out-dir. Every run is on the tabular backend: no generated
 setting names the remote scorer or a URL. The model is fitted on the
 corpus, so a scorer failure (exit 2) in ``reduce`` or ``pilot`` would be
 a bad input that validation let through.
@@ -12,7 +13,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from varr.cli import main
@@ -39,7 +40,7 @@ FIELDS = {
     "rationale": st.one_of(words, st.lists(st.one_of(words, blanks), max_size=4)),
     "answer": words,
     "wrong_answers": st.lists(words, min_size=1, max_size=3),
-    "task_kind": st.sampled_from(TASK_KINDS),
+    "task_kind": st.sampled_from([*TASK_KINDS, "essay"]),
 }
 
 
@@ -99,7 +100,7 @@ FLAG_VALUES = {
         "--samples": ["1", "2", "0"], "--alpha": ["1", "nan"], "--check-ordering": [None],
     },
     "ingest": {"--granularity": ["sentence", "token"]},
-    "score": {"--question": ["a b", " ", "é"], "--answer": ["b", "", "zz"],
+    "score": {"--question": ["a b", " ", "é"], "--answer": ["b", "", " ", "zz"],
               "--alpha": ["1", "inf"]},
 }
 
@@ -118,7 +119,13 @@ def invocations(draw):
     return command, lines, entries, flags
 
 
+# --sizes 0 meets --check-ordering: every mean is the baseline, so the check fails
+VALID_LINE = json.dumps({"id": "r0", "question": "a b", "rationale": "X y. So é 2.",
+                         "answer": "a", "task_kind": "free_form"})
+
+
 @given(invocations())
+@example(("pilot", [VALID_LINE], [], ["--sizes", "0", "--check-ordering"]))
 @settings(derandomize=True, deadline=None, max_examples=200)
 def test_cli_exit_codes_and_outputs_on_generated_inputs(tmp_path_factory, invocation):
     command, lines, entries, flags = invocation
@@ -142,6 +149,8 @@ def test_cli_exit_codes_and_outputs_on_generated_inputs(tmp_path_factory, invoca
     event(f"{command} exits {code}")
     assert code in (0, 1, 2, 3), (argv + flags, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
+    if code == 1:
+        assert stderr.getvalue().splitlines()[-1].startswith("error: "), stderr.getvalue()
     if command in ("reduce", "pilot"):
         assert code != 2, (argv + flags, lines, stderr.getvalue())
     if command == "reduce" and code == 1:

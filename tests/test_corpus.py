@@ -108,17 +108,19 @@ def test_duplicate_id_rejected(tmp_path):
 
 
 def test_empty_rationale_flagged_not_fatal(tmp_path):
+    # an empty list, and a blank string, which segments to no units
     path = tmp_path / "c.jsonl"
-    write_lines(path, [base_obj("a", rationale=[])])
-    corpus = load_corpus(path)
-    report = validate_record(corpus.records[0])
-    assert report.ok
-    assert report.flags == ["rationale is empty"]
+    write_lines(path, [base_obj("a", rationale=[]), {**base_obj("b"), "rationale": " \t "}])
+    for record in load_corpus(path).records:
+        assert record.rationale == []
+        report = validate_record(record)
+        assert not report.violations
+        assert report.flags == ["rationale is empty"]
 
 
 def test_validate_free_form_empty_wrongs_ok():
     report = validate_record(make_record(task_kind="free_form", wrong_answers=()))
-    assert report.ok and not report.flags
+    assert not report.violations and not report.flags
 
 
 def test_validate_choice_needs_wrongs():
@@ -229,7 +231,7 @@ def test_write_corpus_roundtrip(tmp_path, fixture_corpus):
         assert [u.text for u in before.rationale] == [u.text for u in after.rationale]
         assert before.wrong_answers == after.wrong_answers
         assert before.task_kind == after.task_kind
-    assert all(r.ok for r in validate_corpus(reloaded))
+    assert not any(r.violations for r in validate_corpus(reloaded))
 
 
 def test_atomic_writer_keeps_target_when_block_raises(tmp_path):

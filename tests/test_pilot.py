@@ -48,13 +48,6 @@ def test_closed_forms_exhaustive(n):
     assert all(back[i] < back[i + 1] for i in range(n - 1))
 
 
-def test_probabilities_domain_errors():
-    with pytest.raises(ValueError):
-        sampling_probabilities(0, "front")
-    with pytest.raises(ValueError):
-        sampling_probabilities(3, "middle")
-
-
 def test_sample_full_size_is_everything():
     record = make_record(units=("a", "b", "c", "d"))
     for strategy in ("front", "random", "back"):
@@ -64,8 +57,6 @@ def test_sample_full_size_is_everything():
 
 def test_sample_size_domain():
     record = make_record(units=("a", "b"))
-    with pytest.raises(ValueError):
-        sample_removal_set(record, 3, "front", random.Random(1))
     assert sample_removal_set(record, 0, "front", random.Random(1)) == set()
 
 

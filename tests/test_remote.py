@@ -166,7 +166,7 @@ def test_missing_url_is_configuration_error(monkeypatch):
                          ids=["max_attempts", "in_flight", "timeout_ms"])
 def test_remote_settings_below_one_are_configuration_errors(setting):
     with pytest.raises(ConfigurationError, match=next(iter(setting))):
-        RemoteScorer("http://127.0.0.1:9", **setting)
+        RunConfig(scorer_backend="remote", scorer_url=REFUSING, **setting)
 
 
 def test_run_reduction_rejects_a_handle_of_another_backend():

@@ -1,13 +1,18 @@
 """Every module-level function and class of ``varr``, and every method of
 its classes, is reached by the program, not only by its tests.
 
-A definition in ``src/varr/*.py`` counts as used when its name is read
-(as a name or an attribute) by code in ``src/varr`` outside its own
-definition, in ``scripts/`` or in ``perfbench/``, or when ``varr.__all__``
-exports it. A method also counts as used when it overrides a method of a
-base class, found at run time through the class's MRO, since the base's
-code calls it (argparse calls ``error``). Dunder methods are skipped.
-Names are matched as identifiers, parsed with ``ast``.
+A module-level definition in ``src/varr/*.py`` counts as used when its
+name is read (as a name or an attribute) by code in ``src/varr`` outside
+its own definition, in ``scripts/`` or in ``perfbench/``, or when
+``varr.__all__`` exports it. A method counts as used only when its name
+is read as an attribute (``x.name``) there, so a local variable of the
+same name does not hide it. A method also counts as used when it
+overrides a method of a base class, found at run time through the class's
+MRO, since the base's code calls it (argparse calls ``error``). Dunder
+methods are skipped. Names are matched as identifiers, parsed with
+``ast``, not by type: a method still passes when an attribute of another
+object that shares its name is read (a method ``total`` would pass on
+``LogLikelihood.total``).
 """
 
 import ast
@@ -37,6 +42,14 @@ def names_read(tree: ast.AST) -> Counter:
     )
 
 
+def attributes_read(tree: ast.AST) -> Counter:
+    """How often each identifier is read as an attribute."""
+    return Counter(
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -63,17 +76,19 @@ def overrides(cls: type | None, name: str) -> bool:
 
 def test_every_module_level_definition_is_used_outside_the_tests():
     modules = {path: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
-    elsewhere = Counter()
-    for directory in ("scripts", "perfbench"):
-        for path in (ROOT / directory).rglob("*.py"):
-            elsewhere += names_read(parse(path))
-    in_package = sum((names_read(tree) for tree in modules.values()), Counter())
+    others = [parse(path) for directory in ("scripts", "perfbench")
+              for path in (ROOT / directory).rglob("*.py")]
+    # reader -> (reads in src/varr, reads in scripts/ and perfbench/)
+    reads = {read: (sum(map(read, modules.values()), Counter()), sum(map(read, others), Counter()))
+             for read in (names_read, attributes_read)}
 
     unused = []
     for path, tree in modules.items():
         for node, cls in definitions(path, tree):
             name = node.name
-            outside_itself = in_package[name] - names_read(node)[name]
+            read = names_read if cls is None else attributes_read
+            in_package, elsewhere = reads[read]
+            outside_itself = in_package[name] - read(node)[name]
             if (outside_itself or elsewhere[name] or name in varr.__all__
                     or name in ALLOWED or overrides(cls, name)):
                 continue

@@ -184,8 +184,6 @@ def test_verbosity_wrong_rng_factory_called_only_to_subsample():
         assert (made, report.k_used) == ([], 2)
     report = evaluate(scorer, record, 0, [0, 1], negatives=["a", "b", "c"], k=2, rng=factory)
     assert (made, report.k_used) == ([1], 2)
-    with pytest.raises(ValueError):
-        evaluate(scorer, record, 0, [0, 1], negatives=["a", "b"], k=0, rng=factory)
 
 
 def test_randomized_oracle_equivalence_nll_and_verbosities():
