@@ -8,50 +8,49 @@ Two sweeps, mirroring the configuration grids the engine exposes:
 
 `strategy` sweeps candidate orders (front/random/back/no_rule plus
 enforced_front) under both criteria modes; `warmup` sweeps the warm-up
-ratio over {0.0, 0.1, 0.2, 0.3, 0.4} with the default strategy. Each cell
-is the flags' base RunConfig with the swept settings replaced. Every
-cell prints from its run's report (``metrics.build_report``, the one
-that ``varr reduce`` writes): removals, decisions, scorer calls,
-retained-token reduction and the trace fingerprint, so two checkouts can
-compare runs exactly. A run that breaks a law of the trace ends the
-script.
+ratio over {0.0, 0.1, 0.2, 0.3, 0.4} with the default strategy. Each
+cell is one ``varr reduce`` run into a temporary directory, with
+``--batch-size 4``, then every flag other than --corpus and --sweep, then
+the cell's own flags. Every cell prints from the ``report.json`` of its
+run: removals, decisions, scorer calls, retained-token reduction and the
+trace fingerprint, so two checkouts can compare runs exactly. A cell
+fails exactly as ``varr reduce`` does: its message is on stderr, and the
+script exits with its exit code.
 """
 
 import argparse
+import contextlib
+import io
+import json
 import sys
-from dataclasses import replace
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from varr.config import RunConfig
-from varr.corpus import load_corpus
-from varr.metrics import build_report
-from varr.schedule import run_reduction
+from varr.cli import main as varr_main
 
 STRATEGY_GRID = [
-    ("front", "varr"),
-    ("front", "varr_plus"),
-    ("random", "varr_plus"),
-    ("back", "varr_plus"),
-    ("enforced_front", "varr_plus"),
-    ("no_rule", "varr_plus"),  # mode ignored: criteria bypassed
+    ("front/varr", ["--strategy", "front", "--mode", "varr"]),
+    ("front/varr_plus", ["--strategy", "front", "--mode", "varr-plus"]),
+    ("random/varr_plus", ["--strategy", "random", "--mode", "varr-plus"]),
+    ("back/varr_plus", ["--strategy", "back", "--mode", "varr-plus"]),
+    ("enforced_front/varr_plus", ["--strategy", "enforced-front:2", "--mode", "varr-plus"]),
+    ("no_rule/varr_plus", ["--strategy", "no-rule"]),  # criteria bypassed: no mode
 ]
-WARMUP_GRID = [0.0, 0.1, 0.2, 0.3, 0.4]
+WARMUP_GRID = [(f"warmup={ratio}", ["--warmup", str(ratio)])
+               for ratio in (0.0, 0.1, 0.2, 0.3, 0.4)]
 
 
-def run_cell(corpus_path, settings):
-    """One run's report; exits naming the broken laws if the run broke any."""
-    corpus = load_corpus(corpus_path, settings)
-    handle = settings.build_scorer(corpus)
-    try:
-        trace = run_reduction(corpus, handle, settings)
-    finally:
-        handle.close()
-    report = build_report(trace, corpus)
-    if report["law_violations"]:
-        sys.exit("internal invariant violation: " + "; ".join(report["law_violations"]))
-    return report
+def run_cell(corpus_path, flags):
+    """The report of one ``varr reduce`` run; exits with its code if it failed."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = varr_main(["reduce", "--input", corpus_path, "--out-dir", out_dir,
+                              "--batch-size", "4", *flags])
+        if code:
+            sys.exit(code)
+        return json.loads((Path(out_dir) / "report.json").read_text(encoding="utf-8"))
 
 
 def print_table(rows, label):
@@ -66,30 +65,16 @@ def print_table(rows, label):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, epilog="Any other flag is passed on to varr reduce.",
+        allow_abbrev=False)
     parser.add_argument("--corpus", default="tests/data/fixture_corpus.jsonl")
     parser.add_argument("--sweep", choices=["strategy", "warmup"], default="strategy")
-    parser.add_argument("--epochs", type=int, default=5)
-    parser.add_argument("--batch-size", type=int, default=4)
-    parser.add_argument("--warmup", type=float, default=0.1)
-    parser.add_argument("--k-negatives", type=int, default=4)
-    parser.add_argument("--alpha", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-
-    base = RunConfig(
-        epochs=args.epochs, batch_size=args.batch_size, warmup_ratio=args.warmup,
-        k_negatives=args.k_negatives, smoothing_alpha=args.alpha, seed=args.seed,
-    )
-    if args.sweep == "strategy":
-        cells = [(f"{order}/{mode}", replace(base, candidate_order=order, mode=mode))
-                 for order, mode in STRATEGY_GRID]
-        label = "strategy/mode"
-    else:
-        cells = [(f"warmup={ratio}", replace(base, warmup_ratio=ratio))
-                 for ratio in WARMUP_GRID]
-        label = "warm-up ratio"
-    print_table([(name, run_cell(args.corpus, cell)) for name, cell in cells], label)
+    args, passed_on = parser.parse_known_args()
+    grid, label = ((STRATEGY_GRID, "strategy/mode") if args.sweep == "strategy"
+                   else (WARMUP_GRID, "warm-up ratio"))
+    print_table([(name, run_cell(args.corpus, [*passed_on, *flags])) for name, flags in grid],
+                label)
 
 
 if __name__ == "__main__":

@@ -5,16 +5,17 @@ File format (one JSON object per line, UTF-8):
     {"id": str, "question": str, "rationale": str | [str, ...],
      "answer": str, "wrong_answers": [str, ...]?, "task_kind": str}
 
-A rationale given as a list of strings is taken as pre-split units and
-bypasses segmentation; a raw string is split by the segmenter. Reduced
-output keeps the same shape, with ``rationale`` holding only the
-retained units plus a ``removed`` provenance block:
+A rationale given as a list of non-blank strings is taken as pre-split
+units and bypasses sentence segmentation; a raw string is split by the
+segmenter. Reduced output keeps the same shape, with ``rationale``
+holding only the retained units plus a ``removed`` provenance block:
 
     "removed": [{"index": int, "text": str, "epoch": int, "step": int}]
 
 Records are checked in two places only: ``load_corpus`` (JSON, field
-types, ``task_kind``, duplicate ids) and ``validate_record`` (blank text,
-choice records' wrong answers, unit indices).
+types, blank pre-split units, ``task_kind``, duplicate ids) and
+``validate_record`` (blank text, choice records' wrong answers, unit
+indices).
 """
 
 from __future__ import annotations
@@ -116,8 +117,9 @@ def _record_from_obj(obj: dict, settings: RunConfig) -> RationaleRecord:
     wrong_answers = obj.get("wrong_answers", [])
     for key, ok, expected in (
         ("question", isinstance(obj["question"], str), "a string"),
-        ("rationale", isinstance(obj["rationale"], str) or _strings(obj["rationale"]),
-         "a string or a list of strings"),
+        ("rationale", isinstance(obj["rationale"], str)
+         or (_strings(obj["rationale"]) and all(u.strip() for u in obj["rationale"])),
+         "a string or a list of non-blank strings"),
         ("answer", isinstance(obj["answer"], str), "a string"),
         ("wrong_answers", _strings(wrong_answers), "a list of strings"),
         ("task_kind", obj["task_kind"] in TASK_KINDS, "one of " + ", ".join(TASK_KINDS)),
@@ -140,10 +142,10 @@ def load_corpus(path: str | Path, settings: RunConfig | None = None) -> Corpus:
     """Load a line-delimited corpus, splitting rationales by the unit and
     segmenter settings of ``settings`` (default ``RunConfig()``).
 
-    Raises ParseError for malformed lines and fields of the wrong JSON
-    type (naming the line number and the field) and ValidationError for
-    duplicate record ids. Empty rationales load fine; they surface as
-    flags in validate_record, not as failures here.
+    Raises ParseError for malformed lines, fields of the wrong JSON type
+    and blank pre-split units (naming the line number and the field) and
+    ValidationError for duplicate record ids. Empty rationales load fine;
+    they surface as flags in validate_record, not as failures here.
     """
     if settings is None:
         from .config import RunConfig

@@ -145,10 +145,8 @@ def removal_ratio_curve(trace: ReductionTrace) -> list[RemovalRatioPoint]:
     groups: dict = defaultdict(list)
     for e in trace.events:
         groups[e.epoch].append(e)
-    epochs = int(trace.config.get("run", {}).get("epochs", 0))
-    keys = range(1, epochs + 1) if epochs else sorted(groups)
     points = []
-    for epoch in keys:
+    for epoch in range(1, trace.config["run"]["epochs"] + 1):
         events = groups.get(epoch, ())
         removed = sum(1 for e in events if e.decision == DECISION_REMOVED)
         budgets: dict[tuple[str, int], int] = {}
@@ -165,30 +163,24 @@ def _record_token_count(record) -> int:
     return tokens + len(record.answer.split())
 
 
-def _token_summary(before_total: int, after_total: int, n: int) -> dict:
-    before_avg = before_total / n if n else 0.0
-    after_avg = after_total / n if n else 0.0
-    if before_avg > 0:
-        reduction_percent = 100.0 * (before_avg - after_avg) / before_avg
-    else:
-        reduction_percent = 0.0
-    return {
-        "avg_rationale_tokens_before": before_avg,
-        "avg_rationale_tokens_after": after_avg,
-        "reduction_percent": reduction_percent,
-    }
-
-
 def reduction_token_stats(corpus: Corpus) -> dict:
     """Average whitespace tokens (retained rationale + answer) per record,
     of the corpus as loaded against the corpus as reduced.
 
     A reduction only marks units removed (removed_at), so the corpus as
-    loaded is its retained plus its removed units: no second parse.
+    loaded is its retained plus its removed units: no second parse. The
+    corpus is validated and non-empty, and every answer has a token, so
+    the "before" average is positive.
     """
+    n = len(corpus.records)
     after = sum(_record_token_count(r) for r in corpus.records)
     removed = sum(len(u.text.split()) for r in corpus.records for u in r.removed_units())
-    return _token_summary(after + removed, after, len(corpus.records))
+    before_avg, after_avg = (after + removed) / n, after / n
+    return {
+        "avg_rationale_tokens_before": before_avg,
+        "avg_rationale_tokens_after": after_avg,
+        "reduction_percent": 100.0 * (before_avg - after_avg) / before_avg,
+    }
 
 
 def replay_trace(corpus: Corpus, trace: ReductionTrace) -> Corpus:
@@ -252,18 +244,17 @@ def validate_trace(trace: ReductionTrace, corpus: Corpus | None = None) -> list[
 
 def build_report(
     trace: ReductionTrace,
-    corpus: Corpus | None = None,
+    corpus: Corpus,
     *,
     events_json: str | None = None,
 ) -> dict:
-    """Machine-readable run summary.
-
-    Token stats and the replay law's check are included when the reduced
-    corpus (carrying its removed_at marks) is given. ``events_json`` is
-    ``encode_events`` of the trace's events, when the caller has it already.
+    """Machine-readable run summary of ``trace`` and the corpus it reduced
+    (carrying its removed_at marks), which give the token stats and the
+    replay law's check. ``events_json`` is ``encode_events`` of the
+    trace's events, when the caller has it already.
     """
     removals = sum(e.decision == DECISION_REMOVED for e in trace.events)
-    report = {
+    return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "config": trace.config,
         "seed": trace.seed,
@@ -274,10 +265,8 @@ def build_report(
         "determinism_fingerprint": trace_fingerprint(trace, events_json),
         "removal_ratio_curve": [vars(p) for p in removal_ratio_curve(trace)],
         "law_violations": validate_trace(trace, corpus),
+        "token_stats": reduction_token_stats(corpus),
     }
-    if corpus is not None:
-        report["token_stats"] = reduction_token_stats(corpus)
-    return report
 
 
 def render_report_text(report: dict) -> str:
@@ -291,14 +280,13 @@ def render_report_text(report: dict) -> str:
     ]
     if report["no_reductions_performed"]:
         lines.append("  note               no reductions performed")
-    stats = report.get("token_stats")
-    if stats:
-        lines.append(
-            "  tokens/record      "
-            f"{stats['avg_rationale_tokens_before']:.2f} -> "
-            f"{stats['avg_rationale_tokens_after']:.2f} "
-            f"({stats['reduction_percent']:.2f}% reduction)"
-        )
+    stats = report["token_stats"]
+    lines.append(
+        "  tokens/record      "
+        f"{stats['avg_rationale_tokens_before']:.2f} -> "
+        f"{stats['avg_rationale_tokens_after']:.2f} "
+        f"({stats['reduction_percent']:.2f}% reduction)"
+    )
     lines.append("  removal ratio per epoch")
     for point in report["removal_ratio_curve"]:
         lines.append(

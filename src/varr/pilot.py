@@ -152,8 +152,8 @@ def pilot_tsv(results: list[PilotResult]) -> str:
 
 def pilot_summary(results: list[PilotResult]) -> dict:
     return {
-        "baseline_nll": results[0].baseline_nll if results else None,
-        "skipped_records": results[0].skipped_records if results else 0,
+        "baseline_nll": results[0].baseline_nll,
+        "skipped_records": results[0].skipped_records,
         "curves": [
             {
                 "strategy": r.strategy,

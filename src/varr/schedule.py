@@ -58,7 +58,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .corpus import CHOICE_TASKS, Corpus, RationaleRecord
-from .errors import ConfigurationError, ScorerError, VarrError
+from .errors import ScorerError, VarrError
 from .metrics import (
     DECISION_KEPT,
     DECISION_REMOVED,
@@ -170,6 +170,10 @@ def run_reduction(
     removed_at marks afterwards; ``corpus.write_reduced`` writes the
     reduced artifact with provenance.
 
+    Its one caller, ``varr reduce`` (``cli.cmd_reduce``), hands it a
+    validated, non-empty corpus and a handle that ``settings`` built; the
+    driver checks neither again.
+
     On a scorer failure the partial trace holds what the serial driver
     would have recorded: the events of the batch's records before the
     failing one, then the failing scan's own, and the scorer calls of
@@ -177,13 +181,6 @@ def run_reduction(
     failing one.
     """
     records = corpus.records
-    if not records:
-        raise ValueError("corpus is empty")
-    if handle.backend != settings.scorer_backend:
-        raise ConfigurationError(
-            f"the settings name the {settings.scorer_backend} scorer backend, "
-            f"the handle is {handle.backend}"
-        )
     batch_size, epochs = settings.batch_size, settings.epochs
     steps_per_epoch = math.ceil(len(records) / batch_size)
     total_steps = epochs * steps_per_epoch

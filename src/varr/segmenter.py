@@ -78,6 +78,4 @@ def _word_ending_at(text: str, index: int) -> str:
 
 def segment_tokens(text: str) -> list[str]:
     """Split a sentence into token units on runs of whitespace."""
-    if not text.strip():
-        raise ValueError("cannot tokenize empty text")
     return text.split()

@@ -244,6 +244,18 @@ def test_reduce_bad_record_exits_one_before_out_dir(tmp_path, capsys, fields):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("unit", GRANULARITIES)
+def test_blank_pre_split_unit_exits_one_naming_the_field(tmp_path, capsys, unit):
+    src = tmp_path / "bad.jsonl"
+    write_lines(src, [record_obj("blank", ["One here.", "   "])])
+    out = tmp_path / "out"
+    assert run_cli("reduce", "--input", str(src), "--out-dir", str(out), "--unit", unit) == 1
+    assert capsys.readouterr().err == (
+        "error: line 1: field 'rationale' must be a string or a list of non-blank strings, "
+        'got ["One here.", "   "]\n')
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flags", [
     ("pilot", ["--out-dir", "{tmp}/out"]),
     ("score", ["--question", "a", "--answer", "b"]),

@@ -226,12 +226,13 @@ def test_validate_trace_lists_the_problems_of_the_two_pass_check(events, total_s
     assert validate_trace(trace) == oracle_validate_trace(trace)
 
 
-def test_report_flags_no_reductions():
-    report = build_report(trace_with([]))
+def test_report_flags_no_reductions(fixture_corpus):
+    report = build_report(trace_with([]), fixture_corpus)
     assert report["no_reductions_performed"] is True
     assert report["event_count"] == 0
     text = render_report_text(report)
     assert "no reductions performed" in text
+    assert "(0.00% reduction)" in text.splitlines()[7]
 
 
 def test_report_full_run(fixture_corpus):
@@ -370,9 +371,9 @@ def test_marks_token_stats_equal_reload_comparison(fixture_corpus):
     assert stats["reduction_percent"] > 0
 
 
-def test_ratio_tsv_renders_report_curve():
+def test_ratio_tsv_renders_report_curve(fixture_corpus):
     events = [event("a", t=3, index=0, budget=2, buffer_size=1)]
-    report = build_report(trace_with(events, epochs=2))
+    report = build_report(trace_with(events, epochs=2), fixture_corpus)
     assert removal_ratio_tsv(report["removal_ratio_curve"]) == (
         "epoch\tremoved\tmax_potential\tratio\n1\t1\t2\t0.5\n2\t0\t0\t0.0\n"
     )

@@ -169,13 +169,6 @@ def test_remote_settings_below_one_are_configuration_errors(setting):
         RunConfig(scorer_backend="remote", scorer_url=REFUSING, **setting)
 
 
-def test_run_reduction_rejects_a_handle_of_another_backend():
-    corpus = load_corpus(FIXTURE_CORPUS)
-    with pytest.raises(ConfigurationError, match="remote"):
-        run_reduction(corpus, fit_tabular_scorer(corpus), SETTINGS)
-    assert all(u.removed_at is None for r in corpus for u in r.rationale)
-
-
 @pytest.fixture
 def environment(monkeypatch, tmp_path):
     """monkeypatch, with no proxy, CA bundle or netrc setting in effect."""
