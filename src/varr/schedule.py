@@ -20,30 +20,34 @@ during the first enforce_epochs epochs), no_rule (seeded permutation,
 all unconditional; criteria bypassed entirely).
 
 Within an epoch the scorer does not change and each record is scanned
-once, reading only its own units and the answers of its batch, so the
-scans of one batch are independent. A handle with ``in_flight > 1``
-(the remote backend, default 16) has them run on that many worker
-threads, so a batch of up to that many records is scanned all at once,
-each scan sending one request at a time; their events and scorer call
-counts are merged in batch order, so the trace is the serial one. Once
-a scan fails, the scans of later batch slots stop before their next
-candidate, since a serial run would never have reached them. Every scan,
-pooled or not, is handed the same halt check, run before each candidate:
-it compares the scan's slot with the earliest failed slot, which is
-kept in a one-element list, so each call is one item read and one
-comparison, and an inline run, which visits thousands of candidates,
-pays next to nothing for the pool's early stop.
+once, reading only its own units and the answers of its batch, so all
+scans of an epoch are independent, and so is each scan's budget, fixed
+by the record's units before the scan. The driver plans an epoch's
+scans in serial order (step, then batch slot) and hands them to one
+helper. A handle with ``in_flight > 1`` (the remote backend, default 16)
+has them run on that many worker threads, largest budget first, each
+scan sending one request at a time, so no batch waits for the slowest
+scan of the one before it and the longest scans start first; their
+events and scorer call counts are merged in serial order, so the trace
+is the serial one. Once a scan fails, the scans of later slots stop
+before their next candidate, since a serial run would never have
+reached them. Every scan, pooled or not, is handed the same halt check,
+run before each candidate: it compares the scan's slot with the
+earliest failed slot, which is kept in a one-element list, so each call
+is one item read and one comparison, and an inline run, which visits
+thousands of candidates, pays next to nothing for the pool's early stop.
 
 The driver reads its settings off a ``config.RunConfig``, which checked
 their ranges when it was built, and records the decision settings in the
 trace it returns.
 
-A scan holds its own state: the record's retained indices and full
-prompt, read and validated once. Each candidate's reduced prompt is the
-full one with that unit sliced out, and a removal drops the unit from
-both. Only varr_plus builds a negative pool, once per scan; a record
-whose pool is empty (say, one alone in its batch) cannot confirm the
-wrong-answer contrast, so each of its candidates is kept.
+A scan holds its own state: the record's retained indices, read once
+by the plan, and its full prompt, built and validated once. Each
+candidate's reduced prompt is the full one with that unit sliced out,
+and a removal drops the unit from both. Only varr_plus builds a
+negative pool, once per scan; a record whose pool is empty (say, one
+alone in its batch) cannot confirm the wrong-answer contrast, so each of
+its candidates is kept.
 """
 
 from __future__ import annotations
@@ -175,10 +179,10 @@ def run_reduction(
     driver checks neither again.
 
     On a scorer failure the partial trace holds what the serial driver
-    would have recorded: the events of the batch's records before the
-    failing one, then the failing scan's own, and the scorer calls of
-    those scans only, not of scans that ran concurrently with the
-    failing one.
+    would have recorded: the events of the epoch's scans before the
+    failing one in serial order, then the failing scan's own, and the
+    scorer calls of those scans only, not of later scans that ran before
+    or beside the failing one.
     """
     records = corpus.records
     batch_size, epochs = settings.batch_size, settings.epochs
@@ -206,6 +210,7 @@ def run_reduction(
             first = len(trace.events)
             order = list(range(len(records)))
             child_rng(settings.seed, "batch-order", epoch).shuffle(order)
+            scans = []
             for step in range(1, steps_per_epoch + 1):
                 t = (epoch - 1) * steps_per_epoch + step
                 if in_warmup(t, total_steps, settings.warmup_ratio):
@@ -214,9 +219,13 @@ def run_reduction(
                 batch = [records[i] for i in order[lo : lo + batch_size]]
                 scan = functools.partial(
                     _reduce_record, batch=batch, handle=handle, epoch=epoch, step=step,
-                    t=t, total_steps=total_steps, settings=settings,
+                    t=t, settings=settings,
                 )
-                _scan_batch(pool, scan, batch, trace, handle)
+                for record in batch:
+                    retained = record.retained_indices()
+                    budget = removal_budget(t, total_steps, len(retained))
+                    scans.append((budget, functools.partial(scan, record, retained, budget)))
+            _scan_epoch(pool, scans, trace, handle)
             handle.refresh(corpus_view(corpus))
             removals += sum(e.decision == DECISION_REMOVED for e in trace.events[first:])
             log.info("epoch %d/%d done: %d removals so far", epoch, epochs, removals)
@@ -228,31 +237,31 @@ def run_reduction(
     return trace
 
 
-def _scan_batch(
+def _scan_epoch(
     pool: ThreadPoolExecutor | None,
-    scan: Callable[..., None],
-    batch: Sequence[RationaleRecord],
+    scans: Sequence[tuple[int, Callable[..., None]]],
     trace: ReductionTrace,
     handle: ScorerHandle,
 ) -> None:
-    """Scan each record of the batch and merge the results in batch order.
+    """Run an epoch's (budget, scan) pairs and merge the results in serial order.
 
     Without a pool each scan runs when the merge reaches it; with one,
-    all are submitted first and awaited in order, and once a scan fails
-    the scans of later slots stop before their next candidate: the merge
-    never reaches them. Either way the first failure in batch order is
-    raised, after its scan's events and its scorer calls, counted on the
-    thread that ran it, are merged.
+    all are submitted first, largest budget first (a stable sort, so
+    equal budgets keep serial order), and awaited in serial order. Once
+    a scan fails the scans of later slots stop before their next
+    candidate: the merge never reaches them. Either way the first failure
+    in serial order is raised, after its scan's events and its scorer
+    calls, counted on the thread that ran it, are merged.
     """
-    logs: list[list[TraceEvent]] = [[] for _ in batch]
-    calls = [0] * len(batch)
-    first_failed = [len(batch)]  # the earliest slot whose scan raised
+    logs: list[list[TraceEvent]] = [[] for _ in scans]
+    calls = [0] * len(scans)
+    first_failed = [len(scans)]  # the earliest slot whose scan raised
     lock = threading.Lock()
 
     def counted(slot: int) -> None:
         start = handle.thread_calls()
         try:
-            scan(batch[slot], events=logs[slot], halted=lambda: first_failed[0] < slot)
+            scans[slot][1](events=logs[slot], halted=lambda: first_failed[0] < slot)
         except BaseException:
             with lock:
                 first_failed[0] = min(first_failed[0], slot)
@@ -260,11 +269,13 @@ def _scan_batch(
         finally:
             calls[slot] = handle.thread_calls() - start
 
-    slots = range(len(batch))
+    slots = range(len(scans))
     if pool is None:
         jobs = [functools.partial(counted, slot) for slot in slots]
     else:
-        jobs = [pool.submit(counted, slot).result for slot in slots]
+        futures = {slot: pool.submit(counted, slot) for slot in
+                   sorted(slots, key=lambda slot: scans[slot][0], reverse=True)}
+        jobs = [futures[slot].result for slot in slots]
     for slot, job in zip(slots, jobs):
         try:
             job()
@@ -275,20 +286,20 @@ def _scan_batch(
 
 def _reduce_record(
     record: RationaleRecord,
+    retained: list[int],
+    budget: int,
     batch: Sequence[RationaleRecord],
     handle: ScorerHandle,
     epoch: int,
     step: int,
     t: int,
-    total_steps: int,
     settings: RunConfig,
     events: list[TraceEvent],
     halted: Callable[[], bool],
 ) -> None:
-    """Scan one record, appending its events; stop early once ``halted()``."""
-    retained = record.retained_indices()
+    """Scan one record, whose retained indices and budget the plan read,
+    appending its events; stop early once ``halted()``."""
     full = assemble_prompt(record, retained, settings.template_id)
-    budget = removal_budget(t, total_steps, len(retained))
     buffer: list[int] = []
     negatives, k = (
         negative_pool(record, batch, settings.k_negatives)

@@ -9,12 +9,14 @@ Two backends sit behind one handle interface:
 * remote -- POST /v1/score against an inference server:
   request  {"model": str, "prompt": str, "completion": str}
   response {"token_logprobs": [float, ...], "total_logprob": float}
-  429 and 5xx responses and transport faults retry with exponential
-  backoff; other statuses fail immediately. All values are natural-log.
-  The driver scans up to ``in_flight`` records at once (default 16), so
-  the client sends up to that many concurrent requests, over at most
-  that many keep-alive connections; the server must accept that much
-  concurrency and score deterministically per model version. At most
+  429 and 5xx responses and transport faults retry after a delay drawn
+  uniformly from zero to an exponentially growing cap (full jitter), so
+  scans that fail together do not retry in lockstep; other statuses fail
+  immediately. All values are natural-log. The driver scans up to
+  ``in_flight`` records of an epoch at once (default 16), so the client
+  sends up to that many concurrent requests, over at most that many
+  keep-alive connections; the server must accept that much concurrency
+  and score deterministically per model version. At most
   ``MAX_CONNECTING`` new connections wait for their first status line
   at once, so filling the pool does not overflow a small listen backlog;
   once the server closes a connection after a reply, every request may
@@ -46,6 +48,7 @@ import ipaddress
 import json
 import math
 import os
+import random
 import threading
 import time
 from collections import Counter
@@ -551,6 +554,9 @@ class RemoteScorer(ScorerHandle):
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
         self.in_flight = in_flight
+        # retry delays only: never one of the run's seeded rngs, so retries
+        # leave the trace alone
+        self._jitter = random.Random()
         self._connect, self._head = _environment_settings(base_url, self.timeout_seconds)
         # idle keep-alive connections; list.pop and list.append are atomic
         self._idle: list[_Connection] = []
@@ -623,7 +629,8 @@ class RemoteScorer(ScorerHandle):
                     raise ProtocolError(f"scorer endpoint returned status {status}")
                 failure = f"retryable status {status}"
             if attempts < self.max_attempts:
-                time.sleep(self.backoff_seconds * (2 ** (attempts - 1)))
+                time.sleep(self._jitter.uniform(
+                    0, self.backoff_seconds * (2 ** (attempts - 1))))
         raise TransportError(failure, attempts=attempts)
 
     def _parse_response(self, payload: bytes) -> LogLikelihood:

@@ -71,4 +71,22 @@ def test_ablation_grid_cell_fails_as_varr_reduce_does(tmp_path):
     assert "Traceback" not in done.stderr
     assert done.stderr == (f"violation [b]: answer is empty\n"
                            f"error: 1 violation(s) in corpus {corpus}\n")
-    assert done.stdout == ""
+    header, rule, *rows = done.stdout.splitlines()  # the first cell failed: no row
+    assert header.startswith("strategy/mode") and set(rule) == {"-"} and rows == []
+
+
+def test_ablation_grid_puts_log_level_before_reduce():
+    done = run_grid("--corpus", str(FIXTURE_CORPUS), "--log-level", "info")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.count("INFO varr.schedule: epoch 1/") == len(STRATEGY_CELLS)
+    assert [row.split()[0] for row in done.stdout.splitlines()[2:]] == list(STRATEGY_CELLS)
+
+
+def test_ablation_grid_prints_the_rows_of_cells_before_a_failing_one():
+    # --mode reaches every cell; the no_rule cell, the last, refuses it
+    done = run_grid("--corpus", str(FIXTURE_CORPUS), "--mode", "varr")
+    assert done.returncode == 1
+    assert done.stderr == ("error: --mode is meaningless with --strategy no-rule "
+                           "(criteria are bypassed)\n")
+    rows = done.stdout.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == list(STRATEGY_CELLS)[:5]

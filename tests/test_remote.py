@@ -7,6 +7,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -465,6 +466,23 @@ def test_concurrent_reduction_matches_serial_and_tabular():
     assert serial == outcome(trace, corpus)
 
 
+def test_retry_delays_are_full_jitter_and_leave_the_trace_alone(monkeypatch):
+    # statuses go to requests in arrival order: with one scan at a time the
+    # first request is answered 503, 503, 200 and the second 503, 200
+    delays = []
+    monkeypatch.setattr("varr.scorer.time", SimpleNamespace(sleep=delays.append))
+    with MockScorerServer(score=model_score(fixed_model()),
+                          status_script=[503, 503, 200, 503]) as server:
+        retried = outcome(*reduce_remote(server, in_flight=1))
+    with MockScorerServer(score=model_score(fixed_model())) as server:
+        clean = outcome(*reduce_remote(server, in_flight=1))
+    caps = [0.001, 0.002, 0.001]  # remote()'s backoff_seconds, doubled per attempt
+    assert len(delays) == len(caps)
+    assert all(0 <= delay <= cap for delay, cap in zip(delays, caps))
+    assert delays != caps
+    assert retried == clean
+
+
 @pytest.mark.parametrize("in_flight", [3, 16])
 def test_in_flight_caps_requests_connections_and_new_connections(monkeypatch, in_flight):
     # a whole batch of scans at once against a server whose first reply on
@@ -508,6 +526,17 @@ def test_server_closing_after_each_reply_still_gets_in_flight_requests():
         scorer.close()
         peak = server.peak
     assert peak["requests"] == 16 > MAX_CONNECTING
+
+
+def test_scans_of_later_batches_run_beside_the_first():
+    # one record per batch, so only scans of different batches can overlap;
+    # the server holds every reply until 4 requests are open at once
+    settings = replace(SETTINGS, epochs=1, batch_size=1, mode="varr")
+    with MockScorerServer(score=model_score(fixed_model())) as server:
+        server.hold_replies(4)
+        reduce_remote(server, 4, settings)
+        peak = server.peak
+    assert peak["requests"] == 4
 
 
 def test_cache_spares_requests_and_workers_keep_connections():
@@ -584,6 +613,46 @@ def test_partial_trace_counts_no_request_sent_beside_the_failing_one():
     assert events and all(e["record_id"] != target.id for e in events)
     assert events[-1]["t"] == 2  # the failing record's batch
     assert calls == 2 * len(events) + 1
+
+
+def test_partial_trace_on_failure_in_the_first_batch_is_serial():
+    # the failing record is the last of the first batch, with budget 1, so
+    # its scan is submitted after the larger-budget scans of later batches;
+    # with a pool, its failing request is answered only once one of those
+    # has sent a request
+    settings = replace(MID_BATCH, seed=1)
+    corpus = load_corpus(FIXTURE_CORPUS)
+    order = list(range(len(corpus.records)))
+    child_rng(settings.seed, "batch-order", 1).shuffle(order)
+    target = corpus.records[order[settings.batch_size - 1]]
+    full = " ".join((target.question, *(u.text for u in target.rationale)))
+    later = tuple(corpus.records[i].question + " " for i in order[settings.batch_size:])
+    partial = {}
+    for in_flight in (1, 4, 16):
+        later_sent = threading.Event()
+        score = model_score(fixed_model())
+
+        def scoring(prompt, completion):
+            if prompt.startswith(later):
+                later_sent.set()
+            return score(prompt, completion)
+
+        def fails(prompt):
+            if prompt == full and in_flight > 1:
+                later_sent.wait(timeout=1)  # within remote()'s 2 s timeout
+            return prompt == full
+
+        with MockScorerServer(score=scoring, fail_prompt=fails) as server:
+            with pytest.raises(ReductionAborted) as exc:
+                reduce_remote(server, in_flight, settings)
+        assert isinstance(exc.value.cause, ProtocolError)
+        assert later_sent.is_set() == (in_flight > 1)
+        trace = exc.value.trace
+        partial[in_flight] = [asdict(e) for e in trace.events], trace.scorer_call_count
+    events, calls = partial[1]
+    assert events and all(e["t"] == 1 and e["record_id"] != target.id for e in events)
+    assert calls == 2 * len(events) + 1
+    assert partial[4] == partial[16] == partial[1]
 
 
 def test_corpus_score_is_the_fitted_tabular_scorer():

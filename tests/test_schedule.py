@@ -335,27 +335,28 @@ def test_reduction_aborts_with_partial_trace():
 # --- scans on a worker pool -------------------------------------------------
 
 def test_scan_pool_matches_inline_under_thread_stress():
-    def run(in_flight):
+    def run(in_flight, batch_size):
         corpus = fresh_corpus()
         handle = fit_tabular_scorer(corpus)
         handle.in_flight = in_flight
         trace = run_reduction(corpus, handle, RunConfig(
-            epochs=4, batch_size=8, warmup_ratio=0.1, candidate_order="random",
+            epochs=4, batch_size=batch_size, warmup_ratio=0.1, candidate_order="random",
             mode="varr_plus", seed=21, k_negatives=2))
         retained = {r.id: r.retained_indices() for r in corpus.records}
         return [asdict(e) for e in trace.events], trace.scorer_call_count, retained
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        pooled = run(8)
-    finally:
-        sys.setswitchinterval(interval)
-    events, calls, _ = pooled
-    # a call lost or counted against another scan would break this law
-    assert calls == sum(0 if e["unconditional"] else 2 + 2 * e["k_used"]
-                        for e in events)
-    assert pooled == run(1)
+    for batch_size in (8, 2):  # at 2, an epoch's scans span many batches
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run(8, batch_size)
+        finally:
+            sys.setswitchinterval(interval)
+        events, calls, _ = pooled
+        # a call lost or counted against another scan would break this law
+        assert calls == sum(0 if e["unconditional"] else 2 + 2 * e["k_used"]
+                            for e in events)
+        assert pooled == run(1, batch_size)
 
 
 def test_pooled_scan_failure_keeps_serial_partial_trace(monkeypatch):
@@ -411,7 +412,9 @@ def test_pooled_scan_failure_keeps_serial_partial_trace(monkeypatch):
     assert all(e["record_id"] != failing_id for e in serial)
     # the failing scan's one call, counted before it raised, and no other
     assert calls == 1 + sum(2 + 2 * e["k_used"] for e in serial)
-    assert aborted(4) == (failing_id, serial, calls)
+    # more workers than held scans: those go first for their larger
+    # budgets, and must not keep the earlier slots from running
+    assert aborted(16) == (failing_id, serial, calls)
 
 
 @pytest.mark.parametrize("template_id", ["plain-v1", "newline-v1"])
