@@ -321,7 +321,11 @@ def cmd_score(args) -> int:
         raise ConfigurationError("--question and --answer must not be blank")
     units: list[str] = []
     if args.rationale_file:
-        raw = Path(args.rationale_file).read_text(encoding="utf-8")
+        try:
+            raw = Path(args.rationale_file).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(
+                f"rationale file {args.rationale_file} is not valid UTF-8: {exc}") from None
         units = [line.strip() for line in raw.splitlines() if line.strip()]
     if cfg.scorer_backend == "tabular":
         if args.vocab:

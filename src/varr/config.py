@@ -198,7 +198,7 @@ def load_run_config(path: str | Path | None, flags: dict | None = None) -> RunCo
     if path is not None:
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigurationError("config file must hold a JSON object")

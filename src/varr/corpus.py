@@ -12,10 +12,10 @@ holding only the retained units plus a ``removed`` provenance block:
 
     "removed": [{"index": int, "text": str, "epoch": int, "step": int}]
 
-Records are checked in two places only: ``load_corpus`` (JSON, field
-types, blank pre-split units, ``task_kind``, duplicate ids) and
-``validate_record`` (blank text, choice records' wrong answers, unit
-indices).
+Records are checked in two places only: ``load_corpus`` (UTF-8, JSON,
+field types, blank pre-split units, lone surrogates, ``task_kind``,
+duplicate ids) and ``validate_record`` (blank text, choice records'
+wrong answers, unit indices).
 """
 
 from __future__ import annotations
@@ -110,6 +110,19 @@ def _strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
+def _utf8(value) -> bool:
+    """Whether each string in ``value``, or in the list ``value``, encodes
+    to UTF-8. A JSON escape can make a lone surrogate, which no UTF-8 text
+    holds."""
+    try:
+        for text in value if isinstance(value, list) else [value]:
+            if isinstance(text, str):
+                text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _record_from_obj(obj: dict, settings: RunConfig) -> RationaleRecord:
     for key in ("id", "question", "rationale", "answer", "task_kind"):
         if key not in obj:
@@ -127,6 +140,9 @@ def _record_from_obj(obj: dict, settings: RunConfig) -> RationaleRecord:
         if not ok:
             raise ValueError(f"field {key!r} must be {expected}, "
                              f"got {json.dumps(obj.get(key))}")
+    for key in ("id", "question", "rationale", "answer", "wrong_answers"):
+        if not _utf8(obj.get(key)):
+            raise ValueError(f"field {key!r} holds a lone surrogate, which is not UTF-8 text")
     texts = _split_rationale(obj["rationale"], settings)
     return RationaleRecord(
         id=str(obj["id"]),
@@ -142,8 +158,9 @@ def load_corpus(path: str | Path, settings: RunConfig | None = None) -> Corpus:
     """Load a line-delimited corpus, splitting rationales by the unit and
     segmenter settings of ``settings`` (default ``RunConfig()``).
 
-    Raises ParseError for malformed lines, fields of the wrong JSON type
-    and blank pre-split units (naming the line number and the field) and
+    Raises ParseError for lines that are not UTF-8 or not JSON, fields of
+    the wrong JSON type, blank pre-split units and strings that hold a
+    lone surrogate (naming the line number and the field) and
     ValidationError for duplicate record ids. Empty rationales load fine;
     they surface as flags in validate_record, not as failures here.
     """
@@ -152,26 +169,32 @@ def load_corpus(path: str | Path, settings: RunConfig | None = None) -> Corpus:
         settings = RunConfig()
     records: list[RationaleRecord] = []
     seen: set[str] = set()
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(f"line {lineno}: record must be a JSON object")
-            try:
-                record = _record_from_obj(obj, settings)
-            except KeyError as exc:
-                raise ParseError(f"line {lineno}: missing field {exc.args[0]!r}") from exc
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            if record.id in seen:
-                raise ValidationError(f"duplicate record id: {record.id!r}")
-            seen.add(record.id)
-            records.append(record)
+    # split as text mode splits (at \n, \r\n and \r), then decoded line by
+    # line, so that a byte that is not UTF-8 is named with its line
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"line {lineno}: not valid UTF-8 ({exc.reason} "
+                             f"at byte {exc.start + 1})") from exc
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise ParseError(f"line {lineno}: record must be a JSON object")
+        try:
+            record = _record_from_obj(obj, settings)
+        except KeyError as exc:
+            raise ParseError(f"line {lineno}: missing field {exc.args[0]!r}") from exc
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+        if record.id in seen:
+            raise ValidationError(f"duplicate record id: {record.id!r}")
+        seen.add(record.id)
+        records.append(record)
     return Corpus(records=records)
 
 
@@ -224,13 +247,32 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
+# One removed unit's provenance row, as json.dumps writes its dict.
+_REMOVED_ROW = '{"index": %d, "text": %s, "epoch": %d, "step": %d}'
+
+
+class _Texts(dict):
+    """json's own text of each string, non-ASCII kept, made on first use."""
+
+    def __missing__(self, text: str) -> str:
+        encoded = self[text] = json.dumps(text, ensure_ascii=False)
+        return encoded
+
+
 def _write_records(corpus: Corpus, path: str | Path, reduced: bool) -> None:
     """Write each record in the input format, rationale as a pre-split list:
     all its units, or if ``reduced`` the retained ones and a ``removed``
-    provenance block."""
+    provenance block.
+
+    Each line is ``json.dumps(obj, ensure_ascii=False)`` of the record's
+    dict. The ``removed`` rows are spliced in after the record's other
+    keys, written from one row template with each distinct unit text
+    encoded once.
+    """
+    texts = _Texts()
     with atomic_writer(path) as fh:
         for record in corpus.records:
-            obj = {
+            line = json.dumps({
                 "id": record.id,
                 "question": record.question,
                 "rationale": [u.text for u in record.rationale
@@ -238,14 +280,13 @@ def _write_records(corpus: Corpus, path: str | Path, reduced: bool) -> None:
                 "answer": record.answer,
                 "wrong_answers": record.wrong_answers,
                 "task_kind": record.task_kind,
-            }
+            }, ensure_ascii=False)
             if reduced:
-                obj["removed"] = [
-                    {"index": u.index, "text": u.text, "epoch": u.removed_at[0],
-                     "step": u.removed_at[1]}
+                line = line[:-1] + ', "removed": [' + ", ".join([
+                    _REMOVED_ROW % (u.index, texts[u.text], *u.removed_at)
                     for u in record.removed_units()
-                ]
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+                ]) + "]}"
+            fh.write(line + "\n")
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:

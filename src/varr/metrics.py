@@ -6,26 +6,31 @@ count. Everything downstream (removal-ratio curves, token statistics,
 replay checks, the determinism fingerprint) is derived from it.
 
 The trace is written as canonical JSON: keys sorted, compact separators,
-non-ASCII characters escaped. TraceEvent declares its fields in sorted
-order, so an event's attribute dict is already in canonical key order
-and the events list, most of the trace, is encoded without re-sorting.
+non-ASCII characters escaped. TraceEvent is a named tuple whose fields
+are declared in sorted order, so writing them in field order is the
+canonical key order, and the events list, most of the trace, is written
+row by row from one template of those keys (``encode_events``).
 The fingerprint is the sha256 of the same encoding without the config
 entries that cannot change a decision
 (``UNFINGERPRINTED``: filesystem paths and remote execution settings),
 so two runs of the same configuration into different output directories,
 or against the same scorer at another concurrency, fingerprint
 identically. Both documents are spliced around one encoding of the
-events list, done by json's C encoder (``indent`` and ``json.dump`` to
-a file would fall back to the pure-Python one).
+events list; the rest is done by json's C encoder (``indent`` and
+``json.dump`` to a file would fall back to the pure-Python one).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain, cycle
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import Corpus, atomic_writer
 
@@ -38,23 +43,25 @@ DECISION_REMOVED = "removed"
 DECISION_KEPT = "kept"
 
 
-@dataclass(kw_only=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One candidate decision: a trace row. An unconditional removal scores
+    nothing, so its score fields are None and its k_used 0."""
+
     # Fields in sorted order: encode_events relies on it.
     budget: int
     buffer_size: int  # |R_B| after this decision was applied
     candidate_index: int
     decision: str
     epoch: int
-    k_used: int = 0
+    k_used: int
     record_id: str
-    score_full: float | None = None
-    score_reduced: float | None = None
+    score_full: float | None
+    score_reduced: float | None
     step: int
     t: int
-    unconditional: bool = False
-    verbosity_gt: float | None = None
-    verbosity_wrong: float | None = None
+    unconditional: bool
+    verbosity_gt: float | None
+    verbosity_wrong: float | None
 
 
 @dataclass
@@ -76,7 +83,7 @@ class ReductionTrace:
     def canonical_json(self, events_json: str | None = None,
                        for_fingerprint: bool = False) -> str:
         """The trace as canonical JSON: the ``json.dumps`` of a dict of its
-        config, its events (each as its attribute dict), scorer_call_count
+        config, its events (each as the dict of its fields), scorer_call_count
         and seed, with ``sort_keys=True`` and ``separators=(",", ":")``.
 
         Built by splicing: the sorted top-level keys are config, events,
@@ -109,15 +116,59 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def encode_events(events: list[TraceEvent]) -> str:
-    """The canonical JSON of the events list, without copying the events.
+# One event's row, json.dumps of its dict of fields (compact, keys sorted),
+# after a comma that the first row drops.
+_ROW = ",{" + ",".join(json.dumps(name) + ":%s" for name in TraceEvent._fields) + "}"
+_SCORES = [TraceEvent._fields.index(name) for name in
+           ("score_full", "score_reduced", "verbosity_gt", "verbosity_wrong")]
 
-    Each event's attribute dict is in TraceEvent's field order, which is
-    sorted, so the keys need no sorting; its values are scalars, so there
-    is no reference cycle to check for.
+
+class _FieldTexts(dict):
+    """One field's part of a row, keyed by value and made on first use:
+    the template's text before the value, json's own text of the value,
+    and, for the last field, the text after it."""
+
+    def __init__(self, before: str, after: str = ""):
+        self.before, self.after = before, after
+
+    def __missing__(self, value) -> str:
+        text = self[value] = self.before + json.dumps(value) + self.after
+        return text
+
+
+def _one_text_per_value(texts: _FieldTexts, events: list[TraceEvent], index: int) -> bool:
+    """Whether the values of field ``index`` that share an entry of
+    ``texts`` share its json text too. Equal values with two texts (-3 and
+    -3.0, 0.0 and -0.0, 1 and True) are integral, so a field none of whose
+    entries is integral holds none of them."""
+    if all(value is None or type(value) is float and not value.is_integer()
+           for value in texts):
+        return True
+    column = list(map(itemgetter(index), events))
+    kinds = set(map(type, column)) - {type(None)}
+    signs = {math.copysign(1.0, value) for value in column if value == 0}
+    return len(kinds) < 2 and len(signs) < 2
+
+
+def encode_events(events: list[TraceEvent]) -> str:
+    """The canonical JSON of the events list: ``json.dumps`` of each
+    event's dict of fields, keys sorted, compact separators.
+
+    Each event is written from the one row template, whose keys are
+    TraceEvent's fields, in their sorted order; json encodes each distinct
+    value of a field once. The score fields may hold ints beside floats,
+    as a loaded trace can. An int and an equal float, or 0.0 and -0.0,
+    have two texts, so a list that holds such a pair in one score field
+    is handed to json whole. The other fields hold the one type that
+    TraceEvent declares.
     """
-    return json.dumps([vars(e) for e in events], separators=(",", ":"),
-                      check_circular=False)
+    parts = _ROW.split("%s")
+    fields = [_FieldTexts(before) for before in parts[:-2]] + [_FieldTexts(*parts[-2:])]
+    rows = "".join(map(dict.__getitem__, cycle(fields), chain.from_iterable(events)))
+    for index in _SCORES:
+        if not _one_text_per_value(fields[index], events, index):
+            return json.dumps([e._asdict() for e in events], separators=(",", ":"))
+    return "[" + rows[1:] + "]"
 
 
 def trace_fingerprint(trace: ReductionTrace, events_json: str | None = None) -> str:

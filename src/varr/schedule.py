@@ -104,8 +104,7 @@ class Candidate(NamedTuple):
     unconditional: bool = False
 
 
-# The score fields of an unconditional removal, which scores nothing:
-# the trace's defaults.
+# The score fields of an unconditional removal, which scores nothing.
 _UNSCORED = VerbosityReport(None, None, 0, None, None)
 
 
@@ -335,19 +334,9 @@ def _reduce_record(
             buffer.append(index)
             del retained[position]
             full = reduced
+        # positionally, in TraceEvent's field order: one is built per decision
         events.append(TraceEvent(
-            budget=budget,
-            buffer_size=len(buffer),
-            candidate_index=index,
-            decision=DECISION_REMOVED if removed else DECISION_KEPT,
-            epoch=epoch,
-            k_used=report.k_used,
-            record_id=record.id,
-            score_full=report.score_full,
-            score_reduced=report.score_reduced,
-            step=step,
-            t=t,
-            unconditional=unconditional,
-            verbosity_gt=report.verbosity_gt,
-            verbosity_wrong=report.verbosity_wrong,
+            budget, len(buffer), index, DECISION_REMOVED if removed else DECISION_KEPT,
+            epoch, report.k_used, record.id, report.score_full, report.score_reduced,
+            step, t, unconditional, report.verbosity_gt, report.verbosity_wrong,
         ))

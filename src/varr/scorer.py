@@ -8,7 +8,8 @@ Two backends sit behind one handle interface:
   that precedes the answer changes the answer's conditional.
 * remote -- POST /v1/score against an inference server:
   request  {"model": str, "prompt": str, "completion": str}
-  response {"token_logprobs": [float, ...], "total_logprob": float}
+  response {"token_logprobs": [number, ...], "total_logprob": number},
+  the list non-empty
   429 and 5xx responses and transport faults retry after a delay drawn
   uniformly from zero to an exponentially growing cap (full jitter), so
   scans that fail together do not retry in lockstep; other statuses fail
@@ -466,11 +467,11 @@ def _environment_settings(base_url: str, timeout: float):
     them. An unusable base_url is a ConfigurationError that names it.
 
     The modules only a remote scorer needs are imported here, so that a
-    tabular run does not pay for them at start-up."""
+    tabular run does not pay for them at start-up, and ssl only for an
+    https URL."""
     import base64
     import netrc
     import socket
-    import ssl
 
     parts, port = _split_url(base_url, "scorer URL")
     if parts.scheme not in ("http", "https") or not parts.hostname:
@@ -506,8 +507,11 @@ def _environment_settings(base_url: str, timeout: float):
             tunnel = (f"[{host}]" if ":" in host else host) + f":{port}"
         else:
             target = url
-    context = https and ssl.create_default_context(
-        cafile=os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE"))
+    context = None
+    if https:
+        import ssl
+        context = ssl.create_default_context(
+            cafile=os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE"))
     head = f"POST {target} HTTP/1.1\r\n" + "".join(
         f"{name}: {value}\r\n" for name, value in headers.items()) + "Content-Length: "
 
@@ -634,11 +638,20 @@ class RemoteScorer(ScorerHandle):
         raise TransportError(failure, attempts=attempts)
 
     def _parse_response(self, payload: bytes) -> LogLikelihood:
+        """The reply's likelihood: ``token_logprobs`` a non-empty list of
+        JSON numbers, ``total_logprob`` a number; bools and strings are not
+        numbers. The list's length is the server's tokenization's, so it is
+        not checked."""
         try:
             body = json.loads(payload)
-            per_token = tuple(float(v) for v in body["token_logprobs"])
-            total = float(body["total_logprob"])
-        except (ValueError, KeyError, TypeError) as exc:
+            terms, total = body["token_logprobs"], body["total_logprob"]
+            if not isinstance(terms, list) or not terms:
+                raise ValueError("token_logprobs is not a non-empty list")
+            if any(type(v) not in (int, float) for v in [*terms, total]):
+                raise ValueError("token_logprobs or total_logprob holds a non-number")
+            per_token = tuple(map(float, terms))
+            total = float(total)
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ProtocolError(f"malformed scorer response: {exc}") from exc
         try:
             return LogLikelihood(total=total, per_token=per_token)

@@ -8,7 +8,9 @@ validates both the arithmetic and the prompt-assembly conventions.
 ``candidate_assemblies`` builds a candidate's two prompts from the
 retained sets alone, the reference for the driver's sliced prompts.
 ``trace_to_dict`` is the plain-dict form of a trace that
-``ReductionTrace.canonical_json`` must equal once dumped.
+``ReductionTrace.canonical_json`` must equal once dumped, and
+``reduced_record_dict`` that of a ``reduced.jsonl`` line, which must
+equal ``json.dumps(..., ensure_ascii=False)`` of it.
 """
 
 import copy
@@ -142,7 +144,24 @@ def trace_to_dict(trace):
         "config": copy.deepcopy(trace.config),
         "seed": trace.seed,
         "scorer_call_count": trace.scorer_call_count,
-        "events": [dict(vars(e)) for e in trace.events],
+        "events": [e._asdict() for e in trace.events],
+    }
+
+
+def reduced_record_dict(record):
+    """A record as a ``reduced.jsonl`` line holds it: the input format with
+    the retained units as the rationale, then the removed units'
+    provenance."""
+    return {
+        "id": record.id,
+        "question": record.question,
+        "rationale": [u.text for u in record.rationale if u.removed_at is None],
+        "answer": record.answer,
+        "wrong_answers": record.wrong_answers,
+        "task_kind": record.task_kind,
+        "removed": [{"index": u.index, "text": u.text, "epoch": u.removed_at[0],
+                     "step": u.removed_at[1]}
+                    for u in record.rationale if u.removed_at is not None],
     }
 
 

@@ -7,7 +7,6 @@ Every tolerance and time budget is pinned here, not configured.
 import json
 import random
 import time
-from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -178,7 +177,7 @@ def test_criterion_06_algorithm_conformance():
             corpus_b, handle_b, epochs=4, batch_size=3, warmup_ratio=0.1,
             candidate_order="front", mode="varr_plus", seed=11, k_negatives=2,
         )
-        got_events = [asdict(e) for e in trace.events]
+        got_events = [e._asdict() for e in trace.events]
         assert got_events == ref_events
         for record in corpus_a.records:
             assert record.retained_indices() == ref_retained[record.id]

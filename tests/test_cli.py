@@ -256,6 +256,49 @@ def test_blank_pre_split_unit_exits_one_naming_the_field(tmp_path, capsys, unit)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "--input", "{bad}", "--out-dir", "{tmp}/out"],
+     "error: line 2: not valid UTF-8 (invalid start byte at byte 16)\n"),
+    (["pilot", "--input", "{bad}", "--out-dir", "{tmp}/out"],
+     "error: line 2: not valid UTF-8 (invalid start byte at byte 16)\n"),
+    (["ingest", "--input", "{bad}", "--output", "{tmp}/out"],
+     "error: line 2: not valid UTF-8 (invalid start byte at byte 16)\n"),
+    (["reduce", "--input", str(FIXTURE_CORPUS), "--out-dir", "{tmp}/out", "--config", "{bad}"],
+     "error: cannot read config file {bad}: 'utf-8' codec can't decode byte 0xff in"
+     " position {at}: invalid start byte\n"),
+    (["score", "--question", "a", "--answer", "b", "--vocab", "a b",
+      "--rationale-file", "{bad}"],
+     "error: rationale file {bad} is not valid UTF-8: 'utf-8' codec can't decode byte"
+     " 0xff in position {at}: invalid start byte\n"),
+], ids=["reduce", "pilot", "ingest", "config", "score-rationale"])
+def test_input_that_is_not_utf8_exits_one_naming_the_file_or_line(tmp_path, capsys, argv,
+                                                                  message):
+    bad = tmp_path / "bad"
+    good = json.dumps(record_obj("ok", ["One here."])) + "\n"
+    bad.write_bytes(good.encode() + b'{"id": "bad", "\xff": 1}\n')
+    argv = [a.format(bad=bad, tmp=tmp_path) for a in argv]
+    assert run_cli(*argv) == 1
+    # the byte is the 16th of line 2
+    assert capsys.readouterr().err == message.format(bad=bad, at=len(good) + 15)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["id", "question", "rationale", "answer", "wrong_answers"])
+def test_lone_surrogate_exits_one_before_any_output(tmp_path, capsys, key):
+    # a JSON escape of half a surrogate pair loads as a str that no UTF-8
+    # file can hold
+    src = tmp_path / "bad.jsonl"
+    obj = {**record_obj("ok", ["One here.", "Two there."]), "wrong_answers": ["no"]}
+    obj[key] = [obj[key][0], "\ud800"] if isinstance(obj[key], list) else "a \ud800"
+    src.write_text(json.dumps(obj) + "\n", encoding="ascii")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli("reduce", "--input", str(src), "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: line 1: field {key!r} holds a lone surrogate, which is not UTF-8 text\n")
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, flags", [
     ("pilot", ["--out-dir", "{tmp}/out"]),
     ("score", ["--question", "a", "--answer", "b"]),
@@ -846,8 +889,8 @@ def test_reduce_replay_law_violation_exits_3_before_writing(tmp_path, monkeypatc
         if broken == "budget":  # every group at its budget, the first removal's one below
             counts = Counter(group(e) for e in trace.events
                              if e.decision == metrics.DECISION_REMOVED)
-            for e in trace.events:
-                e.budget = counts[group(e)] - (group(e) == group(removed))
+            trace.events[:] = [e._replace(budget=counts[group(e)] - (group(e) == group(removed)))
+                               for e in trace.events]
             n = counts[group(removed)]
             problems.insert(0, f"group {group(removed)} removed {n} over budget {n - 1}")
         expected.append("internal invariant violation: " + "; ".join(problems) + "\n")
@@ -931,3 +974,10 @@ def test_cli_import_loads_only_the_standard_library():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+    # and only an https scorer uses ssl
+    probe = ("import sys; from varr.scorer import RemoteScorer; "
+             "RemoteScorer('http://127.0.0.1:9').close(); print('ssl' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -16,6 +16,7 @@ from varr.corpus import (
 from varr.errors import InternalInvariantError, ParseError, ValidationError
 
 from .conftest import make_record
+from .oracles import reduced_record_dict
 
 
 def write_lines(path, objs):
@@ -220,6 +221,36 @@ def test_roundtrip_restricted_to_retained(tmp_path_factory, specs):
         ]
         # fresh contiguous indices after reload
         assert [u.index for u in after.rationale] == list(range(len(after.rationale)))
+
+
+# quotes, backslashes, control characters, U+2028, non-ASCII and non-BMP
+TEXTS = st.text(alphabet=st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u00e9", "\u4e2d",
+     "\U0001f600", "a", "b", " "]) | st.characters(exclude_categories=("Cs",)), min_size=1)
+
+
+@given(st.lists(st.tuples(
+    st.lists(TEXTS, max_size=6),  # the units
+    st.lists(st.tuples(st.integers(0, 5), st.integers(1, 9), st.integers(1, 99)),
+             max_size=6),  # removals: (index, epoch, step)
+    TEXTS,  # the other text fields
+), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_write_reduced_lines_are_json_dumps_of_the_record_dict(tmp_path_factory, specs):
+    from varr.corpus import Corpus
+
+    records = []
+    for n, (units, removals, text) in enumerate(specs):
+        record = make_record(record_id=f"{n}{text}", question=text, units=units,
+                             answer=text, wrong_answers=[text, "w"])
+        for index, epoch, step in removals:
+            if index < len(units) and record.rationale[index].removed_at is None:
+                record.mark_removed(index, epoch, step)
+        records.append(record)
+    out = tmp_path_factory.mktemp("reduced") / "reduced.jsonl"
+    write_reduced(Corpus(records=records), out)
+    assert out.read_text(encoding="utf-8").split("\n") == [
+        json.dumps(reduced_record_dict(r), ensure_ascii=False) for r in records] + [""]
 
 
 def test_write_corpus_roundtrip(tmp_path, fixture_corpus):

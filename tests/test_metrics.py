@@ -1,9 +1,9 @@
 import hashlib
 import json
-from dataclasses import asdict, fields
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varr.config import RunConfig
@@ -31,10 +31,13 @@ from .oracles import oracle_validate_trace, token_stats, trace_to_dict
 
 
 def event(record_id="r", epoch=1, step=1, t=1, index=0, decision=DECISION_REMOVED,
-          budget=1, buffer_size=1, **kw):
+          budget=1, buffer_size=1, k_used=0, unconditional=False, score_full=None,
+          score_reduced=None, verbosity_gt=None, verbosity_wrong=None):
     return TraceEvent(record_id=record_id, epoch=epoch, step=step, t=t,
                       candidate_index=index, decision=decision, budget=budget,
-                      buffer_size=buffer_size, **kw)
+                      buffer_size=buffer_size, k_used=k_used, unconditional=unconditional,
+                      score_full=score_full, score_reduced=score_reduced,
+                      verbosity_gt=verbosity_gt, verbosity_wrong=verbosity_wrong)
 
 
 def trace_with(events, epochs=2, total_steps=10, warmup=0.0, seed=0):
@@ -320,27 +323,46 @@ def test_non_ascii_trace_roundtrips_with_same_fingerprint(tmp_path):
 
 
 def test_trace_event_fields_are_declared_in_sorted_order():
-    # encode_events leaves each event's keys in field order, unsorted
-    names = [f.name for f in fields(TraceEvent)]
-    assert names == sorted(names)
+    # encode_events writes each event's keys in field order, unsorted
+    assert list(TraceEvent._fields) == sorted(TraceEvent._fields)
 
 
-# -0.0, the smallest subnormal, a subnormal, the largest float, nan and inf
-FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e-310, 1.7976931348623157e308])
-OPTIONAL_FLOATS = st.none() | FLOATS
+# 0.0 and -0.0, which are equal as dict keys, the smallest subnormal, a
+# subnormal, the largest float, nan and both infinities
+FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-310, 1.7976931348623157e308, math.nan, math.inf, -math.inf])
 INTS = st.integers(0, 10**12)
 
 
-@given(st.lists(st.builds(
-    TraceEvent, budget=INTS, buffer_size=INTS, candidate_index=INTS,
-    decision=st.sampled_from([DECISION_KEPT, DECISION_REMOVED]), epoch=INTS,
-    k_used=INTS, record_id=st.text(), score_full=OPTIONAL_FLOATS,
-    score_reduced=OPTIONAL_FLOATS, step=INTS, t=INTS, unconditional=st.booleans(),
-    verbosity_gt=OPTIONAL_FLOATS, verbosity_wrong=OPTIONAL_FLOATS,
-), max_size=5))
-@settings(max_examples=200, deadline=None)
+def event_lists(scores):
+    return st.lists(st.builds(
+        TraceEvent, budget=INTS, buffer_size=INTS, candidate_index=INTS,
+        decision=st.sampled_from([DECISION_KEPT, DECISION_REMOVED]) | st.text(), epoch=INTS,
+        k_used=INTS, record_id=st.text(), score_full=scores, score_reduced=scores, step=INTS,
+        t=INTS, unconditional=st.booleans(), verbosity_gt=scores, verbosity_wrong=scores,
+    ), max_size=8)
+
+
+def scored(*values):
+    """Events whose four score fields each hold ``values``, in order."""
+    return [event(score_full=v, score_reduced=v, verbosity_gt=v, verbosity_wrong=v)
+            for v in values]
+
+
+# Scores as the driver makes them, then with ints beside floats, as a
+# loaded trace can carry them (-3 beside -3.0); each example holds equal
+# values of two texts in every score field.
+@given(event_lists(st.none() | FLOATS)
+       | event_lists(st.none() | FLOATS | st.integers(-5, 5) | st.sampled_from([-3, -3.0])))
+@example(scored(0.0, -0.0))
+@example(scored(-0.0, 0.0))
+@example(scored(-3, -3.0))
+@example(scored(-3.0, -3))
+@example(scored(0, 0.0, None))
+@example(scored(math.nan, math.nan, math.inf, -math.inf, -0.5, -0.5))
+@settings(max_examples=300, deadline=None)
 def test_encode_events_equals_key_sorted_dumps(events):
-    expected = json.dumps([asdict(e) for e in events], sort_keys=True, separators=(",", ":"))
+    expected = json.dumps([e._asdict() for e in events], sort_keys=True, separators=(",", ":"))
     assert encode_events(events) == expected
 
 

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +17,7 @@ from varr.errors import ConfigurationError, ProtocolError, TransportError
 from varr.schedule import ReductionAborted, run_reduction
 from varr.scorer import (
     MAX_CONNECTING,
+    LogLikelihood,
     PromptAssembly,
     RemoteScorer,
     TabularScorer,
@@ -320,6 +321,41 @@ def test_broken_reply_is_a_retried_transport_failure(reply):
     assert server.connections() == [1, 2, 3]
 
 
+def scored(body: bytes) -> bytes:
+    return http("HTTP/1.1 200 OK", f"Content-Length: {len(body)}", body=body)
+
+
+@pytest.mark.parametrize("body", [
+    b'{"token_logprobs": [], "total_logprob": 0}',
+    b'{"token_logprobs": "", "total_logprob": 0}',
+    b'{"token_logprobs": [false], "total_logprob": 0}',
+    b'{"token_logprobs": ["-0.5"], "total_logprob": -0.5}',
+    b'{"token_logprobs": [-0.5], "total_logprob": "-0.5"}',
+    b'{"token_logprobs": [-0.5], "total_logprob": true}',
+    b'{"token_logprobs": {"a": -0.5}, "total_logprob": -0.5}',
+    b'{"token_logprobs": [-1' + b"0" * 400 + b'], "total_logprob": -1e400}',
+], ids=["empty-list", "empty-string", "bool-term", "string-term", "string-total",
+        "bool-total", "object", "int-too-large-for-a-float"])
+def test_reply_that_scores_nothing_or_not_numbers_is_a_protocol_error(body):
+    # an empty list would give the answer probability 1, and bools and
+    # strings are not numbers; a ProtocolError is not retried
+    with ScriptedReplyServer([(scored(body), False)] * 2) as server:
+        scorer = remote(server.url, max_attempts=2)
+        with pytest.raises(ProtocolError, match="malformed scorer response"):
+            scorer.score_answer(ASSEMBLY, "a b")
+        scorer.close()
+    assert server.connections() == [1]
+
+
+def test_reply_with_int_terms_is_read():
+    # JSON has one number type: -1 is a term as -1.0 is, whatever the length
+    body = b'{"token_logprobs": [-1, -0.5, 0], "total_logprob": -1.5}'
+    with ScriptedReplyServer([(scored(body), False)]) as server:
+        scorer = remote(server.url, max_attempts=1)
+        assert scorer.score_answer(ASSEMBLY, "a b") == LogLikelihood(-1.5, (-1.0, -0.5, 0.0))
+        scorer.close()
+
+
 def test_reply_with_the_header_limits_is_read():
     reply = http("HTTP/1.1 200 OK", "X-Long: " + "a" * 65525, *["X-Many: 1"] * 98,
                  SIZED, body=AB)
@@ -449,7 +485,7 @@ def reduce_remote(server, in_flight, settings=SETTINGS):
 
 
 def outcome(trace, corpus):
-    return ([asdict(e) for e in trace.events], trace.scorer_call_count,
+    return ([e._asdict() for e in trace.events], trace.scorer_call_count,
             {r.id: r.retained_indices() for r in corpus.records})
 
 
@@ -578,7 +614,7 @@ def partial_traces(fails):
                 reduce_remote(server, in_flight, MID_BATCH)
         assert isinstance(exc.value.cause, ProtocolError)
         trace = exc.value.trace
-        partial[in_flight] = [asdict(e) for e in trace.events], trace.scorer_call_count
+        partial[in_flight] = [e._asdict() for e in trace.events], trace.scorer_call_count
     assert partial[4] == partial[16] == partial[1]
     return partial[1]
 
@@ -648,7 +684,7 @@ def test_partial_trace_on_failure_in_the_first_batch_is_serial():
         assert isinstance(exc.value.cause, ProtocolError)
         assert later_sent.is_set() == (in_flight > 1)
         trace = exc.value.trace
-        partial[in_flight] = [asdict(e) for e in trace.events], trace.scorer_call_count
+        partial[in_flight] = [e._asdict() for e in trace.events], trace.scorer_call_count
     events, calls = partial[1]
     assert events and all(e["t"] == 1 and e["record_id"] != target.id for e in events)
     assert calls == 2 * len(events) + 1

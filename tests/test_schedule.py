@@ -3,7 +3,6 @@ import itertools
 import random
 import sys
 import threading
-from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -277,7 +276,7 @@ def test_trace_determinism_same_seed():
         trace = run_reduction(corpus, handle, RunConfig(
             epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="random",
             mode="varr_plus", seed=seed, k_negatives=2))
-        return [asdict(e) for e in trace.events]
+        return [e._asdict() for e in trace.events]
 
     assert run(21) == run(21)
     assert run(21) != run(22)
@@ -343,7 +342,7 @@ def test_scan_pool_matches_inline_under_thread_stress():
             epochs=4, batch_size=batch_size, warmup_ratio=0.1, candidate_order="random",
             mode="varr_plus", seed=21, k_negatives=2))
         retained = {r.id: r.retained_indices() for r in corpus.records}
-        return [asdict(e) for e in trace.events], trace.scorer_call_count, retained
+        return [e._asdict() for e in trace.events], trace.scorer_call_count, retained
 
     for batch_size in (8, 2):  # at 2, an epoch's scans span many batches
         interval = sys.getswitchinterval()
@@ -404,7 +403,7 @@ def test_pooled_scan_failure_keeps_serial_partial_trace(monkeypatch):
         assert isinstance(exc.value.cause, OutOfVocabularyError)
         assert late_calls == []
         trace = exc.value.trace
-        return failing.id, [asdict(e) for e in trace.events], trace.scorer_call_count
+        return failing.id, [e._asdict() for e in trace.events], trace.scorer_call_count
 
     evaluate = schedule.evaluate_candidate
     failing_id, serial, calls = aborted(1)
@@ -493,7 +492,7 @@ def assert_conformance(candidate_order, mode, seed, epochs=4, batch_size=3,
         warmup_ratio=warmup, candidate_order=candidate_order, mode=mode,
         seed=seed, k_negatives=k, enforced_n=enforced_n,
     )
-    assert [asdict(e) for e in trace.events] == ref_events
+    assert [e._asdict() for e in trace.events] == ref_events
     for record in corpus_a.records:
         assert record.retained_indices() == ref_retained[record.id]
 
@@ -606,5 +605,5 @@ def test_driver_matches_reference_on_generated_corpora(specs, epochs, batch_size
             warmup_ratio=warmup, candidate_order=order, mode=mode, seed=seed,
             k_negatives=k, enforced_n=enforced_n, template_id=template_id)
         setting = (handle_kind, order, mode, template_id, in_flight)
-        assert [asdict(e) for e in trace.events] == ref_events, setting
+        assert [e._asdict() for e in trace.events] == ref_events, setting
         assert {r.id: r.retained_indices() for r in corpus_a.records} == ref_retained, setting
