@@ -43,7 +43,7 @@ from .errors import (
     VarrError,
 )
 from .schedule import CANDIDATE_ORDERS, ReductionAborted, run_reduction
-from .scorer import PromptAssembly, ScorerHandle, uniform_tabular_scorer
+from .scorer import PromptAssembly, ScorerHandle, TabularScorer
 from .verbosity import MODES
 
 log = logging.getLogger("varr")
@@ -330,7 +330,7 @@ def cmd_score(args) -> int:
     if cfg.scorer_backend == "tabular":
         if args.vocab:
             try:
-                handle = uniform_tabular_scorer(args.vocab.split(), cfg.smoothing_alpha)
+                handle = TabularScorer(args.vocab.split(), cfg.smoothing_alpha)
             except ValueError as exc:  # an empty or repeating vocabulary
                 raise ConfigurationError(f"--vocab {args.vocab!r}: {exc}") from None
         elif args.fit_corpus:

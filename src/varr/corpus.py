@@ -15,7 +15,7 @@ holding only the retained units plus a ``removed`` provenance block:
 Records are checked in two places only: ``load_corpus`` (UTF-8, JSON,
 field types, blank pre-split units, lone surrogates, ``task_kind``,
 duplicate ids) and ``validate_record`` (blank text, choice records'
-wrong answers, unit indices).
+wrong answers). Units are numbered from 0 in order as they are loaded.
 """
 
 from __future__ import annotations
@@ -211,9 +211,6 @@ def validate_record(record: RationaleRecord) -> ValidationReport:
         report.violations.append(
             f"{record.task_kind} record needs a non-empty wrong_answers set"
         )
-    indices = [u.index for u in record.rationale]
-    if indices != list(range(len(indices))):
-        report.violations.append("unit indices are not contiguous from 0")
     if not record.rationale:
         report.flags.append("rationale is empty")
     return report

@@ -3,9 +3,10 @@
 Two backends sit behind one handle interface:
 
 * tabular -- an order-1 bigram model with additive smoothing over a
-  declared vocabulary and whitespace tokenization. Small enough to check
-  against brute-force oracles, yet context-sensitive: removing the unit
-  that precedes the answer changes the answer's conditional.
+  declared vocabulary and whitespace tokenization, one class that counts
+  token pairs. Small enough to check against brute-force oracles, yet
+  context-sensitive: removing the unit that precedes the answer changes
+  the answer's conditional. Removing any other unit changes no score.
 * remote -- POST /v1/score against an inference server:
   request  {"model": str, "prompt": str, "completion": str}
   response {"token_logprobs": [number, ...], "total_logprob": number},
@@ -148,7 +149,7 @@ def assemble_prompt(
     return PromptAssembly(record.question, texts, template_id)
 
 
-# --- score cache -----------------------------------------------------------
+# --- score cache and handle ------------------------------------------------
 
 class ScoreCache:
     """Concurrent map from (model_version, context, answer) to a score.
@@ -185,71 +186,16 @@ class ScoreCache:
         return len(self._entries)
 
 
-# --- tabular backend -------------------------------------------------------
-
-class TabularModel:
-    """Additively smoothed bigram counts over a declared vocabulary.
-
-    p(w | v) = (count(v, w) + alpha) / (sum_w count(v, w) + alpha * V)
-
-    Counts are sparse, keyed on (v, w) vocabulary index pairs.
-    """
-
-    def __init__(self, vocabulary: Sequence[str], smoothing_alpha: float = 1.0):
-        if not vocabulary:
-            raise ValueError("vocabulary must be non-empty")
-        if len(set(vocabulary)) != len(vocabulary):
-            raise ValueError("vocabulary contains duplicates")
-        self.vocabulary = tuple(vocabulary)
-        self.smoothing_alpha = float(smoothing_alpha)
-        self._index = {symbol: i for i, symbol in enumerate(self.vocabulary)}
-        self._set_counts(Counter())
-
-    def _set_counts(self, counts: Counter) -> None:
-        row_sums = [0] * self.vocab_size
-        for (v, _), c in counts.items():
-            row_sums[v] += c
-        self._counts, self._row_sums = counts, row_sums
-
-    @property
-    def vocab_size(self) -> int:
-        return len(self.vocabulary)
-
-    def symbol_index(self, symbol: str) -> int:
-        try:
-            return self._index[symbol]
-        except KeyError:
-            raise OutOfVocabularyError(symbol) from None
-
-    def log_conditional(self, prev: str, nxt: str) -> float:
-        v = self.symbol_index(prev)
-        w = self.symbol_index(nxt)
-        alpha = self.smoothing_alpha
-        numer = self._counts[v, w] + alpha
-        denom = self._row_sums[v] + alpha * self.vocab_size
-        return math.log(numer / denom)
-
-    def fit_streams(self, streams: Iterable[Sequence[str]]) -> None:
-        """Rebuild counts from scratch over the given token streams."""
-        counts: Counter = Counter()
-        for stream in streams:
-            ix = [self.symbol_index(tok) for tok in stream]
-            counts.update(zip(ix, ix[1:]))
-        self._set_counts(counts)
-
-
 class ScorerHandle:
     """Abstract likelihood oracle. Subclasses define one backend each.
 
-    ``score_answer`` counts the logical call, validates, reduces the
-    prompt to the backend's context and consults the cache; a backend
-    implements only ``_evaluate`` on a cache miss. ``in_flight`` is how
-    many record scans the driver may run at once against this handle.
-    Calls are counted per thread, so the driver can attribute them to the
-    scan that issued them.
+    ``score_answer`` counts the logical call, reduces the prompt to the
+    backend's context and consults the cache; a backend implements only
+    ``_evaluate`` on a cache miss. ``in_flight`` is how many record scans
+    the driver may run at once against this handle. Calls are counted per
+    thread, so the driver can attribute them to the scan that issued them.
     """
 
-    backend = "abstract"
     in_flight = 1
 
     def __init__(self):
@@ -264,8 +210,6 @@ class ScorerHandle:
     def score_answer(self, assembly: PromptAssembly, answer: str) -> LogLikelihood:
         calls = self._calls
         calls.count = getattr(calls, "count", 0) + 1
-        if not answer.strip():
-            raise ScorerError("answer must be non-empty")
         context = self._context(assembly)
         key = (self.model_version, context, answer)
         cached = self.cache.lookup(key)
@@ -294,12 +238,47 @@ class ScorerHandle:
         """Release connections; the handle must not be used afterwards."""
 
 
-class TabularScorer(ScorerHandle):
-    backend = "tabular"
+# --- tabular backend -------------------------------------------------------
 
-    def __init__(self, model: TabularModel):
+class TabularScorer(ScorerHandle):
+    """Additively smoothed bigram model over a declared vocabulary.
+
+    p(w | v) = (count(v, w) + alpha) / (sum_w count(v, w) + alpha * V)
+
+    Counts are kept per (v, w) token pair and row sums per token v.
+    """
+
+    def __init__(self, vocabulary: Sequence[str], smoothing_alpha: float = 1.0):
         super().__init__()
-        self.model = model
+        self.vocabulary = frozenset(vocabulary)
+        if not self.vocabulary:
+            raise ValueError("vocabulary must be non-empty")
+        if len(self.vocabulary) != len(vocabulary):
+            raise ValueError("vocabulary contains duplicates")
+        self.smoothing_alpha = float(smoothing_alpha)
+        self._counts: Counter = Counter()
+        self._row_sums: Counter = Counter()
+
+    def log_conditional(self, prev: str, nxt: str) -> float:
+        for symbol in (prev, nxt):
+            if symbol not in self.vocabulary:
+                raise OutOfVocabularyError(symbol)
+        alpha = self.smoothing_alpha
+        numer = self._counts[prev, nxt] + alpha
+        denom = self._row_sums[prev] + alpha * len(self.vocabulary)
+        return math.log(numer / denom)
+
+    def fit_streams(self, streams: Iterable[Sequence[str]]) -> None:
+        """Recount bigrams from scratch over the given token streams."""
+        counts: Counter = Counter()
+        row_sums: Counter = Counter()
+        for stream in streams:
+            if not self.vocabulary.issuperset(stream):
+                raise OutOfVocabularyError(
+                    next(token for token in stream if token not in self.vocabulary))
+            counts.update(zip(stream, stream[1:]))
+            row_sums.update(stream[:-1])
+        self._counts, self._row_sums = counts, row_sums
 
     def _context(self, assembly: PromptAssembly) -> str:
         # An order-1 model sees only the token before the answer, the last
@@ -316,7 +295,7 @@ class TabularScorer(ScorerHandle):
         per_token = []
         prev = context
         for token in answer.split():
-            per_token.append(self.model.log_conditional(prev, token))
+            per_token.append(self.log_conditional(prev, token))
             prev = token
         return LogLikelihood.from_per_token(per_token)
 
@@ -327,7 +306,7 @@ class TabularScorer(ScorerHandle):
         ``corpus_view`` builds it. Bumps model_version, which clears the
         cache.
         """
-        self.model.fit_streams(context + answer for context, answer in corpus_view)
+        self.fit_streams(context + answer for context, answer in corpus_view)
         self._next_version()
 
 
@@ -371,14 +350,15 @@ def _read_status(reader: BinaryIO) -> tuple[bytes, int]:
         raise ConnectionResetError("connection closed before the status line")
     version, _, rest = line.partition(b" ")
     code = rest[:3]
-    if not (version.startswith(b"HTTP/") and len(code) == 3 and code.isdigit()
+    if not (version in (b"HTTP/1.0", b"HTTP/1.1") and len(code) == 3 and code.isdigit()
             and code >= b"100" and not rest[3:4].strip()):
         raise _MalformedResponse(f"malformed status line {line[:80]!r}")
     return version, int(code)
 
 
 def _read_headers(reader: BinaryIO) -> dict[bytes, bytes]:
-    """Header fields up to the blank line, by lower-case name."""
+    """Header fields up to the blank line, by lower-case name. A field's
+    repeated lines are one comma-separated list (RFC 9110 section 5.3)."""
     headers = {}
     for _ in range(_MAX_HEADERS + 1):
         line = _read_line(reader)
@@ -387,7 +367,8 @@ def _read_headers(reader: BinaryIO) -> dict[bytes, bytes]:
         if not line:
             raise ConnectionResetError("connection closed inside the response headers")
         name, _, value = line.partition(b":")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        headers[name] = headers[name] + b", " + value if name in headers else value
     raise _MalformedResponse(f"more than {_MAX_HEADERS} response headers")
 
 
@@ -423,7 +404,10 @@ def _read_reply(reader: BinaryIO, version: bytes, status: int) -> tuple[int, byt
 
     Interim 1xx replies are skipped. The body is framed by chunked
     transfer coding, else by Content-Length, else by the end of the
-    stream; a body cut short raises, and is never returned.
+    stream; a body cut short raises, and is never returned. Differing
+    Content-Length values raise, and a reply that carries both framings
+    is not reused, since it may be a smuggling attempt (RFC 9112
+    section 6.3).
     """
     headers = _read_headers(reader)
     while status < 200:
@@ -436,13 +420,15 @@ def _read_reply(reader: BinaryIO, version: bytes, status: int) -> tuple[int, byt
         body = _read_chunked(reader)
     elif length is None:
         return status, reader.read(), False
-    elif length.isdigit():
-        body = _read_exactly(reader, int(length))
     else:
-        raise _MalformedResponse(f"malformed Content-Length {length[:80]!r}")
+        sizes = {value.strip() for value in length.split(b",")}
+        size = sizes.pop()
+        if sizes or not size.isdigit():
+            raise _MalformedResponse(f"malformed Content-Length {length[:80]!r}")
+        body = _read_exactly(reader, int(size))
     tokens = {token.strip() for token in headers.get(b"connection", b"").lower().split(b",")}
     keep = b"close" not in tokens if version == b"HTTP/1.1" else b"keep-alive" in tokens
-    return status, body, keep
+    return status, body, keep and not (length is not None and b"transfer-encoding" in headers)
 
 
 def _close(connection: _Connection) -> None:
@@ -536,8 +522,6 @@ def _environment_settings(base_url: str, timeout: float):
 
 
 class RemoteScorer(ScorerHandle):
-    backend = "remote"
-
     def __init__(
         self,
         base_url: str | None = None,
@@ -669,9 +653,9 @@ class RemoteScorer(ScorerHandle):
 
 # --- corpus-backed construction -------------------------------------------
 
-def build_vocabulary(corpus: Corpus, extra_tokens: Iterable[str] = ()) -> tuple[str, ...]:
+def build_vocabulary(corpus: Corpus) -> tuple[str, ...]:
     """Sorted union of whitespace tokens over every text field."""
-    symbols: set[str] = set(extra_tokens)
+    symbols: set[str] = set()
     for record in corpus.records:
         symbols.update(record.question.split())
         symbols.update(record.answer.split())
@@ -701,17 +685,6 @@ def corpus_view(corpus: Corpus) -> list[tuple[list[str], list[str]]]:
 
 def fit_tabular_scorer(corpus: Corpus, smoothing_alpha: float = 1.0) -> TabularScorer:
     """Build a tabular scorer fitted on the corpus as currently retained."""
-    model = TabularModel(build_vocabulary(corpus), smoothing_alpha)
-    scorer = TabularScorer(model)
-    model.fit_streams(
-        [context + answer for context, answer in corpus_view(corpus)]
-    )
+    scorer = TabularScorer(build_vocabulary(corpus), smoothing_alpha)
+    scorer.fit_streams([context + answer for context, answer in corpus_view(corpus)])
     return scorer
-
-
-def uniform_tabular_scorer(
-    vocabulary: Sequence[str],
-    smoothing_alpha: float = 1.0,
-) -> TabularScorer:
-    """Untrained model: every conditional is exactly -ln(V)."""
-    return TabularScorer(TabularModel(vocabulary, smoothing_alpha))

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from varr.corpus import Corpus, RationaleRecord, RationaleUnit, load_corpus
-from varr.scorer import TabularModel, TabularScorer
+from varr.scorer import TabularScorer
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_CORPUS = DATA_DIR / "fixture_corpus.jsonl"
@@ -33,46 +33,46 @@ def make_record(record_id="r1", question="what is it", units=("first step here",
     )
 
 
-def model_from_counts(vocabulary, counts, smoothing_alpha=1.0) -> TabularModel:
-    """A model with the given dense V x V count matrix (nested lists)."""
-    model = TabularModel(vocabulary, smoothing_alpha)
-    size = model.vocab_size
+def scorer_from_counts(vocabulary, counts, smoothing_alpha=1.0) -> TabularScorer:
+    """A tabular scorer with the given dense V x V count matrix (nested
+    lists), rows and columns in the order of ``vocabulary``."""
+    scorer = TabularScorer(vocabulary, smoothing_alpha)
+    size = len(vocabulary)
     rows = [[int(c) for c in row] for row in counts]
     if len(rows) != size or any(len(row) != size for row in rows):
         raise ValueError(f"counts must be {size}x{size} nested sequences")
     if any(c < 0 for row in rows for c in row):
         raise ValueError("counts must be nonnegative")
-    model.fit_streams(
+    scorer.fit_streams(
         (vocabulary[v], vocabulary[w])
         for v, row in enumerate(rows) for w, c in enumerate(row) for _ in range(c)
     )
-    return model
+    return scorer
 
 
-def random_model(rng: random.Random, max_vocab=8, max_count=9, alphas=(0.5, 1.0, 2.0)):
-    """A randomized small tabular model plus its raw-count twin for oracles."""
+def random_scorer(rng: random.Random, max_vocab=8, max_count=9, alphas=(0.5, 1.0, 2.0)):
+    """A randomized small tabular scorer plus its raw-count twin for oracles."""
     size = rng.randint(2, max_vocab)
     vocab = [f"w{i}" for i in range(size)]
     counts = [[rng.randint(0, max_count) for _ in range(size)] for _ in range(size)]
     alpha = rng.choice(alphas)
-    model = model_from_counts(vocab, counts, alpha)
-    return TabularScorer(model), counts, vocab, alpha
+    return scorer_from_counts(vocab, counts, alpha), counts, vocab, alpha
 
 
-def bigram_count(model: TabularModel, v: int, w: int) -> int:
-    """Bigram count of vocabulary indices (v, w)."""
-    return model._counts[v, w]
+def bigram_count(scorer: TabularScorer, prev: str, nxt: str) -> int:
+    """Count of the token pair (prev, nxt)."""
+    return scorer._counts[prev, nxt]
 
 
-def bigram_total(model: TabularModel) -> int:
+def bigram_total(scorer: TabularScorer) -> int:
     """Number of bigrams counted."""
-    return sum(model._row_sums)
+    return sum(scorer._row_sums.values())
 
 
-def dense_counts(model: TabularModel) -> list[list[int]]:
-    """The model's bigram counts as a V x V list of lists, for oracles."""
-    size = range(model.vocab_size)
-    return [[bigram_count(model, v, w) for w in size] for v in size]
+def dense_counts(scorer: TabularScorer, vocabulary) -> list[list[int]]:
+    """The scorer's bigram counts as a V x V list of lists, rows and
+    columns in the order of ``vocabulary``, for oracles."""
+    return [[bigram_count(scorer, v, w) for w in vocabulary] for v in vocabulary]
 
 
 def random_record(rng: random.Random, vocab, max_units=4, max_answer_len=6) -> RationaleRecord:

@@ -53,12 +53,13 @@ from typing import Callable
 
 from varr.corpus import load_corpus
 from varr.errors import ScorerError
-from varr.scorer import PromptAssembly, TabularModel, TabularScorer, fit_tabular_scorer
+from varr.scorer import PromptAssembly, fit_tabular_scorer
 
 
-def model_score(model: TabularModel) -> Callable[[str, str], list[float] | None]:
-    """score(prompt, completion) of a tabular model; None outside its vocabulary."""
-    scorer = TabularScorer(model)
+def corpus_score(path, smoothing_alpha: float = 1.0) -> Callable[[str, str], list[float] | None]:
+    """score(prompt, completion) of the tabular scorer fitted on the corpus
+    at path; None outside its vocabulary."""
+    scorer = fit_tabular_scorer(load_corpus(path), smoothing_alpha)
 
     def score(prompt: str, completion: str) -> list[float] | None:
         try:
@@ -67,11 +68,6 @@ def model_score(model: TabularModel) -> Callable[[str, str], list[float] | None]
             return None
         return list(result.per_token)
     return score
-
-
-def corpus_score(path, smoothing_alpha: float = 1.0):
-    """model_score of the tabular model fitted on the corpus at path."""
-    return model_score(fit_tabular_scorer(load_corpus(path), smoothing_alpha).model)
 
 
 HOLD_S = 5.0  # the longest a held reply waits (MockScorerServer.hold_replies)

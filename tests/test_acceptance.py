@@ -21,13 +21,13 @@ from varr.schedule import negative_pool, removal_budget, run_reduction
 from varr.scorer import (
     PromptAssembly,
     RemoteScorer,
+    TabularScorer,
     build_vocabulary,
     fit_tabular_scorer,
-    uniform_tabular_scorer,
 )
 from varr.verbosity import evaluate_candidate, nll, verbosity_wrong
 
-from .conftest import FIXTURE_CORPUS, PILOT_CORPUS, random_model, random_record
+from .conftest import FIXTURE_CORPUS, PILOT_CORPUS, random_record, random_scorer
 from .mockserver import MockScorerServer
 from .oracles import (
     candidate_assemblies,
@@ -66,7 +66,7 @@ def test_criterion_01_oracle_equivalence():
     with Budget(10.0) as budget:
         cases = 0
         while cases < 120:
-            scorer, counts, vocab, alpha = random_model(rng, max_vocab=8)
+            scorer, counts, vocab, alpha = random_scorer(rng, max_vocab=8)
             record = random_record(rng, vocab, max_units=4, max_answer_len=6)
             retained = [u.index for u in record.rationale]
             i = rng.choice(retained)
@@ -96,7 +96,7 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_zero_laws():
     corpus = load_corpus(FIXTURE_CORPUS)
-    handle = uniform_tabular_scorer(build_vocabulary(corpus))
+    handle = TabularScorer(build_vocabulary(corpus))
     with Budget(1.0) as budget:
         checked = 0
         for record in corpus.records:

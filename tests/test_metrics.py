@@ -82,9 +82,9 @@ def test_ratio_budget_counted_once_per_record_step():
 
 
 def test_ratio_uniform_varr_run_is_one_until_exhaustion(fixture_corpus):
-    from varr.scorer import build_vocabulary, uniform_tabular_scorer
+    from varr.scorer import TabularScorer, build_vocabulary
 
-    handle = uniform_tabular_scorer(build_vocabulary(fixture_corpus))
+    handle = TabularScorer(build_vocabulary(fixture_corpus))
     trace = run_reduction(fixture_corpus, handle, RunConfig(
         epochs=1, batch_size=4, warmup_ratio=0.0, candidate_order="front", mode="varr",
         seed=3))

@@ -14,7 +14,7 @@ from varr.pilot import (
     sample_removal_set,
     sampling_probabilities,
 )
-from varr.scorer import build_vocabulary, fit_tabular_scorer, uniform_tabular_scorer
+from varr.scorer import TabularScorer, build_vocabulary, fit_tabular_scorer
 from varr.seeding import child_rng
 
 from .conftest import make_record
@@ -100,7 +100,7 @@ def test_degenerate_size_zero_equals_baseline(pilot_corpus):
 
 
 def test_uniform_scorer_flattens_all_curves(pilot_corpus):
-    handle = uniform_tabular_scorer(build_vocabulary(pilot_corpus))
+    handle = TabularScorer(build_vocabulary(pilot_corpus))
     results = pilot_nll_curve(
         pilot_corpus, handle, RunConfig(pilot_sizes=(1, 2), samples_per_record=2, seed=0)
     )
@@ -152,6 +152,6 @@ def test_all_records_too_short_raises():
     from varr.corpus import Corpus
 
     corpus = Corpus(records=[make_record(units=("a", "b"))])
-    handle = uniform_tabular_scorer(["a", "b", "what", "is", "it", "fine"])
+    handle = TabularScorer(["a", "b", "what", "is", "it", "fine"])
     with pytest.raises(ValidationError):
         pilot_nll_curve(corpus, handle, RunConfig(pilot_sizes=(4,)))

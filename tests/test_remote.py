@@ -1,4 +1,5 @@
 import base64
+import io
 import os
 import socket
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from http.client import HTTPException, HTTPResponse
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,7 +23,12 @@ from varr.scorer import (
     PromptAssembly,
     RemoteScorer,
     TabularScorer,
+    _MalformedResponse,
+    _read_reply,
+    _read_status,
     assemble_prompt,
+    build_vocabulary,
+    corpus_view,
     fit_tabular_scorer,
 )
 from varr.seeding import child_rng
@@ -33,7 +40,6 @@ from .mockserver import (
     ScriptedReplyServer,
     completion_reply,
     corpus_score,
-    model_score,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -321,6 +327,81 @@ def test_broken_reply_is_a_retried_transport_failure(reply):
     assert server.connections() == [1, 2, 3]
 
 
+class BytesSocket:
+    """Just enough of a socket for http.client.HTTPResponse to read a reply."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def makefile(self, mode):
+        return io.BytesIO(self.data)
+
+
+def varr_reads(reply: bytes):
+    """(status, body) and reuse as varr's reader takes the reply; (None, None)
+    if it fails."""
+    reader = io.BytesIO(reply)
+    try:
+        status, body, keep = _read_reply(reader, *_read_status(reader))
+    except (_MalformedResponse, ConnectionError):
+        return None, None
+    return (status, body), keep
+
+
+def http_client_reads(reply: bytes):
+    """varr_reads, by http.client, which varr does not import."""
+    response = HTTPResponse(BytesSocket(reply))
+    try:
+        response.begin()
+        return (response.status, response.read()), not response.will_close
+    except (HTTPException, ConnectionError):
+        return None, None
+
+
+CHUNKED_OK = b"2\r\nok\r\n0\r\n\r\n"
+
+
+# (reply, varr's outcome, how http.client differs: "" for not at all,
+# "reuse" where only the reuse rule differs, "framing" where the body does)
+@pytest.mark.parametrize("reply, want, differs", [
+    (http("HTTP/1.1 200 OK", "Content-Length: 2", body=b"ok"), ((200, b"ok"), True), ""),
+    (http("HTTP/1.1 200 OK", "Transfer-Encoding: chunked", body=CHUNKED_OK),
+     ((200, b"ok"), True), ""),
+    (http("HTTP/1.0 200 OK", body=b"ok"), ((200, b"ok"), False), ""),
+    # RFC 9110 section 5.3: repeated lines of a field are one list, so
+    # "close, keep-alive" closes; http.client reads only the first line
+    (http("HTTP/1.1 200 OK", "Connection: close", "Connection: keep-alive",
+          "Content-Length: 2", body=b"ok"), ((200, b"ok"), False), ""),
+    (http("HTTP/1.1 200 OK", "Connection: keep-alive", "Connection: close",
+          "Content-Length: 2", body=b"ok"), ((200, b"ok"), False), "reuse"),
+    # RFC 9112 section 6.3: differing lengths are a framing error, equal
+    # ones are one length; http.client frames by the first line
+    (http("HTTP/1.1 200 OK", "Content-Length: 2", "Content-Length: 5", body=b"hello"),
+     (None, None), "framing"),
+    (http("HTTP/1.1 200 OK", "Content-Length: 5", "Content-Length: 5", body=b"hello"),
+     ((200, b"hello"), True), ""),
+    # only HTTP/1.0 and HTTP/1.1; http.client takes any HTTP/1.x for 1.1
+    (http("HTTP/2 200", "Content-Length: 2", body=b"ok"), (None, None), ""),
+    (http("HTTP/1.2 200 OK", "Content-Length: 2", body=b"ok"), (None, None), "framing"),
+    # RFC 9112 section 6.3: chunked framing wins, and a reply framed both
+    # ways may be a smuggling attempt, so its connection is not reused
+    (http("HTTP/1.1 200 OK", "Transfer-Encoding: chunked", "Content-Length: 9",
+          body=CHUNKED_OK), ((200, b"ok"), False), "reuse"),
+], ids=["sized", "chunked", "http10-close-delimited", "connection-close-then-keep-alive",
+        "connection-keep-alive-then-close", "differing-content-lengths",
+        "equal-content-lengths", "http2-status-line", "http12-status-line",
+        "chunked-and-content-length"])
+def test_reply_reader_agrees_with_http_client_except_where_named(reply, want, differs):
+    got, oracle = varr_reads(reply), http_client_reads(reply)
+    assert got == want
+    if differs == "":
+        assert oracle == want
+    elif differs == "reuse":
+        assert oracle[0] == want[0] and oracle[1] != want[1]
+    else:
+        assert oracle[0] != want[0]
+
+
 def scored(body: bytes) -> bytes:
     return http("HTTP/1.1 200 OK", f"Content-Length: {len(body)}", body=body)
 
@@ -460,14 +541,16 @@ def test_threads_share_idle_connections_without_a_lost_update():
 # --- run_reduction against a server that scores with a fixed model ----------
 
 class FixedTabularScorer(TabularScorer):
-    """Tabular scorer whose refresh keeps the model, like a fixed server."""
+    """Tabular scorer fitted on the fixture corpus, whose refresh keeps the
+    counts, like a fixed server."""
+
+    def __init__(self):
+        corpus = load_corpus(FIXTURE_CORPUS)
+        super().__init__(build_vocabulary(corpus))
+        self.fit_streams([context + answer for context, answer in corpus_view(corpus)])
 
     def refresh(self, corpus_view=None) -> None:
         self._next_version()
-
-
-def fixed_model():
-    return fit_tabular_scorer(load_corpus(FIXTURE_CORPUS)).model
 
 
 SETTINGS = RunConfig(epochs=3, batch_size=8, warmup_ratio=0.0, candidate_order="random",
@@ -490,12 +573,11 @@ def outcome(trace, corpus):
 
 
 def test_concurrent_reduction_matches_serial_and_tabular():
-    model = fixed_model()
-    with MockScorerServer(score=model_score(model)) as server:
+    with MockScorerServer(score=corpus_score(FIXTURE_CORPUS)) as server:
         concurrent = [outcome(*reduce_remote(server, in_flight)) for in_flight in (4, 16)]
         serial = outcome(*reduce_remote(server, in_flight=1))
     corpus = load_corpus(FIXTURE_CORPUS)
-    trace = run_reduction(corpus, FixedTabularScorer(model),
+    trace = run_reduction(corpus, FixedTabularScorer(),
                           replace(SETTINGS, scorer_backend="tabular"))
     assert serial[0]
     assert concurrent == [serial, serial]
@@ -507,10 +589,10 @@ def test_retry_delays_are_full_jitter_and_leave_the_trace_alone(monkeypatch):
     # first request is answered 503, 503, 200 and the second 503, 200
     delays = []
     monkeypatch.setattr("varr.scorer.time", SimpleNamespace(sleep=delays.append))
-    with MockScorerServer(score=model_score(fixed_model()),
+    with MockScorerServer(score=corpus_score(FIXTURE_CORPUS),
                           status_script=[503, 503, 200, 503]) as server:
         retried = outcome(*reduce_remote(server, in_flight=1))
-    with MockScorerServer(score=model_score(fixed_model())) as server:
+    with MockScorerServer(score=corpus_score(FIXTURE_CORPUS)) as server:
         clean = outcome(*reduce_remote(server, in_flight=1))
     caps = [0.001, 0.002, 0.001]  # remote()'s backoff_seconds, doubled per attempt
     assert len(delays) == len(caps)
@@ -532,7 +614,7 @@ def test_in_flight_caps_requests_connections_and_new_connections(monkeypatch, in
         return score(handle, assembly, answer)
 
     monkeypatch.setattr(RemoteScorer, "score_answer", sampling)
-    with MockScorerServer(score=model_score(fixed_model()), first_delay=0.05) as server:
+    with MockScorerServer(score=corpus_score(FIXTURE_CORPUS), first_delay=0.05) as server:
         trace, _ = reduce_remote(server, in_flight, settings)
         peak = server.peak
     assert trace.scorer_call_count == len(workers)
@@ -548,7 +630,7 @@ def test_server_closing_after_each_reply_still_gets_in_flight_requests():
     # opens one, so the new-connection guard is lifted: 16 callers at once,
     # whose replies the server holds until 16 requests are open, all get in
     records = load_corpus(FIXTURE_CORPUS).records
-    with MockScorerServer(score=model_score(fixed_model()), close_after_reply=True) as server:
+    with MockScorerServer(score=corpus_score(FIXTURE_CORPUS), close_after_reply=True) as server:
         scorer = remote(server.url, in_flight=16, timeout_ms=10_000)
         with ThreadPoolExecutor(16) as callers:
             # the second request finds the first one's connection closed
@@ -568,7 +650,7 @@ def test_scans_of_later_batches_run_beside_the_first():
     # one record per batch, so only scans of different batches can overlap;
     # the server holds every reply until 4 requests are open at once
     settings = replace(SETTINGS, epochs=1, batch_size=1, mode="varr")
-    with MockScorerServer(score=model_score(fixed_model())) as server:
+    with MockScorerServer(score=corpus_score(FIXTURE_CORPUS)) as server:
         server.hold_replies(4)
         reduce_remote(server, 4, settings)
         peak = server.peak
@@ -576,7 +658,7 @@ def test_scans_of_later_batches_run_beside_the_first():
 
 
 def test_cache_spares_requests_and_workers_keep_connections():
-    with MockScorerServer(score=model_score(fixed_model())) as server:
+    with MockScorerServer(score=corpus_score(FIXTURE_CORPUS)) as server:
         scorer = remote(server.url, in_flight=4)
         try:
             # the second run's workers take the first run's idle connections
@@ -608,7 +690,7 @@ def partial_traces(fails):
     """Events and scorer call count of the aborted run, by in_flight."""
     partial = {}
     for in_flight in (1, 4, 16):
-        with MockScorerServer(score=model_score(fixed_model()),
+        with MockScorerServer(score=corpus_score(FIXTURE_CORPUS),
                               fail_prompt=fails) as server:
             with pytest.raises(ReductionAborted) as exc:
                 reduce_remote(server, in_flight, MID_BATCH)
@@ -666,7 +748,7 @@ def test_partial_trace_on_failure_in_the_first_batch_is_serial():
     partial = {}
     for in_flight in (1, 4, 16):
         later_sent = threading.Event()
-        score = model_score(fixed_model())
+        score = corpus_score(FIXTURE_CORPUS)
 
         def scoring(prompt, completion):
             if prompt.startswith(later):

@@ -26,9 +26,9 @@ from varr.scorer import (
     TEMPLATES,
     LogLikelihood,
     ScorerHandle,
+    TabularScorer,
     build_vocabulary,
     fit_tabular_scorer,
-    uniform_tabular_scorer,
 )
 from varr.seeding import child_rng
 
@@ -201,7 +201,7 @@ def test_uniform_scorer_removals_match_budget_exactly():
     # one epoch: the epoch-end refit must not influence any decision,
     # so the scorer stays uniform for every evaluation of the run
     corpus = fresh_corpus()
-    handle = uniform_tabular_scorer(build_vocabulary(corpus))
+    handle = TabularScorer(build_vocabulary(corpus))
     trace = run_reduction(corpus, handle, RunConfig(
         epochs=1, batch_size=4, warmup_ratio=0.0, candidate_order="front", mode="varr",
         seed=3))
@@ -322,7 +322,7 @@ def test_enforced_front_removes_unconditionally_in_early_epochs():
 def test_reduction_aborts_with_partial_trace():
     corpus = fresh_corpus()
     # vocabulary missing the fixture tokens: first evaluation raises OOV
-    handle = uniform_tabular_scorer(["nothing", "here"])
+    handle = TabularScorer(["nothing", "here"])
     with pytest.raises(ReductionAborted) as exc:
         run_reduction(corpus, handle, RunConfig(
             epochs=2, batch_size=4, warmup_ratio=0.0, candidate_order="front",
@@ -525,8 +525,6 @@ class RenderedHashScorer(ScorerHandle):
     token, a wrong middle slice of a prompt or a wrong separator changes
     its scores. Few score levels, so exact ties at zero occur."""
 
-    backend = "remote"
-
     def __init__(self):
         super().__init__()
         self.view = ""
@@ -597,7 +595,8 @@ def test_driver_matches_reference_on_generated_corpora(specs, epochs, batch_size
         trace = run_reduction(corpus_a, handle_a, RunConfig(
             epochs=epochs, batch_size=batch_size, warmup_ratio=warmup,
             candidate_order=order, mode=mode, seed=seed, k_negatives=k,
-            enforced_n=enforced_n, scorer_backend=handle_a.backend,
+            enforced_n=enforced_n,
+            scorer_backend="tabular" if handle_kind == "tabular" else "remote",
             template_id=template_id))
         corpus_b = spec_corpus(specs)
         ref_events, ref_retained = run_reference(

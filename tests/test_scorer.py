@@ -14,13 +14,11 @@ from varr.scorer import (
     LogLikelihood,
     TEMPLATES,
     PromptAssembly,
-    TabularModel,
     TabularScorer,
     assemble_prompt,
     build_vocabulary,
     corpus_view,
     fit_tabular_scorer,
-    uniform_tabular_scorer,
 )
 
 from .conftest import (
@@ -28,15 +26,15 @@ from .conftest import (
     bigram_total,
     dense_counts,
     make_record,
-    model_from_counts,
-    random_model,
     random_record,
+    random_scorer,
+    scorer_from_counts,
 )
 from .oracles import oracle_score
 
 
 def test_uniform_single_token():
-    scorer = uniform_tabular_scorer(["a", "b", "c", "d"])
+    scorer = TabularScorer(["a", "b", "c", "d"])
     assembly = PromptAssembly("a", ("b",))
     got = scorer.score_answer(assembly, "a")
     assert got.total == pytest.approx(-math.log(4), abs=1e-12)
@@ -44,13 +42,13 @@ def test_uniform_single_token():
 
 
 def test_uniform_two_tokens_chain_rule():
-    scorer = uniform_tabular_scorer(["a", "b", "c", "d"])
+    scorer = TabularScorer(["a", "b", "c", "d"])
     got = scorer.score_answer(PromptAssembly("a", ()), "a b")
     assert got.total == pytest.approx(-2 * math.log(4), abs=1e-12)
 
 
 def test_uniform_law_context_independent():
-    scorer = uniform_tabular_scorer(["a", "b", "c", "d", "e"])
+    scorer = TabularScorer(["a", "b", "c", "d", "e"])
     v1 = scorer.score_answer(PromptAssembly("a b", ("c",)), "d").total
     v2 = scorer.score_answer(PromptAssembly("e", ()), "d").total
     assert v1 == v2 == -math.log(5)
@@ -59,7 +57,7 @@ def test_uniform_law_context_independent():
 def test_oracle_equivalence_randomized():
     rng = random.Random(2024)
     for _ in range(150):
-        scorer, counts, vocab, alpha = random_model(rng)
+        scorer, counts, vocab, alpha = random_scorer(rng)
         record = random_record(rng, vocab)
         retained = [u.index for u in record.rationale]
         assembly = assemble_prompt(record, retained)
@@ -73,7 +71,7 @@ def test_oracle_equivalence_randomized():
 
 def test_version_purity_bit_identical():
     rng = random.Random(5)
-    scorer, _, vocab, _ = random_model(rng)
+    scorer, _, vocab, _ = random_scorer(rng)
     record = random_record(rng, vocab)
     assembly = assemble_prompt(record, [u.index for u in record.rationale])
     first = scorer.score_answer(assembly, record.answer)
@@ -84,9 +82,7 @@ def test_version_purity_bit_identical():
 
 
 def test_score_errors():
-    scorer = uniform_tabular_scorer(["a", "b"])
-    with pytest.raises(ScorerError):
-        scorer.score_answer(PromptAssembly("a", ()), "   ")
+    scorer = TabularScorer(["a", "b"])
     with pytest.raises(OutOfVocabularyError, match="'z'"):
         scorer.score_answer(PromptAssembly("a", ()), "z")
     with pytest.raises(OutOfVocabularyError, match="'q'"):
@@ -145,7 +141,7 @@ TEXTS = st.one_of(
 @example(question="", units=(), template_id="newline-v1")
 def test_tabular_context_is_last_rendered_token(question, units, template_id):
     assembly = PromptAssembly(question, units, template_id)
-    scorer = uniform_tabular_scorer(["a"])
+    scorer = TabularScorer(["a"])
     try:
         want = rendered_context(assembly)
     except ScorerError:
@@ -171,21 +167,20 @@ def test_corpus_view_equals_split_of_rendered_prompt(fixture_corpus, pilot_corpu
 
 
 def test_refit_rebuilds_from_scratch():
-    model = TabularModel(["a", "b"])
-    scorer = TabularScorer(model)
+    scorer = TabularScorer(["a", "b"])
     scorer.refresh([(["a"], ["b"])])
-    assert bigram_count(model, 0, 1) == 1
-    assert bigram_total(model) == 1
+    assert bigram_count(scorer, "a", "b") == 1
+    assert bigram_total(scorer) == 1
     assert scorer.model_version == 2
     # refit on an identical view: identical counts, new version
     scorer.refresh([(["a"], ["b"])])
-    assert bigram_count(model, 0, 1) == 1
-    assert bigram_total(model) == 1
+    assert bigram_count(scorer, "a", "b") == 1
+    assert bigram_total(scorer) == 1
     assert scorer.model_version == 3
 
 
 def test_refit_oov_names_symbol():
-    scorer = TabularScorer(TabularModel(["a", "b"]))
+    scorer = TabularScorer(["a", "b"])
     with pytest.raises(OutOfVocabularyError, match="'zz'"):
         scorer.refresh([(["a", "zz"], ["b"])])
 
@@ -202,23 +197,21 @@ def test_refit_matches_hand_counted_bigrams(fixture_corpus):
         stream = context + answer
         for u, v in zip(stream, stream[1:]):
             expected[(u, v)] = expected.get((u, v), 0) + 1
-    model = scorer.model
     for (u, v), count in expected.items():
-        assert bigram_count(model, model.symbol_index(u), model.symbol_index(v)) == count
-    assert bigram_total(model) == sum(expected.values())
+        assert bigram_count(scorer, u, v) == count
+    assert bigram_total(scorer) == sum(expected.values())
 
 
 def test_smoothed_conditionals_sum_to_one():
     rng = random.Random(77)
-    scorer, _, vocab, _ = random_model(rng)
-    model = scorer.model
+    scorer, _, vocab, _ = random_scorer(rng)
     for prev in vocab:
-        total = sum(math.exp(model.log_conditional(prev, nxt)) for nxt in vocab)
+        total = sum(math.exp(scorer.log_conditional(prev, nxt)) for nxt in vocab)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cache_store_lookup_and_invalidation():
-    scorer = TabularScorer(model_from_counts(["a", "b"], [[1, 2], [3, 4]]))
+    scorer = scorer_from_counts(["a", "b"], [[1, 2], [3, 4]])
     assembly = PromptAssembly("b", ("a",))
     first = scorer.score_answer(assembly, "b a")
     assert scorer.score_answer(assembly, "b a") is first  # bit-identical, same object
@@ -235,7 +228,7 @@ def test_memo_key_is_last_prompt_token():
     rng = random.Random(17)
     vocab = ["a", "b", "c", "d", "e"]
     counts = [[rng.randint(0, 9) for _ in vocab] for _ in vocab]
-    scorer = TabularScorer(model_from_counts(vocab, counts, 0.5))
+    scorer = scorer_from_counts(vocab, counts, 0.5)
     # every token differs but the last one, which is all an order-1 model sees
     one = PromptAssembly("b", ("c", "a"))
     other = PromptAssembly("e d", ("c b e a",), template_id="newline-v1")
@@ -243,7 +236,7 @@ def test_memo_key_is_last_prompt_token():
     second = scorer.score_answer(other, "b a d")
     assert second is first
     assert (scorer.cache.hits, scorer.cache.misses) == (1, 1)
-    fresh = TabularScorer(scorer.model).score_answer(other, "b a d")
+    fresh = scorer_from_counts(vocab, counts, 0.5).score_answer(other, "b a d")
     assert (second.total, second.per_token) == (fresh.total, fresh.per_token)
     assert second.total == pytest.approx(
         oracle_score(counts, vocab, "e d", ["c b e a"], "b a d", 0.5), abs=1e-9
@@ -251,7 +244,7 @@ def test_memo_key_is_last_prompt_token():
 
 
 def test_empty_context_fails_before_the_cache():
-    scorer = uniform_tabular_scorer(["a", "b"])
+    scorer = TabularScorer(["a", "b"])
     for _ in range(2):
         with pytest.raises(ScorerError, match="context is empty"):
             scorer.score_answer(PromptAssembly("  ", ()), "a")
@@ -263,7 +256,7 @@ def test_cache_no_cross_key_collisions():
     # miss, equals the brute-force oracle
     rng = random.Random(9)
     for _ in range(20):
-        scorer, counts, vocab, alpha = random_model(rng)
+        scorer, counts, vocab, alpha = random_scorer(rng)
         for _ in range(50):
             record = random_record(rng, vocab, max_answer_len=2)
             retained = [u.index for u in record.rationale if rng.random() < 0.7]
@@ -279,7 +272,7 @@ def test_cache_no_cross_key_collisions():
 
 
 def test_scorer_cache_hits_do_not_change_results():
-    scorer = uniform_tabular_scorer(["a", "b", "c"])
+    scorer = TabularScorer(["a", "b", "c"])
     assembly = PromptAssembly("a", ("b",))
     v1 = scorer.score_answer(assembly, "c")
     v2 = scorer.score_answer(assembly, "c")
@@ -302,13 +295,13 @@ def test_build_vocabulary_covers_all_fields():
 
 def test_from_counts_validation():
     with pytest.raises(ValueError):
-        model_from_counts(["a", "b"], [[1, 2]])
+        scorer_from_counts(["a", "b"], [[1, 2]])
     with pytest.raises(ValueError):
-        model_from_counts(["a", "b"], [[1, 2], [3]])
+        scorer_from_counts(["a", "b"], [[1, 2], [3]])
     with pytest.raises(ValueError):
-        model_from_counts(["a", "b"], [[1, -2], [0, 0]])
+        scorer_from_counts(["a", "b"], [[1, -2], [0, 0]])
     with pytest.raises(ValueError):
-        TabularModel(["a", "a"])
+        TabularScorer(["a", "a"])
 
 
 def test_loglikelihood_invariants():
@@ -323,8 +316,8 @@ def test_loglikelihood_invariants():
 def test_fit_tabular_scorer_fixture_prompt_matches_oracle():
     corpus = load_corpus("tests/data/fixture_corpus.jsonl")
     scorer = fit_tabular_scorer(corpus)
-    vocab = list(scorer.model.vocabulary)
-    counts = dense_counts(scorer.model)
+    vocab = sorted(scorer.vocabulary)
+    counts = dense_counts(scorer, vocab)
     record = corpus.records[0]
     assembly = assemble_prompt(record, record.retained_indices())
     got = scorer.score_answer(assembly, record.answer).total

@@ -1,5 +1,6 @@
-"""Every module-level function and class of ``varr``, and every method of
-its classes, is reached by the program, not only by its tests.
+"""Every module-level function and class of ``varr``, and every method and
+class attribute of its classes, is reached by the program, not only by
+its tests.
 
 A module-level definition in ``src/varr/*.py`` counts as used when its
 name is read (as a name or an attribute) by code in ``src/varr`` outside
@@ -9,10 +10,13 @@ used only when its name is read as an attribute (``x.name``) there, so a
 local variable of the same name does not hide it. A method also counts
 as used when it overrides a method of a base class, found at run time
 through the class's MRO, since the base's code calls it (argparse calls
-``error``). Dunder methods are skipped. Names are matched as identifiers, parsed with
-``ast``, not by type: a method still passes when an attribute of another
-object that shares its name is read (a method ``total`` would pass on
-``LogLikelihood.total``).
+``error``). Dunder methods are skipped. A class attribute, a plain
+assignment in a class body (``ast.Assign``; dataclass and NamedTuple
+fields are annotated, so they are not among them), counts as used only
+when it is read as an attribute there; overriding one does not count.
+Names are matched as identifiers, parsed with ``ast``, not by type: a
+method still passes when an attribute of another object that shares its
+name is read (a method ``total`` would pass on ``LogLikelihood.total``).
 """
 
 import ast
@@ -53,19 +57,23 @@ def parse(path: Path) -> ast.Module:
 
 
 def definitions(path: Path, tree: ast.Module):
-    """(node, class object or None) for each module-level function and
-    class, and each non-dunder method of a module-level class."""
+    """(node, name, reader, class whose bases it may override or None) for
+    each module-level function and class, and each non-dunder method and
+    class attribute of a module-level class."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     module = importlib.import_module(f"varr.{path.stem}")
     for node in tree.body:
         if isinstance(node, (*functions, ast.ClassDef)):
-            yield node, None
+            yield node, node.name, names_read, None
         if isinstance(node, ast.ClassDef):
             cls = getattr(module, node.name)
-            for method in node.body:
-                if isinstance(method, functions) and not (
-                        method.name.startswith("__") and method.name.endswith("__")):
-                    yield method, cls
+            for member in node.body:
+                if isinstance(member, functions) and not (
+                        member.name.startswith("__") and member.name.endswith("__")):
+                    yield member, member.name, attributes_read, cls
+                if isinstance(member, ast.Assign):
+                    for target in member.targets:
+                        yield member, target.id, attributes_read, None
 
 
 def overrides(cls: type | None, name: str) -> bool:
@@ -82,9 +90,7 @@ def test_every_module_level_definition_is_used_outside_the_tests():
 
     unused = []
     for path, tree in modules.items():
-        for node, cls in definitions(path, tree):
-            name = node.name
-            read = names_read if cls is None else attributes_read
+        for node, name, read, cls in definitions(path, tree):
             in_package, elsewhere = reads[read]
             outside_itself = in_package[name] - read(node)[name]
             if (outside_itself or elsewhere[name] or name in ALLOWED

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from varr.scorer import TabularScorer, uniform_tabular_scorer
+from varr.scorer import TabularScorer
 from varr.seeding import child_rng
 from varr.verbosity import (
     MODE_VARR,
@@ -17,9 +17,9 @@ from varr.verbosity import (
 from .conftest import (
     dense_counts,
     make_record,
-    model_from_counts,
-    random_model,
     random_record,
+    random_scorer,
+    scorer_from_counts,
 )
 from .oracles import (
     candidate_assemblies,
@@ -62,11 +62,11 @@ def contrast_model():
     counts[1][4] = 1  # u -> b
     counts[2][3] = 3  # v -> a
     counts[2][4] = 1  # v -> b
-    return TabularScorer(model_from_counts(vocab, counts, 1.0)), vocab
+    return scorer_from_counts(vocab, counts, 1.0), vocab
 
 
 def test_nll_uniform_any_retained_set():
-    scorer = uniform_tabular_scorer(VOCAB4)
+    scorer = TabularScorer(VOCAB4)
     record = make_record(units=("a b", "c"), question="d", answer="a")
     for retained in ([], [0], [0, 1], [1]):
         assert nll(scorer, record, retained) == pytest.approx(math.log(4), abs=1e-12)
@@ -82,7 +82,7 @@ def test_nll_repeat_call_identical(fixture_corpus):
 
 
 def test_verbosity_gt_zero_for_uniform_model():
-    scorer = uniform_tabular_scorer(VOCAB4)
+    scorer = TabularScorer(VOCAB4)
     record = make_record(units=("a", "b", "c"), question="d", answer="a")
     for i in range(3):
         assert verbosity_gt(scorer, record, i, [0, 1, 2]) == 0.0
@@ -107,7 +107,7 @@ def test_verbosity_gt_final_removal_hand_computed():
 def test_verbosity_gt_equals_nll_difference():
     rng = random.Random(31)
     for _ in range(30):
-        scorer, _, vocab, _ = random_model(rng)
+        scorer, _, vocab, _ = random_scorer(rng)
         record = random_record(rng, vocab, max_units=4)
         retained = [u.index for u in record.rationale]
         i = rng.choice(retained)
@@ -118,14 +118,14 @@ def test_verbosity_gt_equals_nll_difference():
 
 
 def test_verbosity_gt_candidate_must_be_retained():
-    scorer = uniform_tabular_scorer(VOCAB4)
+    scorer = TabularScorer(VOCAB4)
     record = make_record(units=("a", "b"), question="c", answer="d")
     with pytest.raises(ValueError):
         verbosity_gt(scorer, record, 1, [0])
 
 
 def test_verbosity_wrong_uniform_is_zero():
-    scorer = uniform_tabular_scorer(VOCAB4)
+    scorer = TabularScorer(VOCAB4)
     record = make_record(units=("a", "b"), question="c", answer="d")
     report = evaluate(scorer, record, 0, [0, 1], negatives=["a", "b"], k=2)
     assert report.verbosity_wrong == 0.0
@@ -143,7 +143,7 @@ def test_verbosity_wrong_per_term_cancellation():
 
 def test_verbosity_wrong_fixed_negatives_match_oracle():
     scorer, vocab = contrast_model()
-    counts = dense_counts(scorer.model)
+    counts = dense_counts(scorer, vocab)
     record = make_record(units=("v", "u"), question="q", answer="a")
     report = evaluate(scorer, record, 1, [0, 1], negatives=["b", "q"], k=2)
     want = oracle_verbosity_wrong(counts, vocab, record, 1, [0, 1], ["b", "q"], 1.0)
@@ -153,7 +153,7 @@ def test_verbosity_wrong_fixed_negatives_match_oracle():
 
 def test_verbosity_wrong_seeded_sampling_is_reproducible():
     # the uniform model passes every gold check, so the wrong answers are scored
-    scorer = uniform_tabular_scorer(VOCAB4)
+    scorer = TabularScorer(VOCAB4)
     seen = scored_answers(scorer)
     record = make_record(units=("a", "b"), question="c", answer="d")
     pool = ["a", "b", "c", "a b"]
@@ -171,7 +171,7 @@ def test_verbosity_wrong_seeded_sampling_is_reproducible():
 
 
 def test_verbosity_wrong_rng_factory_called_only_to_subsample():
-    scorer = uniform_tabular_scorer(VOCAB4)
+    scorer = TabularScorer(VOCAB4)
     record = make_record(units=("a", "b"), question="c", answer="d")
     made = []
 
@@ -189,7 +189,7 @@ def test_verbosity_wrong_rng_factory_called_only_to_subsample():
 def test_randomized_oracle_equivalence_nll_and_verbosities():
     rng = random.Random(515)
     for _ in range(120):
-        scorer, counts, vocab, alpha = random_model(rng)
+        scorer, counts, vocab, alpha = random_scorer(rng)
         record = random_record(rng, vocab, max_units=4)
         retained = [u.index for u in record.rationale]
         i = rng.choice(retained)
@@ -211,7 +211,7 @@ def test_randomized_oracle_equivalence_nll_and_verbosities():
 
 
 def test_evaluate_zero_boundary_passes():
-    scorer = uniform_tabular_scorer(VOCAB4)
+    scorer = TabularScorer(VOCAB4)
     record = make_record(units=("a", "b"), question="c", answer="d")
     report = evaluate(scorer, record, 0, [0, 1])
     assert report.verbosity_gt == 0.0
@@ -263,7 +263,7 @@ def test_evaluate_plus_difference_sign_decides():
 def test_subset_law_random_models():
     rng = random.Random(99)
     for _ in range(60):
-        scorer, _, vocab, _ = random_model(rng)
+        scorer, _, vocab, _ = random_scorer(rng)
         record = random_record(rng, vocab, max_units=4)
         retained = [u.index for u in record.rationale]
         i = rng.choice(retained)
@@ -279,9 +279,6 @@ def test_subset_law_random_models():
 
 class StubScorer:
     """Fixed totals per (rationale length, answer), for criterion algebra."""
-
-    backend = "stub"
-    calls = 0
 
     def __init__(self, table):
         self.table = table  # (n_units, answer) -> total
@@ -308,7 +305,7 @@ def test_evaluate_literal_half_versus_point_six():
 
 
 def test_evaluate_scores_gold_then_each_wrong_full_before_reduced():
-    scorer = uniform_tabular_scorer(VOCAB4)
+    scorer = TabularScorer(VOCAB4)
     seen = []
     score = scorer.score_answer
 
