@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate the committed test fixtures under tests/data/.
 
-Both corpora are fully deterministic (no RNG) so the files can be
+All three corpora are fully deterministic (no RNG) so the files can be
 rebuilt bit-identically at any time.
 
 fixture_corpus.jsonl    mixed-task corpus for reduction/scoring tests.
@@ -24,6 +24,12 @@ pilot_synthetic.jsonl   answer-in-last-sentence corpus for the pilot
     from losing "fin" is bounded: front sampling rarely touches unit 10
     and stays within a few percent of the complete-rationale baseline,
     while back sampling hits it often and pays for it.
+
+long_answer_corpus.jsonl    answers of 3 to 6 tokens, so each score sums
+    3 to 6 float terms. With full rationale, la-01's gold score rounds
+    differently under a left-to-right sum (Python 3.11's ``sum``) than
+    correctly rounded (``math.fsum``), so a pinned fingerprint of a run on
+    it fails if the summation rule changes.
 """
 
 import json
@@ -150,6 +156,22 @@ def pilot_records() -> list[dict]:
     return records
 
 
+def long_answer_records() -> list[dict]:
+    records = []
+    for i in range(1, 9):
+        length = 3 + i % 4
+        records.append({
+            "id": f"la-{i:02d}",
+            "question": f"what is plan b{i}",
+            "rationale": [f"start from b{i} here", f"then take step s{i % 3}",
+                          "keep going on", f"end near e{i % 4}"],
+            "answer": " ".join(f"w{i * j % 7}" for j in range(1, length + 1)),
+            "wrong_answers": [],
+            "task_kind": "free_form",
+        })
+    return records
+
+
 def jsonl(records: list[dict]) -> str:
     return "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
 
@@ -163,6 +185,7 @@ def write_jsonl(records: list[dict], path: Path) -> None:
 def main() -> None:
     write_jsonl(reduction_records(), DATA_DIR / "fixture_corpus.jsonl")
     write_jsonl(pilot_records(), DATA_DIR / "pilot_synthetic.jsonl")
+    write_jsonl(long_answer_records(), DATA_DIR / "long_answer_corpus.jsonl")
 
 
 if __name__ == "__main__":

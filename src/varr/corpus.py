@@ -65,8 +65,6 @@ class RationaleRecord:
 
     def mark_removed(self, index: int, epoch: int, step: int) -> None:
         unit = self.rationale[index]
-        if unit.index != index:
-            raise InternalInvariantError(f"unit index mismatch at {index} in {self.id}")
         if unit.removed_at is not None:
             raise InternalInvariantError(
                 f"unit {index} of record {self.id} removed twice"

@@ -16,6 +16,7 @@ per record and seed are the pilot settings of a ``config.RunConfig``.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -68,7 +69,7 @@ def sample_removal_set(
     available = list(range(n))
     chosen: set[int] = set()
     for _ in range(size):
-        total = sum(weights[i] for i in available)
+        total = math.fsum(weights[i] for i in available)
         point = rng.random() * total
         acc = 0.0
         picked = available[-1]
@@ -106,7 +107,7 @@ def pilot_nll_curve(
         raise ValidationError("no record is long enough for the requested sizes")
 
     all_indices = {r.id: [u.index for u in r.rationale] for r in eligible}
-    baseline = sum(
+    baseline = math.fsum(
         nll(handle, r, all_indices[r.id], template_id) for r in eligible
     ) / len(eligible)
 

@@ -84,13 +84,7 @@ SHUFFLED_ORDERS = ("random", "no_rule")
 
 
 def removal_budget(t: int, total_steps: int, n_t: int) -> int:
-    """floor(n_t * t / T) in exact integer arithmetic."""
-    if total_steps < 1:
-        raise ValueError("total_steps must be >= 1")
-    if not 1 <= t <= total_steps:
-        raise ValueError(f"t={t} outside [1, {total_steps}]")
-    if n_t < 0:
-        raise ValueError("n_t must be >= 0")
+    """floor(n_t * t / T) in exact integer arithmetic, for 1 <= t <= T."""
     return (n_t * t) // total_steps
 
 

@@ -39,8 +39,8 @@ unit (or its question) and never renders a prompt. A remote server may
 therefore see fewer requests than the logical call count.
 
 ``config.RunConfig`` checks the template id, the smoothing alpha and the
-remote settings before any work, so this module uses them unchecked; what
-a server replies is checked here, by ``_parse_response`` and ``LogLikelihood``.
+remote settings before any work; a fit checks only that alpha rounds no
+probability to zero. A server's reply is checked by ``_parse_response`` alone.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ import random
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, BinaryIO, Iterable, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
@@ -63,7 +62,6 @@ from .errors import (
     ConfigurationError,
     OutOfVocabularyError,
     ProtocolError,
-    ScorerError,
     TransportError,
 )
 
@@ -80,29 +78,13 @@ MAX_CONNECTING = 4
 RETRYABLE_STATUSES = frozenset({429}) | frozenset(range(500, 600))
 
 
-@dataclass(frozen=True)
-class LogLikelihood:
-    """Natural-log likelihood of an answer, total plus per-token terms."""
+class LogLikelihood(NamedTuple):
+    """Natural-log likelihood of an answer, total plus per-token terms: each
+    term finite and <= 0, the total their sum (``_parse_response`` checks a
+    server's reply)."""
 
     total: float
     per_token: tuple[float, ...]
-
-    def __post_init__(self):
-        for value in self.per_token:
-            if not math.isfinite(value):
-                raise ScorerError("non-finite per-token log-likelihood")
-            if value > 0.0:
-                raise ScorerError(f"positive log-likelihood term: {value!r}")
-        checksum = sum(self.per_token)
-        if abs(self.total - checksum) > 1e-12 * max(1.0, abs(self.total)):
-            raise ScorerError(
-                f"total {self.total!r} disagrees with per-token sum {checksum!r}"
-            )
-
-    @classmethod
-    def from_per_token(cls, values: Iterable[float]) -> "LogLikelihood":
-        values = tuple(float(v) for v in values)
-        return cls(total=float(sum(values)), per_token=values)
 
 
 # --- prompt assembly -------------------------------------------------------
@@ -143,9 +125,6 @@ def assemble_prompt(
     """Question first, then the retained units in their original order."""
     wanted = set(retained)
     texts = tuple(u.text for u in record.rationale if u.index in wanted)
-    if len(texts) != len(wanted):
-        unknown = sorted(wanted - {u.index for u in record.rationale})
-        raise ValueError(f"retained indices {unknown} not in record {record.id}")
     return PromptAssembly(record.question, texts, template_id)
 
 
@@ -245,7 +224,8 @@ class TabularScorer(ScorerHandle):
 
     p(w | v) = (count(v, w) + alpha) / (sum_w count(v, w) + alpha * V)
 
-    Counts are kept per (v, w) token pair and row sums per token v.
+    Counts are kept per (v, w) token pair and row sums per token v. A count
+    is at most its row sum and V >= 1, so no ratio exceeds 1.
     """
 
     def __init__(self, vocabulary: Sequence[str], smoothing_alpha: float = 1.0):
@@ -256,8 +236,7 @@ class TabularScorer(ScorerHandle):
         if len(self.vocabulary) != len(vocabulary):
             raise ValueError("vocabulary contains duplicates")
         self.smoothing_alpha = float(smoothing_alpha)
-        self._counts: Counter = Counter()
-        self._row_sums: Counter = Counter()
+        self.fit_streams(())
 
     def log_conditional(self, prev: str, nxt: str) -> float:
         for symbol in (prev, nxt):
@@ -269,27 +248,31 @@ class TabularScorer(ScorerHandle):
         return math.log(numer / denom)
 
     def fit_streams(self, streams: Iterable[Sequence[str]]) -> None:
-        """Recount bigrams from scratch over the given token streams."""
+        """Recount bigrams from scratch over the given token streams. As
+        rounding is monotone, alpha over the largest denominator is the
+        smallest ratio: zero if alpha * V overflows or alpha vanishes beside
+        a row sum, and then a log would fail."""
         counts: Counter = Counter()
         row_sums: Counter = Counter()
         for stream in streams:
-            if not self.vocabulary.issuperset(stream):
-                raise OutOfVocabularyError(
-                    next(token for token in stream if token not in self.vocabulary))
             counts.update(zip(stream, stream[1:]))
             row_sums.update(stream[:-1])
+        alpha = self.smoothing_alpha
+        smallest = alpha / (max(row_sums.values(), default=0) + alpha * len(self.vocabulary))
+        if smallest == 0:
+            raise ConfigurationError(
+                f"smoothing_alpha {alpha!r} rounds a smoothed probability to zero")
         self._counts, self._row_sums = counts, row_sums
 
     def _context(self, assembly: PromptAssembly) -> str:
         # An order-1 model sees only the token before the answer, the last
         # whitespace token of the rendered prompt; with whitespace
         # separators that is the last token of the last non-blank part.
+        # The question is never blank: the corpus and ``varr score`` reject it.
         for text in reversed(assembly.retained_rationale):
             if tokens := text.rsplit(None, 1):
                 return tokens[-1]
-        if tokens := assembly.question.rsplit(None, 1):
-            return tokens[-1]
-        raise ScorerError("assembled context is empty; cannot condition")
+        return assembly.question.rsplit(None, 1)[-1]
 
     def _evaluate(self, context: str, answer: str) -> LogLikelihood:
         per_token = []
@@ -297,7 +280,7 @@ class TabularScorer(ScorerHandle):
         for token in answer.split():
             per_token.append(self.log_conditional(prev, token))
             prev = token
-        return LogLikelihood.from_per_token(per_token)
+        return LogLikelihood(math.fsum(per_token), tuple(per_token))
 
     def refresh(self, corpus_view=None) -> None:
         """Full reinitialization: recount bigrams over the view's streams.
@@ -622,10 +605,12 @@ class RemoteScorer(ScorerHandle):
         raise TransportError(failure, attempts=attempts)
 
     def _parse_response(self, payload: bytes) -> LogLikelihood:
-        """The reply's likelihood: ``token_logprobs`` a non-empty list of
-        JSON numbers, ``total_logprob`` a number; bools and strings are not
-        numbers. The list's length is the server's tokenization's, so it is
-        not checked."""
+        """The reply's likelihood, the only check of a server's scores:
+        ``token_logprobs`` a non-empty list of finite JSON numbers <= 0,
+        ``total_logprob`` a finite number within 1e-12 (relative, and
+        absolute below 1) of their correctly rounded sum. Bools and strings
+        are not numbers. The list's length is the server's tokenization's,
+        so it is not checked."""
         try:
             body = json.loads(payload)
             terms, total = body["token_logprobs"], body["total_logprob"]
@@ -635,12 +620,16 @@ class RemoteScorer(ScorerHandle):
                 raise ValueError("token_logprobs or total_logprob holds a non-number")
             per_token = tuple(map(float, terms))
             total = float(total)
+            if not all(-math.inf < v <= 0.0 for v in per_token):
+                raise ValueError("token_logprobs holds a positive or non-finite term")
+            checksum = math.fsum(per_token)
+            if not (math.isfinite(total)
+                    and abs(total - checksum) <= 1e-12 * max(1.0, abs(total))):
+                raise ValueError(
+                    f"total_logprob {total!r} is not the terms' sum {checksum!r}")
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ProtocolError(f"malformed scorer response: {exc}") from exc
-        try:
-            return LogLikelihood(total=total, per_token=per_token)
-        except ScorerError as exc:
-            raise ProtocolError(f"inconsistent scorer response: {exc}") from exc
+        return LogLikelihood(total, per_token)
 
     def refresh(self, corpus_view=None) -> None:
         self._next_version()

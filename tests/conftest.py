@@ -9,6 +9,7 @@ from varr.scorer import TabularScorer
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_CORPUS = DATA_DIR / "fixture_corpus.jsonl"
 PILOT_CORPUS = DATA_DIR / "pilot_synthetic.jsonl"
+LONG_ANSWER_CORPUS = DATA_DIR / "long_answer_corpus.jsonl"
 
 
 @pytest.fixture

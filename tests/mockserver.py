@@ -18,7 +18,11 @@ back every reply until n requests are open at once, so a test sees the
 client's concurrency whatever the timing. ``peak`` holds the most
 requests, connections, and connections still waiting for their first
 reply, that the server had open at once. The server listens with a
-backlog of 64, so a client's burst of connects is not dropped.
+backlog of 64, so a client's burst of connects is not dropped. Every
+server here keeps the exception of a connection that failed (say, a
+BrokenPipeError when the client hung up first) in ``errors`` instead of
+printing its traceback, which would land in the stderr that a test of a
+command reads.
 
 ``ScriptedReplyServer`` answers each request with raw bytes from a
 script, to check how the client reads replies that this server never
@@ -45,6 +49,7 @@ import json
 import socket
 import socketserver
 import ssl
+import sys
 import threading
 import time
 from collections import Counter
@@ -73,7 +78,18 @@ def corpus_score(path, smoothing_alpha: float = 1.0) -> Callable[[str, str], lis
 HOLD_S = 5.0  # the longest a held reply waits (MockScorerServer.hold_replies)
 
 
-class _Server(ThreadingHTTPServer):
+class _KeepsErrors(socketserver.TCPServer):
+    """A server that records a failed connection's exception in ``errors``."""
+
+    def __init__(self, *args, **kwargs):
+        self.errors: list[BaseException] = []
+        super().__init__(*args, **kwargs)
+
+    def handle_error(self, request, client_address):
+        self.errors.append(sys.exc_info()[1])
+
+
+class _Server(_KeepsErrors, ThreadingHTTPServer):
     request_queue_size = 64
 
 
@@ -215,6 +231,10 @@ class MockScorerServer:
             self._released.clear()
 
     @property
+    def errors(self) -> list[BaseException]:
+        return self._httpd.errors
+
+    @property
     def url(self) -> str:
         host, port = self._httpd.server_address[:2]
         return f"{self.scheme}://{host}:{port}"
@@ -247,7 +267,7 @@ class _Stream(socketserver.StreamRequestHandler):
         self.server.serve(self)
 
 
-class _RawServer(socketserver.ThreadingTCPServer):
+class _RawServer(_KeepsErrors, socketserver.ThreadingTCPServer):
     """A threaded TCP server on an OS-picked loopback port, as a context
     manager; a subclass's ``serve(stream)`` serves one connection."""
 

@@ -1,6 +1,9 @@
 import argparse
 import dataclasses
+import functools
 import json
+import math
+import operator
 import os
 import subprocess
 import sys
@@ -15,11 +18,12 @@ from varr.config import BACKENDS, DECISION, EXECUTION, RunConfig, load_run_confi
 from varr.corpus import GRANULARITIES, load_corpus
 from varr.pilot import PILOT_STRATEGIES
 from varr.schedule import CANDIDATE_ORDERS
+from varr.scorer import assemble_prompt, fit_tabular_scorer
 from varr.segmenter import DEFAULT_ABBREVIATIONS
 from varr.verbosity import MODES
 
-from .conftest import FIXTURE_CORPUS, PILOT_CORPUS
-from .mockserver import MockScorerServer, corpus_score
+from .conftest import FIXTURE_CORPUS, LONG_ANSWER_CORPUS, PILOT_CORPUS
+from .mockserver import MockScorerServer, ScriptedReplyServer, corpus_score
 from .oracles import trace_to_dict
 from .test_corpus import WRONG_FIELD_TYPES
 
@@ -444,6 +448,23 @@ def test_reduce_remote_scorer_failure_exits_two(tmp_path, capsys):
         assert busy.requests  # the server answered, with 503
 
 
+def test_reduce_against_a_server_that_totals_nan_exits_two(tmp_path, capsys):
+    # json.loads reads NaN; a kept NaN score would write NaN into
+    # trace.json, which is not JSON
+    body = b'{"token_logprobs": [-1.0, -0.5], "total_logprob": NaN}'
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+    out = tmp_path / "out"
+    with ScriptedReplyServer([(reply, False)] * 64) as server:
+        code = run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir", str(out),
+                       "--scorer", "remote", "--scorer-url", server.url,
+                       "--epochs", "1", "--warmup", "0.0")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "scorer failure: malformed scorer response:"
+        " total_logprob nan is not the terms' sum -1.5\n")
+    assert [p.name for p in out.iterdir()] == ["trace.partial.json"]
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "--input", "{missing}", "--out-dir", "{tmp}/out"],
     ["pilot", "--input", "{missing}", "--out-dir", "{tmp}/out"],
@@ -492,6 +513,23 @@ def test_score_oov_symbol_exits_two(tmp_path, capsys):
                    "--vocab", "a b c d")
     assert code == 2
     assert "zebra" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--input", str(FIXTURE_CORPUS), "--out-dir", "{out}", "--alpha", "1e308"],
+    ["reduce", "--input", str(FIXTURE_CORPUS), "--out-dir", "{out}", "--alpha", "5e-324"],
+    ["score", "--question", "a", "--answer", "b", "--vocab", "a b c", "--alpha", "1e308"],
+    ["score", "--question", "what is job a1", "--answer", "ans1 done",
+     "--fit-corpus", str(FIXTURE_CORPUS), "--alpha", "5e-324"],
+], ids=["reduce-huge", "reduce-tiny", "score-vocab-huge", "score-fit-corpus-tiny"])
+def test_alpha_that_rounds_a_probability_to_zero_exits_one(tmp_path, capsys, argv):
+    # alpha * V overflows, or alpha / (row sum + alpha * V) underflows:
+    # either rounds a probability to zero, whose log would fail
+    out = tmp_path / "out"
+    assert run_cli(*(arg.format(out=out) for arg in argv)) == 1
+    assert capsys.readouterr().err == (
+        f"error: smoothing_alpha {float(argv[-1])!r} rounds a smoothed probability to zero\n")
+    assert not out.exists()
 
 
 def test_score_tabular_needs_vocab_or_corpus(capsys):
@@ -686,6 +724,29 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
                    str(tmp_path / "x"), "--config", str(config))
     assert code == 1
     assert "epochz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, problem", [
+    ("[1, 2]", "config file must hold a JSON object"),
+    ('{"schedule": 3}', "config section 'schedule' must be an object"),
+], ids=["file", "section"])
+def test_config_that_is_not_an_object_exits_one(tmp_path, capsys, content, problem):
+    config = tmp_path / "run.json"
+    config.write_text(content)
+    code = run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir",
+                   str(tmp_path / "x"), "--config", str(config))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
+
+
+def test_unknown_strategy_exits_one(tmp_path, capsys):
+    code = run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir",
+                   str(tmp_path / "x"), "--strategy", "sideways")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: varr reduce ")
+    assert err.endswith("\nerror: argument --strategy: unknown strategy 'sideways'\n")
+    assert err.count("error: ") == 1
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -926,6 +987,28 @@ def golden_out(tmp_path_factory):
 def test_reduce_matches_committed_golden_fingerprint(golden_out):
     report = json.loads((golden_out / "report.json").read_text())
     assert report["determinism_fingerprint"] == GOLDEN_FINGERPRINT
+
+
+# Pinned like GOLDEN_FINGERPRINT, on answers of 3 to 6 tokens. A tabular
+# score is the correctly rounded sum of its terms (math.fsum), the same on
+# every Python version; summed left to right, as Python 3.11's sum() does,
+# la-01's gold score and so this fingerprint would differ.
+LONG_ANSWER_FINGERPRINT = "1fb826ee2b1c960bc19553ea62203a7bc373f5dbd3143991d612de9c0d598847"
+
+
+def test_reduce_long_answers_matches_pinned_fingerprint(tmp_path):
+    corpus = load_corpus(LONG_ANSWER_CORPUS)
+    record = corpus.records[0]
+    terms = fit_tabular_scorer(corpus).score_answer(
+        assemble_prompt(record, record.retained_indices()), record.answer).per_token
+    assert functools.reduce(operator.add, terms) != math.fsum(terms)
+    out = tmp_path / "out"
+    code = run_cli("reduce", "--input", str(LONG_ANSWER_CORPUS), "--out-dir", str(out),
+                   "--mode", "varr-plus", "--strategy", "back", "--epochs", "3",
+                   "--batch-size", "4", "--seed", "7")
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["determinism_fingerprint"] == LONG_ANSWER_FINGERPRINT
 
 
 def test_trace_config_states_each_setting_once(golden_out):

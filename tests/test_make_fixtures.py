@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from .conftest import FIXTURE_CORPUS, PILOT_CORPUS
+from .conftest import FIXTURE_CORPUS, LONG_ANSWER_CORPUS, PILOT_CORPUS
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
 
@@ -21,7 +21,8 @@ def load_script():
 @pytest.mark.parametrize("path, generator", [
     (FIXTURE_CORPUS, "reduction_records"),
     (PILOT_CORPUS, "pilot_records"),
-], ids=["fixture_corpus", "pilot_synthetic"])
+    (LONG_ANSWER_CORPUS, "long_answer_records"),
+], ids=["fixture_corpus", "pilot_synthetic", "long_answer_corpus"])
 def test_committed_fixture_matches_its_generator(path, generator):
     script = load_script()
     assert script.jsonl(getattr(script, generator)()).encode("utf-8") == path.read_bytes()

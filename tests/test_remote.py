@@ -1,5 +1,6 @@
 import base64
 import io
+import json
 import os
 import socket
 import subprocess
@@ -415,11 +416,25 @@ def scored(body: bytes) -> bytes:
     b'{"token_logprobs": [-0.5], "total_logprob": true}',
     b'{"token_logprobs": {"a": -0.5}, "total_logprob": -0.5}',
     b'{"token_logprobs": [-1' + b"0" * 400 + b'], "total_logprob": -1e400}',
+    b'{"token_logprobs": [-1.0, -0.5], "total_logprob": NaN}',
+    b'{"token_logprobs": [-1.0, -0.5], "total_logprob": Infinity}',
+    b'{"token_logprobs": [-1.0, -0.5], "total_logprob": -Infinity}',
+    b'{"token_logprobs": [NaN, -0.5], "total_logprob": -0.5}',
+    b'{"token_logprobs": [Infinity, -0.5], "total_logprob": -0.5}',
+    b'{"token_logprobs": [-Infinity, -0.5], "total_logprob": -Infinity}',
+    b'{"token_logprobs": [0.5, -1.0], "total_logprob": -0.5}',
+    b'{"token_logprobs": [-1.0, 1e-12], "total_logprob": -0.999999999999}',
+    b'{"token_logprobs": [-1.0, -0.5], "total_logprob": -1.5000000000016}',
 ], ids=["empty-list", "empty-string", "bool-term", "string-term", "string-total",
-        "bool-total", "object", "int-too-large-for-a-float"])
+        "bool-total", "object", "int-too-large-for-a-float", "nan-total", "infinite-total",
+        "minus-infinite-total", "nan-term", "infinite-term", "minus-infinite-term",
+        "positive-term", "tiny-positive-term", "total-off-the-sum"])
 def test_reply_that_scores_nothing_or_not_numbers_is_a_protocol_error(body):
-    # an empty list would give the answer probability 1, and bools and
-    # strings are not numbers; a ProtocolError is not retried
+    # an empty list would give the answer probability 1; bools and strings
+    # are not numbers; a log-likelihood is finite and no term is positive;
+    # a total more than 1e-12 from the terms' sum (relative, absolute below
+    # 1) is not theirs. json.loads reads NaN and Infinity. A ProtocolError
+    # is not retried
     with ScriptedReplyServer([(scored(body), False)] * 2) as server:
         scorer = remote(server.url, max_attempts=2)
         with pytest.raises(ProtocolError, match="malformed scorer response"):
@@ -434,6 +449,16 @@ def test_reply_with_int_terms_is_read():
     with ScriptedReplyServer([(scored(body), False)]) as server:
         scorer = remote(server.url, max_attempts=1)
         assert scorer.score_answer(ASSEMBLY, "a b") == LogLikelihood(-1.5, (-1.0, -0.5, 0.0))
+        scorer.close()
+
+
+def test_reply_total_within_the_tolerance_is_read():
+    # 1e-12 off the sum, within 1e-12 relative to a total of 1.5; the
+    # total-off-the-sum reply above is 1.6e-12 off
+    body = b'{"token_logprobs": [-1.0, -0.5], "total_logprob": -1.500000000001}'
+    with ScriptedReplyServer([(scored(body), False)]) as server:
+        scorer = remote(server.url, max_attempts=1)
+        assert scorer.score_answer(ASSEMBLY, "a b") == (-1.500000000001, (-1.0, -0.5))
         scorer.close()
 
 
@@ -782,6 +807,19 @@ def test_corpus_score_is_the_fitted_tabular_scorer():
         want = handle.score_answer(prompt, record.answer).per_token
         assert score(prompt.render(), record.answer) == list(want)
     assert score("what is job a1", "zebra") is None
+
+
+def test_mockserver_records_a_failed_connection_instead_of_printing_it(capsys):
+    # a traceback printed by the server thread would land in the stderr
+    # that a test of a command reads
+    with MockScorerServer() as server:
+        host, port = server.url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(b"POST /v1/score HTTP/1.1\r\nContent-Length: 9\r\n\r\n{")
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(1) == b""  # closed once the error is handled
+    assert [type(error) for error in server.errors] == [json.JSONDecodeError]
+    assert capsys.readouterr().err == ""
 
 
 def test_mockserver_main_serves_the_corpus_model():

@@ -45,15 +45,6 @@ def test_budget_examples():
     assert removal_budget(33, 100, 10) == 3  # floor, not round
 
 
-def test_budget_domain_errors():
-    with pytest.raises(ValueError):
-        removal_budget(0, 100, 5)
-    with pytest.raises(ValueError):
-        removal_budget(101, 100, 5)
-    with pytest.raises(ValueError):
-        removal_budget(1, 100, -1)
-
-
 def test_budget_no_float_error_at_large_inputs():
     t, total, n = 999_999_999, 10**9, 10**9
     assert removal_budget(t, total, n) == (n * t) // total
@@ -532,7 +523,8 @@ class RenderedHashScorer(ScorerHandle):
     def _evaluate(self, context, answer):
         material = f"{self.view}\x00{context}\x00{answer}".encode()
         digest = hashlib.sha256(material).digest()
-        return LogLikelihood.from_per_token([-(digest[0] % 4) / 2, -(digest[1] % 3)])
+        terms = (-(digest[0] % 4) / 2, float(-(digest[1] % 3)))
+        return LogLikelihood(sum(terms), terms)
 
     def refresh(self, corpus_view=None):
         self.view = repr(corpus_view)

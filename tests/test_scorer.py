@@ -6,12 +6,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from varr.corpus import load_corpus
-from varr.errors import (
-    OutOfVocabularyError,
-    ScorerError,
-)
+from varr.errors import OutOfVocabularyError
 from varr.scorer import (
-    LogLikelihood,
     TEMPLATES,
     PromptAssembly,
     TabularScorer,
@@ -100,8 +96,6 @@ def test_assemble_prompt_orders_and_validates(fixture_corpus):
         record.rationale[0].text,
         record.rationale[2].text,
     )
-    with pytest.raises(ValueError):
-        assemble_prompt(record, [99])
 
 
 def test_template_controls_separators_only(fixture_corpus):
@@ -117,14 +111,6 @@ def test_templates_need_whitespace_separators():
     assert all(separator.isspace() for separator in TEMPLATES.values())
 
 
-def rendered_context(assembly):
-    """The tabular context the long way: render, then take the last token."""
-    tokens = assembly.render().rsplit(None, 1)
-    if not tokens:
-        raise ScorerError("assembled context is empty")
-    return tokens[-1]
-
-
 # blanks, ASCII and non-ASCII whitespace (\x1c and \x85 split in str.split)
 PIECES = ["a", "bc", "\u00e9", "", " ", "\n", "\t", "\x1c", "\x85", "\u3000"]
 TEXTS = st.one_of(
@@ -133,22 +119,17 @@ TEXTS = st.one_of(
 )
 
 
-@given(question=TEXTS, units=st.lists(TEXTS, max_size=5).map(tuple),
+# a question holds a token: the corpus and ``varr score`` reject a blank one
+@given(question=TEXTS.filter(str.split), units=st.lists(TEXTS, max_size=5).map(tuple),
        template_id=st.sampled_from(sorted(TEMPLATES)))
 @example(question="q", units=("", " ", "\x1c"), template_id="plain-v1")
 @example(question="q x", units=("a ", "b\u3000", "\x85"), template_id="newline-v1")
-@example(question=" \u3000", units=("", "\t"), template_id="plain-v1")
-@example(question="", units=(), template_id="newline-v1")
+@example(question=" \u3000q\x85", units=("", "\t"), template_id="plain-v1")
+@example(question="q", units=(), template_id="newline-v1")
 def test_tabular_context_is_last_rendered_token(question, units, template_id):
     assembly = PromptAssembly(question, units, template_id)
-    scorer = TabularScorer(["a"])
-    try:
-        want = rendered_context(assembly)
-    except ScorerError:
-        with pytest.raises(ScorerError, match="context is empty"):
-            scorer._context(assembly)
-    else:
-        assert scorer._context(assembly) == want
+    # the long way: render, then take the last token
+    assert TabularScorer(["a"])._context(assembly) == assembly.render().rsplit(None, 1)[-1]
 
 
 @pytest.mark.parametrize("template_id", sorted(TEMPLATES))
@@ -177,12 +158,6 @@ def test_refit_rebuilds_from_scratch():
     assert bigram_count(scorer, "a", "b") == 1
     assert bigram_total(scorer) == 1
     assert scorer.model_version == 3
-
-
-def test_refit_oov_names_symbol():
-    scorer = TabularScorer(["a", "b"])
-    with pytest.raises(OutOfVocabularyError, match="'zz'"):
-        scorer.refresh([(["a", "zz"], ["b"])])
 
 
 def test_refit_matches_hand_counted_bigrams(fixture_corpus):
@@ -243,14 +218,6 @@ def test_memo_key_is_last_prompt_token():
     )
 
 
-def test_empty_context_fails_before_the_cache():
-    scorer = TabularScorer(["a", "b"])
-    for _ in range(2):
-        with pytest.raises(ScorerError, match="context is empty"):
-            scorer.score_answer(PromptAssembly("  ", ()), "a")
-    assert (scorer.cache.hits, scorer.cache.misses, scorer.thread_calls()) == (0, 0, 2)
-
-
 def test_cache_no_cross_key_collisions():
     # many prompts through one memo of each scorer: every score, hit or
     # miss, equals the brute-force oracle
@@ -302,15 +269,6 @@ def test_from_counts_validation():
         scorer_from_counts(["a", "b"], [[1, -2], [0, 0]])
     with pytest.raises(ValueError):
         TabularScorer(["a", "a"])
-
-
-def test_loglikelihood_invariants():
-    with pytest.raises(ScorerError):
-        LogLikelihood(total=-1.0, per_token=(-0.25,))
-    with pytest.raises(ScorerError):
-        LogLikelihood(total=0.5, per_token=(0.5,))
-    with pytest.raises(ScorerError):
-        LogLikelihood(total=float("nan"), per_token=(float("nan"),))
 
 
 def test_fit_tabular_scorer_fixture_prompt_matches_oracle():

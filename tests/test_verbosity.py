@@ -287,7 +287,7 @@ class StubScorer:
         from varr.scorer import LogLikelihood
 
         total = self.table[(len(assembly.retained_rationale), answer)]
-        return LogLikelihood.from_per_token([total])
+        return LogLikelihood(total, (total,))
 
 
 def test_evaluate_literal_half_versus_point_six():
