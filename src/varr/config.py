@@ -57,6 +57,8 @@ PILOT = "pilot"
 BACKENDS = ("tabular", "remote")
 ENV_SCORER_URL = "VARR_SCORER_URL"
 ENV_SCORER_TIMEOUT_MS = "VARR_SCORER_TIMEOUT_MS"
+# About 24.8 days; a socket refuses more than its time_t holds (9.2e9 s on 64-bit Linux).
+MAX_TIMEOUT_MS = 2**31 - 1
 
 
 def _setting(section: str, key: str, default, role: str = DECISION,
@@ -123,6 +125,8 @@ class RunConfig:
              f"unknown template_id {self.template_id!r}"),
             (remote and self.timeout_ms is not None and self.timeout_ms < 1,
              f"timeout_ms must be >= 1, got {self.timeout_ms}"),
+            (remote and self.timeout_ms is not None and self.timeout_ms > MAX_TIMEOUT_MS,
+             f"timeout_ms must be <= {MAX_TIMEOUT_MS}, got {self.timeout_ms}"),
             (remote and self.max_attempts < 1,
              f"max_attempts must be >= 1, got {self.max_attempts}"),
             (remote and self.in_flight < 1, f"in_flight must be >= 1, got {self.in_flight}"),

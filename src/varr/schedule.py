@@ -28,14 +28,15 @@ helper. A handle with ``in_flight > 1`` (the remote backend, default 16)
 has them run on that many worker threads, largest budget first, each
 scan sending one request at a time, so no batch waits for the slowest
 scan of the one before it and the longest scans start first; their
-events and scorer call counts are merged in serial order, so the trace
-is the serial one. Once a scan fails, the scans of later slots stop
-before their next candidate, since a serial run would never have
-reached them. Every scan, pooled or not, is handed the same halt check,
-run before each candidate: it compares the scan's slot with the
-earliest failed slot, which is kept in a one-element list, so each call
-is one item read and one comparison, and an inline run, which visits
-thousands of candidates, pays next to nothing for the pool's early stop.
+events are merged in serial order, so the trace is the serial one, and
+its scorer call count is that of the merged events. Once a scan fails,
+the scans of later slots stop before their next candidate, since a
+serial run would never have reached them. Every scan, pooled or not, is
+handed the same halt check, run before each candidate: it compares the
+scan's slot with the earliest failed slot, which is kept in a
+one-element list, so each call is one item read and one comparison, and
+an inline run, which visits thousands of candidates, pays next to
+nothing for the pool's early stop.
 
 The driver reads its settings off a ``config.RunConfig``, which checked
 their ranges when it was built, and records the decision settings in the
@@ -173,9 +174,9 @@ def run_reduction(
 
     On a scorer failure the partial trace holds what the serial driver
     would have recorded: the events of the epoch's scans before the
-    failing one in serial order, then the failing scan's own, and the
-    scorer calls of those scans only, not of later scans that ran before
-    or beside the failing one.
+    failing one in serial order, then the failing scan's own, and only
+    the scorer calls behind those events: not those of the failing
+    candidate, nor of later scans that ran before or beside it.
     """
     records = corpus.records
     batch_size, epochs = settings.batch_size, settings.epochs
@@ -218,7 +219,7 @@ def run_reduction(
                     retained = record.retained_indices()
                     budget = removal_budget(t, total_steps, len(retained))
                     scans.append((budget, functools.partial(scan, record, retained, budget)))
-            _scan_epoch(pool, scans, trace, handle)
+            _scan_epoch(pool, scans, trace)
             handle.refresh(corpus_view(corpus))
             removals += sum(e.decision == DECISION_REMOVED for e in trace.events[first:])
             log.info("epoch %d/%d done: %d removals so far", epoch, epochs, removals)
@@ -234,7 +235,6 @@ def _scan_epoch(
     pool: ThreadPoolExecutor | None,
     scans: Sequence[tuple[int, Callable[..., None]]],
     trace: ReductionTrace,
-    handle: ScorerHandle,
 ) -> None:
     """Run an epoch's (budget, scan) pairs and merge the results in serial order.
 
@@ -243,30 +243,27 @@ def _scan_epoch(
     equal budgets keep serial order), and awaited in serial order. Once
     a scan fails the scans of later slots stop before their next
     candidate: the merge never reaches them. Either way the first failure
-    in serial order is raised, after its scan's events and its scorer
-    calls, counted on the thread that ran it, are merged.
+    in serial order is raised, after its scan's events are merged. Each
+    merged event adds its scorer calls to the trace's count: 2 + 2 *
+    k_used if scored, none if unconditional.
     """
     logs: list[list[TraceEvent]] = [[] for _ in scans]
-    calls = [0] * len(scans)
     first_failed = [len(scans)]  # the earliest slot whose scan raised
     lock = threading.Lock()
 
-    def counted(slot: int) -> None:
-        start = handle.thread_calls()
+    def run(slot: int) -> None:
         try:
             scans[slot][1](events=logs[slot], halted=lambda: first_failed[0] < slot)
         except BaseException:
             with lock:
                 first_failed[0] = min(first_failed[0], slot)
             raise
-        finally:
-            calls[slot] = handle.thread_calls() - start
 
     slots = range(len(scans))
     if pool is None:
-        jobs = [functools.partial(counted, slot) for slot in slots]
+        jobs = [functools.partial(run, slot) for slot in slots]
     else:
-        futures = {slot: pool.submit(counted, slot) for slot in
+        futures = {slot: pool.submit(run, slot) for slot in
                    sorted(slots, key=lambda slot: scans[slot][0], reverse=True)}
         jobs = [futures[slot].result for slot in slots]
     for slot, job in zip(slots, jobs):
@@ -274,7 +271,8 @@ def _scan_epoch(
             job()
         finally:
             trace.events.extend(logs[slot])
-            trace.scorer_call_count += calls[slot]
+            trace.scorer_call_count += sum(
+                2 + 2 * e.k_used for e in logs[slot] if not e.unconditional)
 
 
 def _reduce_record(

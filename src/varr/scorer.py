@@ -168,27 +168,19 @@ class ScoreCache:
 class ScorerHandle:
     """Abstract likelihood oracle. Subclasses define one backend each.
 
-    ``score_answer`` counts the logical call, reduces the prompt to the
-    backend's context and consults the cache; a backend implements only
-    ``_evaluate`` on a cache miss. ``in_flight`` is how many record scans
-    the driver may run at once against this handle. Calls are counted per
-    thread, so the driver can attribute them to the scan that issued them.
+    ``score_answer`` reduces the prompt to the backend's context and
+    consults the cache; a backend implements only ``_evaluate`` on a cache
+    miss. ``in_flight`` is how many record scans the driver may run at
+    once against this handle.
     """
 
     in_flight = 1
 
     def __init__(self):
         self.model_version = 1
-        self._calls = threading.local()
         self.cache = ScoreCache()
 
-    def thread_calls(self) -> int:
-        """Logical calls issued so far by the calling thread."""
-        return getattr(self._calls, "count", 0)
-
     def score_answer(self, assembly: PromptAssembly, answer: str) -> LogLikelihood:
-        calls = self._calls
-        calls.count = getattr(calls, "count", 0) + 1
         context = self._context(assembly)
         key = (self.model_version, context, answer)
         cached = self.cache.lookup(key)
@@ -468,8 +460,10 @@ def _environment_settings(base_url: str, timeout: float):
     env = {**{name.lower(): value for name, value in os.environ.items()}, **os.environ}
     proxy = env.get(f"{parts.scheme}_proxy") or env.get("all_proxy")
     if proxy and not _bypasses_proxy(host, env.get("no_proxy", "")):
-        proxy, proxy_port = _split_url(proxy if "://" in proxy else "http://" + proxy,
-                                       "proxy")
+        proxy_url = proxy if "://" in proxy else "http://" + proxy
+        proxy, proxy_port = _split_url(proxy_url, "proxy")
+        if not proxy.hostname:
+            raise ConfigurationError(f"proxy {proxy_url!r} has no host")
         address = (proxy.hostname, proxy_port or 80)
         # https goes through a CONNECT tunnel; http asks the proxy for the URL
         if https:
@@ -607,7 +601,7 @@ class RemoteScorer(ScorerHandle):
     def _parse_response(self, payload: bytes) -> LogLikelihood:
         """The reply's likelihood, the only check of a server's scores:
         ``token_logprobs`` a non-empty list of finite JSON numbers <= 0,
-        ``total_logprob`` a finite number within 1e-12 (relative, and
+        ``total_logprob`` a finite number <= 0 within 1e-12 (relative, and
         absolute below 1) of their correctly rounded sum. Bools and strings
         are not numbers. The list's length is the server's tokenization's,
         so it is not checked."""
@@ -623,7 +617,7 @@ class RemoteScorer(ScorerHandle):
             if not all(-math.inf < v <= 0.0 for v in per_token):
                 raise ValueError("token_logprobs holds a positive or non-finite term")
             checksum = math.fsum(per_token)
-            if not (math.isfinite(total)
+            if not (-math.inf < total <= 0.0
                     and abs(total - checksum) <= 1e-12 * max(1.0, abs(total))):
                 raise ValueError(
                     f"total_logprob {total!r} is not the terms' sum {checksum!r}")

@@ -389,7 +389,11 @@ def test_score_blank_question_or_answer_exits_one(capsys, question, answer):
     # the score path is appended to the base URL, which a query would swallow
     ("http://h/p?x=1", {},
      "error: scorer URL 'http://h/p?x=1' has a query or fragment; give the base URL only\n"),
-], ids=["ipv6", "port", "proxy-ipv6", "proxy-port", "scheme", "query"])
+    # getaddrinfo would take a missing host for the loopback one
+    ("http://127.0.0.1:9", {"http_proxy": ":8080"}, "error: proxy 'http://:8080' has no host\n"),
+    ("http://127.0.0.1:9", {"HTTP_PROXY": "http://"}, "error: proxy 'http://' has no host\n"),
+], ids=["ipv6", "port", "proxy-ipv6", "proxy-port", "scheme", "query", "proxy-no-host",
+        "proxy-no-host-scheme-only"])
 def test_bad_scorer_or_proxy_url_is_configuration_error(tmp_path, capsys, monkeypatch,
                                                         url, env, problem):
     for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY", "no_proxy", "NO_PROXY"):
@@ -801,6 +805,11 @@ def test_config_file_typed_values_accepted(tmp_path):
     ("reduce", [], {"segmenter": {"terminal_punctuation": ""}}),
     ("pilot", [], {"segmenter": {"min_unit_chars": 0}}),
     ("reduce", ["--scorer", "remote", "--timeout-ms", "0"], {}),
+    # with a URL, so that only the timeout can fail before the corpus loads
+    ("reduce", ["--scorer", "remote", "--scorer-url", "http://127.0.0.1:9",
+                "--timeout-ms", "100000000000000000000"], {}),
+    ("reduce", [], {"scorer": {"backend": "remote", "url": "http://127.0.0.1:9",
+                               "timeout_ms": 2**31}}),
     ("reduce", ["--scorer", "remote", "--max-attempts", "0"], {}),
     ("reduce", [], {"scorer": {"backend": "remote", "in_flight": 0}}),
 ], ids=["epochs", "batch_size", "warmup_above", "warmup_below", "k_negatives",
@@ -809,7 +818,8 @@ def test_config_file_typed_values_accepted(tmp_path):
         "scorer_backend_pilot", "smoothing_alpha_nan", "smoothing_alpha_zero",
         "template_id", "template_id_remote", "check_ordering_strategies",
         "min_unit_chars", "terminal_punctuation", "min_unit_chars_pilot",
-        "timeout_ms", "max_attempts", "in_flight"])
+        "timeout_ms", "timeout_ms_too_large", "timeout_ms_too_large_entry", "max_attempts",
+        "in_flight"])
 def test_out_of_range_setting_fails_before_any_work(tmp_path, capsys, monkeypatch,
                                                      command, flags, entries):
     loads = []

@@ -14,7 +14,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from varr.config import ENV_SCORER_TIMEOUT_MS, ENV_SCORER_URL, RunConfig, load_run_config
+from varr.config import (
+    ENV_SCORER_TIMEOUT_MS,
+    ENV_SCORER_URL,
+    MAX_TIMEOUT_MS,
+    RunConfig,
+    load_run_config,
+)
 from varr.corpus import load_corpus
 from varr.errors import ConfigurationError, ProtocolError, TransportError
 from varr.schedule import ReductionAborted, run_reduction
@@ -158,6 +164,18 @@ def test_unparsable_timeout_variable_is_a_configuration_error(monkeypatch):
     monkeypatch.setenv(ENV_SCORER_TIMEOUT_MS, "0")
     with pytest.raises(ConfigurationError, match="timeout_ms must be >= 1, got 0"):
         load_run_config(None, REMOTE)
+    monkeypatch.setenv(ENV_SCORER_TIMEOUT_MS, str(MAX_TIMEOUT_MS + 1))
+    with pytest.raises(ConfigurationError, match=f"timeout_ms must be <= {MAX_TIMEOUT_MS}"):
+        load_run_config(None, REMOTE)
+
+
+def test_largest_timeout_is_one_a_socket_takes():
+    # a socket refuses a timeout beyond the platform's time_t with an
+    # OverflowError, which the ceiling keeps from the first request
+    with MockScorerServer() as server:
+        scorer = remote(server.url, timeout_ms=MAX_TIMEOUT_MS)
+        assert scorer.score_answer(ASSEMBLY, "a").total < 0
+        scorer.close()
 
 
 def test_url_with_a_space_is_a_configuration_error():
@@ -388,10 +406,15 @@ CHUNKED_OK = b"2\r\nok\r\n0\r\n\r\n"
     # ways may be a smuggling attempt, so its connection is not reused
     (http("HTTP/1.1 200 OK", "Transfer-Encoding: chunked", "Content-Length: 9",
           body=CHUNKED_OK), ((200, b"ok"), False), "reuse"),
+    # a 204 has no body, and its connection is reused
+    (http("HTTP/1.1 204 No Content"), ((204, b""), True), ""),
+    # a chunk must end in CRLF; http.client skips the two bytes unread
+    (http("HTTP/1.1 200 OK", "Transfer-Encoding: chunked", body=b"2\r\nokXX0\r\n\r\n"),
+     (None, None), "framing"),
 ], ids=["sized", "chunked", "http10-close-delimited", "connection-close-then-keep-alive",
         "connection-keep-alive-then-close", "differing-content-lengths",
         "equal-content-lengths", "http2-status-line", "http12-status-line",
-        "chunked-and-content-length"])
+        "chunked-and-content-length", "no-content", "chunk-not-ended-by-crlf"])
 def test_reply_reader_agrees_with_http_client_except_where_named(reply, want, differs):
     got, oracle = varr_reads(reply), http_client_reads(reply)
     assert got == want
@@ -425,13 +448,15 @@ def scored(body: bytes) -> bytes:
     b'{"token_logprobs": [0.5, -1.0], "total_logprob": -0.5}',
     b'{"token_logprobs": [-1.0, 1e-12], "total_logprob": -0.999999999999}',
     b'{"token_logprobs": [-1.0, -0.5], "total_logprob": -1.5000000000016}',
+    b'{"token_logprobs": [0.0, -0.0], "total_logprob": 1e-12}',
 ], ids=["empty-list", "empty-string", "bool-term", "string-term", "string-total",
         "bool-total", "object", "int-too-large-for-a-float", "nan-total", "infinite-total",
         "minus-infinite-total", "nan-term", "infinite-term", "minus-infinite-term",
-        "positive-term", "tiny-positive-term", "total-off-the-sum"])
+        "positive-term", "tiny-positive-term", "total-off-the-sum", "positive-total"])
 def test_reply_that_scores_nothing_or_not_numbers_is_a_protocol_error(body):
     # an empty list would give the answer probability 1; bools and strings
-    # are not numbers; a log-likelihood is finite and no term is positive;
+    # are not numbers; a log-likelihood is finite and neither a term nor the
+    # total is positive, even within the tolerance;
     # a total more than 1e-12 from the terms' sum (relative, absolute below
     # 1) is not theirs. json.loads reads NaN and Infinity. A ProtocolError
     # is not retried
@@ -526,7 +551,7 @@ def test_repeated_request_served_from_cache_until_refresh():
         assert scorer.score_answer(ASSEMBLY, "a b").total == first.total
         assert len(server.requests) == 2
         assert len(scorer.cache) == 1  # the older version was purged
-    assert scorer.thread_calls() == 3
+    assert scorer.cache.hits + scorer.cache.misses == 3  # one lookup per logical call
 
 
 def test_memo_key_is_the_whole_prompt():
@@ -711,6 +736,12 @@ def mid_batch_target():
     return corpus.records[order[9]]
 
 
+def calls_behind(events):
+    """The scorer calls that a trace's events account for: 2 per scored
+    decision plus 2 per wrong answer it used."""
+    return sum(0 if e["unconditional"] else 2 + 2 * e["k_used"] for e in events)
+
+
 def partial_traces(fails):
     """Events and scorer call count of the aborted run, by in_flight."""
     partial = {}
@@ -740,7 +771,8 @@ def test_partial_trace_on_mid_batch_failure_is_serial():
     assert events[-1]["record_id"] == target.id
     assert any(e["record_id"] != target.id and e["t"] == events[-1]["t"]
                for e in events)
-    assert calls == 2 * len(events) + 2
+    # not the failing candidate's two calls, which have no event
+    assert calls == calls_behind(events)
 
 
 def test_partial_trace_counts_no_request_sent_beside_the_failing_one():
@@ -755,7 +787,7 @@ def test_partial_trace_counts_no_request_sent_beside_the_failing_one():
     events, calls = partial_traces(fails)
     assert events and all(e["record_id"] != target.id for e in events)
     assert events[-1]["t"] == 2  # the failing record's batch
-    assert calls == 2 * len(events) + 1
+    assert calls == calls_behind(events)
 
 
 def test_partial_trace_on_failure_in_the_first_batch_is_serial():
@@ -794,7 +826,7 @@ def test_partial_trace_on_failure_in_the_first_batch_is_serial():
         partial[in_flight] = [e._asdict() for e in trace.events], trace.scorer_call_count
     events, calls = partial[1]
     assert events and all(e["t"] == 1 and e["record_id"] != target.id for e in events)
-    assert calls == 2 * len(events) + 1
+    assert calls == calls_behind(events)
     assert partial[4] == partial[16] == partial[1]
 
 

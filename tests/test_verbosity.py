@@ -251,13 +251,14 @@ def test_evaluate_plus_difference_sign_decides():
     # answer b, negative a: removing unit 1 lifts a (x7/2... see counts)
     # gt(b) = log(2/9)-log(2/7) < 0 -> short-circuit
     record = make_record(units=("v", "u"), question="q", answer="b")
-    calls_before = scorer.thread_calls()
+    lookups_before = scorer.cache.hits + scorer.cache.misses
     report = evaluate(scorer, record, 1, [0, 1], negatives=["a"], k=1)
     assert report.passes_varr is False
     assert report.verbosity_wrong is None
     assert report.passes_varr_plus is None
     assert not report.removal_approved(MODE_VARR_PLUS)
-    assert scorer.thread_calls() - calls_before == 2  # no negative was ever scored
+    # one lookup per logical call: no negative was ever scored
+    assert scorer.cache.hits + scorer.cache.misses - lookups_before == 2
 
 
 def test_subset_law_random_models():
