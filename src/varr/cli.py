@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import config as config_mod
-from . import metrics, pilot as pilot_mod
+from . import metrics
 from .corpus import (
     GRANULARITIES,
     Corpus,
@@ -141,7 +141,7 @@ def build_parser() -> _Parser:
     p_pilot.add_argument("--out-dir", required=True)
     _add_setting(p_pilot, "--sizes", "pilot_sizes", "comma list", type=_int_list)
     _add_setting(p_pilot, "--strategies", "pilot_strategies",
-                 f"comma list from {','.join(pilot_mod.PILOT_STRATEGIES)}",
+                 f"comma list from {','.join(config_mod.PILOT_STRATEGIES)}",
                  type=lambda raw: raw.split(","))
     _add_setting(p_pilot, "--samples", "samples_per_record",
                  "removal-set draws per record per cell", type=int)
@@ -241,10 +241,12 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_pilot(args) -> int:
+    from . import pilot as pilot_mod  # imported here: no other command runs the pilot
+
     cfg = config_mod.load_run_config(args.config, vars(args))
-    if args.check_ordering and set(cfg.pilot_strategies) != set(pilot_mod.PILOT_STRATEGIES):
+    if args.check_ordering and set(cfg.pilot_strategies) != set(config_mod.PILOT_STRATEGIES):
         raise ConfigurationError(
-            f"--check-ordering needs the strategies {','.join(pilot_mod.PILOT_STRATEGIES)}")
+            f"--check-ordering needs the strategies {','.join(config_mod.PILOT_STRATEGIES)}")
     handle, corpus = _scorer_and_corpus(args.input, cfg)
     try:
         results = pilot_mod.pilot_nll_curve(corpus, handle, cfg)

@@ -38,7 +38,6 @@ from pathlib import Path
 
 from .corpus import GRANULARITIES, Corpus
 from .errors import ConfigurationError
-from .pilot import PILOT_STRATEGIES
 from .schedule import CANDIDATE_ORDERS
 from .scorer import (
     DEFAULT_IN_FLIGHT,
@@ -55,6 +54,7 @@ DECISION = "decision"
 EXECUTION = "execution"
 PILOT = "pilot"
 BACKENDS = ("tabular", "remote")
+PILOT_STRATEGIES = ("front", "random", "back")
 ENV_SCORER_URL = "VARR_SCORER_URL"
 ENV_SCORER_TIMEOUT_MS = "VARR_SCORER_TIMEOUT_MS"
 # About 24.8 days; a socket refuses more than its time_t holds (9.2e9 s on 64-bit Linux).

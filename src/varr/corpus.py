@@ -7,8 +7,12 @@ File format (one JSON object per line, UTF-8):
 
 A rationale given as a list of non-blank strings is taken as pre-split
 units and bypasses sentence segmentation; a raw string is split by the
-segmenter. Reduced output keeps the same shape, with ``rationale``
-holding only the retained units plus a ``removed`` provenance block:
+segmenter. In token mode the units are the rationale's whitespace
+tokens: the string, or each pre-split entry, is split once. By the
+segmenter's reconstruction invariant these are the tokens of its
+sentences, so the segmenter settings never change a token unit.
+Reduced output keeps the same shape, with ``rationale`` holding only
+the retained units plus a ``removed`` provenance block:
 
     "removed": [{"index": int, "text": str, "epoch": int, "step": int}]
 
@@ -38,14 +42,14 @@ GRANULARITIES = ("sentence", "token")
 CHOICE_TASKS = ("multiple_choice", "true_false")
 
 
-@dataclass
+@dataclass(slots=True)
 class RationaleUnit:
     index: int
     text: str
     removed_at: tuple[int, int] | None = None  # (epoch, step); never cleared
 
 
-@dataclass
+@dataclass(slots=True)
 class RationaleRecord:
     id: str
     question: str
@@ -91,17 +95,14 @@ class ValidationReport:
 
 
 def _split_rationale(raw: str | list[str], settings: RunConfig) -> list[str]:
+    if settings.unit == "token":
+        if isinstance(raw, str):
+            return segment_tokens(raw)
+        return [token for unit in raw for token in segment_tokens(unit)]
     if isinstance(raw, list):
-        sentences = raw
-    else:
-        sentences = segment_sentences(raw, settings.terminal_punctuation,
-                                      settings.abbreviation_exceptions, settings.min_unit_chars)
-    if settings.unit == "sentence":
-        return sentences
-    tokens: list[str] = []
-    for sentence in sentences:
-        tokens.extend(segment_tokens(sentence))
-    return tokens
+        return raw
+    return segment_sentences(raw, settings.terminal_punctuation,
+                             settings.abbreviation_exceptions, settings.min_unit_chars)
 
 
 def _strings(value) -> bool:
@@ -205,9 +206,10 @@ def validate_record(record: RationaleRecord) -> ValidationReport:
         report.violations.append("answer is empty")
     if any(not wrong.strip() for wrong in record.wrong_answers):
         report.violations.append("wrong_answers has an empty entry")
-    if record.task_kind in CHOICE_TASKS and not record.wrong_answers:
+    if record.task_kind in CHOICE_TASKS and all(
+            wrong == record.answer for wrong in record.wrong_answers):
         report.violations.append(
-            f"{record.task_kind} record needs a non-empty wrong_answers set"
+            f"{record.task_kind} record needs a wrong_answers entry other than its gold answer"
         )
     if not record.rationale:
         report.flags.append("rationale is empty")

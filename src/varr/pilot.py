@@ -30,8 +30,6 @@ from .verbosity import nll
 if TYPE_CHECKING:
     from .config import RunConfig
 
-PILOT_STRATEGIES = ("front", "random", "back")
-
 
 @dataclass
 class PilotResult:

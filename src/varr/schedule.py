@@ -10,9 +10,10 @@ the scan stops once the buffer reaches the per-record linear budget
     r(t) = floor(n_t * t / T)
 
 where n_t is the record's retained unit count at the start of the scan.
-At every epoch boundary the scorer's refresh hook runs (the tabular
-backend refits from scratch on the current reduced corpus), so earlier
-removals change the model that judges later ones.
+Between epochs the scorer's refresh hook runs (the tabular backend
+refits from scratch on the current reduced corpus), so earlier removals
+change the model that judges later ones. None runs after the last
+epoch, as no scan would read the refreshed model.
 
 Candidate orders: front (ascending), back (descending), random (seeded
 permutation), enforced_front(n) (front order, first n unconditional
@@ -36,19 +37,22 @@ handed the same halt check, run before each candidate: it compares the
 scan's slot with the earliest failed slot, which is kept in a
 one-element list, so each call is one item read and one comparison, and
 an inline run, which visits thousands of candidates, pays next to
-nothing for the pool's early stop.
+nothing for the pool's early stop. The pool's module is imported only
+when ``in_flight > 1``, so a tabular run never loads it.
 
 The driver reads its settings off a ``config.RunConfig``, which checked
 their ranges when it was built, and records the decision settings in the
 trace it returns.
 
 A scan holds its own state: the record's retained indices, read once
-by the plan, and its full prompt, built and validated once. Each
-candidate's reduced prompt is the full one with that unit sliced out,
-and a removal drops the unit from both. Only varr_plus builds a
-negative pool, once per scan; a record whose pool is empty (say, one
-alone in its batch) cannot confirm the wrong-answer contrast, so each of
-its candidates is kept.
+by the plan, and its full prompt, built once from them. Its visit order
+is a copy of that list (shuffled or reversed as the order asks) and the
+length of its unconditional prefix, so no object is built for a unit
+the scan never reaches. Each candidate's reduced prompt is the full one
+with that unit sliced out, and a removal drops the unit from both. Only
+varr_plus builds a negative pool, once per scan; a record whose pool is
+empty (say, one alone in its batch) cannot confirm the wrong-answer
+contrast, so each of its candidates is kept.
 """
 
 from __future__ import annotations
@@ -59,8 +63,7 @@ import math
 import random
 import threading
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .corpus import CHOICE_TASKS, Corpus, RationaleRecord
 from .errors import ScorerError, VarrError
@@ -75,8 +78,10 @@ from .scorer import ScorerHandle, assemble_prompt, corpus_view
 from .seeding import child_rng
 from .verbosity import MODE_VARR_PLUS, VerbosityReport, evaluate_candidate
 
-if TYPE_CHECKING:  # config imports this module
-    from .config import RunConfig
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from .config import RunConfig  # config imports this module
 
 log = logging.getLogger(__name__)
 
@@ -94,37 +99,33 @@ def in_warmup(t: int, total_steps: int, warmup_ratio: float) -> bool:
     return t <= warmup_ratio * total_steps
 
 
-class Candidate(NamedTuple):
-    index: int
-    unconditional: bool = False
-
-
 # The score fields of an unconditional removal, which scores nothing.
 _UNSCORED = VerbosityReport(None, None, 0, None, None)
 
 
 def candidate_sequence(
-    record: RationaleRecord,
+    retained: list[int],
     settings: RunConfig,
     rng: random.Random | None = None,
     enforced_active: bool = False,
-) -> list[Candidate]:
-    """Visit order over the record's currently retained unit indices.
+) -> tuple[list[int], int]:
+    """Visit order over a record's retained unit indices, and how many of
+    its first candidates are removed unconditionally.
 
-    The shuffled orders permute them with ``rng``, back reverses them; an
-    unconditional prefix covers all of no_rule's and the first enforced_n
-    of enforced_front's while ``enforced_active``.
+    The order is a new list, so the scan may delete from ``retained``
+    while it visits: the shuffled orders permute a copy with ``rng``,
+    back reverses it. The unconditional prefix covers all of no_rule's
+    candidates and the first enforced_n of enforced_front's while
+    ``enforced_active``.
     """
-    retained = record.retained_indices()
     order = settings.candidate_order
+    visits = retained[::-1] if order == "back" else retained[:]
     if order in SHUFFLED_ORDERS:
-        rng.shuffle(retained)
-    elif order == "back":
-        retained.reverse()
-    n = (len(retained) if order == "no_rule"
+        rng.shuffle(visits)
+    n = (len(visits) if order == "no_rule"
          else settings.enforced_n if order == "enforced_front" and enforced_active
          else 0)
-    return [Candidate(i, pos < n) for pos, i in enumerate(retained)]
+    return visits, n
 
 
 def negative_pool(
@@ -192,11 +193,13 @@ def run_reduction(
         },
     }
     trace = ReductionTrace(config=config, seed=settings.seed)
-    # One pool for the whole run, so worker sessions outlive batches.
-    pool = (
-        ThreadPoolExecutor(handle.in_flight, thread_name_prefix="varr-scan")
-        if handle.in_flight > 1 else None
-    )
+    pool = None
+    if handle.in_flight > 1:
+        # imported here, so that a run without concurrent scans never loads it
+        from concurrent.futures import ThreadPoolExecutor
+
+        # One pool for the whole run, so worker sessions outlive batches.
+        pool = ThreadPoolExecutor(handle.in_flight, thread_name_prefix="varr-scan")
 
     removals = 0
     try:
@@ -220,7 +223,8 @@ def run_reduction(
                     budget = removal_budget(t, total_steps, len(retained))
                     scans.append((budget, functools.partial(scan, record, retained, budget)))
             _scan_epoch(pool, scans, trace)
-            handle.refresh(corpus_view(corpus))
+            if epoch < epochs:
+                handle.refresh(corpus_view(corpus))
             removals += sum(e.decision == DECISION_REMOVED for e in trace.events[first:])
             log.info("epoch %d/%d done: %d removals so far", epoch, epochs, removals)
     except ScorerError as exc:
@@ -306,9 +310,11 @@ def _reduce_record(
         child_rng(settings.seed, "candidate-order", record.id, t)
         if settings.candidate_order in SHUFFLED_ORDERS else None
     )
-    for index, unconditional in candidate_sequence(record, settings, order_rng, enforced_active):
+    visits, unconditional_n = candidate_sequence(retained, settings, order_rng, enforced_active)
+    for visited, index in enumerate(visits):
         if len(buffer) >= budget or halted():
             break
+        unconditional = visited < unconditional_n
         position = bisect_left(retained, index)
         reduced = full.without(position)
         if unconditional:

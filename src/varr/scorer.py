@@ -122,10 +122,11 @@ def assemble_prompt(
     retained: Iterable[int],
     template_id: str = "plain-v1",
 ) -> PromptAssembly:
-    """Question first, then the retained units in their original order."""
-    wanted = set(retained)
-    texts = tuple(u.text for u in record.rationale if u.index in wanted)
-    return PromptAssembly(record.question, texts, template_id)
+    """Question first, then the units at the ``retained`` indices in their
+    original order, whatever order the indices come in."""
+    units = record.rationale
+    return PromptAssembly(
+        record.question, tuple(units[i].text for i in sorted(retained)), template_id)
 
 
 # --- score cache and handle ------------------------------------------------

@@ -14,9 +14,15 @@ import pytest
 
 from varr import cli, metrics, schedule
 from varr.cli import main
-from varr.config import BACKENDS, DECISION, EXECUTION, RunConfig, load_run_config
+from varr.config import (
+    BACKENDS,
+    DECISION,
+    EXECUTION,
+    PILOT_STRATEGIES,
+    RunConfig,
+    load_run_config,
+)
 from varr.corpus import GRANULARITIES, load_corpus
-from varr.pilot import PILOT_STRATEGIES
 from varr.schedule import CANDIDATE_ORDERS
 from varr.scorer import assemble_prompt, fit_tabular_scorer
 from varr.segmenter import DEFAULT_ABBREVIATIONS
@@ -316,6 +322,20 @@ def test_blank_answer_in_corpus_exits_one_naming_the_record(tmp_path, capsys, co
     assert run_cli(command, corpus_flag, str(src), *flags) == 1
     err = capsys.readouterr().err
     assert "violation [blank]: answer is empty" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_choice_record_whose_wrong_answers_are_its_gold_exits_one(tmp_path, capsys):
+    # varr-plus would keep each of its units unchecked, its negative pool being empty
+    choice = {**record_obj("gold", ["One here.", "Two here.", "So y."]),
+              "answer": "y", "wrong_answers": ["y"], "task_kind": "true_false"}
+    src = tmp_path / "bad.jsonl"
+    write_lines(src, [choice, {**choice, "id": "fair", "wrong_answers": ["n"]}])
+    assert run_cli("reduce", "--input", str(src), "--out-dir", str(tmp_path / "out"),
+                   "--strategy", "front", "--mode", "varr-plus", "--epochs", "2") == 1
+    err = capsys.readouterr().err
+    assert "violation [gold]: true_false record needs a wrong_answers entry" in err
+    assert "[fair]" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -1074,3 +1094,28 @@ def test_cli_import_loads_only_the_standard_library():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_tabular_reduce_loads_no_scan_pool_pilot_or_network_module(tmp_path):
+    # only concurrent scans use the pool, only `varr pilot` the pilot, and
+    # only a remote scorer the network; what site hooks load before varr is
+    # imported belongs to the interpreter, so each set is taken against that
+    unwanted = ("concurrent.futures", "varr.pilot", "socket", "ssl", "netrc")
+    probe = ("import json, sys\n"
+             "started = set(sys.modules)\n"
+             "import varr.cli\n"
+             "imported = set(sys.modules) - started\n"
+             "code = varr.cli.main(sys.argv[1:])\n"
+             "ran = set(sys.modules) - started\n"
+             "print(json.dumps([code, sorted(imported), sorted(ran)]))\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", probe, "reduce", "--input", str(FIXTURE_CORPUS),
+         "--out-dir", str(tmp_path / "out"), "--epochs", "2", "--batch-size", "4"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    code, imported, ran = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0 and {"varr.cli", "varr.schedule"} <= set(imported)
+    for loaded in (imported, ran):
+        assert [name for name in loaded if name in unwanted
+                or name.startswith(tuple(u + "." for u in unwanted))] == []

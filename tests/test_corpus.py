@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from varr.corpus import (
     write_reduced,
 )
 from varr.errors import InternalInvariantError, ParseError, ValidationError
+from varr.segmenter import segment_sentences
 
 from .conftest import make_record
 from .oracles import reduced_record_dict
@@ -65,6 +68,41 @@ def test_token_granularity(tmp_path):
     write_lines(path, [base_obj("a", rationale=["a b", "c d e"])])
     record = load_corpus(path, RunConfig(unit="token")).records[0]
     assert [u.text for u in record.rationale] == ["a", "b", "c", "d", "e"]
+
+
+# Marks, abbreviations, capitals, digits and several kinds of whitespace,
+# so that any segmenter settings drawn below find sentences to split.
+RATIONALE_TEXT = st.lists(
+    st.sampled_from(list("abXY12 .?!;^]\\\t\n\u00a0\u2003") + ["Dr. ", "e.g. "]),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=RATIONALE_TEXT,
+    entries=st.lists(RATIONALE_TEXT.filter(str.strip), max_size=4),
+    terminal=st.text(alphabet=".?!;^]\\ a", min_size=1, max_size=3),
+    abbreviations=st.lists(st.sampled_from(["Dr.", "e.g.", "X.", "b;", "a"]), max_size=3),
+    min_chars=st.integers(1, 12),
+)
+def test_token_units_are_the_whitespace_tokens_whatever_the_segmenter(
+        text, entries, terminal, abbreviations, min_chars):
+    settings = RunConfig(unit="token", terminal_punctuation=terminal,
+                         abbreviation_exceptions=tuple(abbreviations),
+                         min_unit_chars=min_chars)
+    # the segmenter's sentences hold exactly the text's tokens, so splitting
+    # the text once gives the units that splitting each sentence would
+    sentences = segment_sentences(text, terminal, tuple(abbreviations), min_chars)
+    assert [token for sentence in sentences for token in sentence.split()] == text.split()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        write_lines(path, [{**base_obj("raw"), "rationale": text},
+                           base_obj("split", rationale=entries)])
+        raw, split = load_corpus(path, settings).records
+    assert [u.text for u in raw.rationale] == text.split()
+    assert [u.text for u in split.rationale] == " ".join(entries).split()
+    assert [u.index for u in raw.rationale] == list(range(len(raw.rationale)))
 
 
 def test_malformed_line_names_line_number(tmp_path):
@@ -128,6 +166,16 @@ def test_validate_choice_needs_wrongs():
     report = validate_record(make_record(task_kind="multiple_choice", wrong_answers=()))
     assert len(report.violations) == 1
     assert "wrong_answers" in report.violations[0]
+
+
+def test_validate_choice_needs_a_wrong_answer_other_than_gold():
+    # the negative pool drops the gold answer, so such a record has no contrast to check
+    for wrongs in (["fine"], ["fine", "fine"]):
+        report = validate_record(make_record(task_kind="true_false", wrong_answers=wrongs))
+        assert len(report.violations) == 1
+        assert "wrong_answers" in report.violations[0]
+    report = validate_record(make_record(task_kind="true_false", wrong_answers=["fine", "no"]))
+    assert not report.violations
 
 
 def test_validate_empty_answer():

@@ -80,47 +80,65 @@ def test_warmup_full_ratio_always_warm():
 
 # --- candidate ordering ------------------------------------------------------
 
-def seq_indices(record, order, rng=None, enforced_active=False):
-    settings = RunConfig(candidate_order=order)
-    return [c.index for c in candidate_sequence(record, settings, rng, enforced_active)]
+def visits(record, order, rng=None, enforced_active=False, enforced_n=2):
+    """(visit order, unconditional prefix length) over the record's retained units."""
+    settings = RunConfig(candidate_order=order, enforced_n=enforced_n)
+    return candidate_sequence(record.retained_indices(), settings, rng, enforced_active)
 
 
 def test_front_and_back_orders():
     record = make_record(units=("a", "b", "c", "d"))
-    assert seq_indices(record, "front") == [0, 1, 2, 3]
-    assert seq_indices(record, "back") == [3, 2, 1, 0]
+    assert visits(record, "front") == ([0, 1, 2, 3], 0)
+    assert visits(record, "back") == ([3, 2, 1, 0], 0)
 
 
 def test_orders_skip_removed_units():
     record = make_record(units=("a", "b", "c", "d"))
     record.mark_removed(1, 1, 1)
-    assert seq_indices(record, "front") == [0, 2, 3]
+    assert visits(record, "front") == ([0, 2, 3], 0)
+    assert visits(record, "back") == ([3, 2, 0], 0)
 
 
 def test_random_order_seeded_permutation():
     record = make_record(units=("a", "b", "c", "d"))
-    one = seq_indices(record, "random", child_rng(7, "x"))
-    two = seq_indices(record, "random", child_rng(7, "x"))
-    assert one == two
-    assert sorted(one) == [0, 1, 2, 3]
+    one = visits(record, "random", child_rng(7, "x"))
+    assert one == visits(record, "random", child_rng(7, "x"))
+    # the rng's own shuffle of the retained indices
+    expected = record.retained_indices()
+    child_rng(7, "x").shuffle(expected)
+    assert one == (expected, 0)
 
 
 def test_enforced_front_flags():
     record = make_record(units=("a", "b", "c", "d"))
-    settings = RunConfig(candidate_order="enforced_front", enforced_n=2)
-    active = candidate_sequence(record, settings, enforced_active=True)
-    assert [(c.index, c.unconditional) for c in active] == [
-        (0, True), (1, True), (2, False), (3, False),
-    ]
-    inactive = candidate_sequence(record, settings, enforced_active=False)
-    assert all(not c.unconditional for c in inactive)
+    assert visits(record, "enforced_front", enforced_active=True) == ([0, 1, 2, 3], 2)
+    assert visits(record, "enforced_front", enforced_active=False) == ([0, 1, 2, 3], 0)
+    # the enforcement is over the first candidates visited, whatever their indices
+    record.mark_removed(0, 1, 1)
+    assert visits(record, "enforced_front", enforced_active=True, enforced_n=1) == (
+        [1, 2, 3], 1)
+    # enforcement is enforced_front's alone
+    for order in ("front", "back"):
+        assert visits(record, order, enforced_active=True)[1] == 0
 
 
 def test_no_rule_all_unconditional():
     record = make_record(units=("a", "b", "c"))
-    got = candidate_sequence(record, RunConfig(candidate_order="no_rule"), child_rng(3, "y"))
-    assert all(c.unconditional for c in got)
-    assert sorted(c.index for c in got) == [0, 1, 2]
+    order, n = visits(record, "no_rule", child_rng(3, "y"))
+    assert sorted(order) == [0, 1, 2]
+    assert n == 3
+    expected = [0, 1, 2]
+    child_rng(3, "y").shuffle(expected)
+    assert order == expected
+
+
+def test_candidate_sequence_copies_the_plans_list():
+    # the scan deletes from its retained list while it visits the order
+    for order, rng in (("front", None), ("back", None), ("random", child_rng(1, "z")),
+                       ("enforced_front", None), ("no_rule", child_rng(2, "z"))):
+        retained = [0, 2, 5]
+        got, _ = candidate_sequence(retained, RunConfig(candidate_order=order), rng)
+        assert got is not retained and retained == [0, 2, 5]
 
 
 def test_run_config_range_checks():
@@ -505,6 +523,28 @@ def test_conformance_no_rule():
 
 def test_conformance_enforced_front():
     assert_conformance("enforced_front", "varr_plus", seed=17, enforced_n=2)
+
+
+@pytest.mark.parametrize("epochs", [1, 2, 3])
+def test_refresh_runs_between_epochs_only(epochs):
+    # no scan reads the model after the last epoch, so it is not refitted then
+    corpus = fresh_corpus()
+    handle = fit_tabular_scorer(corpus)
+    views = []
+    refresh = handle.refresh
+    handle.refresh = lambda view: (views.append(view), refresh(view))
+    trace = run_reduction(corpus, handle, RunConfig(
+        epochs=epochs, batch_size=3, warmup_ratio=0.1, candidate_order="back",
+        mode="varr_plus", seed=3, k_negatives=2))
+    assert len(views) == epochs - 1
+    # the reference refreshes after every epoch, the last one too
+    reference = fresh_corpus()
+    ref_events, ref_retained = run_reference(
+        reference, fit_tabular_scorer(reference), epochs=epochs, batch_size=3,
+        warmup_ratio=0.1, candidate_order="back", mode="varr_plus", seed=3,
+        k_negatives=2, enforced_n=0)
+    assert [e._asdict() for e in trace.events] == ref_events
+    assert {r.id: r.retained_indices() for r in corpus.records} == ref_retained
 
 
 # --- differential: driver against the reference on generated corpora --------
