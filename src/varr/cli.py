@@ -331,10 +331,11 @@ def cmd_score(args) -> int:
         units = [line.strip() for line in raw.splitlines() if line.strip()]
     if cfg.scorer_backend == "tabular":
         if args.vocab:
-            try:
-                handle = TabularScorer(args.vocab.split(), cfg.smoothing_alpha)
-            except ValueError as exc:  # an empty or repeating vocabulary
-                raise ConfigurationError(f"--vocab {args.vocab!r}: {exc}") from None
+            vocabulary = args.vocab.split()
+            if not vocabulary or len(set(vocabulary)) < len(vocabulary):
+                problem = "contains duplicates" if vocabulary else "must be non-empty"
+                raise ConfigurationError(f"--vocab {args.vocab!r}: vocabulary {problem}")
+            handle = TabularScorer(vocabulary, cfg.smoothing_alpha)
         elif args.fit_corpus:
             handle = cfg.build_scorer(_load_valid(args.fit_corpus, cfg))
         else:

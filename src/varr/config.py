@@ -11,7 +11,8 @@ and its role:
   enter the determinism fingerprint.
 * execution -- how the remote scorer is reached (URL, timeout, attempts,
   concurrency). Recorded as ``config.execution``, outside the
-  fingerprint, like ``config.paths``.
+  fingerprint, like ``config.paths``; all of them are remote-only, so a
+  tabular run records ``execution: {}``.
 * pilot -- read by ``varr pilot`` only; ``reduce`` does not record them.
 
 A field read by one scorer backend only names it (``backend``); a run on
@@ -86,11 +87,12 @@ class RunConfig:
     scorer_backend: str = _setting("scorer", "backend", "tabular")
     smoothing_alpha: float = _setting("scorer", "smoothing_alpha", 1.0, backend="tabular")
     template_id: str = _setting("scorer", "template_id", "plain-v1")
-    scorer_url: str | None = _setting("scorer", "url", None, EXECUTION)
+    scorer_url: str | None = _setting("scorer", "url", None, EXECUTION, "remote")
     scorer_model: str = _setting("scorer", "model", "default", backend="remote")
-    timeout_ms: int | None = _setting("scorer", "timeout_ms", None, EXECUTION)
-    max_attempts: int = _setting("scorer", "max_attempts", DEFAULT_MAX_ATTEMPTS, EXECUTION)
-    in_flight: int = _setting("scorer", "in_flight", DEFAULT_IN_FLIGHT, EXECUTION)
+    timeout_ms: int | None = _setting("scorer", "timeout_ms", None, EXECUTION, "remote")
+    max_attempts: int = _setting(
+        "scorer", "max_attempts", DEFAULT_MAX_ATTEMPTS, EXECUTION, "remote")
+    in_flight: int = _setting("scorer", "in_flight", DEFAULT_IN_FLIGHT, EXECUTION, "remote")
     terminal_punctuation: str = _setting(
         "segmenter", "terminal_punctuation", DEFAULT_TERMINAL_PUNCTUATION)
     abbreviation_exceptions: tuple[str, ...] = _setting(
@@ -202,7 +204,9 @@ def load_run_config(path: str | Path | None, flags: dict | None = None) -> RunCo
     if path is not None:
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # ValueError: not UTF-8, not JSON, or an integer too long to convert;
+        # RecursionError: arrays or objects nested too deeply
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigurationError("config file must hold a JSON object")

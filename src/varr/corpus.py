@@ -182,6 +182,9 @@ def load_corpus(path: str | Path, settings: RunConfig | None = None) -> Corpus:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        # an integer too long to convert, or arrays or objects nested too deeply
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"line {lineno}: JSON the parser refuses ({exc})") from exc
         if not isinstance(obj, dict):
             raise ParseError(f"line {lineno}: record must be a JSON object")
         try:

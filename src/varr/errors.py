@@ -34,15 +34,14 @@ class OutOfVocabularyError(ScorerError):
 
     def __init__(self, symbol: str):
         super().__init__(f"symbol not in vocabulary: {symbol!r}")
-        self.symbol = symbol
 
 
 class TransportError(ScorerError):
-    """Remote scorer unreachable after retries; carries the attempt count."""
+    """Remote scorer unreachable after retries; the message ends with the
+    attempt count."""
 
     def __init__(self, message: str, attempts: int):
         super().__init__(f"{message} (after {attempts} attempt(s))")
-        self.attempts = attempts
 
 
 class ProtocolError(ScorerError):

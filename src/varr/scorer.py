@@ -28,15 +28,16 @@ Two backends sit behind one handle interface:
   settings are read from the environment once, when the scorer is built.
 
 Everything stays in log space; probabilities are never materialized.
-Scores are deterministic for a fixed model_version, which increases on
-every refit/refresh and clears the cache, so it never serves stale
-values. Both backends memoize on (model version, context, answer), where
-the context is what the backend conditions on: the prompt's last
-whitespace token for the tabular backend, the whole rendered prompt for
-the remote one. Template separators are whitespace, so the tabular
-backend reads that token straight off the assembly's last non-blank
-unit (or its question) and never renders a prompt. A remote server may
-therefore see fewer requests than the logical call count.
+Both backends memoize on (context, answer), where the context is what
+the backend conditions on: the prompt's last whitespace token for the
+tabular backend, the whole rendered prompt for the remote one. The key
+holds no model version, as ``ScorerHandle.refresh``, run between epochs
+when no scan is running, is the only invalidation: it bumps
+``model_version`` and clears the memo. Template separators are
+whitespace, so the tabular backend reads that token straight off the
+assembly's last non-blank unit (or its question) and never renders a
+prompt. A remote server may therefore see fewer requests than the
+logical call count.
 
 ``config.RunConfig`` checks the template id, the smoothing alpha and the
 remote settings before any work; a fit checks only that alpha rounds no
@@ -132,20 +133,20 @@ def assemble_prompt(
 # --- score cache and handle ------------------------------------------------
 
 class ScoreCache:
-    """Concurrent map from (model_version, context, answer) to a score.
+    """Concurrent map from (context, answer) to a score.
 
-    Values are deterministic per version, so last-writer-wins races on
-    identical keys are benign. The handle clears it when the version
-    bumps.
+    The key holds no model version: the handle clears the map on every
+    refresh, when no scan reads it. Between refreshes values are
+    deterministic, so last-writer-wins races on identical keys are benign.
     """
 
     def __init__(self):
-        self._entries: dict[tuple[int, str, str], LogLikelihood] = {}
+        self._entries: dict[tuple[str, str], LogLikelihood] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def lookup(self, key: tuple[int, str, str]) -> LogLikelihood | None:
+    def lookup(self, key: tuple[str, str]) -> LogLikelihood | None:
         with self._lock:
             value = self._entries.get(key)
             if value is None:
@@ -154,7 +155,7 @@ class ScoreCache:
                 self.hits += 1
             return value
 
-    def store(self, key: tuple[int, str, str], value: LogLikelihood) -> None:
+    def store(self, key: tuple[str, str], value: LogLikelihood) -> None:
         with self._lock:
             self._entries[key] = value
 
@@ -170,8 +171,10 @@ class ScorerHandle:
     """Abstract likelihood oracle. Subclasses define one backend each.
 
     ``score_answer`` reduces the prompt to the backend's context and
-    consults the cache; a backend implements only ``_evaluate`` on a cache
-    miss. ``in_flight`` is how many record scans the driver may run at
+    consults the cache; a backend implements ``_evaluate`` for a cache
+    miss. ``refresh``, which the driver calls between epochs when no scan
+    is running, is the one invalidation, so the cache key holds no
+    version. ``in_flight`` is how many record scans the driver may run at
     once against this handle.
     """
 
@@ -183,7 +186,7 @@ class ScorerHandle:
 
     def score_answer(self, assembly: PromptAssembly, answer: str) -> LogLikelihood:
         context = self._context(assembly)
-        key = (self.model_version, context, answer)
+        key = (context, answer)
         cached = self.cache.lookup(key)
         if cached is not None:
             return cached
@@ -195,16 +198,11 @@ class ScorerHandle:
         """What the backend conditions on: here, the rendered prompt."""
         return assembly.render()
 
-    def _evaluate(self, context: str, answer: str) -> LogLikelihood:
-        raise NotImplementedError
-
-    def _next_version(self) -> None:
+    def refresh(self, streams: Iterable[Sequence[str]] = ()) -> None:
+        """Bump model_version (the fit counter) and clear the cache; a
+        backend that refits on the corpus's token streams does so first."""
         self.model_version += 1
         self.cache.clear()
-
-    def refresh(self, corpus_view=None) -> None:
-        """Epoch-boundary hook; must bump model_version."""
-        raise NotImplementedError
 
     def close(self) -> None:
         """Release connections; the handle must not be used afterwards."""
@@ -217,19 +215,17 @@ class TabularScorer(ScorerHandle):
 
     p(w | v) = (count(v, w) + alpha) / (sum_w count(v, w) + alpha * V)
 
-    Counts are kept per (v, w) token pair and row sums per token v. A count
-    is at most its row sum and V >= 1, so no ratio exceeds 1.
+    Counts are kept per (v, w) token pair and row sums per token v, fitted
+    once on the given token streams. The vocabulary is non-empty (V >= 1)
+    and a count is at most its row sum, so no ratio exceeds 1.
     """
 
-    def __init__(self, vocabulary: Sequence[str], smoothing_alpha: float = 1.0):
+    def __init__(self, vocabulary: Iterable[str], smoothing_alpha: float = 1.0,
+                 streams: Iterable[Sequence[str]] = ()):
         super().__init__()
         self.vocabulary = frozenset(vocabulary)
-        if not self.vocabulary:
-            raise ValueError("vocabulary must be non-empty")
-        if len(self.vocabulary) != len(vocabulary):
-            raise ValueError("vocabulary contains duplicates")
         self.smoothing_alpha = float(smoothing_alpha)
-        self.fit_streams(())
+        self.fit_streams(streams)
 
     def log_conditional(self, prev: str, nxt: str) -> float:
         for symbol in (prev, nxt):
@@ -275,15 +271,11 @@ class TabularScorer(ScorerHandle):
             prev = token
         return LogLikelihood(math.fsum(per_token), tuple(per_token))
 
-    def refresh(self, corpus_view=None) -> None:
-        """Full reinitialization: recount bigrams over the view's streams.
-
-        The view is a sequence of (context tokens, answer tokens) pairs, as
-        ``corpus_view`` builds it. Bumps model_version, which clears the
-        cache.
-        """
-        self.fit_streams(context + answer for context, answer in corpus_view)
-        self._next_version()
+    def refresh(self, streams: Iterable[Sequence[str]] = ()) -> None:
+        """Recount bigrams from scratch over the streams, as ``corpus_view``
+        builds them, then bump the version and clear the cache."""
+        self.fit_streams(streams)
+        super().refresh()
 
 
 # --- remote backend --------------------------------------------------------
@@ -622,12 +614,10 @@ class RemoteScorer(ScorerHandle):
                     and abs(total - checksum) <= 1e-12 * max(1.0, abs(total))):
                 raise ValueError(
                     f"total_logprob {total!r} is not the terms' sum {checksum!r}")
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        # RecursionError: arrays or objects nested too deeply
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ProtocolError(f"malformed scorer response: {exc}") from exc
         return LogLikelihood(total, per_token)
-
-    def refresh(self, corpus_view=None) -> None:
-        self._next_version()
 
     def close(self) -> None:
         idle, self._idle = self._idle, []
@@ -638,7 +628,8 @@ class RemoteScorer(ScorerHandle):
 # --- corpus-backed construction -------------------------------------------
 
 def build_vocabulary(corpus: Corpus) -> tuple[str, ...]:
-    """Sorted union of whitespace tokens over every text field."""
+    """Sorted union of whitespace tokens over every text field: a set, and
+    non-empty, as every record's question holds a token."""
     symbols: set[str] = set()
     for record in corpus.records:
         symbols.update(record.question.split())
@@ -650,25 +641,22 @@ def build_vocabulary(corpus: Corpus) -> tuple[str, ...]:
     return tuple(sorted(symbols))
 
 
-def corpus_view(corpus: Corpus) -> list[tuple[list[str], list[str]]]:
-    """(context tokens, answer tokens) per record, using retained units.
-
-    The context tokens are the question's, then each retained unit's:
-    those of the rendered prompt under any template, whose separators
-    are whitespace.
-    """
-    view = []
+def corpus_view(corpus: Corpus) -> list[list[str]]:
+    """One token stream per record: the question's tokens, each retained
+    unit's, then the answer's. The tokens before the answer are those of
+    the rendered prompt under any template, whose separators are
+    whitespace."""
+    streams = []
     for record in corpus.records:
-        context = record.question.split()
+        stream = record.question.split()
         for unit in record.rationale:
             if unit.removed_at is None:
-                context.extend(unit.text.split())
-        view.append((context, record.answer.split()))
-    return view
+                stream.extend(unit.text.split())
+        stream.extend(record.answer.split())
+        streams.append(stream)
+    return streams
 
 
 def fit_tabular_scorer(corpus: Corpus, smoothing_alpha: float = 1.0) -> TabularScorer:
     """Build a tabular scorer fitted on the corpus as currently retained."""
-    scorer = TabularScorer(build_vocabulary(corpus), smoothing_alpha)
-    scorer.fit_streams([context + answer for context, answer in corpus_view(corpus)])
-    return scorer
+    return TabularScorer(build_vocabulary(corpus), smoothing_alpha, corpus_view(corpus))

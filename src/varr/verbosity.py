@@ -45,20 +45,14 @@ class VerbosityReport(NamedTuple):
     score_full: float
     score_reduced: float
 
-    @property
-    def passes_varr(self) -> bool:
-        return self.verbosity_gt >= 0.0
-
-    @property
-    def passes_varr_plus(self) -> bool | None:
-        if self.verbosity_wrong is None:
-            return None
-        return self.verbosity_wrong - self.verbosity_gt <= 0.0
-
     def removal_approved(self, mode: str) -> bool:
+        """The criterion of ``mode``: verbosity_gt >= 0 in varr mode;
+        verbosity_wrong - verbosity_gt <= 0 in varr_plus mode, which fails
+        when no wrong answers were scored."""
         if mode == MODE_VARR:
-            return self.passes_varr
-        return self.passes_varr_plus is True
+            return self.verbosity_gt >= 0.0
+        return (self.verbosity_wrong is not None
+                and self.verbosity_wrong - self.verbosity_gt <= 0.0)
 
 
 def nll(

@@ -37,18 +37,16 @@ def make_record(record_id="r1", question="what is it", units=("first step here",
 def scorer_from_counts(vocabulary, counts, smoothing_alpha=1.0) -> TabularScorer:
     """A tabular scorer with the given dense V x V count matrix (nested
     lists), rows and columns in the order of ``vocabulary``."""
-    scorer = TabularScorer(vocabulary, smoothing_alpha)
     size = len(vocabulary)
     rows = [[int(c) for c in row] for row in counts]
     if len(rows) != size or any(len(row) != size for row in rows):
         raise ValueError(f"counts must be {size}x{size} nested sequences")
     if any(c < 0 for row in rows for c in row):
         raise ValueError("counts must be nonnegative")
-    scorer.fit_streams(
+    return TabularScorer(vocabulary, smoothing_alpha, (
         (vocabulary[v], vocabulary[w])
         for v, row in enumerate(rows) for w, c in enumerate(row) for _ in range(c)
-    )
-    return scorer
+    ))
 
 
 def random_scorer(rng: random.Random, max_vocab=8, max_count=9, alphas=(0.5, 1.0, 2.0)):

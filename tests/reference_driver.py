@@ -8,6 +8,11 @@ machinery itself (PromptAssembly + the handle) is shared, since the
 point is to drive identical scorer snapshots through an independently
 coded loop and compare traces event for event.
 
+Between epochs the loop refreshes the handle with its own view, one
+(context tokens, answer tokens) pair per record, as the benchmark's
+reference scorer takes it; ``PairRefresh`` hands a varr handle the
+joined token stream of each pair instead.
+
 Seed derivation rule (mirrors varr.seeding): the child seed for a label
 path is the first 8 bytes, big-endian, of sha256("{seed}:{p1}:{p2}:...").
 """
@@ -19,6 +24,20 @@ import random
 from varr.scorer import PromptAssembly
 
 CHOICE = ("multiple_choice", "true_false")
+
+
+class PairRefresh:
+    """A varr scorer handle driven by this loop: its refresh takes one
+    token stream per record, the context tokens then the answer's."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def score_answer(self, assembly, answer):
+        return self.handle.score_answer(assembly, answer)
+
+    def refresh(self, view):
+        self.handle.refresh([context + answer for context, answer in view])
 
 
 def _child_rng(seed, *path):

@@ -293,6 +293,33 @@ def test_input_that_is_not_utf8_exits_one_naming_the_file_or_line(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+NESTED = "[" * 200_000
+LONG_INT = "1" * 5000
+
+
+@pytest.mark.parametrize("corpus, config, message", [
+    (NESTED, None, "error: line 2: JSON the parser refuses (maximum recursion depth exceeded"),
+    ('{"id": ' + LONG_INT + "}", None,
+     "error: line 2: JSON the parser refuses (Exceeds the limit (4300 digits)"),
+    (None, NESTED, "error: cannot read config file {config}: maximum recursion depth exceeded"),
+    (None, '{"schedule": {"epochs": ' + LONG_INT + "}}",
+     "error: cannot read config file {config}: Exceeds the limit (4300 digits)"),
+], ids=["corpus-nested", "corpus-long-int", "config-nested", "config-long-int"])
+def test_json_the_parser_refuses_exits_one_naming_the_line_or_file(tmp_path, capsys, corpus,
+                                                                   config, message):
+    # json.loads raises RecursionError or a plain ValueError on these, which
+    # used to end in an internal error (exit 3)
+    src, run_config = tmp_path / "corpus.jsonl", tmp_path / "run.json"
+    src.write_text(json.dumps(record_obj("ok", ["One here."])) + "\n" + (corpus or "") + "\n")
+    run_config.write_text(config or "{}")
+    out = tmp_path / "out"
+    assert run_cli("reduce", "--input", str(src), "--out-dir", str(out),
+                   "--config", str(run_config)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(config=run_config)) and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["id", "question", "rationale", "answer", "wrong_answers"])
 def test_lone_surrogate_exits_one_before_any_output(tmp_path, capsys, key):
     # a JSON escape of half a surrogate pair loads as a str that no UTF-8
@@ -489,6 +516,22 @@ def test_reduce_against_a_server_that_totals_nan_exits_two(tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["trace.partial.json"]
 
 
+def test_reduce_against_a_server_that_nests_too_deeply_exits_two(tmp_path, capsys):
+    # json.loads raises RecursionError on the reply, which used to escape
+    # the reply check: exit 3 and no partial trace
+    body = b"[" * 200_000
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+    out = tmp_path / "out"
+    with ScriptedReplyServer([(reply, False)] * 64) as server:
+        code = run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir", str(out),
+                       "--scorer", "remote", "--scorer-url", server.url,
+                       "--epochs", "1", "--warmup", "0.0")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scorer failure: malformed scorer response: maximum recursion depth")
+    assert [p.name for p in out.iterdir()] == ["trace.partial.json"]
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "--input", "{missing}", "--out-dir", "{tmp}/out"],
     ["pilot", "--input", "{missing}", "--out-dir", "{tmp}/out"],
@@ -682,10 +725,24 @@ def test_setting_config_entry_and_fingerprint_role(tmp_path, default_traces, fie
         else:
             assert trace["events"] == default["events"]
             assert fingerprint(trace) == fingerprint(default)
-            if role == EXECUTION:
-                assert trace["config"]["execution"][field.name] == value
+            if role == EXECUTION and only in (None, backend):
+                recorded = trace["config"]["execution"]
+                assert field.name in recorded
+                # reduce_on points a remote run's URL at its mock server
+                if field.name != "scorer_url":
+                    assert recorded[field.name] == value
             else:
                 assert field.name not in json.dumps(trace["config"])
+
+
+def test_tabular_run_records_no_remote_execution_settings(tmp_path):
+    # the remote-only settings are neither read nor checked on the tabular
+    # backend, so the trace does not claim them
+    out = tmp_path / "out"
+    assert run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir", str(out),
+                   "--timeout-ms", "-5", "--max-attempts", "0",
+                   "--scorer-url", "not a url") == 0
+    assert json.loads((out / "trace.json").read_text())["config"]["execution"] == {}
 
 
 @pytest.mark.parametrize("argv", [

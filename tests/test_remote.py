@@ -29,6 +29,7 @@ from varr.scorer import (
     LogLikelihood,
     PromptAssembly,
     RemoteScorer,
+    ScorerHandle,
     TabularScorer,
     _MalformedResponse,
     _read_reply,
@@ -104,7 +105,7 @@ def test_exhausted_retries_surface_attempt_count():
         scorer = remote(server.url, max_attempts=3)
         with pytest.raises(TransportError) as exc:
             scorer.score_answer(ASSEMBLY, "a")
-        assert exc.value.attempts == 3
+        assert str(exc.value).endswith(" (after 3 attempt(s))")
         assert len(server.requests) == 3
 
 
@@ -120,7 +121,7 @@ def test_connection_refused_counts_attempts():
     scorer = remote("http://127.0.0.1:9", max_attempts=2, timeout_ms=200)
     with pytest.raises(TransportError) as exc:
         scorer.score_answer(ASSEMBLY, "a")
-    assert exc.value.attempts == 2
+    assert str(exc.value).endswith(" (after 2 attempt(s))")
 
 
 def test_malformed_response_is_protocol_error():
@@ -338,7 +339,7 @@ def test_broken_reply_is_a_retried_transport_failure(reply):
         once = remote(server.url, max_attempts=1)
         with pytest.raises(TransportError, match="transport failure") as exc:
             once.score_answer(ASSEMBLY, "a b")
-        assert exc.value.attempts == 1
+        assert str(exc.value).endswith(" (after 1 attempt(s))")
         twice = remote(server.url, max_attempts=2)
         assert twice.score_answer(ASSEMBLY, "a b").total == -1.0
         once.close()
@@ -449,17 +450,21 @@ def scored(body: bytes) -> bytes:
     b'{"token_logprobs": [-1.0, 1e-12], "total_logprob": -0.999999999999}',
     b'{"token_logprobs": [-1.0, -0.5], "total_logprob": -1.5000000000016}',
     b'{"token_logprobs": [0.0, -0.0], "total_logprob": 1e-12}',
+    b"[" * 200_000,
+    b'{"token_logprobs": [-' + b"1" * 5000 + b'], "total_logprob": -1.0}',
 ], ids=["empty-list", "empty-string", "bool-term", "string-term", "string-total",
         "bool-total", "object", "int-too-large-for-a-float", "nan-total", "infinite-total",
         "minus-infinite-total", "nan-term", "infinite-term", "minus-infinite-term",
-        "positive-term", "tiny-positive-term", "total-off-the-sum", "positive-total"])
+        "positive-term", "tiny-positive-term", "total-off-the-sum", "positive-total",
+        "nested-too-deeply", "int-too-long-to-parse"])
 def test_reply_that_scores_nothing_or_not_numbers_is_a_protocol_error(body):
     # an empty list would give the answer probability 1; bools and strings
     # are not numbers; a log-likelihood is finite and neither a term nor the
     # total is positive, even within the tolerance;
     # a total more than 1e-12 from the terms' sum (relative, absolute below
-    # 1) is not theirs. json.loads reads NaN and Infinity. A ProtocolError
-    # is not retried
+    # 1) is not theirs. json.loads reads NaN and Infinity, but refuses
+    # arrays nested too deeply and integers too long to convert. A
+    # ProtocolError is not retried
     with ScriptedReplyServer([(scored(body), False)] * 2) as server:
         scorer = remote(server.url, max_attempts=2)
         with pytest.raises(ProtocolError, match="malformed scorer response"):
@@ -503,7 +508,7 @@ def test_reused_connection_closed_after_the_status_line_is_a_failed_attempt():
         scorer.score_answer(ASSEMBLY, "a")
         with pytest.raises(TransportError) as exc:
             scorer.score_answer(ASSEMBLY, "a b")
-        assert exc.value.attempts == 1
+        assert str(exc.value).endswith(" (after 1 attempt(s))")
         scorer.close()
     assert server.connections() == [1, 1]
 
@@ -536,8 +541,8 @@ def test_refresh_bumps_version_and_calls_back():
     with MockScorerServer() as server:
         scorer = remote(server.url)
         assert scorer.model_version == 1
-        scorer.refresh("view")
-        scorer.refresh(None)
+        scorer.refresh([["a", "b"]])  # the remote model ignores the streams
+        scorer.refresh()
     assert scorer.model_version == 3
 
 
@@ -547,7 +552,7 @@ def test_repeated_request_served_from_cache_until_refresh():
         first = scorer.score_answer(ASSEMBLY, "a b")
         assert scorer.score_answer(ASSEMBLY, "a b") is first
         assert len(server.requests) == 1
-        scorer.refresh(None)
+        scorer.refresh()
         assert scorer.score_answer(ASSEMBLY, "a b").total == first.total
         assert len(server.requests) == 2
         assert len(scorer.cache) == 1  # the older version was purged
@@ -596,11 +601,10 @@ class FixedTabularScorer(TabularScorer):
 
     def __init__(self):
         corpus = load_corpus(FIXTURE_CORPUS)
-        super().__init__(build_vocabulary(corpus))
-        self.fit_streams([context + answer for context, answer in corpus_view(corpus)])
+        super().__init__(build_vocabulary(corpus), streams=corpus_view(corpus))
 
-    def refresh(self, corpus_view=None) -> None:
-        self._next_version()
+    def refresh(self, streams=()) -> None:
+        ScorerHandle.refresh(self)
 
 
 SETTINGS = RunConfig(epochs=3, batch_size=8, warmup_ratio=0.0, candidate_order="random",

@@ -34,7 +34,7 @@ from varr.seeding import child_rng
 
 from .conftest import FIXTURE_CORPUS, make_record
 from .oracles import candidate_assemblies
-from .reference_driver import run_reference
+from .reference_driver import PairRefresh, run_reference
 
 
 # --- removal budget ---------------------------------------------------------
@@ -496,7 +496,7 @@ def assert_conformance(candidate_order, mode, seed, epochs=4, batch_size=3,
     corpus_b = fresh_corpus()
     handle_b = fit_tabular_scorer(corpus_b)
     ref_events, ref_retained = run_reference(
-        corpus_b, handle_b, epochs=epochs, batch_size=batch_size,
+        corpus_b, PairRefresh(handle_b), epochs=epochs, batch_size=batch_size,
         warmup_ratio=warmup, candidate_order=candidate_order, mode=mode,
         seed=seed, k_negatives=k, enforced_n=enforced_n,
     )
@@ -532,7 +532,7 @@ def test_refresh_runs_between_epochs_only(epochs):
     handle = fit_tabular_scorer(corpus)
     views = []
     refresh = handle.refresh
-    handle.refresh = lambda view: (views.append(view), refresh(view))
+    handle.refresh = lambda streams: (views.append(streams), refresh(streams))
     trace = run_reduction(corpus, handle, RunConfig(
         epochs=epochs, batch_size=3, warmup_ratio=0.1, candidate_order="back",
         mode="varr_plus", seed=3, k_negatives=2))
@@ -540,7 +540,7 @@ def test_refresh_runs_between_epochs_only(epochs):
     # the reference refreshes after every epoch, the last one too
     reference = fresh_corpus()
     ref_events, ref_retained = run_reference(
-        reference, fit_tabular_scorer(reference), epochs=epochs, batch_size=3,
+        reference, PairRefresh(fit_tabular_scorer(reference)), epochs=epochs, batch_size=3,
         warmup_ratio=0.1, candidate_order="back", mode="varr_plus", seed=3,
         k_negatives=2, enforced_n=0)
     assert [e._asdict() for e in trace.events] == ref_events
@@ -550,10 +550,11 @@ def test_refresh_runs_between_epochs_only(epochs):
 # --- differential: driver against the reference on generated corpora --------
 
 class RenderedHashScorer(ScorerHandle):
-    """Scores a hash of the rendered prompt, the answer and the last refresh
-    view. Unlike the tabular backend, which sees only the prompt's last
-    token, a wrong middle slice of a prompt or a wrong separator changes
-    its scores. Few score levels, so exact ties at zero occur."""
+    """Scores a hash of the rendered prompt, the answer and the token
+    streams of the last refresh. Unlike the tabular backend, which sees
+    only the prompt's last token, a wrong middle slice of a prompt or a
+    wrong separator changes its scores. Few score levels, so exact ties
+    at zero occur."""
 
     def __init__(self):
         super().__init__()
@@ -565,9 +566,9 @@ class RenderedHashScorer(ScorerHandle):
         terms = (-(digest[0] % 4) / 2, float(-(digest[1] % 3)))
         return LogLikelihood(sum(terms), terms)
 
-    def refresh(self, corpus_view=None):
-        self.view = repr(corpus_view)
-        self._next_version()
+    def refresh(self, streams=()):
+        self.view = repr(streams)
+        super().refresh()
 
 
 WORDS = ("p", "q", "r", "s")
@@ -631,9 +632,9 @@ def test_driver_matches_reference_on_generated_corpora(specs, epochs, batch_size
             template_id=template_id))
         corpus_b = spec_corpus(specs)
         ref_events, ref_retained = run_reference(
-            corpus_b, handle_for(handle_kind, corpus_b), epochs=epochs, batch_size=batch_size,
-            warmup_ratio=warmup, candidate_order=order, mode=mode, seed=seed,
-            k_negatives=k, enforced_n=enforced_n, template_id=template_id)
+            corpus_b, PairRefresh(handle_for(handle_kind, corpus_b)), epochs=epochs,
+            batch_size=batch_size, warmup_ratio=warmup, candidate_order=order, mode=mode,
+            seed=seed, k_negatives=k, enforced_n=enforced_n, template_id=template_id)
         setting = (handle_kind, order, mode, template_id, in_flight)
         assert [e._asdict() for e in trace.events] == ref_events, setting
         assert {r.id: r.retained_indices() for r in corpus_a.records} == ref_retained, setting

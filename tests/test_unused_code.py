@@ -14,6 +14,8 @@ through the class's MRO, since the base's code calls it (argparse calls
 assignment in a class body (``ast.Assign``; dataclass and NamedTuple
 fields are annotated, so they are not among them), counts as used only
 when it is read as an attribute there; overriding one does not count.
+So does an instance attribute, an attribute of ``self`` stored by an
+assignment in a method (``self.x = ...``, also inside a tuple target).
 Names are matched as identifiers, parsed with ``ast``, not by type: a
 method still passes when an attribute of another object that shares its
 name is read (a method ``total`` would pass on ``LogLikelihood.total``).
@@ -58,8 +60,8 @@ def parse(path: Path) -> ast.Module:
 
 def definitions(path: Path, tree: ast.Module):
     """(node, name, reader, class whose bases it may override or None) for
-    each module-level function and class, and each non-dunder method and
-    class attribute of a module-level class."""
+    each module-level function and class, and each non-dunder method, class
+    attribute and instance attribute of a module-level class."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     module = importlib.import_module(f"varr.{path.stem}")
     for node in tree.body:
@@ -74,6 +76,24 @@ def definitions(path: Path, tree: ast.Module):
                 if isinstance(member, ast.Assign):
                     for target in member.targets:
                         yield member, target.id, attributes_read, None
+                if isinstance(member, functions):
+                    for store in instance_stores(member):
+                        yield store, store.attr, attributes_read, None
+
+
+def instance_stores(method: ast.AST):
+    """The ``self.x`` targets of the assignments in a method, each name once."""
+    seen = set()
+    for node in ast.walk(method):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for store in ast.walk(target):
+                    if (isinstance(store, ast.Attribute) and isinstance(store.ctx, ast.Store)
+                            and isinstance(store.value, ast.Name) and store.value.id == "self"
+                            and store.attr not in seen):
+                        seen.add(store.attr)
+                        yield store
 
 
 def overrides(cls: type | None, name: str) -> bool:

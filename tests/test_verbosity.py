@@ -215,9 +215,7 @@ def test_evaluate_zero_boundary_passes():
     record = make_record(units=("a", "b"), question="c", answer="d")
     report = evaluate(scorer, record, 0, [0, 1])
     assert report.verbosity_gt == 0.0
-    assert report.passes_varr is True
     assert report.verbosity_wrong is None
-    assert report.passes_varr_plus is None
     assert report.k_used == 0
     assert report.removal_approved(MODE_VARR)
     # without negatives the contrast is never confirmed: varr_plus keeps it
@@ -241,9 +239,8 @@ def test_evaluate_plus_rejects_when_wrong_exceeds_gt():
     v_w = math.log(2 / 9) - math.log(2 / 7)
     assert report.verbosity_gt == pytest.approx(v_gt, abs=1e-12)
     assert report.verbosity_wrong == pytest.approx(v_w, abs=1e-12)
-    assert report.passes_varr is True
-    assert report.passes_varr_plus is (v_w - v_gt <= 0.0)
-    assert report.removal_approved(MODE_VARR_PLUS) == report.passes_varr_plus
+    assert report.removal_approved(MODE_VARR)
+    assert report.removal_approved(MODE_VARR_PLUS) is (v_w - v_gt <= 0.0)
 
 
 def test_evaluate_plus_difference_sign_decides():
@@ -253,9 +250,8 @@ def test_evaluate_plus_difference_sign_decides():
     record = make_record(units=("v", "u"), question="q", answer="b")
     lookups_before = scorer.cache.hits + scorer.cache.misses
     report = evaluate(scorer, record, 1, [0, 1], negatives=["a"], k=1)
-    assert report.passes_varr is False
+    assert not report.removal_approved(MODE_VARR)
     assert report.verbosity_wrong is None
-    assert report.passes_varr_plus is None
     assert not report.removal_approved(MODE_VARR_PLUS)
     # one lookup per logical call: no negative was ever scored
     assert scorer.cache.hits + scorer.cache.misses - lookups_before == 2
@@ -274,8 +270,8 @@ def test_subset_law_random_models():
         plus = evaluate(scorer, record, i, retained,
                         negatives=negatives, k=len(negatives))
         base = evaluate(scorer, record, i, retained)
-        if plus.passes_varr_plus is True:
-            assert base.passes_varr is True
+        if plus.removal_approved(MODE_VARR_PLUS):
+            assert base.removal_approved(MODE_VARR)
 
 
 class StubScorer:
@@ -301,8 +297,8 @@ def test_evaluate_literal_half_versus_point_six():
     report = evaluate(scorer, record, 0, [0, 1], negatives=["bad"], k=1)
     assert report.verbosity_gt == pytest.approx(0.5, abs=1e-12)
     assert report.verbosity_wrong == pytest.approx(0.6, abs=1e-12)
-    assert report.passes_varr is True
-    assert report.passes_varr_plus is False
+    assert report.removal_approved(MODE_VARR)
+    assert not report.removal_approved(MODE_VARR_PLUS)
 
 
 def test_evaluate_scores_gold_then_each_wrong_full_before_reduced():
