@@ -27,7 +27,7 @@ from . import config as config_mod
 from . import metrics
 from .corpus import (
     GRANULARITIES,
-    Corpus,
+    RationaleRecord,
     load_corpus,
     validate_corpus,
     write_corpus,
@@ -183,15 +183,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_records(path: str, cfg: config_mod.RunConfig) -> Corpus:
+def _load_records(path: str, cfg: config_mod.RunConfig) -> list[RationaleRecord]:
     """The corpus at ``path`` read with ``cfg``; a ValidationError if it is empty."""
     corpus = load_corpus(path, cfg)
-    if not corpus.records:
+    if not corpus:
         raise ValidationError(f"corpus {path} holds no records")
     return corpus
 
 
-def _load_valid(path: str, cfg: config_mod.RunConfig) -> Corpus:
+def _load_valid(path: str, cfg: config_mod.RunConfig) -> list[RationaleRecord]:
     """The corpus at ``path`` read with ``cfg``; else, if it is empty or a
     record is invalid, a ValidationError after each violation on stderr."""
     corpus = _load_records(path, cfg)
@@ -203,7 +203,8 @@ def _load_valid(path: str, cfg: config_mod.RunConfig) -> Corpus:
     return corpus
 
 
-def _scorer_and_corpus(path: str, cfg: config_mod.RunConfig) -> tuple[ScorerHandle, Corpus]:
+def _scorer_and_corpus(path: str,
+                       cfg: config_mod.RunConfig) -> tuple[ScorerHandle, list[RationaleRecord]]:
     """The run's scorer and the valid corpus at ``path``. A remote scorer is
     built first, so a missing or unusable URL is named before the corpus is
     read; it opens no connection until its first request. A tabular one is

@@ -37,7 +37,7 @@ import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .corpus import GRANULARITIES, Corpus
+from .corpus import GRANULARITIES, RationaleRecord, parse_json
 from .errors import ConfigurationError
 from .schedule import CANDIDATE_ORDERS
 from .scorer import (
@@ -146,7 +146,7 @@ class RunConfig:
             if broken:
                 raise ConfigurationError(problem)
 
-    def build_scorer(self, corpus: Corpus | None = None) -> ScorerHandle:
+    def build_scorer(self, corpus: list[RationaleRecord] | None = None) -> ScorerHandle:
         """Tabular scorers fit on the given corpus; remote ones connect."""
         if self.scorer_backend == "tabular":
             return fit_tabular_scorer(corpus, self.smoothing_alpha)
@@ -203,10 +203,9 @@ def load_run_config(path: str | Path | None, flags: dict | None = None) -> RunCo
     values = {}
     if path is not None:
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        # ValueError: not UTF-8, not JSON, or an integer too long to convert;
-        # RecursionError: arrays or objects nested too deeply
-        except (OSError, ValueError, RecursionError) as exc:
+            data = parse_json(Path(path).read_text(encoding="utf-8"))
+        # ValueError: not UTF-8, not JSON, or JSON the parser refuses
+        except (OSError, ValueError) as exc:
             raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigurationError("config file must hold a JSON object")

@@ -16,6 +16,8 @@ the retained units plus a ``removed`` provenance block:
 
     "removed": [{"index": int, "text": str, "epoch": int, "step": int}]
 
+A corpus is a plain ``list[RationaleRecord]`` in file order:
+``load_corpus`` returns one, and every layer takes it as it is.
 Records are checked in two places only: ``load_corpus`` (UTF-8, JSON,
 field types, blank pre-split units, lone surrogates, ``task_kind``,
 duplicate ids) and ``validate_record`` (blank text, choice records'
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,21 +80,25 @@ class RationaleRecord:
 
 
 @dataclass
-class Corpus:
-    records: list[RationaleRecord]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-
-@dataclass
 class ValidationReport:
     record_id: str
     violations: list[str] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
+
+
+def parse_json(text: str | bytes):
+    """``json.loads``, raising well-formed JSON that the parser refuses as a
+    ValueError named in a user's terms. Python's own message for a long
+    integer ends with advice for a programmer (``sys.set_int_max_str_digits``)."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise
+    except RecursionError:
+        reason = "arrays or objects nested too deeply"
+    except ValueError:
+        reason = f"an integer of more than {sys.get_int_max_str_digits()} digits"
+    raise ValueError(f"JSON the parser refuses ({reason})")
 
 
 def _split_rationale(raw: str | list[str], settings: RunConfig) -> list[str]:
@@ -122,7 +129,9 @@ def _utf8(value) -> bool:
     return True
 
 
-def _record_from_obj(obj: dict, settings: RunConfig) -> RationaleRecord:
+def _record_from_obj(obj, settings: RunConfig) -> RationaleRecord:
+    if not isinstance(obj, dict):
+        raise ValueError("record must be a JSON object")
     for key in ("id", "question", "rationale", "answer", "task_kind"):
         if key not in obj:
             raise KeyError(key)
@@ -153,15 +162,16 @@ def _record_from_obj(obj: dict, settings: RunConfig) -> RationaleRecord:
     )
 
 
-def load_corpus(path: str | Path, settings: RunConfig | None = None) -> Corpus:
+def load_corpus(path: str | Path, settings: RunConfig | None = None) -> list[RationaleRecord]:
     """Load a line-delimited corpus, splitting rationales by the unit and
     segmenter settings of ``settings`` (default ``RunConfig()``).
 
-    Raises ParseError for lines that are not UTF-8 or not JSON, fields of
-    the wrong JSON type, blank pre-split units and strings that hold a
-    lone surrogate (naming the line number and the field) and
-    ValidationError for duplicate record ids. Empty rationales load fine;
-    they surface as flags in validate_record, not as failures here.
+    Raises ParseError for lines that are not UTF-8, not JSON or JSON the
+    parser refuses (``parse_json``), fields of the wrong JSON type, blank
+    pre-split units and strings that hold a lone surrogate (naming the
+    line number and the field) and ValidationError for duplicate record
+    ids. Empty rationales load fine; they surface as flags in
+    validate_record, not as failures here.
     """
     if settings is None:
         from .config import RunConfig
@@ -179,16 +189,9 @@ def load_corpus(path: str | Path, settings: RunConfig | None = None) -> Corpus:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            record = _record_from_obj(parse_json(line), settings)
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        # an integer too long to convert, or arrays or objects nested too deeply
-        except (ValueError, RecursionError) as exc:
-            raise ParseError(f"line {lineno}: JSON the parser refuses ({exc})") from exc
-        if not isinstance(obj, dict):
-            raise ParseError(f"line {lineno}: record must be a JSON object")
-        try:
-            record = _record_from_obj(obj, settings)
         except KeyError as exc:
             raise ParseError(f"line {lineno}: missing field {exc.args[0]!r}") from exc
         except ValueError as exc:
@@ -197,7 +200,7 @@ def load_corpus(path: str | Path, settings: RunConfig | None = None) -> Corpus:
             raise ValidationError(f"duplicate record id: {record.id!r}")
         seen.add(record.id)
         records.append(record)
-    return Corpus(records=records)
+    return records
 
 
 def validate_record(record: RationaleRecord) -> ValidationReport:
@@ -219,8 +222,8 @@ def validate_record(record: RationaleRecord) -> ValidationReport:
     return report
 
 
-def validate_corpus(corpus: Corpus) -> list[ValidationReport]:
-    return [validate_record(r) for r in corpus.records]
+def validate_corpus(corpus: list[RationaleRecord]) -> list[ValidationReport]:
+    return [validate_record(r) for r in corpus]
 
 
 @contextmanager
@@ -259,7 +262,7 @@ class _Texts(dict):
         return encoded
 
 
-def _write_records(corpus: Corpus, path: str | Path, reduced: bool) -> None:
+def _write_records(corpus: list[RationaleRecord], path: str | Path, reduced: bool) -> None:
     """Write each record in the input format, rationale as a pre-split list:
     all its units, or if ``reduced`` the retained ones and a ``removed``
     provenance block.
@@ -271,7 +274,7 @@ def _write_records(corpus: Corpus, path: str | Path, reduced: bool) -> None:
     """
     texts = _Texts()
     with atomic_writer(path) as fh:
-        for record in corpus.records:
+        for record in corpus:
             line = json.dumps({
                 "id": record.id,
                 "question": record.question,
@@ -289,12 +292,12 @@ def _write_records(corpus: Corpus, path: str | Path, reduced: bool) -> None:
             fh.write(line + "\n")
 
 
-def write_corpus(corpus: Corpus, path: str | Path) -> None:
+def write_corpus(corpus: list[RationaleRecord], path: str | Path) -> None:
     """Write a corpus in the input format, rationale as a pre-split list."""
     _write_records(corpus, path, reduced=False)
 
 
-def write_reduced(corpus: Corpus, path: str | Path) -> None:
+def write_reduced(corpus: list[RationaleRecord], path: str | Path) -> None:
     """Write the reduced corpus with removal provenance attached.
 
     The caller checks the replay law first (``metrics.validate_trace``

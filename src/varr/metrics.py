@@ -3,7 +3,8 @@
 A ReductionTrace is the full audit log of a reduction run: one event per
 candidate decision, plus the config snapshot, seed, and scorer-call
 count. Everything downstream (removal-ratio curves, token statistics,
-replay checks, the determinism fingerprint) is derived from it.
+replay checks, the determinism fingerprint) is derived from it. The
+report is plain JSON values, its curve one row per epoch from one pass.
 
 The trace is written as canonical JSON: keys sorted, compact separators,
 non-ASCII characters escaped. TraceEvent is a named tuple whose fields
@@ -25,14 +26,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, cycle
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import Corpus, atomic_writer
+from .corpus import RationaleRecord, atomic_writer
 
 REPORT_SCHEMA_VERSION = "1"
 # Version of the trace config layout: run, schedule, execution and paths.
@@ -177,36 +178,29 @@ def trace_fingerprint(trace: ReductionTrace, events_json: str | None = None) -> 
     return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
 
-@dataclass
-class RemovalRatioPoint:
-    epoch: int
-    removed_count: int
-    max_potential: int
-    ratio: float
+def removal_ratio_curve(trace: ReductionTrace) -> list[dict]:
+    """Removals over summed budgets, one report row per epoch: ``epoch``,
+    ``removed_count``, ``max_potential`` and ``ratio``.
 
-
-def removal_ratio_curve(trace: ReductionTrace) -> list[RemovalRatioPoint]:
-    """Removals over summed budgets, one point per epoch.
-
-    The budget of a (record, step) pair counts once no matter how many
-    candidates were evaluated; pairs with zero budget emit no events and
-    contribute zero, so reconstruction from events is exact. Epochs with
-    no events (all warm-up) get ratio 0 by convention.
+    One pass over the events counts each epoch's removals and keeps each
+    scan's budget, keyed by (epoch, record, t): it counts once no matter
+    how many candidates were evaluated. Scans with zero budget emit no
+    events and contribute zero, so reconstruction from events is exact.
+    Epochs with no events (all warm-up) get ratio 0 by convention.
     """
-    groups: dict = defaultdict(list)
+    removals, budgets = [], {}
     for e in trace.events:
-        groups[e.epoch].append(e)
-    points = []
-    for epoch in range(1, trace.config["run"]["epochs"] + 1):
-        events = groups.get(epoch, ())
-        removed = sum(1 for e in events if e.decision == DECISION_REMOVED)
-        budgets: dict[tuple[str, int], int] = {}
-        for e in events:
-            budgets[(e.record_id, e.t)] = e.budget
-        max_potential = sum(budgets.values())
-        ratio = removed / max_potential if max_potential > 0 else 0.0
-        points.append(RemovalRatioPoint(epoch, removed, max_potential, ratio))
-    return points
+        budgets[e.epoch, e.record_id, e.t] = e.budget
+        if e.decision == DECISION_REMOVED:
+            removals.append(e.epoch)
+    removed, potential = Counter(removals), Counter()
+    for (epoch, _, _), budget in budgets.items():
+        potential[epoch] += budget
+    return [
+        {"epoch": epoch, "removed_count": removed[epoch], "max_potential": potential[epoch],
+         "ratio": removed[epoch] / potential[epoch] if potential[epoch] > 0 else 0.0}
+        for epoch in range(1, trace.config["run"]["epochs"] + 1)
+    ]
 
 
 def _record_token_count(record) -> int:
@@ -214,7 +208,7 @@ def _record_token_count(record) -> int:
     return tokens + len(record.answer.split())
 
 
-def reduction_token_stats(corpus: Corpus) -> dict:
+def reduction_token_stats(corpus: list[RationaleRecord]) -> dict:
     """Average whitespace tokens (retained rationale + answer) per record,
     of the corpus as loaded against the corpus as reduced.
 
@@ -223,9 +217,9 @@ def reduction_token_stats(corpus: Corpus) -> dict:
     corpus is validated and non-empty, and every answer has a token, so
     the "before" average is positive.
     """
-    n = len(corpus.records)
-    after = sum(_record_token_count(r) for r in corpus.records)
-    removed = sum(len(u.text.split()) for r in corpus.records for u in r.removed_units())
+    n = len(corpus)
+    after = sum(_record_token_count(r) for r in corpus)
+    removed = sum(len(u.text.split()) for r in corpus for u in r.removed_units())
     before_avg, after_avg = (after + removed) / n, after / n
     return {
         "avg_rationale_tokens_before": before_avg,
@@ -234,20 +228,21 @@ def reduction_token_stats(corpus: Corpus) -> dict:
     }
 
 
-def replay_trace(corpus: Corpus, trace: ReductionTrace) -> Corpus:
+def replay_trace(corpus: list[RationaleRecord], trace: ReductionTrace) -> list[RationaleRecord]:
     """Apply the trace's removal decisions to a pristine corpus copy.
 
     Used to verify the replay law: ``validate_trace(trace, result)`` must
     find no problem, as it must for the corpus the run actually produced.
     """
-    records = {record.id: record for record in corpus.records}
+    records = {record.id: record for record in corpus}
     for event in trace.events:
         if event.decision == DECISION_REMOVED:
             records[event.record_id].mark_removed(event.candidate_index, event.epoch, event.step)
     return corpus
 
 
-def validate_trace(trace: ReductionTrace, corpus: Corpus | None = None) -> list[str]:
+def validate_trace(trace: ReductionTrace,
+                   corpus: list[RationaleRecord] | None = None) -> list[str]:
     """Check the budget, permanence, warm-up, and ordering laws, and, given
     the corpus the run reduced, the replay law: the trace's removal events
     are exactly the units the corpus marks removed, at the same (epoch, step).
@@ -286,7 +281,7 @@ def validate_trace(trace: ReductionTrace, corpus: Corpus | None = None) -> list[
     ]
     if corpus is not None and removed_at != {
         (record.id, unit.index): unit.removed_at
-        for record in corpus.records for unit in record.rationale
+        for record in corpus for unit in record.rationale
         if unit.removed_at is not None
     }:
         problems.append("trace removal events disagree with corpus removed_at marks")
@@ -295,7 +290,7 @@ def validate_trace(trace: ReductionTrace, corpus: Corpus | None = None) -> list[
 
 def build_report(
     trace: ReductionTrace,
-    corpus: Corpus,
+    corpus: list[RationaleRecord],
     *,
     events_json: str | None = None,
 ) -> dict:
@@ -304,7 +299,8 @@ def build_report(
     replay law's check. ``events_json`` is ``encode_events`` of the
     trace's events, when the caller has it already.
     """
-    removals = sum(e.decision == DECISION_REMOVED for e in trace.events)
+    curve = removal_ratio_curve(trace)
+    removals = sum(row["removed_count"] for row in curve)
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "config": trace.config,
@@ -314,7 +310,7 @@ def build_report(
         "removal_count": removals,
         "no_reductions_performed": removals == 0,
         "determinism_fingerprint": trace_fingerprint(trace, events_json),
-        "removal_ratio_curve": [vars(p) for p in removal_ratio_curve(trace)],
+        "removal_ratio_curve": curve,
         "law_violations": validate_trace(trace, corpus),
         "token_stats": reduction_token_stats(corpus),
     }

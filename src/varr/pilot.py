@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .corpus import Corpus, RationaleRecord
+from .corpus import RationaleRecord
 from .errors import ValidationError
 from .scorer import ScorerHandle
 from .seeding import child_rng
@@ -82,7 +82,7 @@ def sample_removal_set(
 
 
 def pilot_nll_curve(
-    corpus: Corpus,
+    corpus: list[RationaleRecord],
     handle: ScorerHandle,
     settings: RunConfig,
 ) -> list[PilotResult]:
@@ -99,8 +99,8 @@ def pilot_nll_curve(
     sizes, samples_per_record = settings.pilot_sizes, settings.samples_per_record
     seed, template_id = settings.seed, settings.template_id
     max_size = max(sizes) if sizes else 0
-    eligible = [r for r in corpus.records if len(r.rationale) >= max_size]
-    skipped = len(corpus.records) - len(eligible)
+    eligible = [r for r in corpus if len(r.rationale) >= max_size]
+    skipped = len(corpus) - len(eligible)
     if not eligible:
         raise ValidationError("no record is long enough for the requested sizes")
 

@@ -65,7 +65,7 @@ import threading
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .corpus import CHOICE_TASKS, Corpus, RationaleRecord
+from .corpus import CHOICE_TASKS, RationaleRecord
 from .errors import ScorerError, VarrError
 from .metrics import (
     DECISION_KEPT,
@@ -157,7 +157,7 @@ class ReductionAborted(VarrError):
 
 
 def run_reduction(
-    corpus: Corpus,
+    corpus: list[RationaleRecord],
     handle: ScorerHandle,
     settings: RunConfig,
 ) -> ReductionTrace:
@@ -179,15 +179,14 @@ def run_reduction(
     the scorer calls behind those events: not those of the failing
     candidate, nor of later scans that ran before or beside it.
     """
-    records = corpus.records
     batch_size, epochs = settings.batch_size, settings.epochs
-    steps_per_epoch = math.ceil(len(records) / batch_size)
+    steps_per_epoch = math.ceil(len(corpus) / batch_size)
     total_steps = epochs * steps_per_epoch
     config = {
         "trace_schema": TRACE_SCHEMA,
         "run": settings.recorded(),
         "schedule": {
-            "record_count": len(records),
+            "record_count": len(corpus),
             "steps_per_epoch": steps_per_epoch,
             "total_steps": total_steps,
         },
@@ -205,7 +204,7 @@ def run_reduction(
     try:
         for epoch in range(1, epochs + 1):
             first = len(trace.events)
-            order = list(range(len(records)))
+            order = list(range(len(corpus)))
             child_rng(settings.seed, "batch-order", epoch).shuffle(order)
             scans = []
             for step in range(1, steps_per_epoch + 1):
@@ -213,7 +212,7 @@ def run_reduction(
                 if in_warmup(t, total_steps, settings.warmup_ratio):
                     continue
                 lo = (step - 1) * batch_size
-                batch = [records[i] for i in order[lo : lo + batch_size]]
+                batch = [corpus[i] for i in order[lo : lo + batch_size]]
                 scan = functools.partial(
                     _reduce_record, batch=batch, handle=handle, epoch=epoch, step=step,
                     t=t, settings=settings,

@@ -55,10 +55,10 @@ import random
 import threading
 import time
 from collections import Counter
-from typing import TYPE_CHECKING, BinaryIO, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
-from .corpus import Corpus, RationaleRecord
+from .corpus import RationaleRecord, parse_json
 from .errors import (
     ConfigurationError,
     OutOfVocabularyError,
@@ -200,7 +200,8 @@ class ScorerHandle:
 
     def refresh(self, streams: Iterable[Sequence[str]] = ()) -> None:
         """Bump model_version (the fit counter) and clear the cache; a
-        backend that refits on the corpus's token streams does so first."""
+        backend that refits on the corpus's token streams, which can be
+        read only once, does so first."""
         self.model_version += 1
         self.cache.clear()
 
@@ -599,7 +600,7 @@ class RemoteScorer(ScorerHandle):
         are not numbers. The list's length is the server's tokenization's,
         so it is not checked."""
         try:
-            body = json.loads(payload)
+            body = parse_json(payload)
             terms, total = body["token_logprobs"], body["total_logprob"]
             if not isinstance(terms, list) or not terms:
                 raise ValueError("token_logprobs is not a non-empty list")
@@ -614,8 +615,7 @@ class RemoteScorer(ScorerHandle):
                     and abs(total - checksum) <= 1e-12 * max(1.0, abs(total))):
                 raise ValueError(
                     f"total_logprob {total!r} is not the terms' sum {checksum!r}")
-        # RecursionError: arrays or objects nested too deeply
-        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ProtocolError(f"malformed scorer response: {exc}") from exc
         return LogLikelihood(total, per_token)
 
@@ -627,11 +627,11 @@ class RemoteScorer(ScorerHandle):
 
 # --- corpus-backed construction -------------------------------------------
 
-def build_vocabulary(corpus: Corpus) -> tuple[str, ...]:
+def build_vocabulary(corpus: list[RationaleRecord]) -> tuple[str, ...]:
     """Sorted union of whitespace tokens over every text field: a set, and
     non-empty, as every record's question holds a token."""
     symbols: set[str] = set()
-    for record in corpus.records:
+    for record in corpus:
         symbols.update(record.question.split())
         symbols.update(record.answer.split())
         for unit in record.rationale:
@@ -641,22 +641,22 @@ def build_vocabulary(corpus: Corpus) -> tuple[str, ...]:
     return tuple(sorted(symbols))
 
 
-def corpus_view(corpus: Corpus) -> list[list[str]]:
-    """One token stream per record: the question's tokens, each retained
-    unit's, then the answer's. The tokens before the answer are those of
-    the rendered prompt under any template, whose separators are
-    whitespace."""
-    streams = []
-    for record in corpus.records:
+def corpus_view(corpus: list[RationaleRecord]) -> Iterator[list[str]]:
+    """Yield one token stream per record: the question's tokens, each
+    retained unit's, then the answer's. The tokens before the answer are
+    those of the rendered prompt under any template, whose separators are
+    whitespace. Built as it is read: a refresh that reads no streams
+    tokenises no record."""
+    for record in corpus:
         stream = record.question.split()
         for unit in record.rationale:
             if unit.removed_at is None:
                 stream.extend(unit.text.split())
         stream.extend(record.answer.split())
-        streams.append(stream)
-    return streams
+        yield stream
 
 
-def fit_tabular_scorer(corpus: Corpus, smoothing_alpha: float = 1.0) -> TabularScorer:
+def fit_tabular_scorer(corpus: list[RationaleRecord],
+                       smoothing_alpha: float = 1.0) -> TabularScorer:
     """Build a tabular scorer fitted on the corpus as currently retained."""
     return TabularScorer(build_vocabulary(corpus), smoothing_alpha, corpus_view(corpus))

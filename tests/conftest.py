@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from varr.corpus import Corpus, RationaleRecord, RationaleUnit, load_corpus
+from varr.corpus import RationaleRecord, RationaleUnit, load_corpus
 from varr.scorer import TabularScorer
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -13,12 +13,12 @@ LONG_ANSWER_CORPUS = DATA_DIR / "long_answer_corpus.jsonl"
 
 
 @pytest.fixture
-def fixture_corpus() -> Corpus:
+def fixture_corpus() -> list[RationaleRecord]:
     return load_corpus(FIXTURE_CORPUS)
 
 
 @pytest.fixture
-def pilot_corpus() -> Corpus:
+def pilot_corpus() -> list[RationaleRecord]:
     return load_corpus(PILOT_CORPUS)
 
 

@@ -80,22 +80,22 @@ def oracle_verbosity_wrong(counts, vocab, record, i, retained, negatives, alpha)
 def token_stats(corpus_before, corpus_after):
     """Average whitespace tokens (retained rationale + answer) per record,
     counted on two corpora with the same record ids."""
-    before_ids = {r.id for r in corpus_before.records}
-    after_ids = {r.id for r in corpus_after.records}
+    before_ids = {r.id for r in corpus_before}
+    after_ids = {r.id for r in corpus_after}
     if before_ids != after_ids:
         diff = sorted(before_ids.symmetric_difference(after_ids))
         raise ValueError(f"corpora do not share record ids; differ on {diff}")
 
     def average(corpus):
-        if not corpus.records:
+        if not corpus:
             return 0.0
         total = 0
-        for record in corpus.records:
+        for record in corpus:
             total += len(record.answer.split())
             for unit in record.rationale:
                 if unit.removed_at is None:
                     total += len(unit.text.split())
-        return total / len(corpus.records)
+        return total / len(corpus)
 
     before, after = average(corpus_before), average(corpus_after)
     return {

@@ -8,6 +8,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -105,9 +106,9 @@ def test_criterion_02_zero_laws():
     handle = TabularScorer(build_vocabulary(corpus))
     with Budget(1.0) as budget:
         checked = 0
-        for record in corpus.records:
+        for record in corpus:
             retained = record.retained_indices()
-            negatives = [r.answer for r in corpus.records if r.answer != record.answer]
+            negatives = [r.answer for r in corpus if r.answer != record.answer]
             for i in retained:
                 full, reduced = candidate_assemblies(record, i, retained)
                 v_gt = evaluate_candidate(handle, record, full, reduced).verbosity_gt
@@ -180,12 +181,12 @@ def test_criterion_06_algorithm_conformance():
         corpus_b = load_corpus(FIXTURE_CORPUS)
         handle_b = fit_tabular_scorer(corpus_b)
         ref_events, ref_retained = run_reference(
-            corpus_b, PairRefresh(handle_b), epochs=4, batch_size=3, warmup_ratio=0.1,
-            candidate_order="front", mode="varr_plus", seed=11, k_negatives=2,
+            SimpleNamespace(records=corpus_b), PairRefresh(handle_b), epochs=4, batch_size=3,
+            warmup_ratio=0.1, candidate_order="front", mode="varr_plus", seed=11, k_negatives=2,
         )
         got_events = [e._asdict() for e in trace.events]
         assert got_events == ref_events
-        for record in corpus_a.records:
+        for record in corpus_a:
             assert record.retained_indices() == ref_retained[record.id]
     passed(6, f"driver trace equals straight-line reference, {len(ref_events)} events", budget)
 
@@ -195,8 +196,8 @@ def test_criterion_07_subset_law():
     handle = fit_tabular_scorer(corpus)
     violations = 0
     cells = 0
-    batch = corpus.records
-    for record in corpus.records:
+    batch = corpus
+    for record in corpus:
         full = record.retained_indices()
         grids = [full] + [[j for j in full if j != full[0]]] if len(full) > 1 else [full]
         for retained in grids:
@@ -268,7 +269,7 @@ def test_criterion_09_token_reduction_and_replay(tmp_path):
     assert out_run.read_bytes() == out_replay.read_bytes()
 
     reloaded = load_corpus(out_run)
-    for original, loaded in zip(corpus.records, reloaded.records):
+    for original, loaded in zip(corpus, reloaded):
         assert [u.text for u in original.retained_units()] == [
             u.text for u in loaded.rationale
         ]

@@ -1,10 +1,11 @@
 """Property test of the CLI contract on generated inputs.
 
-Whatever the corpus lines, config-file entries and flag values, ``varr``
-exits 0, 1 or 2, never 3 (an internal fault), prints no traceback, ends
-the stderr of an exit 1 with one ``error: ...`` line, and a ``reduce``
-that exits 1 leaves no out-dir. Every run is on the tabular backend: no generated
-setting names the remote scorer or a URL. The model is fitted on the
+Whatever the corpus lines, config-file entries, flag values and faults
+in the bytes of the files it reads, ``varr`` exits 0, 1 or 2, never 3
+(an internal fault), prints no traceback, ends the stderr of an exit 1
+with one ``error: ...`` line, and a ``reduce`` that exits 1 leaves no
+out-dir. Every run is on the tabular backend: no generated setting
+names the remote scorer or a URL. The model is fitted on the
 corpus, so a scorer failure (exit 2) in ``reduce`` or ``pilot`` would be
 a bad input that validation let through.
 """
@@ -66,6 +67,33 @@ def corpus_line(draw, index):
             obj[key] = draw(blanks if fault == "blank" else wrong_types)
     return draw(sometimes(st.just(json.dumps(obj)),
                           st.sampled_from(["{oops", "[]", "null", "", "\"x\"", *REFUSED]), 10))
+
+
+# Faults in a file's bytes: a byte that is not UTF-8, a UTF-8 byte order
+# mark, a JSON escape of a lone surrogate, CRLF line ends and NUL. Each
+# file, the corpus (--input or --fit-corpus), --config and
+# --rationale-file, has one or none.
+BYTE_FAULTS = ("invalid", "bom", "surrogate", "crlf", "nul")
+file_faults = st.fixed_dictionaries({
+    door: sometimes(st.none(), st.tuples(st.sampled_from(BYTE_FAULTS), st.integers(0, 999)), 3)
+    for door in ("corpus", "config", "rationale")
+})
+NO_FAULTS = {"corpus": None, "config": None, "rationale": None}
+
+
+def with_fault(text: str, fault: tuple[str, int] | None) -> bytes:
+    """``text`` as UTF-8, with ``fault`` applied: (kind, byte offset)."""
+    data = text.encode("utf-8")
+    if fault is None:
+        return data
+    kind, at = fault
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + data
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    at %= len(data) + 1
+    inserted = {"invalid": b"\xff", "surrogate": b"\\ud800", "nul": b"\x00"}[kind]
+    return data[:at] + inserted + data[at:]
 
 
 # config-file entries; the scorer backend and URL are left at their defaults
@@ -133,22 +161,34 @@ VALID_LINE = json.dumps({"id": "r0", "question": "a b", "rationale": "X y. So é
                          "answer": "a", "task_kind": "free_form"})
 
 
-@given(invocations())
-@example(("pilot", [VALID_LINE], "{}", ["--sizes", "0", "--check-ordering"]))
-@example(("reduce", [VALID_LINE, REFUSED[0]], "{}", []))
-@example(("reduce", [REFUSED[1]], "{}", []))
-@example(("reduce", [VALID_LINE], REFUSED[0], []))
-@example(("score", [VALID_LINE], '{"schedule": {"epochs": ' + "1" * 5000 + "}}", []))
+@given(invocations(), st.lists(words, max_size=3), file_faults)
+@example(("pilot", [VALID_LINE], "{}", ["--sizes", "0", "--check-ordering"]), [], NO_FAULTS)
+@example(("reduce", [VALID_LINE, REFUSED[0]], "{}", []), [], NO_FAULTS)
+@example(("reduce", [REFUSED[1]], "{}", []), [], NO_FAULTS)
+@example(("reduce", [VALID_LINE], REFUSED[0], []), [], NO_FAULTS)
+@example(("score", [VALID_LINE], '{"schedule": {"epochs": ' + "1" * 5000 + "}}", []), [],
+         NO_FAULTS)
+@example(("reduce", [VALID_LINE], "{}", []), [], {**NO_FAULTS, "corpus": ("crlf", 0)})
+@example(("score", [VALID_LINE], "{}", []), ["X y", "So"],
+         {"corpus": ("bom", 0), "config": ("nul", 1), "rationale": ("nul", 3)})
 @settings(derandomize=True, deadline=None, max_examples=200)
-def test_cli_exit_codes_and_outputs_on_generated_inputs(tmp_path_factory, invocation):
+def test_cli_exit_codes_and_outputs_on_generated_inputs(tmp_path_factory, invocation,
+                                                        rationale_lines, faults):
     command, lines, config_text, flags = invocation
     tmp = tmp_path_factory.mktemp("contract")
     corpus, config, out = tmp / "corpus.jsonl", tmp / "run.json", tmp / "out"
-    corpus.write_text("".join(f"{text}\n" for text in lines), encoding="utf-8")
-    config.write_text(config_text, encoding="utf-8")
+    rationale = tmp / "rationale.txt"
+    corpus.write_bytes(with_fault("".join(f"{text}\n" for text in lines), faults["corpus"]))
+    config.write_bytes(with_fault(config_text, faults["config"]))
+    rationale.write_bytes(with_fault("".join(f"{text}\n" for text in rationale_lines),
+                                     faults["rationale"]))
+    for door, fault in faults.items():
+        if fault is not None:
+            event(f"{door} has {fault[0]}")
     argv = [command, "--config", str(config)]
     if command == "score":
-        argv += ["--question", "a", "--answer", "b", "--fit-corpus", str(corpus)]
+        argv += ["--question", "a", "--answer", "b", "--fit-corpus", str(corpus),
+                 "--rationale-file", str(rationale)]
     elif command == "ingest":
         argv += ["--input", str(corpus), "--output", str(tmp / "norm.jsonl")]
     else:

@@ -49,7 +49,7 @@ def test_load_counts_records(tmp_path):
 def test_presplit_list_passthrough(tmp_path):
     path = tmp_path / "c.jsonl"
     write_lines(path, [base_obj("a", rationale=["u0", "u1", "u2", "u3"])])
-    record = load_corpus(path).records[0]
+    record = load_corpus(path)[0]
     assert [u.index for u in record.rationale] == [0, 1, 2, 3]
     assert [u.text for u in record.rationale] == ["u0", "u1", "u2", "u3"]
 
@@ -59,14 +59,14 @@ def test_raw_string_goes_through_segmenter(tmp_path):
     obj = base_obj("a")
     obj["rationale"] = "A is 2. So B is 4."
     write_lines(path, [obj])
-    record = load_corpus(path).records[0]
+    record = load_corpus(path)[0]
     assert [u.text for u in record.rationale] == ["A is 2.", "So B is 4."]
 
 
 def test_token_granularity(tmp_path):
     path = tmp_path / "c.jsonl"
     write_lines(path, [base_obj("a", rationale=["a b", "c d e"])])
-    record = load_corpus(path, RunConfig(unit="token")).records[0]
+    record = load_corpus(path, RunConfig(unit="token"))[0]
     assert [u.text for u in record.rationale] == ["a", "b", "c", "d", "e"]
 
 
@@ -99,7 +99,7 @@ def test_token_units_are_the_whitespace_tokens_whatever_the_segmenter(
         path = Path(tmp) / "c.jsonl"
         write_lines(path, [{**base_obj("raw"), "rationale": text},
                            base_obj("split", rationale=entries)])
-        raw, split = load_corpus(path, settings).records
+        raw, split = load_corpus(path, settings)
     assert [u.text for u in raw.rationale] == text.split()
     assert [u.text for u in split.rationale] == " ".join(entries).split()
     assert [u.index for u in raw.rationale] == list(range(len(raw.rationale)))
@@ -150,7 +150,7 @@ def test_empty_rationale_flagged_not_fatal(tmp_path):
     # an empty list, and a blank string, which segments to no units
     path = tmp_path / "c.jsonl"
     write_lines(path, [base_obj("a", rationale=[]), {**base_obj("b"), "rationale": " \t "}])
-    for record in load_corpus(path).records:
+    for record in load_corpus(path):
         assert record.rationale == []
         report = validate_record(record)
         assert not report.violations
@@ -204,8 +204,8 @@ def test_write_reduced_no_removals_identity(tmp_path, fixture_corpus):
     out = tmp_path / "red.jsonl"
     write_reduced(fixture_corpus, out)
     reloaded = load_corpus(out)
-    assert [r.id for r in reloaded.records] == [r.id for r in fixture_corpus.records]
-    for before, after in zip(fixture_corpus.records, reloaded.records):
+    assert [r.id for r in reloaded] == [r.id for r in fixture_corpus]
+    for before, after in zip(fixture_corpus, reloaded):
         assert [u.text for u in before.rationale] == [u.text for u in after.rationale]
 
 
@@ -213,9 +213,8 @@ def test_write_reduced_set_difference(tmp_path):
     record = make_record(units=("u0", "u1", "u2", "u3"))
     record.mark_removed(0, 1, 1)
     record.mark_removed(2, 1, 2)
-    from varr.corpus import Corpus
 
-    corpus = Corpus(records=[record])
+    corpus = [record]
     out = tmp_path / "red.jsonl"
     write_reduced(corpus, out)
     obj = json.loads(out.read_text(encoding="utf-8"))
@@ -248,7 +247,6 @@ record_strategy = st.lists(
 @settings(max_examples=50, deadline=None)
 def test_roundtrip_restricted_to_retained(tmp_path_factory, specs):
     """load(write(load(f))) == load(f) restricted to non-removed units."""
-    from varr.corpus import Corpus
 
     tmp = tmp_path_factory.mktemp("rt")
     records = []
@@ -258,12 +256,12 @@ def test_roundtrip_restricted_to_retained(tmp_path_factory, specs):
             if idx < len(record.rationale):
                 record.mark_removed(idx, 1, n + 1)
         records.append(record)
-    corpus = Corpus(records=records)
+    corpus = records
     out = tmp / "reduced.jsonl"
     write_reduced(corpus, out)
     reloaded = load_corpus(out)
     assert len(reloaded) == len(corpus)
-    for before, after in zip(corpus.records, reloaded.records):
+    for before, after in zip(corpus, reloaded):
         assert [u.text for u in before.retained_units()] == [
             u.text for u in after.rationale
         ]
@@ -285,7 +283,6 @@ TEXTS = st.text(alphabet=st.sampled_from(
 ), min_size=1, max_size=4))
 @settings(max_examples=100, deadline=None)
 def test_write_reduced_lines_are_json_dumps_of_the_record_dict(tmp_path_factory, specs):
-    from varr.corpus import Corpus
 
     records = []
     for n, (units, removals, text) in enumerate(specs):
@@ -296,7 +293,7 @@ def test_write_reduced_lines_are_json_dumps_of_the_record_dict(tmp_path_factory,
                 record.mark_removed(index, epoch, step)
         records.append(record)
     out = tmp_path_factory.mktemp("reduced") / "reduced.jsonl"
-    write_reduced(Corpus(records=records), out)
+    write_reduced(records, out)
     assert out.read_text(encoding="utf-8").split("\n") == [
         json.dumps(reduced_record_dict(r), ensure_ascii=False) for r in records] + [""]
 
@@ -305,7 +302,7 @@ def test_write_corpus_roundtrip(tmp_path, fixture_corpus):
     out = tmp_path / "norm.jsonl"
     write_corpus(fixture_corpus, out)
     reloaded = load_corpus(out)
-    for before, after in zip(fixture_corpus.records, reloaded.records):
+    for before, after in zip(fixture_corpus, reloaded):
         assert before.id == after.id
         assert [u.text for u in before.rationale] == [u.text for u in after.rationale]
         assert before.wrong_answers == after.wrong_answers

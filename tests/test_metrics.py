@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varr.config import RunConfig
-from varr.corpus import Corpus, load_corpus
+from varr.corpus import load_corpus
 from varr.metrics import (
     DECISION_KEPT,
     DECISION_REMOVED,
@@ -56,18 +56,18 @@ def test_ratio_simple_division():
     ]
     points = removal_ratio_curve(trace_with(events, epochs=1))
     assert len(points) == 1
-    assert points[0].removed_count == 3
-    assert points[0].max_potential == 5
-    assert points[0].ratio == pytest.approx(0.6)
+    assert points[0]["removed_count"] == 3
+    assert points[0]["max_potential"] == 5
+    assert points[0]["ratio"] == pytest.approx(0.6)
 
 
 def test_ratio_warmup_only_epoch_is_zero():
     events = [event("a", epoch=2, step=1, t=6)]
     points = removal_ratio_curve(trace_with(events, epochs=2))
-    assert points[0].epoch == 1
-    assert points[0].max_potential == 0
-    assert points[0].ratio == 0.0
-    assert points[1].removed_count == 1
+    assert points[0]["epoch"] == 1
+    assert points[0]["max_potential"] == 0
+    assert points[0]["ratio"] == 0.0
+    assert points[1]["removed_count"] == 1
 
 
 def test_ratio_budget_counted_once_per_record_step():
@@ -77,8 +77,8 @@ def test_ratio_budget_counted_once_per_record_step():
         event("a", t=4, index=2, decision=DECISION_KEPT, budget=3, buffer_size=2),
     ]
     points = removal_ratio_curve(trace_with(events, epochs=1))
-    assert points[0].max_potential == 3
-    assert points[0].removed_count == 2
+    assert points[0]["max_potential"] == 3
+    assert points[0]["removed_count"] == 2
 
 
 def test_ratio_uniform_varr_run_is_one_until_exhaustion(fixture_corpus):
@@ -90,7 +90,7 @@ def test_ratio_uniform_varr_run_is_one_until_exhaustion(fixture_corpus):
         seed=3))
     points = removal_ratio_curve(trace)
     assert len(points) == 1
-    assert points[0].ratio == pytest.approx(1.0)
+    assert points[0]["ratio"] == pytest.approx(1.0)
 
 
 def test_token_stats_identity(fixture_corpus):
@@ -101,11 +101,11 @@ def test_token_stats_identity(fixture_corpus):
 
 
 def test_token_stats_exhausted_counts_answers_only():
-    before = Corpus(records=[make_record(units=("a b", "c d"), answer="x y")])
+    before = [make_record(units=("a b", "c d"), answer="x y")]
     after_record = make_record(units=("a b", "c d"), answer="x y")
     after_record.mark_removed(0, 1, 1)
     after_record.mark_removed(1, 1, 1)
-    after = Corpus(records=[after_record])
+    after = [after_record]
     stats = token_stats(before, after)
     assert stats["avg_rationale_tokens_before"] == 6.0
     assert stats["avg_rationale_tokens_after"] == 2.0  # answer tokens only
@@ -113,8 +113,8 @@ def test_token_stats_exhausted_counts_answers_only():
 
 
 def test_token_stats_id_mismatch_lists_difference():
-    a = Corpus(records=[make_record(record_id="x")])
-    b = Corpus(records=[make_record(record_id="y")])
+    a = [make_record(record_id="x")]
+    b = [make_record(record_id="y")]
     with pytest.raises(ValueError, match="x.*y|y.*x"):
         token_stats(a, b)
 
@@ -126,7 +126,7 @@ def test_replay_reproduces_final_retained_sets():
         epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="front", mode="varr",
         seed=8))
     replayed = replay_trace(load_corpus(FIXTURE_CORPUS), trace)
-    for got, want in zip(replayed.records, corpus.records):
+    for got, want in zip(replayed, corpus):
         assert got.retained_indices() == want.retained_indices()
         assert [u.removed_at for u in got.rationale] == [
             u.removed_at for u in want.rationale
@@ -186,13 +186,13 @@ def replayed_pair():
     record.mark_removed(0, 1, 1)
     record.mark_removed(2, 2, 1)
     trace = trace_with([event(record.id, index=0), event(record.id, epoch=2, t=6, index=2)])
-    return trace, Corpus(records=[record])
+    return trace, [record]
 
 
 @pytest.mark.parametrize("change", ["none", "missing", "extra", "moved", "no-events"])
 def test_validate_trace_checks_the_replay_law_given_the_corpus(change):
     trace, corpus = replayed_pair()
-    units = corpus.records[0].rationale
+    units = corpus[0].rationale
     if change == "missing":
         units[2].removed_at = None
     elif change == "extra":
@@ -207,7 +207,7 @@ def test_validate_trace_checks_the_replay_law_given_the_corpus(change):
 
 def test_validate_trace_lists_the_replay_problem_after_the_budget_problems():
     trace, corpus = replayed_pair()
-    trace.events.insert(1, event(corpus.records[0].id, index=1, buffer_size=2))
+    trace.events.insert(1, event(corpus[0].id, index=1, buffer_size=2))
     assert validate_trace(trace, corpus) == [
         "group ('r1', 1, 1) removed 2 over budget 1", REPLAY_PROBLEM]
 
@@ -266,15 +266,23 @@ def naive_ratio_curve(trace):
     return points
 
 
-def test_ratio_curve_matches_per_key_rescan(fixture_corpus):
-    handle = fit_tabular_scorer(fixture_corpus)
-    trace = run_reduction(fixture_corpus, handle, RunConfig(
-        epochs=3, batch_size=4, warmup_ratio=0.0, candidate_order="back", mode="varr",
-        seed=5))
-    got = [(p.epoch, p.removed_count, p.max_potential, p.ratio)
+@given(events=EVENTS, epochs=st.integers(1, 4))
+@example(events=None, epochs=3)
+@settings(deadline=None)
+def test_ratio_curve_matches_per_key_rescan(events, epochs):
+    # generated events interleave scans, fall outside the run's epochs and
+    # do not tie t to (epoch, step); None stands for a real run's trace
+    if events is None:
+        corpus = load_corpus(FIXTURE_CORPUS)
+        trace = run_reduction(corpus, fit_tabular_scorer(corpus), RunConfig(
+            epochs=epochs, batch_size=4, warmup_ratio=0.0, candidate_order="back",
+            mode="varr", seed=5))
+        assert trace.events
+    else:
+        trace = trace_with(events, epochs=epochs)
+    got = [(p["epoch"], p["removed_count"], p["max_potential"], p["ratio"])
            for p in removal_ratio_curve(trace)]
     assert got == naive_ratio_curve(trace)
-    assert got
 
 
 def canonical_trace():

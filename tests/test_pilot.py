@@ -149,9 +149,8 @@ def test_tsv_shape(pilot_corpus):
 
 
 def test_all_records_too_short_raises():
-    from varr.corpus import Corpus
 
-    corpus = Corpus(records=[make_record(units=("a", "b"))])
+    corpus = [make_record(units=("a", "b"))]
     handle = TabularScorer(["a", "b", "what", "is", "it", "fine"])
     with pytest.raises(ValidationError):
         pilot_nll_curve(corpus, handle, RunConfig(pilot_sizes=(4,)))

@@ -463,13 +463,15 @@ def test_reply_that_scores_nothing_or_not_numbers_is_a_protocol_error(body):
     # total is positive, even within the tolerance;
     # a total more than 1e-12 from the terms' sum (relative, absolute below
     # 1) is not theirs. json.loads reads NaN and Infinity, but refuses
-    # arrays nested too deeply and integers too long to convert. A
+    # arrays nested too deeply and integers too long to convert, and its
+    # message for the integer advises a programmer, not a user. A
     # ProtocolError is not retried
     with ScriptedReplyServer([(scored(body), False)] * 2) as server:
         scorer = remote(server.url, max_attempts=2)
-        with pytest.raises(ProtocolError, match="malformed scorer response"):
+        with pytest.raises(ProtocolError, match="malformed scorer response") as info:
             scorer.score_answer(ASSEMBLY, "a b")
         scorer.close()
+    assert "set_int_max_str_digits" not in str(info.value)
     assert server.connections() == [1]
 
 
@@ -623,7 +625,7 @@ def reduce_remote(server, in_flight, settings=SETTINGS):
 
 def outcome(trace, corpus):
     return ([e._asdict() for e in trace.events], trace.scorer_call_count,
-            {r.id: r.retained_indices() for r in corpus.records})
+            {r.id: r.retained_indices() for r in corpus})
 
 
 def test_concurrent_reduction_matches_serial_and_tabular():
@@ -683,7 +685,7 @@ def test_server_closing_after_each_reply_still_gets_in_flight_requests():
     # once the server has closed a connection after its reply, every request
     # opens one, so the new-connection guard is lifted: 16 callers at once,
     # whose replies the server holds until 16 requests are open, all get in
-    records = load_corpus(FIXTURE_CORPUS).records
+    records = load_corpus(FIXTURE_CORPUS)
     with MockScorerServer(score=corpus_score(FIXTURE_CORPUS), close_after_reply=True) as server:
         scorer = remote(server.url, in_flight=16, timeout_ms=10_000)
         with ThreadPoolExecutor(16) as callers:
@@ -735,9 +737,9 @@ MID_BATCH = replace(SETTINGS, epochs=1, candidate_order="front", mode="varr", se
 
 def mid_batch_target():
     corpus = load_corpus(FIXTURE_CORPUS)
-    order = list(range(len(corpus.records)))
+    order = list(range(len(corpus)))
     child_rng(MID_BATCH.seed, "batch-order", 1).shuffle(order)
-    return corpus.records[order[9]]
+    return corpus[order[9]]
 
 
 def calls_behind(events):
@@ -801,11 +803,11 @@ def test_partial_trace_on_failure_in_the_first_batch_is_serial():
     # has sent a request
     settings = replace(MID_BATCH, seed=1)
     corpus = load_corpus(FIXTURE_CORPUS)
-    order = list(range(len(corpus.records)))
+    order = list(range(len(corpus)))
     child_rng(settings.seed, "batch-order", 1).shuffle(order)
-    target = corpus.records[order[settings.batch_size - 1]]
+    target = corpus[order[settings.batch_size - 1]]
     full = " ".join((target.question, *(u.text for u in target.rationale)))
-    later = tuple(corpus.records[i].question + " " for i in order[settings.batch_size:])
+    later = tuple(corpus[i].question + " " for i in order[settings.batch_size:])
     partial = {}
     for in_flight in (1, 4, 16):
         later_sent = threading.Event()
@@ -838,7 +840,7 @@ def test_corpus_score_is_the_fitted_tabular_scorer():
     corpus = load_corpus(FIXTURE_CORPUS)
     score = corpus_score(FIXTURE_CORPUS, 2.0)
     handle = fit_tabular_scorer(corpus, smoothing_alpha=2.0)
-    for record in corpus.records:
+    for record in corpus:
         prompt = assemble_prompt(record, record.retained_indices())
         want = handle.score_answer(prompt, record.answer).per_token
         assert score(prompt.render(), record.answer) == list(want)

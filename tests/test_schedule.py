@@ -1,9 +1,11 @@
 import hashlib
+import inspect
 import itertools
 import random
 import sys
 import threading
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from varr import schedule
 from varr.config import RunConfig
-from varr.corpus import Corpus, load_corpus
+from varr.corpus import load_corpus
 from varr.errors import ConfigurationError, OutOfVocabularyError
 from varr.schedule import (
     CANDIDATE_ORDERS,
@@ -349,7 +351,7 @@ def test_scan_pool_matches_inline_under_thread_stress():
         trace = run_reduction(corpus, handle, RunConfig(
             epochs=4, batch_size=batch_size, warmup_ratio=0.1, candidate_order="random",
             mode="varr_plus", seed=21, k_negatives=2))
-        retained = {r.id: r.retained_indices() for r in corpus.records}
+        retained = {r.id: r.retained_indices() for r in corpus}
         return [e._asdict() for e in trace.events], trace.scorer_call_count, retained
 
     for batch_size in (8, 2):  # at 2, an epoch's scans span many batches
@@ -371,11 +373,11 @@ def test_pooled_scan_failure_keeps_serial_partial_trace(monkeypatch):
         corpus = fresh_corpus()
         handle = fit_tabular_scorer(corpus)
         handle.in_flight = in_flight
-        order = list(range(len(corpus.records)))
+        order = list(range(len(corpus)))
         child_rng(1, "batch-order", 1).shuffle(order)
-        failing = corpus.records[order[2]]
+        failing = corpus[order[2]]
         failing.answer = "unseen " + failing.answer  # out of vocabulary
-        later = {corpus.records[i].id for i in order[3:]}
+        later = {corpus[i].id for i in order[3:]}
         # run_reduction builds the abort once the failing scan has ended, so
         # its failure is recorded. Scans of later slots wait for that after
         # their first candidate; from then on no scan may call the scorer.
@@ -496,12 +498,12 @@ def assert_conformance(candidate_order, mode, seed, epochs=4, batch_size=3,
     corpus_b = fresh_corpus()
     handle_b = fit_tabular_scorer(corpus_b)
     ref_events, ref_retained = run_reference(
-        corpus_b, PairRefresh(handle_b), epochs=epochs, batch_size=batch_size,
-        warmup_ratio=warmup, candidate_order=candidate_order, mode=mode,
-        seed=seed, k_negatives=k, enforced_n=enforced_n,
+        SimpleNamespace(records=corpus_b), PairRefresh(handle_b), epochs=epochs,
+        batch_size=batch_size, warmup_ratio=warmup, candidate_order=candidate_order,
+        mode=mode, seed=seed, k_negatives=k, enforced_n=enforced_n,
     )
     assert [e._asdict() for e in trace.events] == ref_events
-    for record in corpus_a.records:
+    for record in corpus_a:
         assert record.retained_indices() == ref_retained[record.id]
 
 
@@ -540,11 +542,27 @@ def test_refresh_runs_between_epochs_only(epochs):
     # the reference refreshes after every epoch, the last one too
     reference = fresh_corpus()
     ref_events, ref_retained = run_reference(
-        reference, PairRefresh(fit_tabular_scorer(reference)), epochs=epochs, batch_size=3,
+        SimpleNamespace(records=reference), PairRefresh(fit_tabular_scorer(reference)),
+        epochs=epochs, batch_size=3,
         warmup_ratio=0.1, candidate_order="back", mode="varr_plus", seed=3,
         k_negatives=2, enforced_n=0)
     assert [e._asdict() for e in trace.events] == ref_events
-    assert {r.id: r.retained_indices() for r in corpus.records} == ref_retained
+    assert {r.id: r.retained_indices() for r in corpus} == ref_retained
+
+
+def test_a_refresh_that_reads_no_streams_tokenises_no_record():
+    # a remote handle's refresh ignores its streams, which are built only
+    # as they are read
+    class KeepingScorer(TabularScorer):
+        def refresh(self, streams=()):
+            self.streams = streams
+            ScorerHandle.refresh(self)
+
+    corpus = fresh_corpus()
+    handle = KeepingScorer(build_vocabulary(corpus))
+    run_reduction(corpus, handle, RunConfig(
+        epochs=2, batch_size=3, warmup_ratio=0.0, candidate_order="back", seed=3))
+    assert inspect.getgeneratorstate(handle.streams) == "GEN_CREATED"
 
 
 # --- differential: driver against the reference on generated corpora --------
@@ -567,7 +585,7 @@ class RenderedHashScorer(ScorerHandle):
         return LogLikelihood(sum(terms), terms)
 
     def refresh(self, streams=()):
-        self.view = repr(streams)
+        self.view = repr(list(streams))
         super().refresh()
 
 
@@ -594,12 +612,12 @@ def record_specs(draw):
 
 
 def spec_corpus(specs):
-    return Corpus(records=[
+    return [
         make_record(record_id=s["id"], question=s["question"], units=s["units"],
                     answer=s["answer"], wrong_answers=s["wrong_answers"],
                     task_kind=s["task_kind"])
         for s in specs
-    ])
+    ]
 
 
 @settings(max_examples=25, deadline=None)
@@ -632,9 +650,10 @@ def test_driver_matches_reference_on_generated_corpora(specs, epochs, batch_size
             template_id=template_id))
         corpus_b = spec_corpus(specs)
         ref_events, ref_retained = run_reference(
-            corpus_b, PairRefresh(handle_for(handle_kind, corpus_b)), epochs=epochs,
-            batch_size=batch_size, warmup_ratio=warmup, candidate_order=order, mode=mode,
-            seed=seed, k_negatives=k, enforced_n=enforced_n, template_id=template_id)
+            SimpleNamespace(records=corpus_b), PairRefresh(handle_for(handle_kind, corpus_b)),
+            epochs=epochs, batch_size=batch_size, warmup_ratio=warmup, candidate_order=order,
+            mode=mode, seed=seed, k_negatives=k, enforced_n=enforced_n,
+            template_id=template_id)
         setting = (handle_kind, order, mode, template_id, in_flight)
         assert [e._asdict() for e in trace.events] == ref_events, setting
-        assert {r.id: r.retained_indices() for r in corpus_a.records} == ref_retained, setting
+        assert {r.id: r.retained_indices() for r in corpus_a} == ref_retained, setting

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from varr.corpus import Corpus, load_corpus
+from varr.corpus import load_corpus
 from varr.errors import OutOfVocabularyError
 from varr.scorer import (
     TEMPLATES,
@@ -86,7 +86,7 @@ def test_score_errors():
 
 
 def test_assemble_prompt_orders_and_validates(fixture_corpus):
-    record = fixture_corpus.records[0]
+    record = fixture_corpus[0]
     full = assemble_prompt(record, [u.index for u in record.rationale])
     assert full.retained_rationale == tuple(u.text for u in record.rationale)
     empty = assemble_prompt(record, [])
@@ -99,7 +99,7 @@ def test_assemble_prompt_orders_and_validates(fixture_corpus):
 
 
 def test_template_controls_separators_only(fixture_corpus):
-    record = fixture_corpus.records[0]
+    record = fixture_corpus[0]
     plain = assemble_prompt(record, [0, 1], "plain-v1").render()
     newline = assemble_prompt(record, [0, 1], "newline-v1").render()
     assert plain.split() == newline.split()
@@ -139,15 +139,15 @@ def test_tabular_context_is_last_rendered_token(question, units, template_id):
 def test_corpus_view_equals_split_of_rendered_prompt(fixture_corpus, pilot_corpus,
                                                      template_id):
     for corpus in (fixture_corpus, pilot_corpus):
-        for n, record in enumerate(corpus.records):
+        for n, record in enumerate(corpus):
             if n % 2 and record.rationale:
                 record.mark_removed(n % len(record.rationale), 1, 1)
         want = [
             assemble_prompt(r, r.retained_indices(), template_id).render().split()
             + r.answer.split()
-            for r in corpus.records
+            for r in corpus
         ]
-        assert corpus_view(corpus) == want
+        assert list(corpus_view(corpus)) == want
 
 
 def test_refit_rebuilds_from_scratch():
@@ -166,9 +166,9 @@ def test_refit_rebuilds_from_scratch():
 def test_refit_matches_hand_counted_bigrams(fixture_corpus):
     scorer = fit_tabular_scorer(fixture_corpus)
     # remove one unit and refit; count the reduced streams by hand
-    record = fixture_corpus.records[0]
+    record = fixture_corpus[0]
     record.mark_removed(1, 1, 1)
-    streams = corpus_view(fixture_corpus)
+    streams = list(corpus_view(fixture_corpus))
     scorer.refresh(streams)
     expected = {}
     for stream in streams:
@@ -190,19 +190,19 @@ PHRASES = st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=3
 def test_fit_on_the_reduced_corpus_equals_the_refreshed_model(specs, removals, alpha):
     # a resumed run rebuilds its model by fitting on the replayed corpus;
     # that must be the model a run refreshed on the same corpus holds
-    corpus = Corpus(records=[
+    corpus = [
         make_record(record_id=f"r{n}", question=question, units=units, answer=answer)
         for n, (question, units, answer) in enumerate(specs)
-    ])
+    ]
     refreshed = fit_tabular_scorer(corpus, alpha)
     for n, index in removals:
-        units = corpus.records[n % len(corpus.records)].rationale
+        units = corpus[n % len(corpus)].rationale
         if units and units[index % len(units)].removed_at is None:
             units[index % len(units)].removed_at = (1, 1)
     refreshed.refresh(corpus_view(corpus))
     fitted = fit_tabular_scorer(corpus, alpha)
     assert fitted.vocabulary == refreshed.vocabulary
-    for record in corpus.records:
+    for record in corpus:
         for retained in (record.retained_indices(), []):
             assembly = assemble_prompt(record, retained)
             for answer in (record.answer, record.question):
@@ -287,9 +287,8 @@ def test_build_vocabulary_covers_all_fields():
         units=("u1 u2",), answer="ans", wrong_answers=("w1", "w2 w3"),
         task_kind="multiple_choice",
     )
-    from varr.corpus import Corpus
 
-    vocab = build_vocabulary(Corpus(records=[record]))
+    vocab = build_vocabulary([record])
     assert set(vocab) >= {"u1", "u2", "ans", "w1", "w2", "w3", "what", "is", "it"}
     assert list(vocab) == sorted(vocab)
 
@@ -308,7 +307,7 @@ def test_fit_tabular_scorer_fixture_prompt_matches_oracle():
     scorer = fit_tabular_scorer(corpus)
     vocab = sorted(scorer.vocabulary)
     counts = dense_counts(scorer, vocab)
-    record = corpus.records[0]
+    record = corpus[0]
     assembly = assemble_prompt(record, record.retained_indices())
     got = scorer.score_answer(assembly, record.answer).total
     want = oracle_score(

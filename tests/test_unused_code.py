@@ -1,8 +1,9 @@
-"""Every module-level function and class of ``varr``, and every method and
-class attribute of its classes, is reached by the program, not only by
-its tests.
+"""Every module-level function, class and constant of ``varr``, and every
+method and class attribute of its classes, is reached by the program,
+not only by its tests.
 
-A module-level definition in ``src/varr/*.py`` counts as used when its
+A module-level definition in ``src/varr/*.py`` (a function, a class, or
+a name assigned at the top level, dunders skipped) counts as used when its
 name is read (as a name or an attribute) by code in ``src/varr`` outside
 its own definition, in ``scripts/`` or in ``perfbench/``. The package
 root re-exports nothing, so an export is no use. A method counts as
@@ -58,20 +59,29 @@ def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(path: Path, tree: ast.Module):
     """(node, name, reader, class whose bases it may override or None) for
-    each module-level function and class, and each non-dunder method, class
-    attribute and instance attribute of a module-level class."""
+    each module-level function, class and non-dunder constant, and each
+    non-dunder method, class attribute and instance attribute of a
+    module-level class."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     module = importlib.import_module(f"varr.{path.stem}")
     for node in tree.body:
         if isinstance(node, (*functions, ast.ClassDef)):
             yield node, node.name, names_read, None
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for store in (name for target in targets for name in ast.walk(target)):
+                if isinstance(store, ast.Name) and not dunder(store.id):
+                    yield node, store.id, names_read, None
         if isinstance(node, ast.ClassDef):
             cls = getattr(module, node.name)
             for member in node.body:
-                if isinstance(member, functions) and not (
-                        member.name.startswith("__") and member.name.endswith("__")):
+                if isinstance(member, functions) and not dunder(member.name):
                     yield member, member.name, attributes_read, cls
                 if isinstance(member, ast.Assign):
                     for target in member.targets:

@@ -76,7 +76,7 @@ def test_nll_repeat_call_identical(fixture_corpus):
     from varr.scorer import fit_tabular_scorer
 
     scorer = fit_tabular_scorer(fixture_corpus)
-    record = fixture_corpus.records[0]
+    record = fixture_corpus[0]
     retained = record.retained_indices()
     assert nll(scorer, record, retained) == nll(scorer, record, retained)
 
