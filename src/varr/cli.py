@@ -195,7 +195,7 @@ def _load_valid(path: str, cfg: config_mod.RunConfig) -> list[RationaleRecord]:
     """The corpus at ``path`` read with ``cfg``; else, if it is empty or a
     record is invalid, a ValidationError after each violation on stderr."""
     corpus = _load_records(path, cfg)
-    violations = [(r.record_id, v) for r in validate_corpus(corpus) for v in r.violations]
+    violations = validate_corpus(corpus)
     for rid, violation in violations:
         print(f"violation [{rid}]: {violation}", file=sys.stderr)
     if violations:
@@ -217,9 +217,8 @@ def _scorer_and_corpus(path: str,
 def cmd_ingest(args) -> int:
     cfg = config_mod.load_run_config(args.config, vars(args))
     corpus = _load_records(args.input, cfg)
-    reports = validate_corpus(corpus)
-    violations = [(r.record_id, v) for r in reports for v in r.violations]
-    flags = [(r.record_id, f) for r in reports for f in r.flags]
+    violations = validate_corpus(corpus)
+    flags = [(r.id, "rationale is empty") for r in corpus if not r.rationale]
     write_corpus(corpus, args.output)
     summary = {
         "records": len(corpus),
@@ -250,18 +249,17 @@ def cmd_pilot(args) -> int:
             f"--check-ordering needs the strategies {','.join(config_mod.PILOT_STRATEGIES)}")
     handle, corpus = _scorer_and_corpus(args.input, cfg)
     try:
-        results = pilot_mod.pilot_nll_curve(corpus, handle, cfg)
+        summary = pilot_mod.pilot_nll_curve(corpus, handle, cfg)
     finally:
         handle.close()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(out_dir / "pilot.tsv", pilot_mod.pilot_tsv(results))
-    summary = pilot_mod.pilot_summary(results)
-    summary["config"] = dataclasses.asdict(cfg)
-    write_text_atomic(out_dir / "pilot.json", json.dumps(summary, indent=2, sort_keys=True))
-    print(f"pilot curves over {len(results)} strategies -> {out_dir}")
-    print(f"baseline mean NLL: {results[0].baseline_nll:.6f}")
-    if args.check_ordering and not pilot_mod.ordering_holds(results):
+    write_text_atomic(out_dir / "pilot.tsv", pilot_mod.pilot_tsv(summary))
+    write_text_atomic(out_dir / "pilot.json", json.dumps(
+        {**summary, "config": dataclasses.asdict(cfg)}, indent=2, sort_keys=True))
+    print(f"pilot curves over {len(summary['curves'])} strategies -> {out_dir}")
+    print(f"baseline mean NLL: {summary['baseline_nll']:.6f}")
+    if args.check_ordering and not pilot_mod.ordering_holds(summary):
         raise ValidationError("ordering check failed: expected back > random > front")
     return EXIT_OK
 

@@ -21,7 +21,10 @@ A corpus is a plain ``list[RationaleRecord]`` in file order:
 Records are checked in two places only: ``load_corpus`` (UTF-8, JSON,
 field types, blank pre-split units, lone surrogates, ``task_kind``,
 duplicate ids) and ``validate_record`` (blank text, choice records'
-wrong answers). Units are numbered from 0 in order as they are loaded.
+wrong answers), which returns its violations as plain strings;
+``validate_corpus`` pairs each with its record id. An empty rationale
+is no violation: ``varr ingest`` notes it as a flag. Units are numbered
+from 0 in order as they are loaded.
 """
 
 from __future__ import annotations
@@ -77,13 +80,6 @@ class RationaleRecord:
                 f"unit {index} of record {self.id} removed twice"
             )
         unit.removed_at = (epoch, step)
-
-
-@dataclass
-class ValidationReport:
-    record_id: str
-    violations: list[str] = field(default_factory=list)
-    flags: list[str] = field(default_factory=list)
 
 
 def parse_json(text: str | bytes):
@@ -170,8 +166,7 @@ def load_corpus(path: str | Path, settings: RunConfig | None = None) -> list[Rat
     parser refuses (``parse_json``), fields of the wrong JSON type, blank
     pre-split units and strings that hold a lone surrogate (naming the
     line number and the field) and ValidationError for duplicate record
-    ids. Empty rationales load fine; they surface as flags in
-    validate_record, not as failures here.
+    ids. Empty rationales load fine; ``varr ingest`` flags them.
     """
     if settings is None:
         from .config import RunConfig
@@ -203,27 +198,27 @@ def load_corpus(path: str | Path, settings: RunConfig | None = None) -> list[Rat
     return records
 
 
-def validate_record(record: RationaleRecord) -> ValidationReport:
-    """Check a record against its invariants. Reports, never raises."""
-    report = ValidationReport(record_id=record.id)
+def validate_record(record: RationaleRecord) -> list[str]:
+    """The record's violations of its invariants. Reports, never raises."""
+    violations = []
     if not record.question.strip():
-        report.violations.append("question is empty")
+        violations.append("question is empty")
     if not record.answer.strip():
-        report.violations.append("answer is empty")
+        violations.append("answer is empty")
     if any(not wrong.strip() for wrong in record.wrong_answers):
-        report.violations.append("wrong_answers has an empty entry")
+        violations.append("wrong_answers has an empty entry")
     if record.task_kind in CHOICE_TASKS and all(
             wrong == record.answer for wrong in record.wrong_answers):
-        report.violations.append(
+        violations.append(
             f"{record.task_kind} record needs a wrong_answers entry other than its gold answer"
         )
-    if not record.rationale:
-        report.flags.append("rationale is empty")
-    return report
+    return violations
 
 
-def validate_corpus(corpus: list[RationaleRecord]) -> list[ValidationReport]:
-    return [validate_record(r) for r in corpus]
+def validate_corpus(corpus: list[RationaleRecord]) -> list[tuple[str, str]]:
+    """Each violation in the corpus as a ``(record id, violation)`` pair, in
+    record order."""
+    return [(r.id, v) for r in corpus for v in validate_record(r)]
 
 
 @contextmanager

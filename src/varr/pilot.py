@@ -12,13 +12,16 @@ weights after every draw. The curve reports, per (strategy, size), the
 mean NLL of the gold answer after removing a sampled set of that size,
 against the complete-rationale baseline. The sizes, strategies, draws
 per record and seed are the pilot settings of a ``config.RunConfig``.
+
+``pilot_nll_curve`` builds the result once, as the plain dict that
+``pilot.json`` holds (less its ``config``); ``pilot_tsv`` and
+``ordering_holds`` read that dict.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .corpus import RationaleRecord
@@ -29,16 +32,6 @@ from .verbosity import nll
 
 if TYPE_CHECKING:
     from .config import RunConfig
-
-
-@dataclass
-class PilotResult:
-    strategy: str
-    removal_sizes: list[int]
-    mean_nll_per_size: list[float]
-    baseline_nll: float
-    sample_count_per_size: list[int]
-    skipped_records: int = 0
 
 
 def sampling_probabilities(n: int, strategy: str) -> list[float]:
@@ -85,8 +78,11 @@ def pilot_nll_curve(
     corpus: list[RationaleRecord],
     handle: ScorerHandle,
     settings: RunConfig,
-) -> list[PilotResult]:
-    """Mean NLL per (strategy, removal size) over the eligible corpus.
+) -> dict:
+    """Mean NLL per (strategy, removal size) over the eligible corpus, as
+    the pilot summary ``{"baseline_nll", "skipped_records", "curves"}``.
+    Each curve is ``{"strategy", "sizes", "mean_nll", "sample_counts"}``,
+    one per strategy in order, with one entry per size.
 
     The sizes, strategies and draws per record are ``settings.pilot_sizes``,
     ``pilot_strategies`` and ``samples_per_record``; draws are seeded from
@@ -100,16 +96,14 @@ def pilot_nll_curve(
     seed, template_id = settings.seed, settings.template_id
     max_size = max(sizes) if sizes else 0
     eligible = [r for r in corpus if len(r.rationale) >= max_size]
-    skipped = len(corpus) - len(eligible)
     if not eligible:
         raise ValidationError("no record is long enough for the requested sizes")
 
-    all_indices = {r.id: [u.index for u in r.rationale] for r in eligible}
     baseline = math.fsum(
-        nll(handle, r, all_indices[r.id], template_id) for r in eligible
+        nll(handle, r, range(len(r.rationale)), template_id) for r in eligible
     ) / len(eligible)
 
-    results = []
+    curves = []
     for strategy in settings.pilot_strategies:
         means: list[float] = []
         counts: list[int] = []
@@ -120,58 +114,31 @@ def pilot_nll_curve(
                 for draw in range(samples_per_record):
                     rng = child_rng(seed, "pilot", strategy, size, record.id, draw)
                     removed = sample_removal_set(record, size, strategy, rng)
-                    retained = [i for i in all_indices[record.id] if i not in removed]
+                    retained = [i for i in range(len(record.rationale)) if i not in removed]
                     total += nll(handle, record, retained, template_id)
                     count += 1
             means.append(total / count)
             counts.append(count)
-        results.append(PilotResult(
-            strategy=strategy,
-            removal_sizes=list(sizes),
-            mean_nll_per_size=means,
-            baseline_nll=baseline,
-            sample_count_per_size=counts,
-            skipped_records=skipped,
-        ))
-    return results
+        curves.append({"strategy": strategy, "sizes": list(sizes),
+                       "mean_nll": means, "sample_counts": counts})
+    return {"baseline_nll": baseline, "skipped_records": len(corpus) - len(eligible),
+            "curves": curves}
 
 
-def pilot_tsv(results: list[PilotResult]) -> str:
+def pilot_tsv(summary: dict) -> str:
+    """One row per (strategy, size) of the summary, baseline on each row."""
     rows = ["strategy\tsize\tmean_nll\tbaseline_nll\tn"]
-    for result in results:
-        for size, mean, n in zip(
-            result.removal_sizes, result.mean_nll_per_size,
-            result.sample_count_per_size,
-        ):
-            rows.append(
-                f"{result.strategy}\t{size}\t{mean!r}\t{result.baseline_nll!r}\t{n}"
-            )
+    baseline = summary["baseline_nll"]
+    for curve in summary["curves"]:
+        for size, mean, n in zip(curve["sizes"], curve["mean_nll"], curve["sample_counts"]):
+            rows.append(f"{curve['strategy']}\t{size}\t{mean!r}\t{baseline!r}\t{n}")
     return "\n".join(rows) + "\n"
 
 
-def pilot_summary(results: list[PilotResult]) -> dict:
-    return {
-        "baseline_nll": results[0].baseline_nll,
-        "skipped_records": results[0].skipped_records,
-        "curves": [
-            {
-                "strategy": r.strategy,
-                "sizes": r.removal_sizes,
-                "mean_nll": r.mean_nll_per_size,
-                "sample_counts": r.sample_count_per_size,
-            }
-            for r in results
-        ],
-    }
-
-
-def ordering_holds(results: list[PilotResult]) -> bool:
+def ordering_holds(summary: dict) -> bool:
     """back > random > front in mean NLL at every size present in all."""
-    by_name = {r.strategy: r for r in results}
-    front, rand, back = by_name["front"], by_name["random"], by_name["back"]
-    for f, r, b in zip(
-        front.mean_nll_per_size, rand.mean_nll_per_size, back.mean_nll_per_size
-    ):
+    by_name = {c["strategy"]: c["mean_nll"] for c in summary["curves"]}
+    for f, r, b in zip(by_name["front"], by_name["random"], by_name["back"]):
         if not (b > r > f):
             return False
     return True

@@ -200,10 +200,8 @@ def run_reduction(
         # One pool for the whole run, so worker sessions outlive batches.
         pool = ThreadPoolExecutor(handle.in_flight, thread_name_prefix="varr-scan")
 
-    removals = 0
     try:
         for epoch in range(1, epochs + 1):
-            first = len(trace.events)
             order = list(range(len(corpus)))
             child_rng(settings.seed, "batch-order", epoch).shuffle(order)
             scans = []
@@ -224,8 +222,9 @@ def run_reduction(
             _scan_epoch(pool, scans, trace)
             if epoch < epochs:
                 handle.refresh(corpus_view(corpus))
-            removals += sum(e.decision == DECISION_REMOVED for e in trace.events[first:])
-            log.info("epoch %d/%d done: %d removals so far", epoch, epochs, removals)
+            if log.isEnabledFor(logging.INFO):
+                removals = sum(e.decision == DECISION_REMOVED for e in trace.events)
+                log.info("epoch %d/%d done: %d removals so far", epoch, epochs, removals)
     except ScorerError as exc:
         raise ReductionAborted(exc, trace) from exc
     finally:

@@ -11,7 +11,8 @@ of the connection they came on. Connections stay open (HTTP/1.1
 keep-alive) and every response carries a Content-Length, unless
 ``close_after_reply`` is set: then the server closes each connection
 after one response without saying so, as a server that drops idle
-keep-alive connections does. With ``certfile`` (a PEM file holding the
+keep-alive connections does, or with ``announce_close`` also set, after
+sending ``Connection: close``. With ``certfile`` (a PEM file holding the
 certificate and its key) the server speaks HTTPS. ``first_delay`` holds
 back the first reply on each connection, and ``hold_replies(n)`` holds
 back every reply until n requests are open at once, so a test sees the
@@ -104,6 +105,7 @@ class MockScorerServer:
         fail_prompt: Callable[[str], bool] | None = None,
         fail_status: int = 400,
         close_after_reply: bool = False,
+        announce_close: bool = False,
         certfile: str | None = None,
         port: int = 0,
         first_delay: float = 0.0,
@@ -118,6 +120,7 @@ class MockScorerServer:
         self.fail_prompt = fail_prompt
         self.fail_status = fail_status
         self.close_after_reply = close_after_reply
+        self.announce_close = announce_close
         self.first_delay = first_delay
         self.requests: list[dict] = []
         self.peak: Counter = Counter()
@@ -162,6 +165,8 @@ class MockScorerServer:
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
+                if server.close_after_reply and server.announce_close:
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(payload)
                 if server.close_after_reply:

@@ -160,12 +160,13 @@ def test_criterion_05_pilot_ordering():
     corpus = load_corpus(PILOT_CORPUS)
     handle = fit_tabular_scorer(corpus, smoothing_alpha=4.0)
     with Budget(30.0) as budget:
-        results = pilot_nll_curve(corpus, handle, RunConfig(
+        summary = pilot_nll_curve(corpus, handle, RunConfig(
             pilot_sizes=(1, 2, 3, 4), samples_per_record=8, seed=0))
-        assert ordering_holds(results)
-        front = next(r for r in results if r.strategy == "front")
-        for mean in front.mean_nll_per_size:
-            rel = abs(mean - front.baseline_nll) / front.baseline_nll
+        assert ordering_holds(summary)
+        baseline = summary["baseline_nll"]
+        front = next(c for c in summary["curves"] if c["strategy"] == "front")
+        for mean in front["mean_nll"]:
+            rel = abs(mean - baseline) / baseline
             assert rel < 0.05
     passed(5, "back > random > front at sizes 1-4; front within 5% of baseline", budget)
 

@@ -116,6 +116,22 @@ def test_ingest_reports_violations(tmp_path, capsys):
     assert len(load_corpus(out)) == 1
 
 
+def test_ingest_flags_an_empty_rationale_without_failing(tmp_path, capsys):
+    # an empty list, and a blank string, which segments to no units
+    src = tmp_path / "in.jsonl"
+    write_lines(src, [record_obj("a", []), record_obj("b", " \t "), record_obj("c", ["One."])])
+    out, report = tmp_path / "o.jsonl", tmp_path / "report.json"
+    assert run_cli("ingest", "--input", str(src), "--output", str(out),
+                   "--report", str(report)) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "flag [a]: rationale is empty", "flag [b]: rationale is empty"]
+    summary = json.loads(report.read_text())
+    assert summary["violations"] == []
+    assert summary["flags"] == [{"record_id": "a", "note": "rationale is empty"},
+                                {"record_id": "b", "note": "rationale is empty"}]
+    assert [r.rationale for r in load_corpus(out)][:2] == [[], []]
+
+
 # --- pilot -------------------------------------------------------------------
 
 def test_pilot_emits_full_grid_and_is_deterministic(tmp_path):
@@ -207,6 +223,31 @@ def test_reduce_enforced_front(tmp_path):
     assert unconditional
     assert all(e["epoch"] <= 2 for e in unconditional)
     assert all(e["decision"] == "removed" for e in unconditional)
+
+
+@pytest.mark.parametrize("strategy", ["no-rule", "enforced-front:2"])
+def test_report_counts_unconditional_removals(tmp_path, strategy):
+    out = tmp_path / "run"
+    mode = [] if strategy == "no-rule" else ["--mode", "varr-plus"]
+    assert run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir", str(out),
+                   "--strategy", strategy, *mode, "--epochs", "3", "--batch-size", "4",
+                   "--warmup", "0.0", "--seed", "2") == 0
+    events = json.loads((out / "trace.json").read_text())["events"]
+    assert any(e["unconditional"] and e["decision"] == "removed" for e in events)
+    removed = Counter(e["epoch"] for e in events if e["decision"] == "removed")
+    potential = Counter()
+    scans = {(e["epoch"], e["record_id"], e["t"]): e["budget"] for e in events}
+    for (epoch, _, _), budget in scans.items():
+        potential[epoch] += budget
+    rows = [{"epoch": epoch, "removed_count": removed[epoch], "max_potential": potential[epoch],
+             "ratio": removed[epoch] / potential[epoch] if potential[epoch] else 0.0}
+            for epoch in (1, 2, 3)]
+    report = json.loads((out / "report.json").read_text())
+    assert report["removal_count"] == sum(removed.values()) > 0
+    assert report["removal_ratio_curve"] == rows
+    tsv = (out / "removal_ratio.tsv").read_text().splitlines()
+    assert tsv == ["epoch\tremoved\tmax_potential\tratio"] + [
+        f"{r['epoch']}\t{r['removed_count']}\t{r['max_potential']}\t{r['ratio']!r}" for r in rows]
 
 
 def test_reduce_no_rule_with_mode_is_usage_error(tmp_path, capsys):

@@ -146,49 +146,43 @@ def test_duplicate_id_rejected(tmp_path):
         load_corpus(path)
 
 
-def test_empty_rationale_flagged_not_fatal(tmp_path):
-    # an empty list, and a blank string, which segments to no units
-    path = tmp_path / "c.jsonl"
-    write_lines(path, [base_obj("a", rationale=[]), {**base_obj("b"), "rationale": " \t "}])
-    for record in load_corpus(path):
-        assert record.rationale == []
-        report = validate_record(record)
-        assert not report.violations
-        assert report.flags == ["rationale is empty"]
-
-
 def test_validate_free_form_empty_wrongs_ok():
-    report = validate_record(make_record(task_kind="free_form", wrong_answers=()))
-    assert not report.violations and not report.flags
+    assert validate_record(make_record(task_kind="free_form", wrong_answers=())) == []
 
 
 def test_validate_choice_needs_wrongs():
-    report = validate_record(make_record(task_kind="multiple_choice", wrong_answers=()))
-    assert len(report.violations) == 1
-    assert "wrong_answers" in report.violations[0]
+    violations = validate_record(make_record(task_kind="multiple_choice", wrong_answers=()))
+    assert len(violations) == 1
+    assert "wrong_answers" in violations[0]
 
 
 def test_validate_choice_needs_a_wrong_answer_other_than_gold():
     # the negative pool drops the gold answer, so such a record has no contrast to check
     for wrongs in (["fine"], ["fine", "fine"]):
-        report = validate_record(make_record(task_kind="true_false", wrong_answers=wrongs))
-        assert len(report.violations) == 1
-        assert "wrong_answers" in report.violations[0]
-    report = validate_record(make_record(task_kind="true_false", wrong_answers=["fine", "no"]))
-    assert not report.violations
+        violations = validate_record(make_record(task_kind="true_false", wrong_answers=wrongs))
+        assert len(violations) == 1
+        assert "wrong_answers" in violations[0]
+    assert validate_record(make_record(task_kind="true_false", wrong_answers=["fine", "no"])) == []
 
 
 def test_validate_empty_answer():
-    report = validate_record(make_record(answer="  "))
-    assert len(report.violations) == 1
-    assert "answer" in report.violations[0]
+    violations = validate_record(make_record(answer="  "))
+    assert len(violations) == 1
+    assert "answer" in violations[0]
 
 
 def test_validate_blank_question_and_wrong_answer():
-    report = validate_record(make_record(question=" \t"))
-    assert report.violations == ["question is empty"]
-    report = validate_record(make_record(task_kind="multiple_choice", wrong_answers=("m", " ")))
-    assert report.violations == ["wrong_answers has an empty entry"]
+    assert validate_record(make_record(question=" \t")) == ["question is empty"]
+    assert validate_record(make_record(task_kind="multiple_choice", wrong_answers=("m", " "))) == [
+        "wrong_answers has an empty entry"]
+
+
+def test_validate_corpus_pairs_each_violation_with_its_record_in_order():
+    corpus = [make_record(record_id="a", question=" ", answer=" "), make_record(record_id="b"),
+              make_record(record_id="c", task_kind="true_false", wrong_answers=())]
+    assert validate_corpus(corpus) == [
+        ("a", "question is empty"), ("a", "answer is empty"),
+        ("c", "true_false record needs a wrong_answers entry other than its gold answer")]
 
 
 def test_mark_removed_is_permanent():
@@ -307,7 +301,7 @@ def test_write_corpus_roundtrip(tmp_path, fixture_corpus):
         assert [u.text for u in before.rationale] == [u.text for u in after.rationale]
         assert before.wrong_answers == after.wrong_answers
         assert before.task_kind == after.task_kind
-    assert not any(r.violations for r in validate_corpus(reloaded))
+    assert validate_corpus(reloaded) == []
 
 
 def test_atomic_writer_keeps_target_when_block_raises(tmp_path):

@@ -9,7 +9,6 @@ from varr.errors import ValidationError
 from varr.pilot import (
     ordering_holds,
     pilot_nll_curve,
-    pilot_summary,
     pilot_tsv,
     sample_removal_set,
     sampling_probabilities,
@@ -90,43 +89,43 @@ def test_sample_always_distinct_and_sized(n, seed):
 
 def test_degenerate_size_zero_equals_baseline(pilot_corpus):
     handle = fit_tabular_scorer(pilot_corpus, smoothing_alpha=4.0)
-    results = pilot_nll_curve(
+    summary = pilot_nll_curve(
         pilot_corpus, handle, RunConfig(pilot_sizes=(0,), samples_per_record=2, seed=1)
     )
-    for result in results:
-        assert result.mean_nll_per_size[0] == pytest.approx(
-            result.baseline_nll, abs=1e-12
-        )
+    for curve in summary["curves"]:
+        assert curve["mean_nll"][0] == pytest.approx(summary["baseline_nll"], abs=1e-12)
 
 
 def test_uniform_scorer_flattens_all_curves(pilot_corpus):
     handle = TabularScorer(build_vocabulary(pilot_corpus))
-    results = pilot_nll_curve(
+    summary = pilot_nll_curve(
         pilot_corpus, handle, RunConfig(pilot_sizes=(1, 2), samples_per_record=2, seed=0)
     )
-    for result in results:
-        for mean in result.mean_nll_per_size:
-            assert mean == pytest.approx(result.baseline_nll, abs=1e-12)
+    for curve in summary["curves"]:
+        for mean in curve["mean_nll"]:
+            assert mean == pytest.approx(summary["baseline_nll"], abs=1e-12)
 
 
 def test_synthetic_corpus_ordering_and_front_closeness(pilot_corpus):
     handle = fit_tabular_scorer(pilot_corpus, smoothing_alpha=4.0)
-    results = pilot_nll_curve(pilot_corpus, handle, RunConfig(samples_per_record=8, seed=0))
-    assert ordering_holds(results)
-    by = {r.strategy: r for r in results}
-    baseline = by["front"].baseline_nll
-    for mean in by["front"].mean_nll_per_size:
+    summary = pilot_nll_curve(pilot_corpus, handle, RunConfig(samples_per_record=8, seed=0))
+    assert ordering_holds(summary)
+    by = {c["strategy"]: c for c in summary["curves"]}
+    assert list(by) == ["front", "random", "back"]
+    baseline = summary["baseline_nll"]
+    for mean in by["front"]["mean_nll"]:
         assert abs(mean - baseline) / baseline < 0.05
     # short calibration records are skipped, not padded
-    assert by["front"].skipped_records == 60
-    assert by["front"].sample_count_per_size == [40 * 8] * 4
+    assert summary["skipped_records"] == 60
+    for curve in summary["curves"]:
+        assert curve["sizes"] == [1, 2, 3, 4]
+        assert curve["sample_counts"] == [40 * 8] * 4
 
 
 def test_back_curve_monotone_on_synthetic(pilot_corpus):
     handle = fit_tabular_scorer(pilot_corpus, smoothing_alpha=4.0)
-    results = pilot_nll_curve(pilot_corpus, handle, RunConfig(samples_per_record=8, seed=0))
-    back = next(r for r in results if r.strategy == "back")
-    means = back.mean_nll_per_size
+    summary = pilot_nll_curve(pilot_corpus, handle, RunConfig(samples_per_record=8, seed=0))
+    means = next(c["mean_nll"] for c in summary["curves"] if c["strategy"] == "back")
     assert all(means[i] <= means[i + 1] for i in range(len(means) - 1))
 
 
@@ -135,17 +134,33 @@ def test_curve_determinism(pilot_corpus):
     cfg = RunConfig(pilot_sizes=(1, 2), samples_per_record=3, seed=9)
     a = pilot_nll_curve(pilot_corpus, handle, cfg)
     b = pilot_nll_curve(pilot_corpus, handle, cfg)
+    assert a == b
     assert pilot_tsv(a) == pilot_tsv(b)
-    assert pilot_summary(a) == pilot_summary(b)
 
 
 def test_tsv_shape(pilot_corpus):
     handle = fit_tabular_scorer(pilot_corpus, smoothing_alpha=4.0)
-    results = pilot_nll_curve(
+    summary = pilot_nll_curve(
         pilot_corpus, handle, RunConfig(pilot_sizes=(1, 2), samples_per_record=2, seed=0))
-    lines = pilot_tsv(results).strip().split("\n")
+    lines = pilot_tsv(summary).strip().split("\n")
     assert lines[0] == "strategy\tsize\tmean_nll\tbaseline_nll\tn"
     assert len(lines) == 1 + 3 * 2  # header + strategies x sizes
+    baseline = summary["baseline_nll"]
+    assert lines[1:] == [
+        f"{c['strategy']}\t{size}\t{mean!r}\t{baseline!r}\t{n}"
+        for c in summary["curves"]
+        for size, mean, n in zip(c["sizes"], c["mean_nll"], c["sample_counts"])]
+
+
+def test_ordering_holds_needs_strict_order_at_every_size():
+    def summary(front, rand, back):
+        return {"baseline_nll": 1.0, "skipped_records": 0, "curves": [
+            {"strategy": s, "sizes": [1, 2], "mean_nll": m, "sample_counts": [1, 1]}
+            for s, m in (("front", front), ("random", rand), ("back", back))]}
+
+    assert ordering_holds(summary([1.0, 1.0], [2.0, 2.0], [3.0, 3.0]))
+    assert not ordering_holds(summary([1.0, 1.0], [2.0, 2.0], [3.0, 2.0]))
+    assert not ordering_holds(summary([1.0, 2.0], [2.0, 2.0], [3.0, 3.0]))
 
 
 def test_all_records_too_short_raises():
@@ -154,3 +169,20 @@ def test_all_records_too_short_raises():
     handle = TabularScorer(["a", "b", "what", "is", "it", "fine"])
     with pytest.raises(ValidationError):
         pilot_nll_curve(corpus, handle, RunConfig(pilot_sizes=(4,)))
+
+
+def test_record_as_long_as_the_largest_size_is_eligible():
+    # one record per unit count from 1 to 5; with the largest size 3 the
+    # records of 3, 4 and 5 units are eligible and the others are skipped
+    corpus = [make_record(record_id=f"n{n}", units=tuple(f"u{i}" for i in range(n)))
+              for n in range(1, 6)]
+    handle = TabularScorer(build_vocabulary(corpus))
+    summary = pilot_nll_curve(corpus, handle, RunConfig(pilot_sizes=(1, 3), samples_per_record=2))
+    assert summary["skipped_records"] == 2
+    for curve in summary["curves"]:
+        assert curve["sample_counts"] == [3 * 2, 3 * 2]
+    only = [make_record(units=("a", "b", "c"))]
+    handle = TabularScorer(build_vocabulary(only))
+    summary = pilot_nll_curve(only, handle, RunConfig(pilot_sizes=(3,), samples_per_record=1))
+    assert summary["skipped_records"] == 0
+    assert [c["sample_counts"] for c in summary["curves"]] == [[1], [1], [1]]

@@ -109,6 +109,39 @@ def test_exhausted_retries_surface_attempt_count():
         assert len(server.requests) == 3
 
 
+class RecordingJitter:
+    """Stands in for a scorer's jitter source: records each ``uniform``
+    call's bounds and draws their midpoint."""
+
+    def __init__(self):
+        self.bounds = []
+
+    def uniform(self, lo, hi):
+        self.bounds.append((lo, hi))
+        return (lo + hi) / 2
+
+
+def recording_retry_waits(monkeypatch):
+    """The jitter every scorer made from now on draws from, and the list of
+    its sleeps."""
+    jitter, sleeps = RecordingJitter(), []
+    monkeypatch.setattr("varr.scorer.random", SimpleNamespace(Random=lambda: jitter))
+    monkeypatch.setattr("varr.scorer.time", SimpleNamespace(sleep=sleeps.append))
+    return jitter, sleeps
+
+
+@pytest.mark.parametrize("max_attempts", [1, 2, 4])
+def test_exhausted_retries_sleep_between_attempts_only(monkeypatch, max_attempts):
+    jitter, sleeps = recording_retry_waits(monkeypatch)
+    with MockScorerServer(status_script=[503] * 10) as server:
+        scorer = remote(server.url, max_attempts=max_attempts)
+        with pytest.raises(TransportError):
+            scorer.score_answer(ASSEMBLY, "a")
+        assert len(server.requests) == max_attempts
+    # no sleep after the last attempt: the failure is raised at once
+    assert len(sleeps) == len(jitter.bounds) == max_attempts - 1
+
+
 def test_non_retryable_status_fails_fast():
     with MockScorerServer(status_script=[404]) as server:
         scorer = remote(server.url, max_attempts=3)
@@ -407,15 +440,17 @@ CHUNKED_OK = b"2\r\nok\r\n0\r\n\r\n"
     # ways may be a smuggling attempt, so its connection is not reused
     (http("HTTP/1.1 200 OK", "Transfer-Encoding: chunked", "Content-Length: 9",
           body=CHUNKED_OK), ((200, b"ok"), False), "reuse"),
-    # a 204 has no body, and its connection is reused
+    # a 204 and a 304 have no body, and their connection is reused
     (http("HTTP/1.1 204 No Content"), ((204, b""), True), ""),
+    (http("HTTP/1.1 304 Not Modified"), ((304, b""), True), ""),
     # a chunk must end in CRLF; http.client skips the two bytes unread
     (http("HTTP/1.1 200 OK", "Transfer-Encoding: chunked", body=b"2\r\nokXX0\r\n\r\n"),
      (None, None), "framing"),
 ], ids=["sized", "chunked", "http10-close-delimited", "connection-close-then-keep-alive",
         "connection-keep-alive-then-close", "differing-content-lengths",
         "equal-content-lengths", "http2-status-line", "http12-status-line",
-        "chunked-and-content-length", "no-content", "chunk-not-ended-by-crlf"])
+        "chunked-and-content-length", "no-content", "not-modified",
+        "chunk-not-ended-by-crlf"])
 def test_reply_reader_agrees_with_http_client_except_where_named(reply, want, differs):
     got, oracle = varr_reads(reply), http_client_reads(reply)
     assert got == want
@@ -643,17 +678,16 @@ def test_concurrent_reduction_matches_serial_and_tabular():
 def test_retry_delays_are_full_jitter_and_leave_the_trace_alone(monkeypatch):
     # statuses go to requests in arrival order: with one scan at a time the
     # first request is answered 503, 503, 200 and the second 503, 200
-    delays = []
-    monkeypatch.setattr("varr.scorer.time", SimpleNamespace(sleep=delays.append))
+    jitter, delays = recording_retry_waits(monkeypatch)
     with MockScorerServer(score=corpus_score(FIXTURE_CORPUS),
                           status_script=[503, 503, 200, 503]) as server:
         retried = outcome(*reduce_remote(server, in_flight=1))
     with MockScorerServer(score=corpus_score(FIXTURE_CORPUS)) as server:
         clean = outcome(*reduce_remote(server, in_flight=1))
     caps = [0.001, 0.002, 0.001]  # remote()'s backoff_seconds, doubled per attempt
-    assert len(delays) == len(caps)
-    assert all(0 <= delay <= cap for delay, cap in zip(delays, caps))
-    assert delays != caps
+    # each delay is one uniform draw between 0 and the attempt's cap
+    assert jitter.bounds == [(0, cap) for cap in caps]
+    assert delays == [cap / 2 for cap in caps]
     assert retried == clean
 
 
@@ -681,15 +715,18 @@ def test_in_flight_caps_requests_connections_and_new_connections(monkeypatch, in
     assert not [t.name for t in threading.enumerate() if t.name.startswith("varr-")]
 
 
-def test_server_closing_after_each_reply_still_gets_in_flight_requests():
+@pytest.mark.parametrize("announce", [False, True], ids=["silent-close", "announced-close"])
+def test_server_closing_after_each_reply_still_gets_in_flight_requests(announce):
     # once the server has closed a connection after its reply, every request
     # opens one, so the new-connection guard is lifted: 16 callers at once,
     # whose replies the server holds until 16 requests are open, all get in
     records = load_corpus(FIXTURE_CORPUS)
-    with MockScorerServer(score=corpus_score(FIXTURE_CORPUS), close_after_reply=True) as server:
+    with MockScorerServer(score=corpus_score(FIXTURE_CORPUS), close_after_reply=True,
+                          announce_close=announce) as server:
         scorer = remote(server.url, in_flight=16, timeout_ms=10_000)
         with ThreadPoolExecutor(16) as callers:
-            # the second request finds the first one's connection closed
+            # the first reply says it closes its connection, or else the
+            # second request finds that connection closed
             for record in records[:2]:
                 scorer.score_answer(PromptAssembly(record.question, ()), record.answer)
             server.hold_replies(16)

@@ -1,9 +1,12 @@
+import functools
 import hashlib
 import inspect
 import itertools
+import logging
 import random
 import sys
 import threading
+from concurrent.futures import Future
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -341,7 +344,48 @@ def test_reduction_aborts_with_partial_trace():
     assert exc.value.trace.events == []
 
 
+def test_epoch_log_lines_count_removals_so_far(caplog):
+    corpus = fresh_corpus()
+    handle = fit_tabular_scorer(corpus)
+    with caplog.at_level(logging.INFO, logger="varr.schedule"):
+        trace = run_reduction(corpus, handle, RunConfig(
+            epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="front",
+            mode="varr", seed=3))
+    so_far = [sum(e.decision == "removed" and e.epoch <= epoch for e in trace.events)
+              for epoch in (1, 2, 3)]
+    assert len(set(so_far)) == 3  # each epoch removes something
+    assert [r.getMessage() for r in caplog.records if r.name == "varr.schedule"] == [
+        f"epoch {epoch}/3 done: {n} removals so far" for epoch, n in zip((1, 2, 3), so_far)]
+
+
 # --- scans on a worker pool -------------------------------------------------
+
+def test_pooled_scans_are_submitted_largest_budget_first():
+    class RecordingPool:
+        """Runs each scan as it is submitted, recording the slot order."""
+
+        def __init__(self):
+            self.submitted = []
+
+        def submit(self, fn, slot):
+            self.submitted.append(slot)
+            future = Future()
+            fn(slot)
+            future.set_result(None)
+            return future
+
+    def scan(slot, events, halted):
+        events.append(SimpleNamespace(slot=slot, unconditional=True))
+
+    budgets = [1, 3, 0, 3, 2, 1]
+    pool = RecordingPool()
+    trace = SimpleNamespace(events=[], scorer_call_count=0)
+    schedule._scan_epoch(pool, [(budget, functools.partial(scan, slot))
+                                for slot, budget in enumerate(budgets)], trace)
+    # largest budget first; equal budgets keep serial order
+    assert pool.submitted == [1, 3, 4, 0, 5, 2]
+    assert [e.slot for e in trace.events] == list(range(len(budgets)))
+
 
 def test_scan_pool_matches_inline_under_thread_stress():
     def run(in_flight, batch_size):
