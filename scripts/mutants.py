@@ -115,8 +115,23 @@ MUTANTS = [
            "before_avg, after_avg = after / n, after / n"),
     # config
     Mutant("recorded-backend-filter", "config.py",
-           "\n                and f.metadata[\"backend\"] in (None, self.scorer_backend)}",
+           "\n                and setting.backend in (None, self.scorer_backend)}",
            "}"),
+    Mutant("range-check-skipped", "config.py",
+           "if broken:\n                raise ConfigurationError(problem)",
+           "if False:\n                raise ConfigurationError(problem)"),
+    # corpus: the records' equality
+    Mutant("equality-drops-a-field", "corpus.py",
+           "getattr(other, name) for name in self.__slots__)",
+           "getattr(other, name) for name in self.__slots__[:-1])"),
+    # cli: logging only at the levels that print
+    Mutant("log-level-gate", "cli.py",
+           'if args.log_level in ("debug", "info"):',
+           'if args.log_level in ("debug",):'),
+    Mutant("debug-traceback-gate", "cli.py",
+           'if (logging := sys.modules.get("logging")) is not None:\n'
+           '            logging.getLogger("varr").debug',
+           'if False:\n            logging.getLogger("varr").debug'),
     # scorer: the model's streams and the HTTP client
     Mutant("corpus-view-keeps-removed", "scorer.py",
            "if unit.removed_at is None:\n                stream.extend",

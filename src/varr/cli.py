@@ -17,9 +17,7 @@ fails mid-run, and ``ingest`` and ``pilot`` write their outputs first.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import logging
 import sys
 from pathlib import Path
 
@@ -46,8 +44,6 @@ from .schedule import CANDIDATE_ORDERS, ReductionAborted, run_reduction
 from .scorer import PromptAssembly, ScorerHandle, TabularScorer
 from .verbosity import MODES
 
-log = logging.getLogger("varr")
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SCORER = 2
@@ -63,13 +59,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-_DEFAULTS = config_mod.RunConfig()
-
-
 def _add_setting(parser: argparse.ArgumentParser, flag: str, dest: str,
                  text: str = "", **kwargs) -> None:
     """A flag that overrides the RunConfig field ``dest`` when given."""
-    default = getattr(_DEFAULTS, dest)
+    default = config_mod.FIELDS[dest].default
     if default is not None:
         if isinstance(default, tuple):
             default = ",".join(map(str, default))
@@ -225,8 +218,9 @@ def cmd_ingest(args) -> int:
         "violations": [{"record_id": rid, "problem": v} for rid, v in violations],
         "flags": [{"record_id": rid, "note": f} for rid, f in flags],
         # the config file's segmenter section, as this run applied it
-        "segmenter": {f.metadata["key"]: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
-                      if f.metadata["section"] == "segmenter"},
+        "segmenter": {setting.key: value
+                      for setting, value in zip(config_mod.FIELDS.values(), cfg)
+                      if setting.section == "segmenter"},
     }
     if args.report:
         write_text_atomic(args.report, json.dumps(summary, indent=2, ensure_ascii=False))
@@ -256,7 +250,7 @@ def cmd_pilot(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_text_atomic(out_dir / "pilot.tsv", pilot_mod.pilot_tsv(summary))
     write_text_atomic(out_dir / "pilot.json", json.dumps(
-        {**summary, "config": dataclasses.asdict(cfg)}, indent=2, sort_keys=True))
+        {**summary, "config": cfg._asdict()}, indent=2, sort_keys=True))
     print(f"pilot curves over {len(summary['curves'])} strategies -> {out_dir}")
     print(f"baseline mean NLL: {summary['baseline_nll']:.6f}")
     if args.check_ordering and not pilot_mod.ordering_holds(summary):
@@ -364,8 +358,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    logging.basicConfig(level=args.log_level.upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
+    if args.log_level in ("debug", "info"):
+        # imported here: varr logs nothing above info, so no other level
+        # needs logging loaded or configured
+        import logging
+
+        logging.basicConfig(level=args.log_level.upper(),
+                            format="%(levelname)s %(name)s: %(message)s")
     handlers = {
         "ingest": cmd_ingest,
         "pilot": cmd_pilot,
@@ -387,7 +386,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a fault of the program, not of its input
-        log.debug("internal error", exc_info=True)
+        # only a run that imported logging can have debug output switched on
+        if (logging := sys.modules.get("logging")) is not None:
+            logging.getLogger("varr").debug("internal error", exc_info=True)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -3,8 +3,8 @@
 ``RunConfig`` is the only settings object: the CLI builds one, and
 ``corpus.load_corpus`` (unit and segmenter settings), the driver
 (``schedule.run_reduction``) and ``pilot.pilot_nll_curve`` read their
-settings off it. Each field names its config-file section and key,
-and its role:
+settings off it. Each field's entry in ``FIELDS`` names its config-file
+section and key, its default, its JSON type and its role:
 
 * decision -- the settings that decide which units a reduction removes.
   ``run_reduction`` records them as ``config.run`` in the trace, and they
@@ -23,8 +23,8 @@ The file holds one JSON object per section, each entry optional, e.g.
 absent from the file keeps its default. A CLI flag overrides the field
 whose name is its argparse ``dest``. Settings are checked in two places
 only: ``load_run_config`` (the file's entries and JSON types, the
-environment) and ``RunConfig.__post_init__`` (every range, once, so a bad
-value fails before any work).
+environment) and ``RunConfig`` as it is built (every range, once, so a
+bad value fails before any work).
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from __future__ import annotations
 import json
 import math
 import os
-import types
-import typing
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import GRANULARITIES, RationaleRecord, parse_json
 from .errors import ConfigurationError
@@ -62,48 +61,62 @@ ENV_SCORER_TIMEOUT_MS = "VARR_SCORER_TIMEOUT_MS"
 MAX_TIMEOUT_MS = 2**31 - 1
 
 
-def _setting(section: str, key: str, default, role: str = DECISION,
-             backend: str | None = None):
-    """A RunConfig field read from the config-file entry ``section.key``.
+class Setting(NamedTuple):
+    """One RunConfig field: the config-file entry ``section.key`` that sets
+    it, its default, its JSON type spelled as its Python annotation, its
+    role, and the one scorer backend that reads it, if only one does."""
 
-    ``backend`` names the one scorer backend that reads it, if only one does.
-    """
-    return field(default=default, metadata={
-        "section": section, "key": key, "role": role, "backend": backend})
+    section: str
+    key: str
+    default: object
+    kind: str
+    role: str = DECISION
+    backend: str | None = None
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    epochs: int = _setting("schedule", "epochs", 5)
-    batch_size: int = _setting("schedule", "batch_size", 8)
-    warmup_ratio: float = _setting("schedule", "warmup_ratio", 0.1)
-    seed: int = _setting("schedule", "seed", 0)
-    candidate_order: str = _setting("strategy", "candidate_order", "front")
-    mode: str = _setting("strategy", "mode", "varr_plus")
-    unit: str = _setting("strategy", "unit", "sentence")
-    enforced_n: int = _setting("strategy", "enforced_n", 2)
-    enforce_epochs: int = _setting("strategy", "enforce_epochs", 2)
-    k_negatives: int = _setting("negatives", "k", 4)
-    scorer_backend: str = _setting("scorer", "backend", "tabular")
-    smoothing_alpha: float = _setting("scorer", "smoothing_alpha", 1.0, backend="tabular")
-    template_id: str = _setting("scorer", "template_id", "plain-v1")
-    scorer_url: str | None = _setting("scorer", "url", None, EXECUTION, "remote")
-    scorer_model: str = _setting("scorer", "model", "default", backend="remote")
-    timeout_ms: int | None = _setting("scorer", "timeout_ms", None, EXECUTION, "remote")
-    max_attempts: int = _setting(
-        "scorer", "max_attempts", DEFAULT_MAX_ATTEMPTS, EXECUTION, "remote")
-    in_flight: int = _setting("scorer", "in_flight", DEFAULT_IN_FLIGHT, EXECUTION, "remote")
-    terminal_punctuation: str = _setting(
-        "segmenter", "terminal_punctuation", DEFAULT_TERMINAL_PUNCTUATION)
-    abbreviation_exceptions: tuple[str, ...] = _setting(
-        "segmenter", "abbreviation_exceptions", DEFAULT_ABBREVIATIONS)
-    min_unit_chars: int = _setting("segmenter", "min_unit_chars", DEFAULT_MIN_UNIT_CHARS)
-    pilot_sizes: tuple[int, ...] = _setting("pilot", "sizes", (1, 2, 3, 4), PILOT)
-    pilot_strategies: tuple[str, ...] = _setting(
-        "pilot", "strategies", ("front", "random", "back"), PILOT)
-    samples_per_record: int = _setting("pilot", "samples_per_record", 8, PILOT)
+# RunConfig's fields in order: name -> Setting
+FIELDS = {
+    "epochs": Setting("schedule", "epochs", 5, "int"),
+    "batch_size": Setting("schedule", "batch_size", 8, "int"),
+    "warmup_ratio": Setting("schedule", "warmup_ratio", 0.1, "float"),
+    "seed": Setting("schedule", "seed", 0, "int"),
+    "candidate_order": Setting("strategy", "candidate_order", "front", "str"),
+    "mode": Setting("strategy", "mode", "varr_plus", "str"),
+    "unit": Setting("strategy", "unit", "sentence", "str"),
+    "enforced_n": Setting("strategy", "enforced_n", 2, "int"),
+    "enforce_epochs": Setting("strategy", "enforce_epochs", 2, "int"),
+    "k_negatives": Setting("negatives", "k", 4, "int"),
+    "scorer_backend": Setting("scorer", "backend", "tabular", "str"),
+    "smoothing_alpha": Setting("scorer", "smoothing_alpha", 1.0, "float", backend="tabular"),
+    "template_id": Setting("scorer", "template_id", "plain-v1", "str"),
+    "scorer_url": Setting("scorer", "url", None, "str | None", EXECUTION, "remote"),
+    "scorer_model": Setting("scorer", "model", "default", "str", backend="remote"),
+    "timeout_ms": Setting("scorer", "timeout_ms", None, "int | None", EXECUTION, "remote"),
+    "max_attempts": Setting(
+        "scorer", "max_attempts", DEFAULT_MAX_ATTEMPTS, "int", EXECUTION, "remote"),
+    "in_flight": Setting("scorer", "in_flight", DEFAULT_IN_FLIGHT, "int", EXECUTION, "remote"),
+    "terminal_punctuation": Setting(
+        "segmenter", "terminal_punctuation", DEFAULT_TERMINAL_PUNCTUATION, "str"),
+    "abbreviation_exceptions": Setting(
+        "segmenter", "abbreviation_exceptions", DEFAULT_ABBREVIATIONS, "tuple[str, ...]"),
+    "min_unit_chars": Setting("segmenter", "min_unit_chars", DEFAULT_MIN_UNIT_CHARS, "int"),
+    "pilot_sizes": Setting("pilot", "sizes", (1, 2, 3, 4), "tuple[int, ...]", PILOT),
+    "pilot_strategies": Setting(
+        "pilot", "strategies", ("front", "random", "back"), "tuple[str, ...]", PILOT),
+    "samples_per_record": Setting("pilot", "samples_per_record", 8, "int", PILOT),
+}
 
-    def __post_init__(self):
+
+class RunConfig(namedtuple("RunConfig", FIELDS, defaults=[s.default for s in FIELDS.values()])):
+    """The settings of a run, one field per entry of FIELDS, each range
+    checked as it is built. A named tuple: immutable, and equal to another
+    field by field. Build one by calling the class: ``_make`` and
+    ``_replace`` skip the checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         remote = self.scorer_backend == "remote"
         for broken, problem in (
             (self.epochs < 1, f"epochs must be >= 1, got {self.epochs}"),
@@ -145,6 +158,7 @@ class RunConfig:
         ):
             if broken:
                 raise ConfigurationError(problem)
+        return self
 
     def build_scorer(self, corpus: list[RationaleRecord] | None = None) -> ScorerHandle:
         """Tabular scorers fit on the given corpus; remote ones connect."""
@@ -161,34 +175,31 @@ class RunConfig:
     def recorded(self, role: str = DECISION) -> dict:
         """The fields of one role (DECISION, EXECUTION or PILOT) by name,
         without those that only the other scorer backend reads."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.metadata["role"] == role
-                and f.metadata["backend"] in (None, self.scorer_backend)}
+        return {name: value for (name, setting), value in zip(FIELDS.items(), self)
+                if setting.role == role
+                and setting.backend in (None, self.scorer_backend)}
 
 
-def _matches(value, hint) -> bool:
-    """Whether a JSON value fits a RunConfig field annotation."""
-    if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if isinstance(hint, type):
-        return isinstance(value, hint)
-    args = typing.get_args(hint)
-    if isinstance(hint, types.UnionType):
-        return any(_matches(value, arg) for arg in args)
-    # tuple[X, ...]: a JSON list of X
-    return isinstance(value, list) and all(_matches(v, args[0]) for v in value)
+def _matches(value, kind: str) -> bool:
+    """Whether a JSON value fits a setting's type (``Setting.kind``)."""
+    if kind.endswith(" | None"):
+        return value is None or _matches(value, kind[:-len(" | None")])
+    if kind.startswith("tuple["):  # tuple[X, ...]: a JSON list of X
+        item = kind[len("tuple["):-len(", ...]")]
+        return isinstance(value, list) and all(_matches(v, item) for v in value)
+    if kind == "str":
+        return isinstance(value, str)
+    numbers = (int, float) if kind == "float" else int
+    return isinstance(value, numbers) and not isinstance(value, bool)
 
 
-_FIELD_TYPES = typing.get_type_hints(RunConfig)
 # config-file (section, key) -> RunConfig field name
-_ENTRIES = {(f.metadata["section"], f.metadata["key"]): f.name for f in fields(RunConfig)}
+_ENTRIES = {(s.section, s.key): name for name, s in FIELDS.items()}
 
 
 def _value(name: str, value):
     """A JSON list becomes a tuple for the tuple-typed fields."""
-    return tuple(value) if typing.get_origin(_FIELD_TYPES[name]) is tuple else value
+    return tuple(value) if FIELDS[name].kind.startswith("tuple[") else value
 
 
 def load_run_config(path: str | Path | None, flags: dict | None = None) -> RunConfig:
@@ -216,19 +227,18 @@ def load_run_config(path: str | Path | None, flags: dict | None = None) -> RunCo
                 attr = _ENTRIES.get((section, key))
                 if attr is None:
                     raise ConfigurationError(f"unknown config entry {section}.{key}")
-                hint = _FIELD_TYPES[attr]
-                if not _matches(value, hint):
-                    expected = hint.__name__ if isinstance(hint, type) else hint
+                kind = FIELDS[attr].kind
+                if not _matches(value, kind):
                     raise ConfigurationError(
-                        f"config entry {section}.{key} must be {expected}, "
+                        f"config entry {section}.{key} must be {kind}, "
                         f"got {json.dumps(value)}"
                     )
                 values[attr] = _value(attr, value)
-    for name in _FIELD_TYPES:
+    for name in FIELDS:
         value = (flags or {}).get(name)
         if value is not None:
             values[name] = _value(name, value)
-    if values.get("scorer_backend", RunConfig.scorer_backend) == "remote":
+    if values.get("scorer_backend", FIELDS["scorer_backend"].default) == "remote":
         if url := values.get("scorer_url") or os.environ.get(ENV_SCORER_URL):
             values["scorer_url"] = url
         timeout = os.environ.get(ENV_SCORER_TIMEOUT_MS)

@@ -33,7 +33,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, TextIO
 
@@ -48,21 +47,42 @@ GRANULARITIES = ("sentence", "token")
 CHOICE_TASKS = ("multiple_choice", "true_false")
 
 
-@dataclass(slots=True)
-class RationaleUnit:
-    index: int
-    text: str
-    removed_at: tuple[int, int] | None = None  # (epoch, step); never cleared
+class SlotsValue:
+    """A mutable value whose slots are its fields: equal to an instance of
+    its own class whose every field is equal, and unhashable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(slots=True)
-class RationaleRecord:
-    id: str
-    question: str
-    rationale: list[RationaleUnit]
-    answer: str
-    wrong_answers: list[str] = field(default_factory=list)
-    task_kind: str = "free_form"
+class RationaleUnit(SlotsValue):
+    __slots__ = ("index", "text", "removed_at")
+
+    def __init__(self, index: int, text: str, removed_at: tuple[int, int] | None = None):
+        self.index = index
+        self.text = text
+        self.removed_at = removed_at  # (epoch, step); never cleared
+
+
+class RationaleRecord(SlotsValue):
+    __slots__ = ("id", "question", "rationale", "answer", "wrong_answers", "task_kind")
+
+    def __init__(self, id: str, question: str, rationale: list[RationaleUnit], answer: str,
+                 wrong_answers: list[str] | None = None, task_kind: str = "free_form"):
+        self.id = id
+        self.question = question
+        self.rationale = rationale
+        self.answer = answer
+        self.wrong_answers = [] if wrong_answers is None else wrong_answers
+        self.task_kind = task_kind
 
     def retained_indices(self) -> list[int]:
         return [u.index for u in self.rationale if u.removed_at is None]

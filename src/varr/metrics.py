@@ -27,13 +27,12 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, cycle
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import RationaleRecord, atomic_writer
+from .corpus import RationaleRecord, SlotsValue, atomic_writer
 
 REPORT_SCHEMA_VERSION = "1"
 # Version of the trace config layout: run, schedule, execution and paths.
@@ -65,12 +64,15 @@ class TraceEvent(NamedTuple):
     verbosity_wrong: float | None
 
 
-@dataclass
-class ReductionTrace:
-    config: dict
-    seed: int
-    events: list[TraceEvent] = field(default_factory=list)
-    scorer_call_count: int = 0
+class ReductionTrace(SlotsValue):
+    __slots__ = ("config", "seed", "events", "scorer_call_count")
+
+    def __init__(self, config: dict, seed: int, events: list[TraceEvent] | None = None,
+                 scorer_call_count: int = 0):
+        self.config = config
+        self.seed = seed
+        self.events = [] if events is None else events
+        self.scorer_call_count = scorer_call_count
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ReductionTrace":

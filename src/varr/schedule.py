@@ -58,9 +58,9 @@ contrast, so each of its candidates is kept.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import random
+import sys
 import threading
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -82,8 +82,6 @@ if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
     from .config import RunConfig  # config imports this module
-
-log = logging.getLogger(__name__)
 
 CANDIDATE_ORDERS = ("front", "random", "back", "enforced_front", "no_rule")
 SHUFFLED_ORDERS = ("random", "no_rule")
@@ -222,9 +220,12 @@ def run_reduction(
             _scan_epoch(pool, scans, trace)
             if epoch < epochs:
                 handle.refresh(corpus_view(corpus))
-            if log.isEnabledFor(logging.INFO):
-                removals = sum(e.decision == DECISION_REMOVED for e in trace.events)
-                log.info("epoch %d/%d done: %d removals so far", epoch, epochs, removals)
+            # nothing can switch INFO on without importing logging
+            if (logging := sys.modules.get("logging")) is not None:
+                log = logging.getLogger(__name__)
+                if log.isEnabledFor(logging.INFO):
+                    removals = sum(e.decision == DECISION_REMOVED for e in trace.events)
+                    log.info("epoch %d/%d done: %d removals so far", epoch, epochs, removals)
     except ScorerError as exc:
         raise ReductionAborted(exc, trace) from exc
     finally:

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -18,6 +17,7 @@ from varr.config import (
     BACKENDS,
     DECISION,
     EXECUTION,
+    FIELDS,
     PILOT_STRATEGIES,
     RunConfig,
     load_run_config,
@@ -529,6 +529,56 @@ def test_unexpected_exception_exits_three_without_traceback(tmp_path, capsys, mo
     assert err == "internal error: ValueError: planted fault\n"
 
 
+def run_module(tmp_path, *argv, plant_fault=False) -> subprocess.CompletedProcess:
+    """``python -m varr.cli reduce`` on the fixture with ``argv`` before the
+    command, in a fresh interpreter: pytest's own root handler would turn
+    ``logging.basicConfig`` into a no-op in this one. With ``plant_fault``,
+    ``run_reduction`` raises a ValueError instead."""
+    reduce = ["reduce", "--input", str(FIXTURE_CORPUS), "--out-dir", str(tmp_path / "out"),
+              "--mode", "varr", "--epochs", "3", "--batch-size", "4", "--seed", "3"]
+    launch = ["-m", "varr.cli"]
+    if plant_fault:
+        launch = ["-c", "import sys, varr.cli\n"
+                  "def broken(*args, **kwargs): raise ValueError('planted fault')\n"
+                  "varr.cli.run_reduction = broken\n"
+                  "sys.exit(varr.cli.main(sys.argv[1:]))\n"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, *launch, *argv, *reduce],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_info_log_level_prints_each_epochs_removals_so_far(tmp_path):
+    done = run_module(tmp_path, "--log-level", "info")
+    assert done.returncode == 0, done.stderr
+    events = json.loads((tmp_path / "out" / "trace.json").read_text())["events"]
+    removed = [e["epoch"] for e in events if e["decision"] == "removed"]
+    assert 0 < removed.count(3) < len(removed)
+    assert done.stderr == "".join(
+        f"INFO varr.schedule: epoch {k}/3 done: "
+        f"{sum(epoch <= k for epoch in removed)} removals so far\n" for k in (1, 2, 3))
+
+
+@pytest.mark.parametrize("level", [[], ["--log-level", "warning"], ["--log-level", "error"]],
+                         ids=["default", "warning", "error"])
+def test_log_levels_above_info_print_nothing_on_a_clean_run(tmp_path, level):
+    done = run_module(tmp_path, *level)
+    assert done.returncode == 0 and done.stdout
+    assert done.stderr == ""
+
+
+def test_debug_log_level_prints_an_internal_errors_traceback_first(tmp_path):
+    done = run_module(tmp_path, "--log-level", "debug", plant_fault=True)
+    assert done.returncode == 3
+    assert done.stderr.startswith(
+        "DEBUG varr: internal error\nTraceback (most recent call last):\n")
+    assert done.stderr.endswith(
+        "ValueError: planted fault\ninternal error: ValueError: planted fault\n")
+    assert done.stderr.count("internal error: ") == 1
+    # and without debug, only the one line
+    done = run_module(tmp_path, plant_fault=True)
+    assert (done.returncode, done.stderr) == (3, "internal error: ValueError: planted fault\n")
+
+
 def test_reduce_remote_scorer_failure_exits_two(tmp_path, capsys):
     # a refused connection, then a server that answers every request with 503
     with MockScorerServer(status_script=[503] * 64) as busy:
@@ -741,22 +791,23 @@ def default_traces(tmp_path_factory):
 
 
 def test_other_values_cover_every_field():
-    assert [f.name for f in dataclasses.fields(RunConfig)] == list(OTHER_VALUES)
+    assert list(FIELDS) == list(RunConfig._fields) == list(OTHER_VALUES)
 
 
-@pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
-def test_setting_config_entry_and_fingerprint_role(tmp_path, default_traces, field):
-    value = OTHER_VALUES[field.name]
-    entry = {field.metadata["section"]: {field.metadata["key"]: value}}
+@pytest.mark.parametrize("name", FIELDS)
+def test_setting_config_entry_and_fingerprint_role(tmp_path, default_traces, name):
+    setting, value = FIELDS[name], OTHER_VALUES[name]
+    entry = {setting.section: {setting.key: value}}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(entry))
-    got = getattr(load_run_config(config), field.name)
-    assert got == (tuple(value) if isinstance(value, list) else value) != field.default
+    got = getattr(load_run_config(config), name)
+    assert got == (tuple(value) if isinstance(value, list) else value) != setting.default
+    assert getattr(RunConfig(), name) == setting.default
 
-    role, only = field.metadata["role"], field.metadata["backend"]
-    if field.name == "scorer_backend":
+    role, only = setting.role, setting.backend
+    if name == "scorer_backend":
         trace = reduce_on(tmp_path, value, entry)
-        assert trace["config"]["run"][field.name] == value
+        assert trace["config"]["run"][name] == value
         assert fingerprint(trace) != fingerprint(default_traces["tabular"])
         return
     # a setting read by one backend only is run on both
@@ -764,22 +815,22 @@ def test_setting_config_entry_and_fingerprint_role(tmp_path, default_traces, fie
         trace = reduce_on(tmp_path, backend, entry)
         default = default_traces[backend]
         assert set(trace["config"]["run"]) == {
-            f.name for f in dataclasses.fields(RunConfig)
-            if f.metadata["role"] == DECISION and f.metadata["backend"] in (None, backend)}
+            other for other, s in FIELDS.items()
+            if s.role == DECISION and s.backend in (None, backend)}
         if role == DECISION and only in (None, backend):
-            assert trace["config"]["run"][field.name] == value
+            assert trace["config"]["run"][name] == value
             assert fingerprint(trace) != fingerprint(default)
         else:
             assert trace["events"] == default["events"]
             assert fingerprint(trace) == fingerprint(default)
             if role == EXECUTION and only in (None, backend):
                 recorded = trace["config"]["execution"]
-                assert field.name in recorded
+                assert name in recorded
                 # reduce_on points a remote run's URL at its mock server
-                if field.name != "scorer_url":
-                    assert recorded[field.name] == value
+                if name != "scorer_url":
+                    assert recorded[name] == value
             else:
-                assert field.name not in json.dumps(trace["config"])
+                assert name not in json.dumps(trace["config"])
 
 
 def test_tabular_run_records_no_remote_execution_settings(tmp_path):
@@ -804,7 +855,7 @@ def test_tabular_run_records_no_remote_execution_settings(tmp_path):
 ], ids=["reduce", "pilot", "ingest"])
 def test_setting_flags_set_their_fields(argv):
     args = cli.build_parser().parse_args(argv)
-    given = {f.name for f in dataclasses.fields(RunConfig)} & {
+    given = set(FIELDS) & {
         name for name, value in vars(args).items() if value is not None}
     assert len(given) == sum(a.startswith("--") for a in argv) - 2
     cfg = load_run_config(None, vars(args))
@@ -840,9 +891,9 @@ def test_parser_choices_are_the_setting_vocabularies():
 def test_help_defaults_come_from_run_config(capsys):
     assert run_cli("reduce", "--help") == 0
     out = " ".join(capsys.readouterr().out.split())
-    assert f"(default {RunConfig.epochs})" in out
-    assert f"(default {RunConfig.max_attempts})" in out
-    assert f"(default {RunConfig.warmup_ratio})" in out
+    assert f"(default {RunConfig().epochs})" in out
+    assert f"(default {RunConfig().max_attempts})" in out
+    assert f"(default {RunConfig().warmup_ratio})" in out
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
@@ -877,11 +928,28 @@ def test_unknown_strategy_exits_one(tmp_path, capsys):
     assert err.count("error: ") == 1
 
 
+# each entry's type as its error message names it
+ENTRY_TYPES = {
+    ("schedule", "epochs"): "int",
+    ("schedule", "warmup_ratio"): "float",
+    ("scorer", "url"): "str | None",
+    ("scorer", "timeout_ms"): "int | None",
+    ("pilot", "sizes"): "tuple[int, ...]",
+    ("pilot", "strategies"): "tuple[str, ...]",
+}
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("schedule", "epochs", "3"),
     ("schedule", "warmup_ratio", True),
     ("scorer", "url", 8900),
     ("pilot", "sizes", [1, "2"]),
+    ("schedule", "epochs", 2.0),
+    ("schedule", "warmup_ratio", "0.1"),
+    ("scorer", "timeout_ms", 1.5),
+    ("pilot", "sizes", 3),
+    ("pilot", "strategies", "back"),
+    ("pilot", "strategies", ["back", 1]),
 ])
 def test_config_file_wrong_type_rejected(tmp_path, capsys, section, key, value):
     config = tmp_path / "run.json"
@@ -889,7 +957,19 @@ def test_config_file_wrong_type_rejected(tmp_path, capsys, section, key, value):
     code = run_cli("reduce", "--input", str(FIXTURE_CORPUS), "--out-dir",
                    str(tmp_path / "x"), "--config", str(config))
     assert code == 1
-    assert f"{section}.{key} must be" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: config entry {section}.{key} must be {ENTRY_TYPES[section, key]}, "
+        f"got {json.dumps(value)}\n")
+
+
+def test_run_config_is_immutable_and_equal_field_by_field():
+    cfg = RunConfig(epochs=2)
+    with pytest.raises(AttributeError):
+        cfg.epochs = 3
+    with pytest.raises(AttributeError):
+        cfg.not_a_setting = 1
+    assert cfg == RunConfig(epochs=2) != RunConfig()
+    assert cfg.epochs == 2
 
 
 def test_config_file_typed_values_accepted(tmp_path):
@@ -1160,7 +1240,7 @@ def test_trace_config_states_each_setting_once(golden_out):
             for value in obj:
                 yield from keys(value)
 
-    names = {f.name for f in dataclasses.fields(RunConfig)}
+    names = set(FIELDS)
     elsewhere = {section: body for section, body in config.items()
                  if section not in ("run", "execution")}
     assert names.isdisjoint(keys(elsewhere))
@@ -1200,11 +1280,16 @@ def test_cli_import_loads_only_the_standard_library():
     assert done.stdout.strip() == "False"
 
 
-def test_tabular_reduce_loads_no_scan_pool_pilot_or_network_module(tmp_path):
-    # only concurrent scans use the pool, only `varr pilot` the pilot, and
-    # only a remote scorer the network; what site hooks load before varr is
-    # imported belongs to the interpreter, so each set is taken against that
-    unwanted = ("concurrent.futures", "varr.pilot", "socket", "ssl", "netrc")
+# a reduce never needs these: dataclasses pulls in inspect, and varr
+# imports logging only at --log-level info or debug
+NOT_AT_START_UP = ("dataclasses", "inspect", "logging")
+
+
+def reduce_loads(tmp_path, *argv) -> tuple[list[str], list[str]]:
+    """The modules that ``import varr.cli`` loads, and those loaded once a
+    ``varr reduce`` with ``argv`` has run, in a fresh interpreter. What site
+    hooks load before varr is imported belongs to the interpreter, so each
+    set is taken against that."""
     probe = ("import json, sys\n"
              "started = set(sys.modules)\n"
              "import varr.cli\n"
@@ -1215,11 +1300,39 @@ def test_tabular_reduce_loads_no_scan_pool_pilot_or_network_module(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
         [sys.executable, "-c", probe, "reduce", "--input", str(FIXTURE_CORPUS),
-         "--out-dir", str(tmp_path / "out"), "--epochs", "2", "--batch-size", "4"],
+         "--out-dir", str(tmp_path / "out"), "--epochs", "2", "--batch-size", "4", *argv],
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     code, imported, ran = json.loads(done.stdout.splitlines()[-1])
     assert code == 0 and {"varr.cli", "varr.schedule"} <= set(imported)
-    for loaded in (imported, ran):
-        assert [name for name in loaded if name in unwanted
-                or name.startswith(tuple(u + "." for u in unwanted))] == []
+    return imported, ran
+
+
+def loaded_of(loaded: list[str], unwanted: tuple[str, ...]) -> list[str]:
+    return [name for name in loaded if name in unwanted
+            or name.startswith(tuple(u + "." for u in unwanted))]
+
+
+def test_tabular_reduce_loads_no_scan_pool_pilot_or_network_module(tmp_path):
+    # only concurrent scans use the pool, only `varr pilot` the pilot, and
+    # only a remote scorer the network
+    unwanted = ("concurrent.futures", "varr.pilot", "socket", "ssl", "netrc",
+                *NOT_AT_START_UP)
+    for loaded in reduce_loads(tmp_path):
+        assert loaded_of(loaded, unwanted) == []
+
+
+@pytest.mark.parametrize("in_flight", [1, 16])
+def test_remote_reduce_loads_no_dataclasses_inspect_or_logging(tmp_path, in_flight):
+    # concurrent.futures imports logging itself, so a pooled run (in_flight
+    # > 1) has it loaded; an unpooled one loads neither
+    unwanted = NOT_AT_START_UP if in_flight == 1 else ("dataclasses", "inspect")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scorer": {"in_flight": in_flight}}))
+    with MockScorerServer(score=corpus_score(FIXTURE_CORPUS)) as server:
+        imported, ran = reduce_loads(tmp_path, "--scorer", "remote",
+                                     "--scorer-url", server.url, "--config", str(config))
+    assert server.requests
+    assert loaded_of(imported, ("varr.pilot", "socket", *NOT_AT_START_UP)) == []
+    assert loaded_of(ran, unwanted) == []
+    assert ("concurrent.futures" in ran) == (in_flight > 1)

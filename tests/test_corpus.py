@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from varr.config import RunConfig
 from varr.corpus import (
+    RationaleRecord,
+    RationaleUnit,
     atomic_writer,
     load_corpus,
     validate_corpus,
@@ -16,6 +18,7 @@ from varr.corpus import (
     write_reduced,
 )
 from varr.errors import InternalInvariantError, ParseError, ValidationError
+from varr.metrics import ReductionTrace
 from varr.segmenter import segment_sentences
 
 from .conftest import make_record
@@ -26,6 +29,41 @@ def write_lines(path, objs):
     with open(path, "w", encoding="utf-8") as fh:
         for obj in objs:
             fh.write(json.dumps(obj) + "\n")
+
+
+def test_records_built_without_wrong_answers_do_not_share_a_list():
+    first = RationaleRecord("a", "q", [], "x")
+    second = RationaleRecord("b", "q", [], "x")
+    first.wrong_answers.append("y")
+    assert (first.wrong_answers, second.wrong_answers) == (["y"], [])
+    first_trace, second_trace = ReductionTrace({}, 0), ReductionTrace({}, 0)
+    first_trace.events.append("event")
+    assert second_trace.events == []
+
+
+# each value class, a value of each field, and another value of it
+VALUES = {
+    "unit": (RationaleUnit, {"index": 0, "text": "a", "removed_at": None},
+             {"index": 1, "text": "b", "removed_at": (1, 2)}),
+    "record": (RationaleRecord,
+               {"id": "r", "question": "q", "rationale": [RationaleUnit(0, "a")],
+                "answer": "x", "wrong_answers": ["y"], "task_kind": "free_form"},
+               {"id": "s", "question": "p", "rationale": [RationaleUnit(0, "b")],
+                "answer": "z", "wrong_answers": [], "task_kind": "true_false"}),
+    "trace": (ReductionTrace, {"config": {"run": {}}, "seed": 1, "events": [],
+                               "scorer_call_count": 0},
+              {"config": {}, "seed": 2, "events": ["event"], "scorer_call_count": 1}),
+}
+
+
+@pytest.mark.parametrize("kind", VALUES)
+def test_values_are_equal_field_by_field_and_unhashable(kind):
+    cls, values, others = VALUES[kind]
+    assert cls(**values) == cls(**values)
+    for name in values:
+        assert cls(**values) != cls(**{**values, name: others[name]}), name
+    with pytest.raises(TypeError):
+        hash(cls(**values))
 
 
 def base_obj(rid="a", rationale=("one step here", "two steps done")):

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from http.client import HTTPException, HTTPResponse
 from pathlib import Path
 from types import SimpleNamespace
@@ -642,6 +641,11 @@ class FixedTabularScorer(TabularScorer):
 
     def refresh(self, streams=()) -> None:
         ScorerHandle.refresh(self)
+
+
+def replace(settings: RunConfig, **changes) -> RunConfig:
+    """``settings`` with ``changes``, built and checked by the constructor."""
+    return RunConfig(**{**settings._asdict(), **changes})
 
 
 SETTINGS = RunConfig(epochs=3, batch_size=8, warmup_ratio=0.0, candidate_order="random",
