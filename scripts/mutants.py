@@ -60,20 +60,23 @@ MUTANTS = [
            "return (n_t * t) // total_steps",
            "return -(-(n_t * t) // total_steps)"),
     Mutant("budget-stop", "schedule.py",
-           "if len(buffer) >= budget or halted():",
-           "if len(buffer) > budget or halted():"),
+           "if buffer_size >= budget or halted():",
+           "if buffer_size > budget or halted():"),
     Mutant("negative-pool-gold-filter", "schedule.py",
            "pool = [a for a in dict.fromkeys(answers) if a != record.answer]",
            "pool = list(dict.fromkeys(answers))"),
     Mutant("enforce-epochs-boundary", "schedule.py",
-           "and epoch <= settings.enforce_epochs",
-           "and epoch < settings.enforce_epochs"),
+           "if order == \"enforced_front\" and epoch <= settings.enforce_epochs",
+           "if order == \"enforced_front\" and epoch < settings.enforce_epochs"),
     Mutant("refresh-after-last-epoch", "schedule.py",
            "if epoch < epochs:\n                handle.refresh",
            "if epoch <= epochs:\n                handle.refresh"),
     Mutant("submission-order-reversed", "schedule.py",
            "key=lambda slot: scans[slot][0], reverse=True)",
            "key=lambda slot: scans[slot][0], reverse=False)"),
+    Mutant("execution-not-recorded", "schedule.py",
+           "\"execution\": settings.recorded(\"execution\"),",
+           "\"execution\": {},"),
     Mutant("epoch-log-counts-decisions", "schedule.py",
            "removals = sum(e.decision == DECISION_REMOVED for e in trace.events)",
            "removals = len(trace.events)"),
@@ -159,8 +162,11 @@ MUTANTS = [
            "else:\n            self._connecting = None\n            _close(connection)",
            "else:\n            _close(connection)"),
     Mutant("retry-cap-doubled", "scorer.py",
-           "self.backoff_seconds * (2 ** (attempts - 1))",
-           "self.backoff_seconds * (2 ** attempts)"),
+           "ceiling = min(self.backoff_seconds, self.timeout_seconds)",
+           "ceiling = min(2 * self.backoff_seconds, self.timeout_seconds)"),
+    Mutant("retry-ceiling-uncapped", "scorer.py",
+           "ceiling = min(2 * ceiling, self.timeout_seconds)",
+           "ceiling = 2 * ceiling"),
     Mutant("sleep-after-last-attempt", "scorer.py",
            "if attempts < self.max_attempts:\n                time.sleep",
            "if attempts <= self.max_attempts:\n                time.sleep"),

@@ -41,7 +41,7 @@ from .errors import (
     VarrError,
 )
 from .schedule import CANDIDATE_ORDERS, ReductionAborted, run_reduction
-from .scorer import PromptAssembly, ScorerHandle, TabularScorer
+from .scorer import DEFAULT_TIMEOUT_MS, PromptAssembly, ScorerHandle, TabularScorer
 from .verbosity import MODES
 
 EXIT_OK = 0
@@ -109,7 +109,8 @@ def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
     _add_setting(parser, "--scorer-model", "scorer_model",
                  "model name sent to the remote endpoint")
     _add_setting(parser, "--timeout-ms", "timeout_ms",
-                 "remote timeout (or env VARR_SCORER_TIMEOUT_MS)", type=int)
+                 "remote timeout of each connect and read in ms (or env "
+                 f"VARR_SCORER_TIMEOUT_MS; default {DEFAULT_TIMEOUT_MS})", type=int)
     _add_setting(parser, "--max-attempts", "max_attempts",
                  "remote attempts incl. retries", type=int)
 
@@ -258,19 +259,6 @@ def cmd_pilot(args) -> int:
     return EXIT_OK
 
 
-def _record_run(trace: metrics.ReductionTrace, cfg: config_mod.RunConfig,
-                input_path: str, out_dir: Path) -> None:
-    """Add the execution settings and paths to the trace config.
-
-    Neither enters the fingerprint; ``run_reduction`` has recorded the
-    settings that decide removals.
-    """
-    trace.config.update(
-        execution=cfg.recorded(config_mod.EXECUTION),
-        paths={"input": str(input_path), "out_dir": str(out_dir)},
-    )
-
-
 def cmd_reduce(args) -> int:
     if args.strategy is not None:
         args.candidate_order, args.enforced_n = args.strategy
@@ -282,16 +270,19 @@ def cmd_reduce(args) -> int:
     handle, corpus = _scorer_and_corpus(args.input, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # run_reduction records every setting; the paths, which are not
+    # fingerprinted, are the only part of the trace config left to add
+    paths = {"input": str(args.input), "out_dir": str(out_dir)}
     try:
         trace = run_reduction(corpus, handle, cfg)
     except ReductionAborted as exc:
-        _record_run(exc.trace, cfg, args.input, out_dir)
+        exc.trace.config["paths"] = paths
         exc.trace.save(out_dir / "trace.partial.json")
         raise exc.cause from None
     finally:
         handle.close()
 
-    _record_run(trace, cfg, args.input, out_dir)
+    trace.config["paths"] = paths
     # The events are encoded once, for the fingerprint and for trace.json,
     # and the report is complete before any output is written.
     events_json = metrics.encode_events(trace.events)

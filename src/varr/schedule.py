@@ -24,7 +24,8 @@ Within an epoch the scorer does not change and each record is scanned
 once, reading only its own units and the answers of its batch, so all
 scans of an epoch are independent, and so is each scan's budget, fixed
 by the record's units before the scan. The driver plans an epoch's
-scans in serial order (step, then batch slot) and hands them to one
+scans in serial order (step, then batch slot), each a plain tuple
+(budget, record, retained, batch, epoch, step, t), and hands them to one
 helper. A handle with ``in_flight > 1`` (the remote backend, default 16)
 has them run on that many worker threads, largest budget first, each
 scan sending one request at a time, so no batch waits for the slowest
@@ -41,25 +42,24 @@ nothing for the pool's early stop. The pool's module is imported only
 when ``in_flight > 1``, so a tabular run never loads it.
 
 The driver reads its settings off a ``config.RunConfig``, which checked
-their ranges when it was built, and records the decision settings in the
-trace it returns.
+their ranges when it was built. The trace it returns records each
+setting its backend reads: the decision ones under ``run`` and the
+execution ones under ``execution``, so the caller adds only the paths.
 
 A scan holds its own state: the record's retained indices, read once
-by the plan, and its full prompt, built once from them. Its visit order
-is a copy of that list (shuffled or reversed as the order asks) and the
-length of its unconditional prefix, so no object is built for a unit
-the scan never reaches. Each candidate's reduced prompt is the full one
-with that unit sliced out, and a removal drops the unit from both. Only
-varr_plus builds a negative pool, once per scan; a record whose pool is
-empty (say, one alone in its batch) cannot confirm the wrong-answer
-contrast, so each of its candidates is kept.
+by the plan, and its full prompt, built once from them. One call gives
+its visit order, a copy of that list (shuffled or reversed as the order
+asks), and the length of its unconditional prefix, so no object is built
+for a unit the scan never reaches. Each candidate's reduced prompt is the
+full one with that unit sliced out, and a removal drops the unit from
+both. Only varr_plus builds a negative pool, once per scan; a record
+whose pool is empty (say, one alone in its batch) cannot confirm the
+wrong-answer contrast, so each of its candidates is kept.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import random
 import sys
 import threading
 from bisect import bisect_left
@@ -104,24 +104,27 @@ _UNSCORED = VerbosityReport(None, None, 0, None, None)
 def candidate_sequence(
     retained: list[int],
     settings: RunConfig,
-    rng: random.Random | None = None,
-    enforced_active: bool = False,
+    record_id: str,
+    epoch: int,
+    t: int,
 ) -> tuple[list[int], int]:
-    """Visit order over a record's retained unit indices, and how many of
-    its first candidates are removed unconditionally.
+    """Visit order of a record's scan at step ``t`` of ``epoch`` over its
+    retained unit indices, and how many of its first candidates are
+    removed unconditionally.
 
     The order is a new list, so the scan may delete from ``retained``
-    while it visits: the shuffled orders permute a copy with ``rng``,
-    back reverses it. The unconditional prefix covers all of no_rule's
-    candidates and the first enforced_n of enforced_front's while
-    ``enforced_active``.
+    while it visits: the shuffled orders permute a copy with the scan's
+    own ``("candidate-order", record_id, t)`` child rng, back reverses it.
+    The unconditional prefix covers all of no_rule's candidates, and the
+    first enforced_n of enforced_front's in epochs up to enforce_epochs.
     """
     order = settings.candidate_order
     visits = retained[::-1] if order == "back" else retained[:]
     if order in SHUFFLED_ORDERS:
-        rng.shuffle(visits)
+        child_rng(settings.seed, "candidate-order", record_id, t).shuffle(visits)
     n = (len(visits) if order == "no_rule"
-         else settings.enforced_n if order == "enforced_front" and enforced_active
+         else settings.enforced_n
+         if order == "enforced_front" and epoch <= settings.enforce_epochs
          else 0)
     return visits, n
 
@@ -162,10 +165,10 @@ def run_reduction(
     """Execute the full removal schedule over the corpus, mutating it.
 
     Returns the complete trace of every evaluation and removal. Its config
-    holds the trace schema, the decision settings (``run``) and the
-    derived step counts (``schedule``). The corpus records' units carry
-    removed_at marks afterwards; ``corpus.write_reduced`` writes the
-    reduced artifact with provenance.
+    holds the trace schema, the decision settings (``run``), the derived
+    step counts (``schedule``) and the execution settings (``execution``).
+    The corpus records' units carry removed_at marks afterwards;
+    ``corpus.write_reduced`` writes the reduced artifact with provenance.
 
     Its one caller, ``varr reduce`` (``cli.cmd_reduce``), hands it a
     validated, non-empty corpus and a handle that ``settings`` built; the
@@ -188,6 +191,7 @@ def run_reduction(
             "steps_per_epoch": steps_per_epoch,
             "total_steps": total_steps,
         },
+        "execution": settings.recorded("execution"),
     }
     trace = ReductionTrace(config=config, seed=settings.seed)
     pool = None
@@ -209,15 +213,11 @@ def run_reduction(
                     continue
                 lo = (step - 1) * batch_size
                 batch = [corpus[i] for i in order[lo : lo + batch_size]]
-                scan = functools.partial(
-                    _reduce_record, batch=batch, handle=handle, epoch=epoch, step=step,
-                    t=t, settings=settings,
-                )
                 for record in batch:
                     retained = record.retained_indices()
                     budget = removal_budget(t, total_steps, len(retained))
-                    scans.append((budget, functools.partial(scan, record, retained, budget)))
-            _scan_epoch(pool, scans, trace)
+                    scans.append((budget, record, retained, batch, epoch, step, t))
+            _scan_epoch(pool, scans, trace, handle, settings)
             if epoch < epochs:
                 handle.refresh(corpus_view(corpus))
             # nothing can switch INFO on without importing logging
@@ -236,10 +236,13 @@ def run_reduction(
 
 def _scan_epoch(
     pool: ThreadPoolExecutor | None,
-    scans: Sequence[tuple[int, Callable[..., None]]],
+    scans: Sequence[tuple],
     trace: ReductionTrace,
+    handle: ScorerHandle,
+    settings: RunConfig,
 ) -> None:
-    """Run an epoch's (budget, scan) pairs and merge the results in serial order.
+    """Run an epoch's scans, each the leading arguments of ``_reduce_record``
+    with its budget first, and merge their events in serial order.
 
     Without a pool each scan runs when the merge reaches it; with one,
     all are submitted first, largest budget first (a stable sort, so
@@ -256,22 +259,20 @@ def _scan_epoch(
 
     def run(slot: int) -> None:
         try:
-            scans[slot][1](events=logs[slot], halted=lambda: first_failed[0] < slot)
+            _reduce_record(*scans[slot], handle, settings, logs[slot],
+                           lambda: first_failed[0] < slot)
         except BaseException:
             with lock:
                 first_failed[0] = min(first_failed[0], slot)
             raise
 
     slots = range(len(scans))
-    if pool is None:
-        jobs = [functools.partial(run, slot) for slot in slots]
-    else:
-        futures = {slot: pool.submit(run, slot) for slot in
-                   sorted(slots, key=lambda slot: scans[slot][0], reverse=True)}
-        jobs = [futures[slot].result for slot in slots]
-    for slot, job in zip(slots, jobs):
+    futures = {} if pool is None else {
+        slot: pool.submit(run, slot) for slot in
+        sorted(slots, key=lambda slot: scans[slot][0], reverse=True)}
+    for slot in slots:
         try:
-            job()
+            run(slot) if pool is None else futures[slot].result()
         finally:
             trace.events.extend(logs[slot])
             trace.scorer_call_count += sum(
@@ -279,14 +280,14 @@ def _scan_epoch(
 
 
 def _reduce_record(
+    budget: int,
     record: RationaleRecord,
     retained: list[int],
-    budget: int,
     batch: Sequence[RationaleRecord],
-    handle: ScorerHandle,
     epoch: int,
     step: int,
     t: int,
+    handle: ScorerHandle,
     settings: RunConfig,
     events: list[TraceEvent],
     halted: Callable[[], bool],
@@ -294,24 +295,15 @@ def _reduce_record(
     """Scan one record, whose retained indices and budget the plan read,
     appending its events; stop early once ``halted()``."""
     full = assemble_prompt(record, retained, settings.template_id)
-    buffer: list[int] = []
+    buffer_size = 0  # removals so far
     negatives, k = (
         negative_pool(record, batch, settings.k_negatives)
         if settings.mode == MODE_VARR_PLUS else ((), 0)
     )
-
-    enforced_active = (
-        settings.candidate_order == "enforced_front"
-        and epoch <= settings.enforce_epochs
-    )
     mode = settings.mode
-    order_rng = (
-        child_rng(settings.seed, "candidate-order", record.id, t)
-        if settings.candidate_order in SHUFFLED_ORDERS else None
-    )
-    visits, unconditional_n = candidate_sequence(retained, settings, order_rng, enforced_active)
+    visits, unconditional_n = candidate_sequence(retained, settings, record.id, epoch, t)
     for visited, index in enumerate(visits):
-        if len(buffer) >= budget or halted():
+        if buffer_size >= budget or halted():
             break
         unconditional = visited < unconditional_n
         position = bisect_left(retained, index)
@@ -320,20 +312,19 @@ def _reduce_record(
             removed, report = True, _UNSCORED
         else:
             # seeded only if the negatives are actually subsampled
-            neg_rng = functools.partial(
-                child_rng, settings.seed, "negatives", record.id, t, index,
-            ) if negatives else None
+            neg_rng = ((lambda: child_rng(settings.seed, "negatives", record.id, t, index))
+                       if negatives else None)
             report = evaluate_candidate(
                 handle, record, full, reduced, negatives, k, neg_rng)
             removed = report.removal_approved(mode)
         if removed:
             record.mark_removed(index, epoch, step)
-            buffer.append(index)
+            buffer_size += 1
             del retained[position]
             full = reduced
         # positionally, in TraceEvent's field order: one is built per decision
         events.append(TraceEvent(
-            budget, len(buffer), index, DECISION_REMOVED if removed else DECISION_KEPT,
+            budget, buffer_size, index, DECISION_REMOVED if removed else DECISION_KEPT,
             epoch, report.k_used, record.id, report.score_full, report.score_reduced,
             step, t, unconditional, report.verbosity_gt, report.verbosity_wrong,
         ))

@@ -12,13 +12,15 @@ Two backends sit behind one handle interface:
   response {"token_logprobs": [number, ...], "total_logprob": number},
   the list non-empty
   429 and 5xx responses and transport faults retry after a delay drawn
-  uniformly from zero to an exponentially growing cap (full jitter), so
-  scans that fail together do not retry in lockstep; other statuses fail
-  immediately. All values are natural-log. The driver scans up to
-  ``in_flight`` records of an epoch at once (default 16), so the client
-  sends up to that many concurrent requests, over at most that many
-  keep-alive connections; the server must accept that much concurrency
-  and score deterministically per model version. At most
+  uniformly from zero to a ceiling that doubles per retry up to the
+  request timeout (full jitter), so scans that fail together do not
+  retry in lockstep; other statuses fail immediately. All values are
+  natural-log. The driver scans up to ``in_flight`` records of an epoch
+  at once (default 16), so the client sends up to that many concurrent
+  requests, over at most that many keep-alive connections; the server
+  must accept that much concurrency and give the same (model, prompt,
+  completion) the same reply within a run, since the client clears its
+  memo at each refresh between epochs and may ask again. At most
   ``MAX_CONNECTING`` new connections wait for their first status line
   at once, so filling the pool does not overflow a small listen backlog;
   once the server closes a connection after a reply, every request may
@@ -575,6 +577,9 @@ class RemoteScorer(ScorerHandle):
             {"model": self.model, "prompt": context, "completion": answer}).encode()
         attempts = 0
         failure = "no attempt made"
+        # the next delay's ceiling: doubled per retry, never past the timeout,
+        # so no attempt count can grow it without bound or overflow it
+        ceiling = min(self.backoff_seconds, self.timeout_seconds)
         while attempts < self.max_attempts:
             attempts += 1
             try:
@@ -588,8 +593,8 @@ class RemoteScorer(ScorerHandle):
                     raise ProtocolError(f"scorer endpoint returned status {status}")
                 failure = f"retryable status {status}"
             if attempts < self.max_attempts:
-                time.sleep(self._jitter.uniform(
-                    0, self.backoff_seconds * (2 ** (attempts - 1))))
+                time.sleep(self._jitter.uniform(0, ceiling))
+                ceiling = min(2 * ceiling, self.timeout_seconds)
         raise TransportError(failure, attempts=attempts)
 
     def _parse_response(self, payload: bytes) -> LogLikelihood:

@@ -595,6 +595,26 @@ def test_reduce_remote_scorer_failure_exits_two(tmp_path, capsys):
         assert busy.requests  # the server answered, with 503
 
 
+def test_partial_trace_records_the_config_of_a_finished_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("VARR_SCORER_TIMEOUT_MS", raising=False)
+    # one server for both runs, so the URL is the same: its first request is
+    # answered 503, which with one attempt fails the first run, then 200s
+    out = tmp_path / "out"
+    argv = ["reduce", "--input", str(FIXTURE_CORPUS), "--out-dir", str(out),
+            "--scorer", "remote", "--max-attempts", "1", "--epochs", "2", "--warmup", "0.0"]
+    with MockScorerServer(score=corpus_score(FIXTURE_CORPUS), status_script=[503]) as server:
+        argv += ["--scorer-url", server.url]
+        assert run_cli(*argv) == 2
+        partial = json.loads((out / "trace.partial.json").read_text())["config"]
+        assert run_cli(*argv) == 0
+    finished = json.loads((out / "trace.json").read_text())["config"]
+    assert set(partial) == {"trace_schema", "run", "schedule", "execution", "paths"}
+    assert partial == finished
+    assert partial["execution"] == {
+        "scorer_url": server.url, "timeout_ms": None, "max_attempts": 1, "in_flight": 16}
+    assert partial["paths"] == {"input": str(FIXTURE_CORPUS), "out_dir": str(out)}
+
+
 def test_reduce_against_a_server_that_totals_nan_exits_two(tmp_path, capsys):
     # json.loads reads NaN; a kept NaN score would write NaN into
     # trace.json, which is not JSON

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from http.client import HTTPException, HTTPResponse
 from pathlib import Path
 from types import SimpleNamespace
@@ -139,6 +140,21 @@ def test_exhausted_retries_sleep_between_attempts_only(monkeypatch, max_attempts
         assert len(server.requests) == max_attempts
     # no sleep after the last attempt: the failure is raised at once
     assert len(sleeps) == len(jitter.bounds) == max_attempts - 1
+
+
+def test_retry_ceilings_double_up_to_the_timeout_for_any_attempt_count(monkeypatch):
+    # uncapped, the 11th ceiling is 102.4 s, and the 1,025th overflows a float
+    jitter, sleeps = recording_retry_waits(monkeypatch)
+    scorer = remote(REFUSING, max_attempts=1100, backoff_seconds=0.1, timeout_ms=1000)
+    with pytest.raises(TransportError) as exc:
+        scorer.score_answer(ASSEMBLY, "a")
+    assert str(exc.value).endswith(" (after 1100 attempt(s))")
+    # in exact arithmetic: doubling a float is exact, so the n-th ceiling is
+    # 0.1's float value times 2^(n-1) until the 1 s timeout caps it
+    assert [(lo, Fraction(hi)) for lo, hi in jitter.bounds] == [
+        (0, min(Fraction(0.1) * 2 ** (n - 1), Fraction(1))) for n in range(1, 1100)]
+    assert [hi for _, hi in jitter.bounds[:6]] == [0.1, 0.2, 0.4, 0.8, 1.0, 1.0]
+    assert len(sleeps) == 1099
 
 
 def test_non_retryable_status_fails_fast():

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import inspect
 import itertools
@@ -85,10 +84,12 @@ def test_warmup_full_ratio_always_warm():
 
 # --- candidate ordering ------------------------------------------------------
 
-def visits(record, order, rng=None, enforced_active=False, enforced_n=2):
-    """(visit order, unconditional prefix length) over the record's retained units."""
-    settings = RunConfig(candidate_order=order, enforced_n=enforced_n)
-    return candidate_sequence(record.retained_indices(), settings, rng, enforced_active)
+def visits(record, order, epoch=1, t=5, enforced_n=2, enforce_epochs=1, seed=0):
+    """(visit order, unconditional prefix length) of the record's scan at step
+    t of epoch over its retained units."""
+    settings = RunConfig(candidate_order=order, enforced_n=enforced_n,
+                         enforce_epochs=enforce_epochs, seed=seed)
+    return candidate_sequence(record.retained_indices(), settings, record.id, epoch, t)
 
 
 def test_front_and_back_orders():
@@ -106,43 +107,42 @@ def test_orders_skip_removed_units():
 
 def test_random_order_seeded_permutation():
     record = make_record(units=("a", "b", "c", "d"))
-    one = visits(record, "random", child_rng(7, "x"))
-    assert one == visits(record, "random", child_rng(7, "x"))
-    # the rng's own shuffle of the retained indices
+    one = visits(record, "random", t=9, seed=7)
+    assert one == visits(record, "random", t=9, seed=7)
+    # the scan's own rng's shuffle of the retained indices
     expected = record.retained_indices()
-    child_rng(7, "x").shuffle(expected)
+    child_rng(7, "candidate-order", record.id, 9).shuffle(expected)
     assert one == (expected, 0)
 
 
 def test_enforced_front_flags():
     record = make_record(units=("a", "b", "c", "d"))
-    assert visits(record, "enforced_front", enforced_active=True) == ([0, 1, 2, 3], 2)
-    assert visits(record, "enforced_front", enforced_active=False) == ([0, 1, 2, 3], 0)
+    # enforced in epochs up to enforce_epochs, and not after
+    assert visits(record, "enforced_front", epoch=3, enforce_epochs=3) == ([0, 1, 2, 3], 2)
+    assert visits(record, "enforced_front", epoch=4, enforce_epochs=3) == ([0, 1, 2, 3], 0)
     # the enforcement is over the first candidates visited, whatever their indices
     record.mark_removed(0, 1, 1)
-    assert visits(record, "enforced_front", enforced_active=True, enforced_n=1) == (
-        [1, 2, 3], 1)
+    assert visits(record, "enforced_front", enforced_n=1) == ([1, 2, 3], 1)
     # enforcement is enforced_front's alone
     for order in ("front", "back"):
-        assert visits(record, order, enforced_active=True)[1] == 0
+        assert visits(record, order)[1] == 0
 
 
 def test_no_rule_all_unconditional():
     record = make_record(units=("a", "b", "c"))
-    order, n = visits(record, "no_rule", child_rng(3, "y"))
+    order, n = visits(record, "no_rule", t=4, seed=3)
     assert sorted(order) == [0, 1, 2]
     assert n == 3
     expected = [0, 1, 2]
-    child_rng(3, "y").shuffle(expected)
+    child_rng(3, "candidate-order", record.id, 4).shuffle(expected)
     assert order == expected
 
 
 def test_candidate_sequence_copies_the_plans_list():
     # the scan deletes from its retained list while it visits the order
-    for order, rng in (("front", None), ("back", None), ("random", child_rng(1, "z")),
-                       ("enforced_front", None), ("no_rule", child_rng(2, "z"))):
+    for order in CANDIDATE_ORDERS:
         retained = [0, 2, 5]
-        got, _ = candidate_sequence(retained, RunConfig(candidate_order=order), rng)
+        got, _ = candidate_sequence(retained, RunConfig(candidate_order=order), "r", 1, 1)
         assert got is not retained and retained == [0, 2, 5]
 
 
@@ -360,7 +360,7 @@ def test_epoch_log_lines_count_removals_so_far(caplog):
 
 # --- scans on a worker pool -------------------------------------------------
 
-def test_pooled_scans_are_submitted_largest_budget_first():
+def test_pooled_scans_are_submitted_largest_budget_first(monkeypatch):
     class RecordingPool:
         """Runs each scan as it is submitted, recording the slot order."""
 
@@ -374,14 +374,14 @@ def test_pooled_scans_are_submitted_largest_budget_first():
             future.set_result(None)
             return future
 
-    def scan(slot, events, halted):
+    def scan(budget, slot, handle, settings, events, halted):
         events.append(SimpleNamespace(slot=slot, unconditional=True))
 
+    monkeypatch.setattr(schedule, "_reduce_record", scan)
     budgets = [1, 3, 0, 3, 2, 1]
     pool = RecordingPool()
     trace = SimpleNamespace(events=[], scorer_call_count=0)
-    schedule._scan_epoch(pool, [(budget, functools.partial(scan, slot))
-                                for slot, budget in enumerate(budgets)], trace)
+    schedule._scan_epoch(pool, list(zip(budgets, range(len(budgets)))), trace, None, None)
     # largest budget first; equal budgets keep serial order
     assert pool.submitted == [1, 3, 4, 0, 5, 2]
     assert [e.slot for e in trace.events] == list(range(len(budgets)))
