@@ -135,6 +135,10 @@ MUTANTS = [
            'if (logging := sys.modules.get("logging")) is not None:\n'
            '            logging.getLogger("varr").debug',
            'if False:\n            logging.getLogger("varr").debug'),
+    # cli: the collector paused for a reduce, and the caller's setting restored
+    Mutant("collector-left-paused", "cli.py",
+           "if collecting:\n            gc.enable()",
+           "if False:\n            gc.enable()"),
     # scorer: the model's streams and the HTTP client
     Mutant("corpus-view-keeps-removed", "scorer.py",
            "if unit.removed_at is None:\n                stream.extend",

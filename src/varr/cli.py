@@ -17,6 +17,7 @@ fails mid-run, and ``ingest`` and ``pilot`` write their outputs first.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -157,7 +158,8 @@ def build_parser() -> _Parser:
     _add_setting(p_reduce, "--unit", "unit", choices=GRANULARITIES)
     _add_setting(p_reduce, "--warmup", "warmup_ratio",
                  "warm-up ratio of total steps", type=float)
-    _add_setting(p_reduce, "--epochs", "epochs", type=int)
+    _add_setting(p_reduce, "--epochs", "epochs",
+                 f"passes over the corpus, 1 to {config_mod.MAX_EPOCHS}", type=int)
     _add_setting(p_reduce, "--batch-size", "batch_size", type=int)
     _add_setting(p_reduce, "--k-negatives", "k_negatives", type=int)
     _add_setting(p_reduce, "--seed", "seed", type=int)
@@ -260,6 +262,20 @@ def cmd_pilot(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    # A reduce makes no reference cycles that grow with its input, yet its
+    # long-lived records, events and counts trigger some 175 collections,
+    # each rescanning them: the collector is paused for the run and the
+    # caller's setting restored after it.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _reduce(args)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _reduce(args) -> int:
     if args.strategy is not None:
         args.candidate_order, args.enforced_n = args.strategy
         if args.candidate_order == "no_rule" and args.mode is not None:

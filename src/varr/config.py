@@ -42,6 +42,7 @@ from .schedule import CANDIDATE_ORDERS
 from .scorer import (
     DEFAULT_IN_FLIGHT,
     DEFAULT_MAX_ATTEMPTS,
+    DEFAULT_TIMEOUT_MS,
     TEMPLATES,
     RemoteScorer,
     ScorerHandle,
@@ -59,6 +60,8 @@ ENV_SCORER_URL = "VARR_SCORER_URL"
 ENV_SCORER_TIMEOUT_MS = "VARR_SCORER_TIMEOUT_MS"
 # About 24.8 days; a socket refuses more than its time_t holds (9.2e9 s on 64-bit Linux).
 MAX_TIMEOUT_MS = 2**31 - 1
+# Each epoch walks every step, so a mistyped count would run for hours.
+MAX_EPOCHS = 1_000
 
 
 class Setting(NamedTuple):
@@ -118,8 +121,11 @@ class RunConfig(namedtuple("RunConfig", FIELDS, defaults=[s.default for s in FIE
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         remote = self.scorer_backend == "remote"
+        if remote and self.timeout_ms is None:  # recorded as the scorer will use it
+            self = self._replace(timeout_ms=DEFAULT_TIMEOUT_MS)
         for broken, problem in (
             (self.epochs < 1, f"epochs must be >= 1, got {self.epochs}"),
+            (self.epochs > MAX_EPOCHS, f"epochs must be <= {MAX_EPOCHS}, got {self.epochs}"),
             (self.batch_size < 1, f"batch_size must be >= 1, got {self.batch_size}"),
             (not 0.0 <= self.warmup_ratio <= 1.0,
              f"warmup_ratio must be in [0, 1], got {self.warmup_ratio}"),
@@ -138,9 +144,9 @@ class RunConfig(namedtuple("RunConfig", FIELDS, defaults=[s.default for s in FIE
              f"smoothing_alpha must be a finite number > 0, got {self.smoothing_alpha}"),
             (self.template_id not in TEMPLATES,
              f"unknown template_id {self.template_id!r}"),
-            (remote and self.timeout_ms is not None and self.timeout_ms < 1,
+            (remote and self.timeout_ms < 1,
              f"timeout_ms must be >= 1, got {self.timeout_ms}"),
-            (remote and self.timeout_ms is not None and self.timeout_ms > MAX_TIMEOUT_MS,
+            (remote and self.timeout_ms > MAX_TIMEOUT_MS,
              f"timeout_ms must be <= {MAX_TIMEOUT_MS}, got {self.timeout_ms}"),
             (remote and self.max_attempts < 1,
              f"max_attempts must be >= 1, got {self.max_attempts}"),

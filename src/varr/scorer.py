@@ -30,9 +30,10 @@ Two backends sit behind one handle interface:
   settings are read from the environment once, when the scorer is built.
 
 Everything stays in log space; probabilities are never materialized.
-Both backends memoize on (context, answer), where the context is what
-the backend conditions on: the prompt's last whitespace token for the
-tabular backend, the whole rendered prompt for the remote one. The key
+Both backends memoize on (context, answer) in a ``ScoreCache``, a dict
+that takes no lock, where the context is what the backend conditions
+on: the prompt's last whitespace token for the tabular backend, the
+whole rendered prompt for the remote one. The key
 holds no model version, as ``ScorerHandle.refresh``, run between epochs
 when no scan is running, is the only invalidation: it bumps
 ``model_version`` and clears the memo. Template separators are
@@ -135,35 +136,36 @@ def assemble_prompt(
 # --- score cache and handle ------------------------------------------------
 
 class ScoreCache:
-    """Concurrent map from (context, answer) to a score.
+    """Map from (context, answer) to a score, shared by concurrent scans.
 
-    The key holds no model version: the handle clears the map on every
-    refresh, when no scan reads it. Between refreshes values are
+    It takes no lock. Under the GIL, ``dict.get``, an item assignment and
+    rebinding ``_entries`` are each atomic, so a scan never reads a torn
+    entry. The key holds no model version: the handle clears the map on
+    every refresh, when no scan reads it. Between refreshes values are
     deterministic, so last-writer-wins races on identical keys are benign.
+    ``hits`` and ``misses`` are exact when one thread scans; under
+    concurrent scans an increment may be lost, and they are best-effort
+    diagnostics.
     """
 
     def __init__(self):
         self._entries: dict[tuple[str, str], LogLikelihood] = {}
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def lookup(self, key: tuple[str, str]) -> LogLikelihood | None:
-        with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return value
+        value = self._entries.get(key)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
 
     def store(self, key: tuple[str, str], value: LogLikelihood) -> None:
-        with self._lock:
-            self._entries[key] = value
+        self._entries[key] = value
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries = {}
+        self._entries = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -499,7 +501,7 @@ class RemoteScorer(ScorerHandle):
         self,
         base_url: str | None = None,
         model: str = "default",
-        timeout_ms: int | None = None,
+        timeout_ms: int = DEFAULT_TIMEOUT_MS,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_seconds: float = 0.1,
         in_flight: int = DEFAULT_IN_FLIGHT,
@@ -508,8 +510,6 @@ class RemoteScorer(ScorerHandle):
         if not base_url:
             raise ConfigurationError(
                 "remote scorer needs a base URL (flag, config, or VARR_SCORER_URL)")
-        if timeout_ms is None:
-            timeout_ms = DEFAULT_TIMEOUT_MS
         self.model = model
         self.timeout_seconds = timeout_ms / 1000.0
         self.max_attempts = max_attempts

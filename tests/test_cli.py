@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import functools
+import gc
 import json
 import math
 import operator
@@ -18,13 +20,14 @@ from varr.config import (
     DECISION,
     EXECUTION,
     FIELDS,
+    MAX_EPOCHS,
     PILOT_STRATEGIES,
     RunConfig,
     load_run_config,
 )
 from varr.corpus import GRANULARITIES, load_corpus
 from varr.schedule import CANDIDATE_ORDERS
-from varr.scorer import assemble_prompt, fit_tabular_scorer
+from varr.scorer import DEFAULT_TIMEOUT_MS, assemble_prompt, fit_tabular_scorer
 from varr.segmenter import DEFAULT_ABBREVIATIONS
 from varr.verbosity import MODES
 
@@ -610,8 +613,10 @@ def test_partial_trace_records_the_config_of_a_finished_run(tmp_path, capsys, mo
     finished = json.loads((out / "trace.json").read_text())["config"]
     assert set(partial) == {"trace_schema", "run", "schedule", "execution", "paths"}
     assert partial == finished
+    # no flag, entry or variable set the timeout: the default the scorer ran with
     assert partial["execution"] == {
-        "scorer_url": server.url, "timeout_ms": None, "max_attempts": 1, "in_flight": 16}
+        "scorer_url": server.url, "timeout_ms": DEFAULT_TIMEOUT_MS, "max_attempts": 1,
+        "in_flight": 16}
     assert partial["paths"] == {"input": str(FIXTURE_CORPUS), "out_dir": str(out)}
 
 
@@ -1006,6 +1011,7 @@ def test_config_file_typed_values_accepted(tmp_path):
 
 @pytest.mark.parametrize("command, flags, entries", [
     ("reduce", ["--epochs", "0"], {}),
+    ("reduce", [], {"schedule": {"epochs": MAX_EPOCHS + 1}}),
     ("reduce", ["--batch-size", "0"], {}),
     ("reduce", ["--warmup", "1.5"], {}),
     ("reduce", ["--warmup", "-0.1"], {}),
@@ -1036,8 +1042,8 @@ def test_config_file_typed_values_accepted(tmp_path):
                                "timeout_ms": 2**31}}),
     ("reduce", ["--scorer", "remote", "--max-attempts", "0"], {}),
     ("reduce", [], {"scorer": {"backend": "remote", "in_flight": 0}}),
-], ids=["epochs", "batch_size", "warmup_above", "warmup_below", "k_negatives",
-        "candidate_order", "enforced_n", "mode", "unit", "samples_per_record",
+], ids=["epochs", "epochs_too_large", "batch_size", "warmup_above", "warmup_below",
+        "k_negatives", "candidate_order", "enforced_n", "mode", "unit", "samples_per_record",
         "pilot_strategies", "pilot_strategies_empty", "pilot_sizes", "scorer_backend",
         "scorer_backend_pilot", "smoothing_alpha_nan", "smoothing_alpha_zero",
         "template_id", "template_id_remote", "check_ordering_strategies",
@@ -1131,6 +1137,60 @@ def test_reduce_loads_corpus_once_and_trace_parses_to_run_trace(tmp_path, monkey
 def test_reduce_leaves_no_temp_files(tmp_path):
     assert reduce_fixture(tmp_path / "run") == 0
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == REDUCE_OUTPUTS
+
+
+def fixture_copies(tmp_path, copies: int) -> Path:
+    """The fixture corpus ``copies`` times over, each copy's ids renamed."""
+    records = [json.loads(line) for line in FIXTURE_CORPUS.read_text().splitlines()]
+    path = tmp_path / f"fixture-x{copies}.jsonl"
+    write_lines(path, [{**r, "id": f"{r['id']}-{c}"} for c in range(copies) for r in records])
+    return path
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_reduce_makes_no_garbage_that_grows_with_the_corpus(tmp_path, backend):
+    # cmd_reduce pauses the cyclic collector, which is safe only while the
+    # cycles a run leaves behind do not grow with its input
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scorer": {"in_flight": 16}}))
+
+    def garbage(copies: int) -> int:
+        corpus = fixture_copies(tmp_path, copies)
+        argv = ["reduce", "--input", str(corpus), "--out-dir", str(tmp_path / f"out{copies}"),
+                "--config", str(config)]
+        with contextlib.ExitStack() as stack:
+            if backend == "remote":
+                server = stack.enter_context(MockScorerServer(score=corpus_score(corpus)))
+                argv += ["--scorer", "remote", "--scorer-url", server.url]
+            args = cli.build_parser().parse_args(argv)
+            gc.disable()
+            stack.callback(gc.enable)
+            gc.collect()
+            assert cli.cmd_reduce(args) == 0
+            return gc.collect()
+
+    assert garbage(1) == garbage(4)
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("outcome", ["success", "invalid_corpus", "scorer_failure"])
+def test_reduce_restores_the_callers_collector_setting(tmp_path, collecting, outcome):
+    invalid = tmp_path / "invalid.jsonl"
+    write_lines(invalid, [record_obj("r1", ["One here."]), record_obj("r1", ["Two there."])])
+    out = tmp_path / "out"
+    argv = ["reduce", "--input", str(FIXTURE_CORPUS), "--out-dir", str(out), "--epochs", "1"]
+    with contextlib.ExitStack() as stack:
+        if outcome == "invalid_corpus":
+            argv[2] = str(invalid)
+        elif outcome == "scorer_failure":
+            server = stack.enter_context(MockScorerServer(status_script=[503] * 64))
+            argv += ["--scorer", "remote", "--scorer-url", server.url, "--max-attempts", "1"]
+        stack.callback(gc.enable)
+        (gc.enable if collecting else gc.disable)()
+        code = run_cli(*argv)
+        assert gc.isenabled() == collecting
+    assert code == {"success": 0, "invalid_corpus": 1, "scorer_failure": 2}[outcome]
+    assert (out / "trace.partial.json").exists() == (outcome == "scorer_failure")
 
 
 def test_reduce_serialization_failure_keeps_previous_trace(tmp_path, monkeypatch, capsys):

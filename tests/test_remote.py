@@ -25,6 +25,7 @@ from varr.corpus import load_corpus
 from varr.errors import ConfigurationError, ProtocolError, TransportError
 from varr.schedule import ReductionAborted, run_reduction
 from varr.scorer import (
+    DEFAULT_TIMEOUT_MS,
     MAX_CONNECTING,
     LogLikelihood,
     PromptAssembly,
@@ -243,6 +244,15 @@ def test_missing_url_is_configuration_error(monkeypatch):
 def test_remote_settings_below_one_are_configuration_errors(setting):
     with pytest.raises(ConfigurationError, match=next(iter(setting))):
         RunConfig(scorer_backend="remote", scorer_url=REFUSING, **setting)
+
+
+def test_remote_settings_hold_the_timeout_the_scorer_uses():
+    settings = RunConfig(scorer_backend="remote", scorer_url=REFUSING)
+    assert settings.recorded("execution")["timeout_ms"] == DEFAULT_TIMEOUT_MS
+    scorer = settings.build_scorer()
+    assert scorer.timeout_seconds == DEFAULT_TIMEOUT_MS / 1000
+    scorer.close()
+    assert RunConfig(timeout_ms=None).timeout_ms is None  # a tabular run has none
 
 
 @pytest.fixture
