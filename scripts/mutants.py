@@ -75,8 +75,11 @@ MUTANTS = [
            "key=lambda slot: scans[slot][0], reverse=True)",
            "key=lambda slot: scans[slot][0], reverse=False)"),
     Mutant("execution-not-recorded", "schedule.py",
-           "\"execution\": settings.recorded(\"execution\"),",
-           "\"execution\": {},"),
+           "execution=settings.recorded(\"execution\"),",
+           "execution={},"),
+    Mutant("caller-config-replaced", "schedule.py",
+           "trace.config.update(",
+           "trace.config = dict("),
     Mutant("epoch-log-counts-decisions", "schedule.py",
            "removals = sum(e.decision == DECISION_REMOVED for e in trace.events)",
            "removals = len(trace.events)"),
@@ -123,6 +126,12 @@ MUTANTS = [
     Mutant("range-check-skipped", "config.py",
            "if broken:\n                raise ConfigurationError(problem)",
            "if False:\n                raise ConfigurationError(problem)"),
+    Mutant("pilot-sizes-empty-accepted", "config.py",
+           "(not self.pilot_sizes or any(size < 0",
+           "(any(size < 0"),
+    Mutant("in-flight-uncapped", "config.py",
+           "(remote and self.in_flight > MAX_IN_FLIGHT,",
+           "(False,"),
     # corpus: the records' equality
     Mutant("equality-drops-a-field", "corpus.py",
            "getattr(other, name) for name in self.__slots__)",
@@ -135,6 +144,10 @@ MUTANTS = [
            'if (logging := sys.modules.get("logging")) is not None:\n'
            '            logging.getLogger("varr").debug',
            'if False:\n            logging.getLogger("varr").debug'),
+    # cli: the partial trace of a scorer failure
+    Mutant("partial-trace-not-saved", "cli.py",
+           "trace.save(out_dir / \"trace.partial.json\")",
+           "pass"),
     # cli: the collector paused for a reduce, and the caller's setting restored
     Mutant("collector-left-paused", "cli.py",
            "if collecting:\n            gc.enable()",

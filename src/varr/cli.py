@@ -41,7 +41,7 @@ from .errors import (
     ValidationError,
     VarrError,
 )
-from .schedule import CANDIDATE_ORDERS, ReductionAborted, run_reduction
+from .schedule import CANDIDATE_ORDERS, run_reduction
 from .scorer import DEFAULT_TIMEOUT_MS, PromptAssembly, ScorerHandle, TabularScorer
 from .verbosity import MODES
 
@@ -286,19 +286,20 @@ def _reduce(args) -> int:
     handle, corpus = _scorer_and_corpus(args.input, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # run_reduction records every setting; the paths, which are not
-    # fingerprinted, are the only part of the trace config left to add
-    paths = {"input": str(args.input), "out_dir": str(out_dir)}
+    # The run's trace holds the paths, which are not fingerprinted, and
+    # run_reduction records every setting and event in it: on a scorer
+    # failure, the serial prefix of the run, saved before main maps the
+    # failure to its exit code.
+    trace = metrics.ReductionTrace(
+        {"paths": {"input": str(args.input), "out_dir": str(out_dir)}}, None)
     try:
-        trace = run_reduction(corpus, handle, cfg)
-    except ReductionAborted as exc:
-        exc.trace.config["paths"] = paths
-        exc.trace.save(out_dir / "trace.partial.json")
-        raise exc.cause from None
+        run_reduction(corpus, handle, cfg, trace)
+    except ScorerError:
+        trace.save(out_dir / "trace.partial.json")
+        raise
     finally:
         handle.close()
 
-    trace.config["paths"] = paths
     # The events are encoded once, for the fingerprint and for trace.json,
     # and the report is complete before any output is written.
     events_json = metrics.encode_events(trace.events)

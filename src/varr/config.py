@@ -62,6 +62,8 @@ ENV_SCORER_TIMEOUT_MS = "VARR_SCORER_TIMEOUT_MS"
 MAX_TIMEOUT_MS = 2**31 - 1
 # Each epoch walks every step, so a mistyped count would run for hours.
 MAX_EPOCHS = 1_000
+# Each in-flight scan holds a thread and a socket: more would exhaust them.
+MAX_IN_FLIGHT = 256
 
 
 class Setting(NamedTuple):
@@ -151,14 +153,16 @@ class RunConfig(namedtuple("RunConfig", FIELDS, defaults=[s.default for s in FIE
             (remote and self.max_attempts < 1,
              f"max_attempts must be >= 1, got {self.max_attempts}"),
             (remote and self.in_flight < 1, f"in_flight must be >= 1, got {self.in_flight}"),
+            (remote and self.in_flight > MAX_IN_FLIGHT,
+             f"in_flight must be <= {MAX_IN_FLIGHT}, got {self.in_flight}"),
             (not self.terminal_punctuation, "terminal_punctuation must be non-empty"),
             (self.min_unit_chars < 1, f"min_unit_chars must be >= 1, got {self.min_unit_chars}"),
             (not self.pilot_strategies
              or any(s not in PILOT_STRATEGIES for s in self.pilot_strategies),
              f"pilot strategies must be some of {', '.join(PILOT_STRATEGIES)}, "
              f"got {list(self.pilot_strategies)}"),
-            (any(size < 0 for size in self.pilot_sizes),
-             f"pilot sizes must be >= 0, got {list(self.pilot_sizes)}"),
+            (not self.pilot_sizes or any(size < 0 for size in self.pilot_sizes),
+             f"pilot sizes must be one or more sizes >= 0, got {list(self.pilot_sizes)}"),
             (self.samples_per_record < 1,
              f"samples_per_record must be >= 1, got {self.samples_per_record}"),
         ):

@@ -67,7 +67,7 @@ class TraceEvent(NamedTuple):
 class ReductionTrace(SlotsValue):
     __slots__ = ("config", "seed", "events", "scorer_call_count")
 
-    def __init__(self, config: dict, seed: int, events: list[TraceEvent] | None = None,
+    def __init__(self, config: dict, seed: int | None, events: list[TraceEvent] | None = None,
                  scorer_call_count: int = 0):
         self.config = config
         self.seed = seed

@@ -42,9 +42,10 @@ nothing for the pool's early stop. The pool's module is imported only
 when ``in_flight > 1``, so a tabular run never loads it.
 
 The driver reads its settings off a ``config.RunConfig``, which checked
-their ranges when it was built. The trace it returns records each
-setting its backend reads: the decision ones under ``run`` and the
-execution ones under ``execution``, so the caller adds only the paths.
+their ranges when it was built. It records the seed, each setting its
+backend reads (``run``, ``execution``) and every event in the trace that
+its caller owns and hands in; a scorer failure leaves the driver as the
+scorer raised it, and that trace holds the serial prefix of the run.
 
 A scan holds its own state: the record's retained indices, read once
 by the plan, and its full prompt, built once from them. One call gives
@@ -66,14 +67,7 @@ from bisect import bisect_left
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .corpus import CHOICE_TASKS, RationaleRecord
-from .errors import ScorerError, VarrError
-from .metrics import (
-    DECISION_KEPT,
-    DECISION_REMOVED,
-    TRACE_SCHEMA,
-    ReductionTrace,
-    TraceEvent,
-)
+from .metrics import DECISION_KEPT, DECISION_REMOVED, TRACE_SCHEMA, TraceEvent
 from .scorer import ScorerHandle, assemble_prompt, corpus_view
 from .seeding import child_rng
 from .verbosity import MODE_VARR_PLUS, VerbosityReport, evaluate_candidate
@@ -82,6 +76,7 @@ if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
     from .config import RunConfig  # config imports this module
+    from .metrics import ReductionTrace
 
 CANDIDATE_ORDERS = ("front", "random", "back", "enforced_front", "no_rule")
 SHUFFLED_ORDERS = ("random", "no_rule")
@@ -148,25 +143,19 @@ def negative_pool(
     return pool, len(pool) if choice else k_default
 
 
-class ReductionAborted(VarrError):
-    """Scorer failure mid-run; carries the trace up to the failure."""
-
-    def __init__(self, cause: Exception, trace: ReductionTrace):
-        super().__init__(f"reduction aborted: {cause}")
-        self.cause = cause
-        self.trace = trace
-
-
 def run_reduction(
     corpus: list[RationaleRecord],
     handle: ScorerHandle,
     settings: RunConfig,
-) -> ReductionTrace:
-    """Execute the full removal schedule over the corpus, mutating it.
+    trace: ReductionTrace,
+) -> None:
+    """Execute the full removal schedule over the corpus, mutating it, and
+    record it in ``trace``, which the caller owns and hands in holding only
+    its own config entries (``varr reduce``'s paths).
 
-    Returns the complete trace of every evaluation and removal. Its config
-    holds the trace schema, the decision settings (``run``), the derived
-    step counts (``schedule``) and the execution settings (``execution``).
+    The driver records the seed, the trace schema, the decision settings
+    (``run``), the derived step counts (``schedule``) and the execution
+    settings (``execution``), then appends every evaluation and removal.
     The corpus records' units carry removed_at marks afterwards;
     ``corpus.write_reduced`` writes the reduced artifact with provenance.
 
@@ -174,26 +163,27 @@ def run_reduction(
     validated, non-empty corpus and a handle that ``settings`` built; the
     driver checks neither again.
 
-    On a scorer failure the partial trace holds what the serial driver
-    would have recorded: the events of the epoch's scans before the
-    failing one in serial order, then the failing scan's own, and only
-    the scorer calls behind those events: not those of the failing
-    candidate, nor of later scans that ran before or beside it.
+    A scorer failure propagates as the scorer raised it. ``trace`` then
+    holds what the serial driver would have recorded: the events of the
+    epoch's scans before the failing one in serial order, then the failing
+    scan's own, and only the scorer calls behind those events: not those
+    of the failing candidate, nor of later scans that ran before or beside
+    it.
     """
     batch_size, epochs = settings.batch_size, settings.epochs
     steps_per_epoch = math.ceil(len(corpus) / batch_size)
     total_steps = epochs * steps_per_epoch
-    config = {
-        "trace_schema": TRACE_SCHEMA,
-        "run": settings.recorded(),
-        "schedule": {
+    trace.seed = settings.seed
+    trace.config.update(
+        trace_schema=TRACE_SCHEMA,
+        run=settings.recorded(),
+        schedule={
             "record_count": len(corpus),
             "steps_per_epoch": steps_per_epoch,
             "total_steps": total_steps,
         },
-        "execution": settings.recorded("execution"),
-    }
-    trace = ReductionTrace(config=config, seed=settings.seed)
+        execution=settings.recorded("execution"),
+    )
     pool = None
     if handle.in_flight > 1:
         # imported here, so that a run without concurrent scans never loads it
@@ -226,12 +216,9 @@ def run_reduction(
                 if log.isEnabledFor(logging.INFO):
                     removals = sum(e.decision == DECISION_REMOVED for e in trace.events)
                     log.info("epoch %d/%d done: %d removals so far", epoch, epochs, removals)
-    except ScorerError as exc:
-        raise ReductionAborted(exc, trace) from exc
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return trace
 
 
 def _scan_epoch(

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from varr.corpus import RationaleRecord, RationaleUnit, load_corpus
+from varr.metrics import ReductionTrace
+from varr.schedule import run_reduction
 from varr.scorer import TabularScorer
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -32,6 +34,12 @@ def make_record(record_id="r1", question="what is it", units=("first step here",
         wrong_answers=list(wrong_answers),
         task_kind=task_kind,
     )
+
+
+def reduction_trace(corpus, handle, settings) -> ReductionTrace:
+    """Run the driver into a new empty trace and return the trace."""
+    run_reduction(corpus, handle, settings, trace := ReductionTrace({}, None))
+    return trace
 
 
 def scorer_from_counts(vocabulary, counts, smoothing_alpha=1.0) -> TabularScorer:

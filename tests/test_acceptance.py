@@ -18,7 +18,7 @@ from varr.corpus import load_corpus, write_reduced
 from varr.errors import TransportError
 from varr.metrics import replay_trace, trace_fingerprint, validate_trace
 from varr.pilot import ordering_holds, pilot_nll_curve, sampling_probabilities
-from varr.schedule import negative_pool, removal_budget, run_reduction
+from varr.schedule import negative_pool, removal_budget
 from varr.scorer import (
     PromptAssembly,
     RemoteScorer,
@@ -34,7 +34,13 @@ from varr.verbosity import (
     verbosity_wrong,
 )
 
-from .conftest import FIXTURE_CORPUS, PILOT_CORPUS, random_record, random_scorer
+from .conftest import (
+    FIXTURE_CORPUS,
+    PILOT_CORPUS,
+    random_record,
+    random_scorer,
+    reduction_trace,
+)
 from .mockserver import MockScorerServer
 from .oracles import (
     candidate_assemblies,
@@ -175,7 +181,7 @@ def test_criterion_06_algorithm_conformance():
     with Budget(60.0) as budget:
         corpus_a = load_corpus(FIXTURE_CORPUS)
         handle_a = fit_tabular_scorer(corpus_a)
-        trace = run_reduction(
+        trace = reduction_trace(
             corpus_a, handle_a, RunConfig(
                 epochs=4, batch_size=3, warmup_ratio=0.1, candidate_order="front",
                 mode="varr_plus", seed=11, k_negatives=2))
@@ -226,7 +232,7 @@ def test_criterion_08_budget_and_permanence_laws():
     for ratio in (0.0, 0.1, 0.4, 1.0):
         corpus = load_corpus(FIXTURE_CORPUS)
         handle = fit_tabular_scorer(corpus)
-        trace = run_reduction(
+        trace = reduction_trace(
             corpus, handle, RunConfig(
                 epochs=3, batch_size=4, warmup_ratio=ratio, candidate_order="front",
                 mode="varr_plus", seed=5, k_negatives=2))
@@ -253,7 +259,7 @@ def test_criterion_08_budget_and_permanence_laws():
 def test_criterion_09_token_reduction_and_replay(tmp_path):
     corpus = load_corpus(FIXTURE_CORPUS)
     handle = fit_tabular_scorer(corpus)
-    trace = run_reduction(
+    trace = reduction_trace(
         corpus, handle, RunConfig(
             epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="front",
             mode="varr", seed=7))

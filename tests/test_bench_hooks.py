@@ -18,10 +18,9 @@ from pathlib import Path
 
 from varr.config import RunConfig
 from varr.corpus import load_corpus
-from varr.schedule import run_reduction
 from varr.scorer import RemoteScorer
 
-from .conftest import FIXTURE_CORPUS
+from .conftest import FIXTURE_CORPUS, reduction_trace
 from .mockserver import MockScorerServer, corpus_score
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,7 +84,7 @@ def test_wrapped_remote_requests_match_the_trace_count(monkeypatch):
     with MockScorerServer(score=corpus_score(FIXTURE_CORPUS)) as server:
         handle = RemoteScorer(server.url, in_flight=16)
         try:
-            trace = run_reduction(load_corpus(FIXTURE_CORPUS), handle, settings)
+            trace = reduction_trace(load_corpus(FIXTURE_CORPUS), handle, settings)
         finally:
             handle.close()
     assert trace.scorer_call_count == count[0] > 0

@@ -21,6 +21,7 @@ from varr.config import (
     EXECUTION,
     FIELDS,
     MAX_EPOCHS,
+    MAX_IN_FLIGHT,
     PILOT_STRATEGIES,
     RunConfig,
     load_run_config,
@@ -1024,6 +1025,7 @@ def test_config_file_typed_values_accepted(tmp_path):
     ("pilot", ["--strategies", "front,sideways"], {}),
     ("pilot", [], {"pilot": {"strategies": []}}),
     ("pilot", ["--sizes", "1,-1"], {}),
+    ("pilot", ["--check-ordering"], {"pilot": {"sizes": []}}),
     ("reduce", [], {"scorer": {"backend": "foo"}}),
     ("pilot", [], {"scorer": {"backend": "foo"}}),
     ("reduce", ["--alpha", "nan"], {}),
@@ -1042,14 +1044,18 @@ def test_config_file_typed_values_accepted(tmp_path):
                                "timeout_ms": 2**31}}),
     ("reduce", ["--scorer", "remote", "--max-attempts", "0"], {}),
     ("reduce", [], {"scorer": {"backend": "remote", "in_flight": 0}}),
+    # with a URL, so that only the concurrency can fail before the corpus loads
+    ("reduce", [], {"scorer": {"backend": "remote", "url": "http://127.0.0.1:9",
+                               "in_flight": MAX_IN_FLIGHT + 1}}),
 ], ids=["epochs", "epochs_too_large", "batch_size", "warmup_above", "warmup_below",
         "k_negatives", "candidate_order", "enforced_n", "mode", "unit", "samples_per_record",
-        "pilot_strategies", "pilot_strategies_empty", "pilot_sizes", "scorer_backend",
+        "pilot_strategies", "pilot_strategies_empty", "pilot_sizes", "pilot_sizes_empty",
+        "scorer_backend",
         "scorer_backend_pilot", "smoothing_alpha_nan", "smoothing_alpha_zero",
         "template_id", "template_id_remote", "check_ordering_strategies",
         "min_unit_chars", "terminal_punctuation", "min_unit_chars_pilot",
         "timeout_ms", "timeout_ms_too_large", "timeout_ms_too_large_entry", "max_attempts",
-        "in_flight"])
+        "in_flight", "in_flight_too_large"])
 def test_out_of_range_setting_fails_before_any_work(tmp_path, capsys, monkeypatch,
                                                      command, flags, entries):
     loads = []
@@ -1119,9 +1125,9 @@ def test_reduce_loads_corpus_once_and_trace_parses_to_run_trace(tmp_path, monkey
         loads.append(args)
         return real_load(*args, **kwargs)
 
-    def capturing_run(*args, **kwargs):
-        traces.append(real_run(*args, **kwargs))
-        return traces[-1]
+    def capturing_run(corpus, handle, settings, trace):
+        real_run(corpus, handle, settings, trace)
+        traces.append(trace)
 
     real_load, real_run = cli.load_corpus, cli.run_reduction
     monkeypatch.setattr(cli, "load_corpus", counting_load)
@@ -1232,8 +1238,8 @@ def test_reduce_replay_law_violation_exits_3_before_writing(tmp_path, monkeypatc
     def group(event):
         return event.record_id, event.epoch, event.step
 
-    def unmarking_run(corpus, handle, settings):
-        trace = real_run(corpus, handle, settings)
+    def unmarking_run(corpus, handle, settings, trace):
+        real_run(corpus, handle, settings, trace)
         removed = next(e for e in trace.events if e.decision == metrics.DECISION_REMOVED)
         record = next(r for r in corpus if r.id == removed.record_id)
         record.rationale[removed.candidate_index].removed_at = None
@@ -1249,7 +1255,6 @@ def test_reduce_replay_law_violation_exits_3_before_writing(tmp_path, monkeypatc
             n = counts[group(removed)]
             problems.insert(0, f"group {group(removed)} removed {n} over budget {n - 1}")
         expected.append("internal invariant violation: " + "; ".join(problems) + "\n")
-        return trace
 
     real_run = cli.run_reduction
     monkeypatch.setattr(cli, "run_reduction", unmarking_run)

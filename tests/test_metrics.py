@@ -23,10 +23,9 @@ from varr.metrics import (
     trace_fingerprint,
     validate_trace,
 )
-from varr.schedule import run_reduction
 from varr.scorer import fit_tabular_scorer
 
-from .conftest import FIXTURE_CORPUS, make_record
+from .conftest import FIXTURE_CORPUS, make_record, reduction_trace
 from .oracles import oracle_validate_trace, token_stats, trace_to_dict
 
 
@@ -85,7 +84,7 @@ def test_ratio_uniform_varr_run_is_one_until_exhaustion(fixture_corpus):
     from varr.scorer import TabularScorer, build_vocabulary
 
     handle = TabularScorer(build_vocabulary(fixture_corpus))
-    trace = run_reduction(fixture_corpus, handle, RunConfig(
+    trace = reduction_trace(fixture_corpus, handle, RunConfig(
         epochs=1, batch_size=4, warmup_ratio=0.0, candidate_order="front", mode="varr",
         seed=3))
     points = removal_ratio_curve(trace)
@@ -122,7 +121,7 @@ def test_token_stats_id_mismatch_lists_difference():
 def test_replay_reproduces_final_retained_sets():
     corpus = load_corpus(FIXTURE_CORPUS)
     handle = fit_tabular_scorer(corpus)
-    trace = run_reduction(corpus, handle, RunConfig(
+    trace = reduction_trace(corpus, handle, RunConfig(
         epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="front", mode="varr",
         seed=8))
     replayed = replay_trace(load_corpus(FIXTURE_CORPUS), trace)
@@ -240,7 +239,7 @@ def test_report_flags_no_reductions(fixture_corpus):
 
 def test_report_full_run(fixture_corpus):
     handle = fit_tabular_scorer(fixture_corpus)
-    trace = run_reduction(fixture_corpus, handle, RunConfig(
+    trace = reduction_trace(fixture_corpus, handle, RunConfig(
         epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="front", mode="varr",
         seed=8))
     report = build_report(trace, fixture_corpus)
@@ -274,7 +273,7 @@ def test_ratio_curve_matches_per_key_rescan(events, epochs):
     # do not tie t to (epoch, step); None stands for a real run's trace
     if events is None:
         corpus = load_corpus(FIXTURE_CORPUS)
-        trace = run_reduction(corpus, fit_tabular_scorer(corpus), RunConfig(
+        trace = reduction_trace(corpus, fit_tabular_scorer(corpus), RunConfig(
             epochs=epochs, batch_size=4, warmup_ratio=0.0, candidate_order="back",
             mode="varr", seed=5))
         assert trace.events
@@ -393,7 +392,7 @@ def test_to_dict_config_is_a_copy():
 
 def test_marks_token_stats_equal_reload_comparison(fixture_corpus):
     handle = fit_tabular_scorer(fixture_corpus)
-    run_reduction(fixture_corpus, handle, RunConfig(
+    reduction_trace(fixture_corpus, handle, RunConfig(
         epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="front", mode="varr",
         seed=7))
     stats = reduction_token_stats(fixture_corpus)

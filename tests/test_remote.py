@@ -17,13 +17,15 @@ import pytest
 from varr.config import (
     ENV_SCORER_TIMEOUT_MS,
     ENV_SCORER_URL,
+    MAX_IN_FLIGHT,
     MAX_TIMEOUT_MS,
     RunConfig,
     load_run_config,
 )
 from varr.corpus import load_corpus
 from varr.errors import ConfigurationError, ProtocolError, TransportError
-from varr.schedule import ReductionAborted, run_reduction
+from varr.metrics import ReductionTrace
+from varr.schedule import run_reduction
 from varr.scorer import (
     DEFAULT_TIMEOUT_MS,
     MAX_CONNECTING,
@@ -42,7 +44,7 @@ from varr.scorer import (
 )
 from varr.seeding import child_rng
 
-from .conftest import FIXTURE_CORPUS
+from .conftest import FIXTURE_CORPUS, reduction_trace
 from .mockserver import (
     ConnectProxy,
     MockScorerServer,
@@ -217,6 +219,16 @@ def test_unparsable_timeout_variable_is_a_configuration_error(monkeypatch):
     monkeypatch.setenv(ENV_SCORER_TIMEOUT_MS, str(MAX_TIMEOUT_MS + 1))
     with pytest.raises(ConfigurationError, match=f"timeout_ms must be <= {MAX_TIMEOUT_MS}"):
         load_run_config(None, REMOTE)
+
+
+def test_in_flight_is_capped_when_the_settings_are_built():
+    # checked on the settings alone: no scorer, thread or socket is made
+    cfg = RunConfig(scorer_backend="remote", in_flight=MAX_IN_FLIGHT)
+    assert cfg.in_flight == MAX_IN_FLIGHT
+    for too_many in (MAX_IN_FLIGHT + 1, 10**9):
+        with pytest.raises(ConfigurationError,
+                           match=f"in_flight must be <= {MAX_IN_FLIGHT}, got {too_many}"):
+            RunConfig(scorer_backend="remote", in_flight=too_many)
 
 
 def test_largest_timeout_is_one_a_socket_takes():
@@ -678,11 +690,14 @@ SETTINGS = RunConfig(epochs=3, batch_size=8, warmup_ratio=0.0, candidate_order="
                      mode="varr_plus", seed=5, k_negatives=2, scorer_backend="remote")
 
 
-def reduce_remote(server, in_flight, settings=SETTINGS):
+def reduce_remote(server, in_flight, settings=SETTINGS, trace=None):
+    """Reduce the fixture corpus against ``server`` into ``trace`` (a new
+    one if None); the trace and the corpus."""
     corpus = load_corpus(FIXTURE_CORPUS)
+    trace = ReductionTrace({}, None) if trace is None else trace
     scorer = remote(server.url, in_flight=in_flight)
     try:
-        trace = run_reduction(corpus, scorer, settings)
+        run_reduction(corpus, scorer, settings, trace)
     finally:
         scorer.close()
     return trace, corpus
@@ -698,8 +713,8 @@ def test_concurrent_reduction_matches_serial_and_tabular():
         concurrent = [outcome(*reduce_remote(server, in_flight)) for in_flight in (4, 16)]
         serial = outcome(*reduce_remote(server, in_flight=1))
     corpus = load_corpus(FIXTURE_CORPUS)
-    trace = run_reduction(corpus, FixedTabularScorer(),
-                          replace(SETTINGS, scorer_backend="tabular"))
+    trace = reduction_trace(corpus, FixedTabularScorer(),
+                            replace(SETTINGS, scorer_backend="tabular"))
     assert serial[0]
     assert concurrent == [serial, serial]
     assert serial == outcome(trace, corpus)
@@ -786,7 +801,7 @@ def test_cache_spares_requests_and_workers_keep_connections():
         try:
             # the second run's workers take the first run's idle connections
             calls = sum(
-                run_reduction(load_corpus(FIXTURE_CORPUS), scorer, SETTINGS)
+                reduction_trace(load_corpus(FIXTURE_CORPUS), scorer, SETTINGS)
                 .scorer_call_count
                 for _ in range(2)
             )
@@ -819,12 +834,11 @@ def partial_traces(fails):
     """Events and scorer call count of the aborted run, by in_flight."""
     partial = {}
     for in_flight in (1, 4, 16):
+        trace = ReductionTrace({}, None)
         with MockScorerServer(score=corpus_score(FIXTURE_CORPUS),
                               fail_prompt=fails) as server:
-            with pytest.raises(ReductionAborted) as exc:
-                reduce_remote(server, in_flight, MID_BATCH)
-        assert isinstance(exc.value.cause, ProtocolError)
-        trace = exc.value.trace
+            with pytest.raises(ProtocolError):
+                reduce_remote(server, in_flight, MID_BATCH, trace)
         partial[in_flight] = [e._asdict() for e in trace.events], trace.scorer_call_count
     assert partial[4] == partial[16] == partial[1]
     return partial[1]
@@ -890,12 +904,11 @@ def test_partial_trace_on_failure_in_the_first_batch_is_serial():
                 later_sent.wait(timeout=1)  # within remote()'s 2 s timeout
             return prompt == full
 
+        trace = ReductionTrace({}, None)
         with MockScorerServer(score=scoring, fail_prompt=fails) as server:
-            with pytest.raises(ReductionAborted) as exc:
-                reduce_remote(server, in_flight, settings)
-        assert isinstance(exc.value.cause, ProtocolError)
+            with pytest.raises(ProtocolError):
+                reduce_remote(server, in_flight, settings, trace)
         assert later_sent.is_set() == (in_flight > 1)
-        trace = exc.value.trace
         partial[in_flight] = [e._asdict() for e in trace.events], trace.scorer_call_count
     events, calls = partial[1]
     assert events and all(e["t"] == 1 and e["record_id"] != target.id for e in events)

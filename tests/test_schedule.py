@@ -17,9 +17,9 @@ from varr import schedule
 from varr.config import RunConfig
 from varr.corpus import load_corpus
 from varr.errors import ConfigurationError, OutOfVocabularyError
+from varr.metrics import ReductionTrace
 from varr.schedule import (
     CANDIDATE_ORDERS,
-    ReductionAborted,
     candidate_sequence,
     in_warmup,
     negative_pool,
@@ -36,7 +36,7 @@ from varr.scorer import (
 )
 from varr.seeding import child_rng
 
-from .conftest import FIXTURE_CORPUS, make_record
+from .conftest import FIXTURE_CORPUS, make_record, reduction_trace
 from .oracles import candidate_assemblies
 from .reference_driver import PairRefresh, run_reference
 
@@ -205,7 +205,7 @@ def fresh_corpus():
 def test_full_warmup_means_zero_removals():
     corpus = fresh_corpus()
     handle = fit_tabular_scorer(corpus)
-    trace = run_reduction(corpus, handle, RunConfig(
+    trace = reduction_trace(corpus, handle, RunConfig(
         epochs=3, batch_size=4, warmup_ratio=1.0, candidate_order="front", seed=1))
     assert trace.events == []
     assert all(u.removed_at is None for r in corpus for u in r.rationale)
@@ -216,7 +216,7 @@ def test_uniform_scorer_removals_match_budget_exactly():
     # so the scorer stays uniform for every evaluation of the run
     corpus = fresh_corpus()
     handle = TabularScorer(build_vocabulary(corpus))
-    trace = run_reduction(corpus, handle, RunConfig(
+    trace = reduction_trace(corpus, handle, RunConfig(
         epochs=1, batch_size=4, warmup_ratio=0.0, candidate_order="front", mode="varr",
         seed=3))
     # zero law: every candidate passes, so each (record, step) removes r(t)
@@ -244,7 +244,7 @@ def test_uniform_scorer_removals_match_budget_exactly():
 def test_budget_law_and_permanence_on_fixture():
     corpus = fresh_corpus()
     handle = fit_tabular_scorer(corpus)
-    trace = run_reduction(corpus, handle, RunConfig(
+    trace = reduction_trace(corpus, handle, RunConfig(
         epochs=4, batch_size=3, warmup_ratio=0.1, candidate_order="front",
         mode="varr_plus", seed=11, k_negatives=2))
     seen = set()
@@ -276,7 +276,7 @@ def test_budget_law_and_permanence_on_fixture():
 def test_warmup_purity(ratio):
     corpus = fresh_corpus()
     handle = fit_tabular_scorer(corpus)
-    trace = run_reduction(corpus, handle, RunConfig(
+    trace = reduction_trace(corpus, handle, RunConfig(
         epochs=3, batch_size=4, warmup_ratio=ratio, candidate_order="front",
         mode="varr", seed=5))
     total = trace.config["schedule"]["total_steps"]
@@ -287,7 +287,7 @@ def test_trace_determinism_same_seed():
     def run(seed):
         corpus = fresh_corpus()
         handle = fit_tabular_scorer(corpus)
-        trace = run_reduction(corpus, handle, RunConfig(
+        trace = reduction_trace(corpus, handle, RunConfig(
             epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="random",
             mode="varr_plus", seed=seed, k_negatives=2))
         return [e._asdict() for e in trace.events]
@@ -299,7 +299,7 @@ def test_trace_determinism_same_seed():
 def test_scorer_call_accounting():
     corpus = fresh_corpus()
     handle = fit_tabular_scorer(corpus)
-    trace = run_reduction(corpus, handle, RunConfig(
+    trace = reduction_trace(corpus, handle, RunConfig(
         epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="front",
         mode="varr_plus", seed=11, k_negatives=2))
     expected = sum(
@@ -311,7 +311,7 @@ def test_scorer_call_accounting():
 def test_no_rule_makes_no_scorer_calls():
     corpus = fresh_corpus()
     handle = fit_tabular_scorer(corpus)
-    trace = run_reduction(corpus, handle, RunConfig(
+    trace = reduction_trace(corpus, handle, RunConfig(
         epochs=2, batch_size=4, warmup_ratio=0.0, candidate_order="no_rule", seed=2))
     assert trace.scorer_call_count == 0
     assert handle.cache.hits + handle.cache.misses == 0  # one lookup per logical call
@@ -322,7 +322,7 @@ def test_no_rule_makes_no_scorer_calls():
 def test_enforced_front_removes_unconditionally_in_early_epochs():
     corpus = fresh_corpus()
     handle = fit_tabular_scorer(corpus)
-    trace = run_reduction(
+    trace = reduction_trace(
         corpus, handle, RunConfig(
             epochs=4, batch_size=4, warmup_ratio=0.0, candidate_order="enforced_front",
             mode="varr_plus", seed=6, enforced_n=2, enforce_epochs=2, k_negatives=2))
@@ -336,19 +336,19 @@ def test_reduction_aborts_with_partial_trace():
     corpus = fresh_corpus()
     # vocabulary missing the fixture tokens: first evaluation raises OOV
     handle = TabularScorer(["nothing", "here"])
-    with pytest.raises(ReductionAborted) as exc:
+    trace = ReductionTrace({}, None)
+    with pytest.raises(OutOfVocabularyError):
         run_reduction(corpus, handle, RunConfig(
             epochs=2, batch_size=4, warmup_ratio=0.0, candidate_order="front",
-            mode="varr", seed=1))
-    assert exc.value.trace is not None
-    assert exc.value.trace.events == []
+            mode="varr", seed=1), trace)
+    assert trace.events == []
 
 
 def test_epoch_log_lines_count_removals_so_far(caplog):
     corpus = fresh_corpus()
     handle = fit_tabular_scorer(corpus)
     with caplog.at_level(logging.INFO, logger="varr.schedule"):
-        trace = run_reduction(corpus, handle, RunConfig(
+        trace = reduction_trace(corpus, handle, RunConfig(
             epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="front",
             mode="varr", seed=3))
     so_far = [sum(e.decision == "removed" and e.epoch <= epoch for e in trace.events)
@@ -392,7 +392,7 @@ def test_scan_pool_matches_inline_under_thread_stress():
         corpus = fresh_corpus()
         handle = fit_tabular_scorer(corpus)
         handle.in_flight = in_flight
-        trace = run_reduction(corpus, handle, RunConfig(
+        trace = reduction_trace(corpus, handle, RunConfig(
             epochs=4, batch_size=batch_size, warmup_ratio=0.1, candidate_order="random",
             mode="varr_plus", seed=21, k_negatives=2))
         retained = {r.id: r.retained_indices() for r in corpus}
@@ -422,16 +422,19 @@ def test_pooled_scan_failure_keeps_serial_partial_trace(monkeypatch):
         failing = corpus[order[2]]
         failing.answer = "unseen " + failing.answer  # out of vocabulary
         later = {corpus[i].id for i in order[3:]}
-        # run_reduction builds the abort once the failing scan has ended, so
-        # its failure is recorded. Scans of later slots wait for that after
-        # their first candidate; from then on no scan may call the scorer.
+        # _scan_epoch raises once the failing scan has ended and been merged,
+        # so its failure is recorded, and before the pool shuts down. Scans
+        # of later slots wait for that after their first candidate; from
+        # then on no scan may call the scorer.
         recorded = threading.Event()
         late_calls = []
 
-        class Aborted(ReductionAborted):
-            def __init__(self, *args):
+        def scanning(*args):
+            try:
+                scan_epoch(*args)
+            except BaseException:
                 recorded.set()
-                super().__init__(*args)
+                raise
 
         def holding(handle, record, *args, **kwargs):
             report = evaluate(handle, record, *args, **kwargs)
@@ -446,20 +449,19 @@ def test_pooled_scan_failure_keeps_serial_partial_trace(monkeypatch):
 
         score = handle.score_answer
         handle.score_answer = counting
-        monkeypatch.setattr(schedule, "ReductionAborted", Aborted)
+        monkeypatch.setattr(schedule, "_scan_epoch", scanning)
         monkeypatch.setattr(schedule, "evaluate_candidate", holding)
         # one batch of one step: every record's budget is its unit count,
         # so the failing scan fails at its first call, mid-batch
-        with pytest.raises(ReductionAborted) as exc:
+        trace = ReductionTrace({}, None)
+        with pytest.raises(OutOfVocabularyError):
             run_reduction(corpus, handle, RunConfig(
                 epochs=1, batch_size=len(order), warmup_ratio=0.0,
-                candidate_order="front", mode="varr", seed=1))
-        assert isinstance(exc.value.cause, OutOfVocabularyError)
+                candidate_order="front", mode="varr", seed=1), trace)
         assert late_calls == []
-        trace = exc.value.trace
         return failing.id, [e._asdict() for e in trace.events], trace.scorer_call_count
 
-    evaluate = schedule.evaluate_candidate
+    evaluate, scan_epoch = schedule.evaluate_candidate, schedule._scan_epoch
     failing_id, serial, calls = aborted(1)
     assert serial
     assert all(e["record_id"] != failing_id for e in serial)
@@ -468,6 +470,55 @@ def test_pooled_scan_failure_keeps_serial_partial_trace(monkeypatch):
     # more workers than held scans: those go first for their larger
     # budgets, and must not keep the earlier slots from running
     assert aborted(16) == (failing_id, serial, calls)
+
+
+def test_two_failing_scans_raise_the_earlier_slots_own_error(monkeypatch):
+    # one batch of one step, so every scan is of one batch and its budget is
+    # its unit count: the earlier slot fails at its second candidate, the
+    # later one at its first, and with a pool the later one fails first
+    def run(in_flight):
+        corpus = fresh_corpus()
+        handle = fit_tabular_scorer(corpus)
+        handle.in_flight = in_flight
+        order = list(range(len(corpus)))
+        child_rng(1, "batch-order", 1).shuffle(order)
+        earlier, later = corpus[order[2]], corpus[order[12]]
+        assert len(earlier.rationale) >= 2
+        errors = {earlier.id: OutOfVocabularyError("earlier"),
+                  later.id: OutOfVocabularyError("later")}
+        later_failed = threading.Event()
+        earlier_calls = []
+
+        def failing(handle, record, *args, **kwargs):
+            if record.id == later.id:
+                later_failed.set()
+                raise errors[later.id]
+            if record.id == earlier.id:
+                earlier_calls.append(None)
+                if len(earlier_calls) == 2:
+                    if in_flight > 1:
+                        assert later_failed.wait(timeout=10)
+                    raise errors[earlier.id]
+            return evaluate(handle, record, *args, **kwargs)
+
+        monkeypatch.setattr(schedule, "evaluate_candidate", failing)
+        trace = ReductionTrace({}, None)
+        with pytest.raises(OutOfVocabularyError) as exc:
+            run_reduction(corpus, handle, RunConfig(
+                epochs=1, batch_size=len(order), warmup_ratio=0.0,
+                candidate_order="front", mode="varr", seed=1), trace)
+        assert exc.value is errors[earlier.id]
+        assert later_failed.is_set() == (in_flight > 1)
+        # the serial prefix: the scans of the slots before the earlier
+        # failure in order, then its own one decision
+        assert list(dict.fromkeys(e.record_id for e in trace.events)) == [
+            corpus[i].id for i in order[:3]]
+        assert [e.candidate_index for e in trace.events if e.record_id == earlier.id] == [0]
+        assert trace.scorer_call_count == sum(2 + 2 * e.k_used for e in trace.events)
+        return [e._asdict() for e in trace.events], trace.scorer_call_count, trace.config
+
+    evaluate = schedule.evaluate_candidate
+    assert run(8) == run(1)
 
 
 @pytest.mark.parametrize("template_id", ["plain-v1", "newline-v1"])
@@ -493,7 +544,7 @@ def test_scan_prompts_equal_candidate_assemblies(monkeypatch, template_id):
         return report
 
     monkeypatch.setattr(schedule, "evaluate_candidate", checking)
-    trace = run_reduction(corpus, handle, RunConfig(
+    trace = reduction_trace(corpus, handle, RunConfig(
         epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="random",
         mode="varr_plus", seed=5, k_negatives=2, template_id=template_id))
     decisions = [e for e in trace.events if not e.unconditional]
@@ -520,7 +571,7 @@ def test_negative_pool_built_once_per_scan_in_varr_plus_only(monkeypatch, mode):
     monkeypatch.setattr(schedule, "negative_pool",
                         counting("pools", schedule.negative_pool))
     corpus = fresh_corpus()
-    run_reduction(corpus, fit_tabular_scorer(corpus), RunConfig(
+    reduction_trace(corpus, fit_tabular_scorer(corpus), RunConfig(
         epochs=3, batch_size=4, warmup_ratio=0.1, candidate_order="random", mode=mode,
         seed=5, k_negatives=2))
     assert counts["scans"] > 0
@@ -533,7 +584,7 @@ def assert_conformance(candidate_order, mode, seed, epochs=4, batch_size=3,
                        warmup=0.1, k=2, enforced_n=0):
     corpus_a = fresh_corpus()
     handle_a = fit_tabular_scorer(corpus_a)
-    trace = run_reduction(
+    trace = reduction_trace(
         corpus_a, handle_a, RunConfig(
             epochs=epochs, batch_size=batch_size, warmup_ratio=warmup,
             candidate_order=candidate_order, mode=mode, seed=seed,
@@ -579,7 +630,7 @@ def test_refresh_runs_between_epochs_only(epochs):
     views = []
     refresh = handle.refresh
     handle.refresh = lambda streams: (views.append(streams), refresh(streams))
-    trace = run_reduction(corpus, handle, RunConfig(
+    trace = reduction_trace(corpus, handle, RunConfig(
         epochs=epochs, batch_size=3, warmup_ratio=0.1, candidate_order="back",
         mode="varr_plus", seed=3, k_negatives=2))
     assert len(views) == epochs - 1
@@ -604,7 +655,7 @@ def test_a_refresh_that_reads_no_streams_tokenises_no_record():
 
     corpus = fresh_corpus()
     handle = KeepingScorer(build_vocabulary(corpus))
-    run_reduction(corpus, handle, RunConfig(
+    reduction_trace(corpus, handle, RunConfig(
         epochs=2, batch_size=3, warmup_ratio=0.0, candidate_order="back", seed=3))
     assert inspect.getgeneratorstate(handle.streams) == "GEN_CREATED"
 
@@ -686,7 +737,7 @@ def test_driver_matches_reference_on_generated_corpora(specs, epochs, batch_size
         corpus_a = spec_corpus(specs)
         handle_a = handle_for(handle_kind, corpus_a)
         handle_a.in_flight = in_flight
-        trace = run_reduction(corpus_a, handle_a, RunConfig(
+        trace = reduction_trace(corpus_a, handle_a, RunConfig(
             epochs=epochs, batch_size=batch_size, warmup_ratio=warmup,
             candidate_order=order, mode=mode, seed=seed, k_negatives=k,
             enforced_n=enforced_n,
